@@ -58,6 +58,7 @@ from .quadrature import (
     f_plain,
     ml_quad,
     ml_quad_neg_axis_wide_alpha,
+    ml_quad_values,
     origin_accuracy,
     q_sum,
     shift_beta_down,
@@ -99,6 +100,7 @@ __all__ = [
     "ml_derivative",
     "ml_quad",
     "ml_quad_neg_axis_wide_alpha",
+    "ml_quad_values",
     "ml_series",
     "mittag_leffler",
     "optimize_phi",

@@ -84,7 +84,9 @@ def ml_asymptotic(z: complex, alpha: float, beta: float, tol: float) -> Asymptot
         lnz = cmath.log(z)
         g = cexp(lnz / alpha)  # z**(1/alpha)
         if cmath.isfinite(g):
-            value += cexp(((1.0 - beta) / alpha) * lnz + g) / alpha
+            e = cexp(((1.0 - beta) / alpha) * lnz + g)
+            # part by part: a complex quotient inf/alpha would put NaN in a zero part
+            value += complex(e.real / alpha, e.imag / alpha)
         elif g.real > 0.0:
             value = complex(INF, INF)
         # g overflowed with Re g < 0: exp factor underflows to 0

@@ -7,13 +7,17 @@ failure (non-convergence, poles, singular systems, NaN results).
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import math
 import sys
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .asymptotic import asymptotic_sigma_tau, ml_asymptotic
-from .contours import build_hyperbolic_rule, build_parabolic_rule
-from .dispatch import DEFAULT_TOL, TOL_MAX, TOL_MIN, ml_auto, quadrature_n_for_tol
+from .contours import QuadratureRule, build_hyperbolic_rule, build_parabolic_rule
+from .dispatch import DEFAULT_TOL, ml_auto, quadrature_n_for_tol, validate_params
 from .exceptions import DomainError, MittleffError
 from .pade import (
     build_pade,
@@ -22,7 +26,7 @@ from .pade import (
     partial_fractions,
     partial_fractions_csv,
 )
-from .quadrature import EvalResult, Method, ml_quad
+from .quadrature import EvalResult, Method, ml_quad, ml_quad_values
 from .series import ml_series
 
 EXIT_OK = 0
@@ -30,6 +34,8 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 _METHODS = ("auto", "series", "asymp", "quad-par", "quad-hyp")
+# grid points per quadrature call; bounds the (points x nodes) work arrays
+GRID_BLOCK = 256
 
 
 def _merge_negative_values(argv: Sequence[str]) -> list[str]:
@@ -86,11 +92,14 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return values
 
 
-def _check_common(alpha: float, tol: float) -> None:
-    if alpha <= 0.0:
-        raise DomainError(f"alpha={alpha!r} must be positive")
-    if not TOL_MIN <= tol <= TOL_MAX:
-        raise DomainError(f"tol={tol!r} outside [{TOL_MIN}, {TOL_MAX}]")
+@functools.lru_cache(maxsize=8)
+def _rule(method: str, n: int) -> QuadratureRule:
+    # nodes and weights do not depend on z: one build per (method, N)
+    return build_parabolic_rule(n) if method == "quad-par" else build_hyperbolic_rule(n)
+
+
+def _quad_rule(method: str, tol: float, n_nodes: int | None) -> QuadratureRule:
+    return _rule(method, n_nodes if n_nodes is not None else quadrature_n_for_tol(tol))
 
 
 def _eval_one(
@@ -109,13 +118,19 @@ def _eval_one(
     if method == "asymp":
         res = ml_asymptotic(z, alpha, beta, tol)
         return EvalResult(res.value, Method.ASYMPTOTIC, res.m, res.err_estimate), res.converged
-    n = n_nodes if n_nodes is not None else quadrature_n_for_tol(tol)
-    rule = build_parabolic_rule(n) if method == "quad-par" else build_hyperbolic_rule(n)
-    return ml_quad(z, alpha, beta, rule), True
+    return ml_quad(z, alpha, beta, _quad_rule(method, tol, n_nodes)), True
+
+
+def _block_values(method: str, zs: list[complex], args: argparse.Namespace) -> list[complex]:
+    """Values at one block of grid points: one engine call for a quadrature method."""
+    if method in ("quad-par", "quad-hyp"):
+        rule = _quad_rule(method, args.tol, args.N)
+        return ml_quad_values(np.array(zs), args.alpha, args.beta, rule).tolist()
+    return [_eval_one(method, z, args.alpha, args.beta, args.tol, args.N)[0].value for z in zs]
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    _check_common(args.alpha, args.tol)
+    validate_params(args.alpha, args.tol)
     res, converged = _eval_one(args.method, args.z, args.alpha, args.beta, args.tol, args.N)
     v = res.value
     print(f"{v.real:.16e} {v.imag:.16e}")
@@ -147,18 +162,22 @@ def _linspace(lo: float, hi: float, steps: int) -> list[float]:
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
-    _check_common(args.alpha, args.tol)
+    validate_params(args.alpha, args.tol)
     if args.steps < 1:
         raise DomainError(f"steps={args.steps!r} must be >= 1")
-    methods = args.compare_method if args.compare_method is not None else ("auto", None)
-    lines = ["re,im,value_re,value_im" + (",log10_abs_err" if methods[1] else "")]
-    for re in _linspace(args.re_min, args.re_max, args.steps):
-        for im in _linspace(args.im_min, args.im_max, args.steps):
-            z = complex(re, im)
-            v1 = _eval_one(methods[0], z, args.alpha, args.beta, args.tol, args.N)[0].value
+    first, second = args.compare_method if args.compare_method is not None else ("auto", None)
+    # outer loop over re, inner over im
+    points = itertools.product(
+        _linspace(args.re_min, args.re_max, args.steps), _linspace(args.im_min, args.im_max, args.steps)
+    )
+    lines = ["re,im,value_re,value_im" + (",log10_abs_err" if second else "")]
+    while block := list(itertools.islice(points, GRID_BLOCK)):
+        zs = [complex(re, im) for re, im in block]
+        values = _block_values(first, zs, args)
+        others = _block_values(second, zs, args) if second else values
+        for (re, im), v1, v2 in zip(block, values, others):
             row = f"{re!r},{im!r},{v1.real!r},{v1.imag!r}"
-            if methods[1]:
-                v2 = _eval_one(methods[1], z, args.alpha, args.beta, args.tol, args.N)[0].value
+            if second:
                 diff = abs(v1 - v2)
                 row += f",{math.log10(diff) if diff > 0.0 else float('-inf')!r}"
             lines.append(row)
@@ -185,7 +204,7 @@ def cmd_pade(args: argparse.Namespace) -> int:
 
 
 def cmd_table_asymp(args: argparse.Namespace) -> int:
-    _check_common(args.alpha, args.tol)
+    validate_params(args.alpha, args.tol)
     rule = build_hyperbolic_rule(14)
     header = f"{'x':>8} {'terms':>6} {'exp_scale':>14} {'err_vs_quad':>13} {'tail_prev':>13} {'tail_last':>13}"
     rows = [header]
@@ -231,7 +250,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_grid.add_argument("--steps", type=int, required=True, help="points per axis")
     p_grid.add_argument("--out", required=True, help="output file, - for stdout")
     p_grid.add_argument("--compare-method", type=_parse_method_pair, default=None, metavar="M1,M2")
-    p_grid.add_argument("--method", choices=_METHODS, default="auto", help=argparse.SUPPRESS)
     p_grid.add_argument("--N", type=int, default=None)
     p_grid.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_grid.set_defaults(func=cmd_grid)

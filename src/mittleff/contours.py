@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .exceptions import DomainError
@@ -39,13 +39,15 @@ class QuadratureRule:
     Only the nonnegative half is stored; n < 0 follows from the
     reflection w(-u) = conj(w(u)), C_{-n} = conj(C_n).  Instances are
     immutable; a different N requires building a fresh rule (every node
-    and weight changes with N).
+    and weight changes with N).  The hash skips the node and weight
+    tuples, which follow from the other fields, so caches keyed on a rule
+    stay cheap to query.
     """
 
     kind: ContourKind
     N: int
-    nodes: tuple[complex, ...]
-    weights: tuple[complex, ...]
+    nodes: tuple[complex, ...] = field(hash=False)
+    weights: tuple[complex, ...] = field(hash=False)
     A: float
     h: float
     mu: float

@@ -41,9 +41,10 @@ def _hyperbolic_rule(n: int):
     return build_hyperbolic_rule(n)
 
 
-def _validate(alpha: float, tol: float) -> None:
-    if alpha <= 0.0:
-        raise DomainError(f"alpha={alpha!r} must be positive")
+def validate_params(alpha: float, tol: float) -> None:
+    """Reject alpha that is not a positive finite number and tol outside [TOL_MIN, TOL_MAX]."""
+    if not 0.0 < alpha < math.inf:
+        raise DomainError(f"alpha={alpha!r} must be positive and finite")
     if not TOL_MIN <= tol <= TOL_MAX:
         raise DomainError(f"tol={tol!r} outside [{TOL_MIN}, {TOL_MAX}]")
 
@@ -66,7 +67,7 @@ def _ml_auto_low(z: complex, alpha: float, beta: float, tol: float) -> EvalResul
 
 def ml_auto(z: complex, alpha: float, beta: float, tol: float = DEFAULT_TOL) -> EvalResult:
     """Evaluate E[alpha, beta](z) with automatic method selection."""
-    _validate(alpha, tol)
+    validate_params(alpha, tol)
     z = complex(z)
     if alpha <= 1.0:
         return _ml_auto_low(z, alpha, beta, tol)
@@ -85,7 +86,8 @@ def ml_auto(z: complex, alpha: float, beta: float, tol: float = DEFAULT_TOL) -> 
         acc += sub.value
         worst = max(worst, sub.err_estimate)
         count += sub.nodes_or_terms
-    return EvalResult(acc / m, Method.REDUCTION, count, worst)
+    # divided part by part: inf/m as a complex quotient would put NaN in a zero part
+    return EvalResult(complex(acc.real / m, acc.imag / m), Method.REDUCTION, count, worst)
 
 
 def mittag_leffler(z: complex, alpha: float, beta: float = 1.0, tol: float = DEFAULT_TOL) -> complex:

@@ -76,10 +76,15 @@ def reciprocal_gamma(x: float) -> float:
 
 
 def cexp(w: complex) -> complex:
-    """exp(w) that saturates to inf components instead of raising on overflow."""
+    """exp(w) that saturates to inf components instead of raising on overflow.
+
+    A zero imaginary part stays zero: inf * sin(0) would be NaN.
+    """
     try:
         return cmath.exp(w)
     except OverflowError:
+        if w.imag == 0.0:
+            return complex(math.inf, w.imag)
         return complex(math.inf * math.cos(w.imag), math.inf * math.sin(w.imag))
 
 

@@ -5,9 +5,11 @@ rational-like integrand in w.  Depending on where z sits relative to the
 sector |Arg z| <= alpha*pi, the integrand is either used as-is (f_plain)
 or has the simple pole at gamma = z**(1/alpha) split off analytically
 (f_one), with the pole's residue alpha**-1 * gamma**(1-beta) * e**gamma
-added back in closed form.  A separate entry point handles the negative
-real axis for 1 < alpha < 2, where a conjugate pair of poles must be
-split off (two-pole integrand f_2).
+added back in closed form.  The node factors of the integrand do not
+depend on z, so ml_quad_values caches them per (rule, alpha, beta) and
+sums many z at once; the scalar ml_quad is a batch of one.  A separate
+entry point handles the negative real axis for 1 < alpha < 2, where a
+conjugate pair of poles must be split off (two-pole integrand f_2).
 """
 
 from __future__ import annotations
@@ -18,9 +20,12 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
+import numpy as np
+from numpy.typing import ArrayLike
+
 from .contours import ContourKind, QuadratureRule
 from .exceptions import DomainError
-from .kernels import (
+from .kernels import (  # noqa: F401  cexp, principal_arg: bench/tracing.py rebinds them here
     cexp,
     cpow_principal as _cpow,
     principal_arg,
@@ -137,33 +142,105 @@ def origin_accuracy(rule: QuadratureRule, beta: float) -> float:
     return abs(got.real - reciprocal_gamma(beta))
 
 
-def ml_quad(z: complex, alpha: float, beta: float, rule: QuadratureRule) -> EvalResult:
-    """E[alpha, beta](z) by contour quadrature, alpha in (0, 1].
+@functools.lru_cache(maxsize=64)
+def _node_factors(
+    rule: QuadratureRule, alpha: float, beta: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The z-independent factors w_n, A*C_n, A*C_n*w_n**(alpha-beta), w_n**alpha.
 
-    Outside the sector |Arg z| <= alpha*pi the plain integrand is summed;
-    inside it the pole at gamma = z**(1/alpha) is split off and its
-    residue added in closed form.  z = 0 yields a NaN value (callers
-    should route z = 0 to the series).
+    Columns form two blocks of N+1: the nodes n = 0..N, then their
+    reflections conj(w_n).  w_0 and C_0 are real, so both blocks hold node
+    0, each with half its weight: the first block's sum is then half the
+    sum over n = -N..N of a conjugate-symmetric integrand.  Powers are
+    principal-branch exp(a*log w), as in cpow_principal.
+    """
+    nodes = np.array(rule.nodes)
+    weights = rule.A * np.array(rule.weights)
+    weights[0] *= 0.5
+    w = np.concatenate([nodes, nodes.conj()])
+    c = np.concatenate([weights, weights.conj()])
+    log_w = np.log(w)
+    return w, c, c * np.exp((alpha - beta) * log_w), np.exp(alpha * log_w)
+
+
+def _sum_rows(terms: np.ndarray, sym: np.ndarray, n: int) -> np.ndarray:
+    # conjugate-symmetric rows take twice the real part of the first block, so
+    # their imaginary part is exactly 0; the other rows sum both blocks
+    blocks = terms.reshape(len(terms), 2, n + 1).sum(axis=2)
+    return np.where(sym, 2.0 * blocks[:, 0].real, blocks[:, 0] + blocks[:, 1])
+
+
+def _plain_values(z: np.ndarray, alpha: float, beta: float, rule: QuadratureRule) -> np.ndarray:
+    _, _, c_wab, wa = _node_factors(rule, alpha, beta)
+    return _sum_rows(c_wab / (wa - z[:, None]), z.imag == 0.0, rule.N)
+
+
+def _pole_split_values(z: np.ndarray, alpha: float, beta: float, rule: QuadratureRule) -> np.ndarray:
+    w, c, c_wab, wa = _node_factors(rule, alpha, beta)
+    log_gamma = np.log(z) / alpha
+    gamma = np.exp(log_gamma)
+    log_pole = (1.0 - beta) * log_gamma - math.log(alpha)  # log(gamma**(1-beta)/alpha)
+    dw = w - gamma[:, None]
+    terms = c_wab / (wa - z[:, None]) - c * (np.exp(log_pole)[:, None] / dw)
+    # the integrand is conjugate-symmetric only for gamma on the positive real
+    # axis: gamma**(1-beta) is complex elsewhere, even for real z < 0
+    sym = log_gamma.imag == 0.0
+    # near the pole the difference cancels: f_one's psi form takes over
+    # (symmetric rows never read the second block)
+    for i, j in zip(*np.nonzero(np.abs(dw / gamma[:, None]) < EPS_SWITCH)):
+        if j <= rule.N or not sym[i]:
+            terms[i, j] = c[j] * f_one(complex(w[j]), complex(z[i]), alpha, beta, complex(gamma[i]))
+    residue = np.exp(log_pole + gamma)
+    # real rows add the real part alone: inf*0 would make the imaginary part NaN
+    values = np.where(sym, residue.real, residue) + _sum_rows(terms, sym, rule.N)
+    # z = 0 has Arg 0 and always lands here
+    return np.where(z == 0.0, complex(math.nan, math.nan), values)
+
+
+def ml_quad_values(z: ArrayLike, alpha: float, beta: float, rule: QuadratureRule) -> np.ndarray:
+    """E[alpha, beta] at every entry of the array z by contour quadrature.
+
+    alpha in (0, 1].  Returns a complex array of z's shape.  Each row of
+    the (points x nodes) integrand is summed on its own, so a value does
+    not depend on the other points in the batch.  Outside the sector
+    |Arg z| <= alpha*pi the plain integrand is summed; inside it the pole
+    at gamma = z**(1/alpha) is split off and its residue added in closed
+    form.  z = 0 yields NaN (callers should route z = 0 to the series).
+    Overflow gives inf parts and raises no warning.
     """
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha={alpha!r} outside (0, 1]")
+    # + 0.0 copies z and turns a -0.0 imaginary part into +0.0: the negative
+    # real axis is read from above, as in principal_arg
+    z = np.asarray(z, dtype=np.complex128) + 0.0
+    flat = z.reshape(-1)
+    # every product and quotient in the helpers has a broadcast operand, so
+    # numpy runs it row by row and a row's bits do not depend on the batch
+    with np.errstate(all="ignore"):
+        split = np.abs(np.arctan2(flat.imag, flat.real)) <= alpha * math.pi
+        n_split = np.count_nonzero(split)
+        # one-sided batches, every batch of one among them, skip the index copies
+        if n_split == 0:
+            out = _plain_values(flat, alpha, beta, rule)
+        elif n_split == len(flat):
+            out = _pole_split_values(flat, alpha, beta, rule)
+        else:
+            out = np.empty_like(flat)
+            out[split] = _pole_split_values(flat[split], alpha, beta, rule)
+            out[~split] = _plain_values(flat[~split], alpha, beta, rule)
+    return out.reshape(z.shape)
+
+
+def ml_quad(z: complex, alpha: float, beta: float, rule: QuadratureRule) -> EvalResult:
+    """E[alpha, beta](z) by contour quadrature, alpha in (0, 1].
+
+    A batch of one through ml_quad_values; the rule is reusable across z.
+    z = 0 yields a NaN value (callers should route z = 0 to the series).
+    """
     z = complex(z)
-    method = _method_for(rule)
-    n_nodes = 2 * rule.N + 1
-    if z == 0:
-        return EvalResult(complex(math.nan, math.nan), method, n_nodes, math.nan)
-    theta = principal_arg(z)
-    if abs(theta) > alpha * math.pi:
-        sym = z.imag == 0.0
-        value = q_sum(rule, lambda w: f_plain(w, z, alpha, beta), sym)
-    else:
-        gamma = _cpow(z, 1.0 / alpha)
-        residue = _cpow(gamma, 1.0 - beta) * cexp(gamma) / alpha
-        # gamma**(1-beta) is complex off the positive real axis, which breaks
-        # the integrand's conjugate symmetry even for real z
-        sym = z.imag == 0.0 and z.real > 0.0
-        value = residue + q_sum(rule, lambda w: f_one(w, z, alpha, beta, gamma), sym)
-    return EvalResult(value, method, n_nodes, origin_accuracy(rule, beta))
+    value = complex(ml_quad_values(np.array([z]), alpha, beta, rule)[0])
+    err = math.nan if z == 0 else origin_accuracy(rule, beta)
+    return EvalResult(value, _method_for(rule), 2 * rule.N + 1, err)
 
 
 def ml_quad_neg_axis_wide_alpha(

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from mittleff.cli import _merge_negative_values, main
+from mittleff.cli import GRID_BLOCK, _merge_negative_values, main
 
 VALUE_LINE = re.compile(r"^-?\d\.\d{16}e[+-]\d{2,3} -?\d\.\d{16}e[+-]\d{2,3}$")
 
@@ -77,6 +77,17 @@ class TestExitCodes:
         code, _, err = run(capsys, "eval", "--alpha", "0", "--beta", "1", "--z", "1")
         assert code == 2
         assert "alpha" in err
+
+    def test_nan_alpha_is_usage_error(self, capsys) -> None:
+        code, _, err = run(capsys, "eval", "--alpha", "nan", "--beta", "1", "--z", "2")
+        assert code == 2
+        assert "alpha" in err
+        code, _, _ = run(
+            capsys, "grid", "--alpha", "nan", "--beta", "1",
+            "--re-min", "1", "--re-max", "2", "--im-min", "0", "--im-max", "1",
+            "--steps", "2", "--out", "-",
+        )
+        assert code == 2
 
     def test_out_of_range_tol_is_usage_error(self, capsys) -> None:
         code, _, _ = run(
@@ -153,6 +164,28 @@ class TestGrid:
         for row in lines[1:]:
             tail = row.split(",")[-1]
             assert tail == "-inf" or float(tail) <= -12.0
+
+    def test_quadrature_rows_match_eval_bitwise(self, capsys) -> None:
+        # more points than one block, and not a multiple of it
+        steps = 17
+        assert steps * steps > GRID_BLOCK and (steps * steps) % GRID_BLOCK
+        code, out, _ = run(
+            capsys, "grid", "--alpha", "0.5", "--beta", "1",
+            "--re-min", "-5", "--re-max", "3", "--im-min", "-4", "--im-max", "0",
+            "--steps", str(steps), "--out", "-", "--compare-method", "quad-par,quad-hyp",
+        )
+        assert code == 0
+        rows = out.splitlines()[1:]
+        assert len(rows) == steps * steps
+        for row in rows:
+            re_s, im_s, v_re, v_im, _ = row.split(",")
+            _, single, _ = run(
+                capsys, "eval", "--alpha", "0.5", "--beta", "1", "--z", f"{re_s},{im_s}",
+                "--method", "quad-par",
+            )
+            # repr compares NaN (z = 0 is on the grid) and the sign of zero too
+            want = [repr(float(f)) for f in single.splitlines()[0].split()]
+            assert [repr(float(v_re)), repr(float(v_im))] == want, row
 
     def test_bad_compare_pair(self, capsys) -> None:
         code, _, _ = run(

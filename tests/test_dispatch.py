@@ -120,6 +120,19 @@ class TestClosedForms:
         assert cmath.isfinite(res.value)
 
 
+class TestOverflow:
+    def test_real_overflow_is_inf_not_nan(self) -> None:
+        res = ml_auto(1e6, 0.5, 1.0)
+        assert res.method is Method.ASYMPTOTIC
+        assert res.value == complex(math.inf, 0.0)
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0])
+    def test_reduction_overflow_is_inf_not_nan(self, alpha: float) -> None:
+        res = ml_auto(1e6, alpha, 1.0)
+        assert res.method is Method.REDUCTION
+        assert res.value.real == math.inf and math.isfinite(res.value.imag)
+
+
 class TestInterface:
     def test_wrapper_returns_value(self) -> None:
         assert mittag_leffler(complex(-1.0), 0.5) == ml_auto(complex(-1.0), 0.5, 1.0).value
@@ -129,7 +142,7 @@ class TestInterface:
         assert quadrature_n_for_tol(1e-2) == 3
         assert quadrature_n_for_tol(1e-6) == 7
 
-    @pytest.mark.parametrize("alpha", [0.0, -1.0])
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
     def test_alpha_validation(self, alpha: float) -> None:
         with pytest.raises(DomainError):
             ml_auto(1.0, alpha, 1.0)

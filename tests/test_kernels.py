@@ -4,6 +4,7 @@ import pytest
 
 from mittleff.exceptions import DomainError
 from mittleff.kernels import (
+    cexp,
     cpow_principal,
     gamma_real,
     principal_arg,
@@ -88,6 +89,17 @@ class TestCpowPrincipal:
     )
     def test_conjugate_symmetry(self, w: complex, a: float) -> None:
         assert cpow_principal(w.conjugate(), a) == cpow_principal(w, a).conjugate()
+
+
+class TestCexp:
+    def test_real_overflow_keeps_zero_imaginary_part(self) -> None:
+        got = cexp(800.0 + 0.0j)
+        assert got == complex(math.inf, 0.0)
+        assert got.imag == 0.0
+
+    def test_complex_overflow_saturates_both_parts(self) -> None:
+        got = cexp(complex(800.0, 3.0))
+        assert got.real == -math.inf and got.imag == math.inf
 
 
 class TestPrincipalArg:

@@ -1,6 +1,8 @@
 import cmath
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 from mittleff.contours import build_hyperbolic_rule, build_parabolic_rule
@@ -15,6 +17,7 @@ from mittleff.quadrature import (
     f_plain,
     ml_quad,
     ml_quad_neg_axis_wide_alpha,
+    ml_quad_values,
     origin_accuracy,
     q_sum,
     shift_beta_down,
@@ -189,6 +192,49 @@ class TestMlQuad:
                 for c, w in weights_nodes
             )
             assert abs(direct - rational) <= 1e-13 * abs(direct)
+
+
+def _same_bits(a: complex, b: complex) -> bool:
+    if math.isnan(a.real) or math.isnan(b.real):
+        return math.isnan(a.real) and math.isnan(b.real)
+    return a == b and math.copysign(1.0, a.imag) == math.copysign(1.0, b.imag)
+
+
+class TestEngine:
+    @pytest.mark.parametrize("rule", [HYP14, PAR14], ids=["hyp", "par"])
+    @pytest.mark.parametrize("alpha,beta", [(0.5, 1.0), (0.8, 1.3), (1.0, 1.0)])
+    def test_batch_matches_batch_of_one_bitwise(self, rule, alpha: float, beta: float) -> None:
+        # both sides of the sector edge, the real axis (inside the sector for
+        # z > 0, outside for z < 0 unless alpha = 1), z = 0, and points whose
+        # pole gamma = z**(1/alpha) sits within EPS_SWITCH of a node
+        grid = [complex(re, im) for re in np.linspace(-5, 3, 19) for im in np.linspace(-4, 4, 17)]
+        near = [cpow_principal(w * (1.0 + 0.03j), alpha) for w in rule.nodes[:4]]
+        for w, z in zip(rule.nodes, near):
+            gamma = cpow_principal(z, 1.0 / alpha)
+            assert abs((w - gamma) / gamma) < EPS_SWITCH
+        z = np.array(grid + near + [0j, 2.5, -2.5]).reshape(2, -1)
+        batch = ml_quad_values(z, alpha, beta, rule)
+        assert batch.shape == z.shape
+        for zk, got in zip(z.ravel(), batch.ravel()):
+            one = ml_quad(complex(zk), alpha, beta, rule).value
+            assert _same_bits(complex(got), one), zk
+            if zk.imag == 0.0 and zk != 0:
+                assert got.imag == 0.0 or (alpha == 1.0 and zk.real < 0.0)
+        assert math.isnan(batch.ravel()[-3].real)
+
+    def test_negative_zero_imaginary_part_reads_from_above(self) -> None:
+        # on the cut with alpha = 1 the pole split takes gamma = z from Arg z = +pi
+        up, dn = ml_quad_values([complex(-3.0, 0.0), complex(-3.0, -0.0)], 1.0, 1.0, HYP14)
+        assert up == dn
+        assert abs(up - math.exp(-3.0)) <= 1e-13
+
+    def test_overflow_is_inf_without_warning(self) -> None:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            real, cplx = ml_quad_values([1e3, complex(1e3, 1.0)], 0.5, 1.0, HYP14)
+            assert ml_quad(1e3, 0.5, 1.0, HYP14).value == real
+        assert real == complex(math.inf, 0.0) and real.imag == 0.0
+        assert math.isinf(cplx.real) and math.isinf(cplx.imag)
 
 
 class TestTwoPole:
