@@ -130,7 +130,7 @@ def _block_values(method: str, zs: list[complex], args: argparse.Namespace) -> l
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    validate_params(args.alpha, args.tol)
+    validate_params(args.alpha, args.tol, args.z)
     res, converged = _eval_one(args.method, args.z, args.alpha, args.beta, args.tol, args.N)
     v = res.value
     print(f"{v.real:.16e} {v.imag:.16e}")

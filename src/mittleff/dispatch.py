@@ -41,8 +41,11 @@ def _hyperbolic_rule(n: int):
     return build_hyperbolic_rule(n)
 
 
-def validate_params(alpha: float, tol: float) -> None:
-    """Reject alpha that is not a positive finite number and tol outside [TOL_MIN, TOL_MAX]."""
+def validate_params(alpha: float, tol: float, z: complex = 0.0) -> None:
+    """Reject z with a NaN part, alpha that is not a positive finite number,
+    and tol outside [TOL_MIN, TOL_MAX]."""
+    if cmath.isnan(z):
+        raise DomainError(f"z={z!r} has a NaN part")
     if not 0.0 < alpha < math.inf:
         raise DomainError(f"alpha={alpha!r} must be positive and finite")
     if not TOL_MIN <= tol <= TOL_MAX:
@@ -67,8 +70,8 @@ def _ml_auto_low(z: complex, alpha: float, beta: float, tol: float) -> EvalResul
 
 def ml_auto(z: complex, alpha: float, beta: float, tol: float = DEFAULT_TOL) -> EvalResult:
     """Evaluate E[alpha, beta](z) with automatic method selection."""
-    validate_params(alpha, tol)
     z = complex(z)
+    validate_params(alpha, tol, z)
     if alpha <= 1.0:
         return _ml_auto_low(z, alpha, beta, tol)
     if abs(z) <= R_SERIES:

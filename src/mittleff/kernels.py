@@ -1,7 +1,9 @@
 """Scalar numerical kernels.
 
-Real gamma and its reciprocal, principal-branch complex powers, and the
-first- and second-order power-difference kernels
+Real gamma and its reciprocal (on top of math.gamma and math.lgamma,
+good to about 1e-15 relative wherever the result is a normal float),
+principal-branch complex powers, and the first- and second-order
+power-difference kernels
 
     psi1(eps, a) = ((1 + eps)**a - 1) / eps
     psi2(eps, a) = ((1 + eps)**a - (1 + a*eps)) / eps**2
@@ -17,62 +19,39 @@ import math
 
 from .exceptions import DomainError
 
-# Lanczos approximation, g = 7, 9 coefficients.  Good to ~15 significant
-# digits for arguments >= 0.5; below that the reflection formula is used.
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-
-
-def _lanczos_gamma(x: float) -> float:
-    # valid for x >= 0.5
-    acc = _LANCZOS_C[0]
-    for k in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[k] / (x + k - 1.0)
-    t = x + _LANCZOS_G - 0.5
-    try:
-        return _SQRT_TWO_PI * math.pow(t, x - 0.5) * math.exp(-t) * acc
-    except OverflowError:
-        return math.inf
-
 
 def gamma_real(x: float) -> float:
-    """Gamma function for real arguments.
+    """Gamma function for real arguments: math.gamma with the poles checked.
 
-    Uses a Lanczos approximation for x >= 0.5 and the reflection formula
-    Gamma(x)*Gamma(1-x) = pi/sin(pi*x) below.  Raises DomainError at the
-    poles x = 0, -1, -2, ...
+    Raises DomainError at the poles x = 0, -1, -2, ...  Where Gamma
+    overflows (x > 171.6, or within about 1e-308 of 0) it returns an
+    infinity of the sign of x.
     """
     x = float(x)
-    if x >= 0.5:
-        return _lanczos_gamma(x)
-    if x == math.floor(x):
+    if x <= 0.0 and x == math.floor(x):
         raise DomainError(f"gamma_real: pole at nonpositive integer x={x!r}")
-    s = math.sin(math.pi * x)
-    return math.pi / (s * _lanczos_gamma(1.0 - x))
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def reciprocal_gamma(x: float) -> float:
-    """1/Gamma(x), entire in x: returns exactly 0.0 at x = 0, -1, -2, ..."""
+    """1/Gamma(x), entire in x: returns exactly 0.0 at x = 0, -1, -2, ...
+
+    Where Gamma overflows (x > 171.6) the value is exp(-lgamma(x)), which
+    runs through the subnormals down to 0 near x = 178.  Left of about
+    x = -171 the value is infinite, with the sign of Gamma.
+    """
     x = float(x)
     if x <= 0.0 and x == math.floor(x):
         return 0.0
-    if x >= 0.5:
-        g = _lanczos_gamma(x)
-        return 0.0 if math.isinf(g) else 1.0 / g
-    # reflection: 1/Gamma(x) = sin(pi x) * Gamma(1-x) / pi
-    return math.sin(math.pi * x) * _lanczos_gamma(1.0 - x) / math.pi
+    try:
+        g = math.gamma(x)
+    except OverflowError:
+        # x > 171.6 or |x| < ~1e-308: lgamma is log|Gamma|, and Gamma has the sign of x
+        return math.copysign(math.exp(-math.lgamma(x)), x)
+    return 1.0 / g if g != 0.0 else math.copysign(math.inf, g)
 
 
 def cexp(w: complex) -> complex:

@@ -30,10 +30,11 @@ def ml_series(
     tol: float = 1e-15,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> SeriesResult:
-    """Partial sum with mixed absolute/relative stopping.
+    """Partial sum with a relative stopping rule.
 
-    Terms are added until the next one satisfies
-    |term| < tol*max(1, |sum|); its magnitude is reported as
+    Terms are added until the next one satisfies |term| <= tol*|sum|,
+    so small values such as E[0.5, 150](0.5) = 2.7e-261 keep their
+    relative accuracy; that term's magnitude is reported as
     err_estimate.  Terms whose gamma factor sits at a pole contribute
     zero and are skipped by the convergence test.  If max_terms is
     exhausted first, converged is False.
@@ -52,7 +53,7 @@ def ml_series(
         rg = reciprocal_gamma(beta + n * alpha)
         term = zp * rg
         if n >= 1:
-            if rg != 0.0 and abs(term) < tol * max(1.0, abs(acc)):
+            if rg != 0.0 and abs(term) <= tol * abs(acc):
                 return SeriesResult(acc, n, abs(term), True)
             if n >= max_terms:
                 return SeriesResult(acc, n, abs(term), False)

@@ -82,6 +82,10 @@ class TestExitCodes:
         code, _, err = run(capsys, "eval", "--alpha", "nan", "--beta", "1", "--z", "2")
         assert code == 2
         assert "alpha" in err
+        for z in ("nan", "1,nan"):
+            code, _, err = run(capsys, "eval", "--alpha", "0.5", "--beta", "1", "--z", z)
+            assert code == 2
+            assert "NaN" in err
         code, _, _ = run(
             capsys, "grid", "--alpha", "nan", "--beta", "1",
             "--re-min", "1", "--re-max", "2", "--im-min", "0", "--im-max", "1",

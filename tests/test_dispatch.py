@@ -2,6 +2,7 @@ import cmath
 import math
 from itertools import combinations
 
+import mpmath as mp
 import pytest
 
 from mittleff.asymptotic import ml_asymptotic
@@ -132,6 +133,15 @@ class TestOverflow:
         assert res.method is Method.REDUCTION
         assert res.value.real == math.inf and math.isfinite(res.value.imag)
 
+    def test_tiny_value_keeps_relative_accuracy(self) -> None:
+        # E[1/2, 150](1/2) = 2.7e-261: every series term is below tol, so a
+        # stopping rule with an absolute floor keeps only the first, 4% low
+        with mp.workdps(30):
+            want = float(mp.fsum(mp.mpf(0.5) ** n * mp.rgamma(150 + mp.mpf(n) / 2) for n in range(40)))
+        got = ml_auto(0.5, 0.5, 150.0).value
+        assert got.imag == 0.0
+        assert abs(got.real - want) <= 1e-14 * want
+
 
 class TestInterface:
     def test_wrapper_returns_value(self) -> None:
@@ -142,10 +152,17 @@ class TestInterface:
         assert quadrature_n_for_tol(1e-2) == 3
         assert quadrature_n_for_tol(1e-6) == 7
 
-    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
-    def test_alpha_validation(self, alpha: float) -> None:
+    @pytest.mark.parametrize(
+        "z, alpha",
+        [
+            (1.0, 0.0), (1.0, -1.0), (1.0, math.nan), (1.0, math.inf),
+            (math.nan, 0.5), (complex(1.0, math.nan), 0.5),
+        ],
+        ids=["0.0", "-1.0", "nan", "inf", "z=nan", "z=1+nanj"],
+    )
+    def test_alpha_validation(self, z: complex, alpha: float) -> None:
         with pytest.raises(DomainError):
-            ml_auto(1.0, alpha, 1.0)
+            ml_auto(z, alpha, 1.0)
 
     @pytest.mark.parametrize("tol", [1e-16, 0.5, 0.0])
     def test_tol_validation(self, tol: float) -> None:

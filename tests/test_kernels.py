@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import pytest
 
 from mittleff.exceptions import DomainError
@@ -25,13 +26,17 @@ class TestGammaReal:
         assert gamma_real(-1.5) == pytest.approx(4.0 / 3.0 * math.sqrt(math.pi), rel=1e-13)
 
     def test_against_stdlib_grid(self) -> None:
-        # math.gamma is an independent implementation; 13 digits everywhere tested
-        for i in range(0, 296):
-            x = 0.5 + i * 0.1
-            assert gamma_real(x) == pytest.approx(math.gamma(x), rel=1e-13)
-        for i in range(1, 200):
-            x = -0.05 - i * 0.1  # negative, never integral
-            assert gamma_real(x) == pytest.approx(math.gamma(x), rel=1e-13)
+        # mpmath is an independent reference; 13 digits everywhere tested,
+        # up to x = 170 where Gamma is within a factor 1e2 of overflow
+        xs = [0.5 + i * 0.1 for i in range(0, 1696)]
+        xs += [-0.05 - i * 0.1 for i in range(1, 200)]  # negative, never integral
+        with mp.workdps(30):
+            for x in xs:
+                assert gamma_real(x) == pytest.approx(float(mp.gamma(x)), rel=1e-13, abs=0.0)
+
+    def test_overflow_is_inf(self) -> None:
+        assert gamma_real(200.0) == math.inf
+        assert gamma_real(171.7) == math.inf
 
     @pytest.mark.parametrize("x", [0.0, -1.0, -2.0, -10.0])
     def test_pole_raises(self, x: float) -> None:
@@ -54,6 +59,13 @@ class TestReciprocalGamma:
         assert reciprocal_gamma(2.0) == pytest.approx(1.0, rel=1e-14)
         assert reciprocal_gamma(1.0) == pytest.approx(1.0, rel=1e-14)
         assert reciprocal_gamma(0.5) == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-14)
+
+    def test_large_argument_keeps_relative_accuracy(self) -> None:
+        # 2.6e-261, far above the underflow threshold: no reason to lose digits
+        with mp.workdps(30):
+            assert reciprocal_gamma(150.0) == pytest.approx(float(mp.rgamma(150)), rel=1e-14, abs=0.0)
+            # past Gamma's overflow at 171.6 the value is subnormal, not 0
+            assert reciprocal_gamma(175.0) == pytest.approx(float(mp.rgamma(175)), rel=1e-6, abs=0.0)
 
     def test_product_identity(self) -> None:
         xs = [0.5 + 0.3 * i for i in range(40)] + [-0.25 - 0.5 * i for i in range(20)]

@@ -179,8 +179,10 @@ class TestEvaluation:
 
 
 class TestPartialFractions:
-    def test_reconstruction(self) -> None:
-        ap = build_pade(0.5, 1.0, 8, 7)
+    # pole errors grow with r and as alpha falls; alpha = 0.2 reaches 3e-10 from r = 10 on
+    @pytest.mark.parametrize("alpha, r", [(0.5, 7), (0.5, 10), (0.5, 12), (0.2, 8), (0.9, 12)])
+    def test_reconstruction(self, alpha: float, r: int) -> None:
+        ap = build_pade(alpha, 1.0, r + 1, r)
         pf = partial_fractions(ap)
         for i in range(60):
             x = 50.0 * i / 59.0
@@ -208,6 +210,14 @@ class TestPartialFractions:
         )
         with pytest.raises(ClusteredRootsError):
             partial_fractions(squeezed)
+
+    def test_exact_double_root_reported(self) -> None:
+        # (1 + x)**2: the eigenvalues come out exactly equal, where q' = 0
+        double = PadeApproximant(
+            0.5, 1.0, 3, 2, 2, (1.0, 0.5, 0.0), (1.0, 2.0, 1.0), PadeSolver.FIXED_Q0
+        )
+        with pytest.raises(ClusteredRootsError):
+            partial_fractions(double)
 
     def test_degenerate_leading_coefficient_rejected(self) -> None:
         flat = PadeApproximant(
