@@ -7,7 +7,6 @@ failure (non-convergence, poles, singular systems, NaN results).
 from __future__ import annotations
 
 import argparse
-import functools
 import itertools
 import math
 import sys
@@ -15,9 +14,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .asymptotic import asymptotic_sigma_tau, ml_asymptotic
-from .contours import QuadratureRule, build_hyperbolic_rule, build_parabolic_rule
-from .dispatch import DEFAULT_TOL, ml_auto, quadrature_n_for_tol, validate_params
+from .asymptotic import asymptotic_sigma_tau
+from .contours import build_hyperbolic_rule, build_parabolic_rule  # noqa: F401  rebound by bench/tracing.py
+from .dispatch import DEFAULT_TOL, ml_auto, quad_rule, quadrature_n_for_tol, run_method, validate_params
 from .exceptions import DomainError, MittleffError
 from .pade import (
     build_pade,
@@ -26,14 +25,14 @@ from .pade import (
     partial_fractions,
     partial_fractions_csv,
 )
-from .quadrature import EvalResult, Method, ml_quad, ml_quad_values
-from .series import ml_series
+from .quadrature import EvalResult, Method, ml_quad, ml_quad_values  # noqa: F401  ml_quad: as above
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-_METHODS = ("auto", "series", "asymp", "quad-par", "quad-hyp")
+_METHODS = ("auto", *(m.value for m in Method if m is not Method.REDUCTION))
+_QUAD_METHODS = (Method.QUAD_PARABOLIC, Method.QUAD_HYPERBOLIC)
 # grid points per quadrature call; bounds the (points x nodes) work arrays
 GRID_BLOCK = 256
 
@@ -92,53 +91,30 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return values
 
 
-@functools.lru_cache(maxsize=8)
-def _rule(method: str, n: int) -> QuadratureRule:
-    # nodes and weights do not depend on z: one build per (method, N)
-    return build_parabolic_rule(n) if method == "quad-par" else build_hyperbolic_rule(n)
-
-
-def _quad_rule(method: str, tol: float, n_nodes: int | None) -> QuadratureRule:
-    return _rule(method, n_nodes if n_nodes is not None else quadrature_n_for_tol(tol))
-
-
-def _eval_one(
-    method: str, z: complex, alpha: float, beta: float, tol: float, n_nodes: int | None
-) -> tuple[EvalResult, bool]:
-    """Evaluate by a named method; returns (result, converged flag).
-
-    Forced methods repeat exactly the calls the automatic route makes,
-    so auto and its reported method agree bit for bit.
-    """
+def _evaluate(method: str, z: complex, args: argparse.Namespace) -> EvalResult:
     if method == "auto":
-        return ml_auto(z, alpha, beta, tol), True
-    if method == "series":
-        res = ml_series(z, alpha, beta, tol)
-        return EvalResult(res.value, Method.SERIES, res.terms_used, res.err_estimate), res.converged
-    if method == "asymp":
-        res = ml_asymptotic(z, alpha, beta, tol)
-        return EvalResult(res.value, Method.ASYMPTOTIC, res.m, res.err_estimate), res.converged
-    return ml_quad(z, alpha, beta, _quad_rule(method, tol, n_nodes)), True
+        return ml_auto(z, args.alpha, args.beta, args.tol)
+    return run_method(Method(method), z, args.alpha, args.beta, args.tol, args.N)
 
 
 def _block_values(method: str, zs: list[complex], args: argparse.Namespace) -> list[complex]:
     """Values at one block of grid points: one engine call for a quadrature method."""
-    if method in ("quad-par", "quad-hyp"):
-        rule = _quad_rule(method, args.tol, args.N)
+    if method in _QUAD_METHODS:
+        rule = quad_rule(Method(method), quadrature_n_for_tol(args.tol) if args.N is None else args.N)
         return ml_quad_values(np.array(zs), args.alpha, args.beta, rule).tolist()
-    return [_eval_one(method, z, args.alpha, args.beta, args.tol, args.N)[0].value for z in zs]
+    return [_evaluate(method, z, args).value for z in zs]
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    validate_params(args.alpha, args.tol, args.z)
-    res, converged = _eval_one(args.method, args.z, args.alpha, args.beta, args.tol, args.N)
+    validate_params(args.alpha, args.beta, args.tol, args.z)
+    res = _evaluate(args.method, args.z, args)
     v = res.value
     print(f"{v.real:.16e} {v.imag:.16e}")
     print(f"method: {res.method.value}")
-    label = "nodes" if res.method in (Method.QUAD_PARABOLIC, Method.QUAD_HYPERBOLIC) else "terms"
+    label = "nodes" if res.method in _QUAD_METHODS else "terms"
     print(f"{label}: {res.nodes_or_terms}")
     print(f"err_estimate: {res.err_estimate!r}")
-    if not converged:
+    if not res.converged:
         print("warning: not converged", file=sys.stderr)
         return EXIT_NUMERICAL
     if v != v:  # NaN
@@ -162,7 +138,7 @@ def _linspace(lo: float, hi: float, steps: int) -> list[float]:
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
-    validate_params(args.alpha, args.tol)
+    validate_params(args.alpha, args.beta, args.tol)
     if args.steps < 1:
         raise DomainError(f"steps={args.steps!r} must be >= 1")
     first, second = args.compare_method if args.compare_method is not None else ("auto", None)
@@ -204,23 +180,22 @@ def cmd_pade(args: argparse.Namespace) -> int:
 
 
 def cmd_table_asymp(args: argparse.Namespace) -> int:
-    validate_params(args.alpha, args.tol)
-    rule = build_hyperbolic_rule(14)
+    validate_params(args.alpha, args.beta, args.tol)
     header = f"{'x':>8} {'terms':>6} {'exp_scale':>14} {'err_vs_quad':>13} {'tail_prev':>13} {'tail_last':>13}"
     rows = [header]
     for x in args.x:
         if x <= 0.0:
             raise DomainError(f"x={x!r} must be positive")
         z = complex(-x)
-        res = ml_asymptotic(z, args.alpha, args.beta, args.tol)
-        ref = ml_quad(z, args.alpha, args.beta, rule).value
+        res = run_method(Method.ASYMPTOTIC, z, args.alpha, args.beta, args.tol)
+        ref = run_method(Method.QUAD_HYPERBOLIC, z, args.alpha, args.beta, args.tol, 14).value
         scale = x ** (1.0 / args.alpha) / args.alpha
         tails = []
-        for k in (res.m - 1, res.m):
+        for k in (res.nodes_or_terms - 1, res.nodes_or_terms):
             log_tau = asymptotic_sigma_tau(k, args.alpha, args.beta)[1]
             tails.append(math.exp(log_tau - k * math.log(x)))
         rows.append(
-            f"{x:>8g} {res.m:>6d} {scale:>14.6e} {abs(res.value - ref):>13.3e}"
+            f"{x:>8g} {res.nodes_or_terms:>6d} {scale:>14.6e} {abs(res.value - ref):>13.3e}"
             f" {tails[0]:>13.3e} {tails[1]:>13.3e}"
         )
     print("\n".join(rows))

@@ -3,12 +3,14 @@
 Routing order:
 
 1. |z| <= 1: power series (any alpha).
-2. alpha <= 1 and |z|**(1/alpha)/alpha > 40: try the asymptotic
-   expansion, keep it only if its stopping rule converged.
-3. alpha <= 1 otherwise: hyperbolic contour quadrature with N picked
-   from tol.
-4. alpha > 1: split into m = ceil(alpha) rotated evaluations with
-   alpha/m <= 1 each, recursing exactly one level into steps 1-3.
+2. alpha <= 1 and |z|**(1/alpha)/alpha > 40: asymptotic expansion.
+3. alpha <= 1 otherwise, or where step 1 or 2 misses its stopping
+   rule: hyperbolic contour quadrature with N picked from tol.
+4. alpha > 1 otherwise: split into m = ceil(alpha) rotated evaluations
+   with alpha/m <= 1 each, recursing exactly one level into steps 1-3.
+
+Each step runs through run_method, as does a method forced in the CLI,
+so both give the same bits wherever the route picks that method.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import functools
 import math
 
 from .asymptotic import ml_asymptotic
-from .contours import build_hyperbolic_rule
+from .contours import QuadratureRule, build_hyperbolic_rule, build_parabolic_rule
 from .exceptions import DomainError
 from .kernels import cpow_principal
 from .quadrature import EvalResult, Method, ml_quad
@@ -37,45 +39,67 @@ def quadrature_n_for_tol(tol: float) -> int:
 
 
 @functools.lru_cache(maxsize=32)
-def _hyperbolic_rule(n: int):
+def quad_rule(method: Method, n: int) -> QuadratureRule:
+    """The rule of a quadrature method with parameter N, built once per (method, N):
+    its nodes and weights do not depend on z."""
+    if method is Method.QUAD_PARABOLIC:
+        return build_parabolic_rule(n)
     return build_hyperbolic_rule(n)
 
 
-def validate_params(alpha: float, tol: float, z: complex = 0.0) -> None:
+def validate_params(alpha: float, beta: float, tol: float, z: complex = 0.0) -> None:
     """Reject z with a NaN part, alpha that is not a positive finite number,
-    and tol outside [TOL_MIN, TOL_MAX]."""
+    beta that is not finite, and tol outside [TOL_MIN, TOL_MAX]."""
     if cmath.isnan(z):
         raise DomainError(f"z={z!r} has a NaN part")
     if not 0.0 < alpha < math.inf:
         raise DomainError(f"alpha={alpha!r} must be positive and finite")
+    if not math.isfinite(beta):
+        raise DomainError(f"beta={beta!r} must be finite")
     if not TOL_MIN <= tol <= TOL_MAX:
         raise DomainError(f"tol={tol!r} outside [{TOL_MIN}, {TOL_MAX}]")
 
 
-def _series_result(z: complex, alpha: float, beta: float, tol: float) -> EvalResult:
-    res = ml_series(z, alpha, beta, tol)
-    return EvalResult(res.value, Method.SERIES, res.terms_used, res.err_estimate)
+def run_method(
+    method: Method, z: complex, alpha: float, beta: float, tol: float, n: int | None = None
+) -> EvalResult:
+    """E[alpha, beta](z) by one method other than REDUCTION, unvalidated.
+
+    converged says whether the series or the expansion met its stopping
+    rule; quadrature has none and always sets it.  n is the contour
+    parameter N of a quadrature method, picked from tol when None.
+    """
+    if method is Method.SERIES:
+        s = ml_series(z, alpha, beta, tol)
+        return EvalResult(s.value, method, s.terms_used, s.err_estimate, s.converged)
+    if method is Method.ASYMPTOTIC:
+        a = ml_asymptotic(z, alpha, beta, tol)
+        return EvalResult(a.value, method, a.m, a.err_estimate, a.converged)
+    return ml_quad(z, alpha, beta, quad_rule(method, quadrature_n_for_tol(tol) if n is None else n))
 
 
 def _ml_auto_low(z: complex, alpha: float, beta: float, tol: float) -> EvalResult:
     # alpha <= 1 path; callers guarantee validated inputs
     if abs(z) <= R_SERIES:
-        return _series_result(z, alpha, beta, tol)
-    if math.log(abs(z)) / alpha - math.log(alpha) > math.log(ASYMP_GATE):
-        res = ml_asymptotic(z, alpha, beta, tol)
-        if res.converged:
-            return EvalResult(res.value, Method.ASYMPTOTIC, res.m, res.err_estimate)
-    return ml_quad(z, alpha, beta, _hyperbolic_rule(quadrature_n_for_tol(tol)))
+        first = Method.SERIES
+    elif math.log(abs(z)) / alpha - math.log(alpha) > math.log(ASYMP_GATE):
+        first = Method.ASYMPTOTIC
+    else:
+        return run_method(Method.QUAD_HYPERBOLIC, z, alpha, beta, tol)
+    res = run_method(first, z, alpha, beta, tol)
+    return res if res.converged else run_method(Method.QUAD_HYPERBOLIC, z, alpha, beta, tol)
 
 
 def ml_auto(z: complex, alpha: float, beta: float, tol: float = DEFAULT_TOL) -> EvalResult:
     """Evaluate E[alpha, beta](z) with automatic method selection."""
     z = complex(z)
-    validate_params(alpha, tol, z)
+    validate_params(alpha, beta, tol, z)
     if alpha <= 1.0:
         return _ml_auto_low(z, alpha, beta, tol)
     if abs(z) <= R_SERIES:
-        return _series_result(z, alpha, beta, tol)
+        res = run_method(Method.SERIES, z, alpha, beta, tol)
+        if res.converged:
+            return res
     # E[a,b](z) = (1/m) sum_k E[a/m,b](z**(1/m) * e**(2 pi i k/m)), a/m <= 1
     m = math.ceil(alpha)
     root = cpow_principal(z, 1.0 / m)
@@ -83,14 +107,16 @@ def ml_auto(z: complex, alpha: float, beta: float, tol: float = DEFAULT_TOL) -> 
     acc = 0.0j
     worst = 0.0
     count = 0
+    converged = True
     for k in range(m):
         zk = root * cmath.rect(1.0, 2.0 * math.pi * k / m)
         sub = _ml_auto_low(zk, alpha_m, beta, tol)
         acc += sub.value
         worst = max(worst, sub.err_estimate)
         count += sub.nodes_or_terms
+        converged = converged and sub.converged
     # divided part by part: inf/m as a complex quotient would put NaN in a zero part
-    return EvalResult(complex(acc.real / m, acc.imag / m), Method.REDUCTION, count, worst)
+    return EvalResult(complex(acc.real / m, acc.imag / m), Method.REDUCTION, count, worst, converged)
 
 
 def mittag_leffler(z: complex, alpha: float, beta: float = 1.0, tol: float = DEFAULT_TOL) -> complex:

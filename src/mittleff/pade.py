@@ -191,6 +191,8 @@ def build_pade(
     """Assemble and solve in one step."""
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha={alpha!r} outside (0, 1]")
+    if not math.isfinite(beta):
+        raise DomainError(f"beta={beta!r} must be finite")
     solver = PadeSolver(solver)
     C = assemble_pade_matrix(alpha, beta, m, n)
     if solver is PadeSolver.FIXED_Q0:
@@ -200,15 +202,8 @@ def build_pade(
     return solve_lu_homogeneous(C, alpha, beta, m, n)
 
 
-def _horner(coeffs: tuple[float, ...], x: float) -> float:
+def _horner(coeffs: tuple[float, ...], x: complex) -> complex:
     acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _horner_complex(coeffs: tuple[float, ...], x: complex) -> complex:
-    acc = 0.0j
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
@@ -248,8 +243,8 @@ def partial_fractions(approx: PadeApproximant) -> PartialFractionForm:
     # q' is exactly 0 at an exact double root; the cluster check below reports it
     polished = []
     for chi in roots:
-        slope = _horner_complex(dq, chi)
-        polished.append(chi - _horner_complex(q, chi) / slope if slope else chi)
+        slope = _horner(dq, chi)
+        polished.append(chi - _horner(q, chi) / slope if slope else chi)
 
     # real coefficients: force exact conjugate pairing and kill stray imag
     cleaned = [
@@ -277,7 +272,7 @@ def partial_fractions(approx: PadeApproximant) -> PartialFractionForm:
                 )
 
     residues = tuple(
-        -_horner_complex(approx.p, chi) / (q[r] * math.prod(chi - poles[j] for j in range(r) if j != i))
+        -_horner(approx.p, chi) / (q[r] * math.prod(chi - poles[j] for j in range(r) if j != i))
         for i, chi in enumerate(poles)
     )
     return PartialFractionForm(poles, residues)

@@ -52,6 +52,7 @@ class EvalResult:
     method: Method
     nodes_or_terms: int
     err_estimate: float
+    converged: bool  # series/expansion: stopping rule met; reduction: every step did; quadrature: True
 
 
 def _method_for(rule: QuadratureRule) -> Method:
@@ -240,7 +241,7 @@ def ml_quad(z: complex, alpha: float, beta: float, rule: QuadratureRule) -> Eval
     z = complex(z)
     value = complex(ml_quad_values(np.array([z]), alpha, beta, rule)[0])
     err = math.nan if z == 0 else origin_accuracy(rule, beta)
-    return EvalResult(value, _method_for(rule), 2 * rule.N + 1, err)
+    return EvalResult(value, _method_for(rule), 2 * rule.N + 1, err, True)
 
 
 def ml_quad_neg_axis_wide_alpha(
@@ -270,7 +271,7 @@ def ml_quad_neg_axis_wide_alpha(
     )
     integral = q_sum(rule, lambda w: _f_two(w, x, alpha, beta, gp, gm), True)
     value = complex(residue_pair + integral.real)
-    return EvalResult(value, _method_for(rule), 2 * rule.N + 1, origin_accuracy(rule, beta))
+    return EvalResult(value, _method_for(rule), 2 * rule.N + 1, origin_accuracy(rule, beta), True)
 
 
 def shift_beta_down(z: complex, alpha: float, beta: float, m: int, tol: float = 1e-14) -> complex:

@@ -47,13 +47,30 @@ class TestEval:
         assert code == 0
         assert "method: asymp" in out
 
-    def test_forced_method_matches_auto_bitwise(self, capsys) -> None:
-        common = ("--alpha", "0.5", "--beta", "1", "--z", "3")
-        _, out_auto, _ = run(capsys, "eval", *common)
-        _, out_forced, _ = run(capsys, "eval", *common, "--method", "quad-hyp")
-        assert "method: quad-hyp" in out_auto
-        assert "nodes: 29" in out_auto
+    @pytest.mark.parametrize(
+        "method, z, count",
+        [("series", "0.9", "terms: 30"), ("asymp", "-25", "terms: 12"), ("quad-hyp", "3", "nodes: 29")],
+        ids=["series", "asymp", "quad-hyp"],
+    )
+    def test_forced_method_matches_auto_bitwise(self, capsys, method: str, z: str, count: str) -> None:
+        common = ("--alpha", "0.5", "--beta", "1", "--z", z)
+        code_auto, out_auto, _ = run(capsys, "eval", *common)
+        code_forced, out_forced, _ = run(capsys, "eval", *common, "--method", method)
+        assert code_auto == code_forced == 0
+        assert f"method: {method}" in out_auto
+        assert count in out_auto
         assert out_auto == out_forced
+
+    def test_unconverged_series_falls_back_but_forced_series_fails(self, capsys) -> None:
+        # alpha = 0.01 at |z| = 0.99: the series stops at 250 terms, 1.2e-2 off
+        common = ("--alpha", "0.01", "--beta", "1", "--z", "0.99")
+        code, out, _ = run(capsys, "eval", *common)
+        assert code == 0
+        assert "method: quad-hyp" in out
+        code, out, err = run(capsys, "eval", *common, "--method", "series")
+        assert code == 3
+        assert "method: series" in out
+        assert "not converged" in err
 
     def test_node_override(self, capsys) -> None:
         code, out, _ = run(
@@ -92,6 +109,24 @@ class TestExitCodes:
             "--steps", "2", "--out", "-",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("beta", ["nan", "inf"])
+    def test_nonfinite_beta_is_usage_error(self, capsys, beta: str) -> None:
+        commands = [
+            ("eval", "--alpha", "0.5", "--z", "2"),
+            ("eval", "--alpha", "0.5", "--z", "2", "--method", "series"),
+            ("pade", "--alpha", "0.5", "--m", "6", "--n", "5", "--emit", "pf"),
+            ("pade", "--alpha", "0.5", "--m", "6", "--n", "5"),
+            (
+                "grid", "--alpha", "0.5", "--re-min", "1", "--re-max", "2",
+                "--im-min", "0", "--im-max", "1", "--steps", "2", "--out", "-",
+            ),
+            ("table-asymp", "--alpha", "0.5"),
+        ]
+        for argv in commands:
+            code, _, err = run(capsys, *argv, "--beta", beta)
+            assert code == 2, argv
+            assert "beta" in err
 
     def test_out_of_range_tol_is_usage_error(self, capsys) -> None:
         code, _, _ = run(

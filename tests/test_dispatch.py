@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 from itertools import combinations
 
@@ -6,8 +7,16 @@ import mpmath as mp
 import pytest
 
 from mittleff.asymptotic import ml_asymptotic
-from mittleff.contours import build_hyperbolic_rule
-from mittleff.dispatch import DEFAULT_TOL, ml_auto, mittag_leffler, quadrature_n_for_tol
+from mittleff import dispatch
+from mittleff.contours import build_hyperbolic_rule, build_parabolic_rule
+from mittleff.dispatch import (
+    DEFAULT_TOL,
+    ml_auto,
+    mittag_leffler,
+    quad_rule,
+    quadrature_n_for_tol,
+    run_method,
+)
 from mittleff.exceptions import DomainError
 from mittleff.kernels import reciprocal_gamma
 from mittleff.quadrature import Method, ml_quad, ml_quad_neg_axis_wide_alpha
@@ -39,6 +48,18 @@ class TestRouting:
         # reach 1e-12, so quadrature must take over
         res = ml_auto(complex(-5.0), 0.7, 1.0, 1e-12)
         assert res.method is Method.QUAD_HYPERBOLIC
+
+    def test_unconverged_series_falls_back(self) -> None:
+        # alpha = 0.01 at |z| = 0.99: the series hits its 250-term cap with
+        # relative error 1.2e-2, so quadrature must take over
+        assert not run_method(Method.SERIES, 0.99 + 0j, 0.01, 1.0, DEFAULT_TOL).converged
+        with mp.workdps(30):
+            want = float(mp.fsum(mp.mpf(0.99) ** n * mp.rgamma(1 + n * mp.mpf(0.01)) for n in range(2000)))
+        res = ml_auto(0.99, 0.01, 1.0)
+        assert res.method is Method.QUAD_HYPERBOLIC
+        assert res.converged
+        assert res.value.imag == 0.0
+        assert abs(res.value.real - want) <= 1e-12 * want
 
     def test_wide_alpha_uses_reduction(self) -> None:
         res = ml_auto(complex(4.0, 3.0), 1.8, 0.9)
@@ -93,6 +114,59 @@ class TestAgreement:
                     vals.append(ml_quad(z, alpha, 1.0, HYP14).value)
                 for a, b in combinations(vals, 2):
                     assert abs(a - b) <= 10.0 * tol * max(1.0, abs(a))
+
+
+class TestConverged:
+    @pytest.mark.parametrize(
+        "z, alpha, beta, tol, method",
+        [
+            (0.9, 0.5, 1.0, DEFAULT_TOL, Method.SERIES),
+            (-15.0, 0.7, 1.0, 1e-12, Method.ASYMPTOTIC),
+            (3.0, 0.5, 1.0, DEFAULT_TOL, Method.QUAD_HYPERBOLIC),
+            (4.0 + 3.0j, 1.8, 0.9, DEFAULT_TOL, Method.REDUCTION),
+        ],
+        ids=["series", "asymp", "quad-hyp", "reduction"],
+    )
+    def test_auto_results_converged(self, z, alpha: float, beta: float, tol: float, method: Method) -> None:
+        res = ml_auto(z, alpha, beta, tol)
+        assert res.method is method
+        assert res.converged is True
+
+    @pytest.mark.parametrize(
+        "method, z, alpha, tol, converged",
+        [
+            (Method.SERIES, 0.5, 0.5, DEFAULT_TOL, True),
+            (Method.SERIES, 0.99, 0.01, DEFAULT_TOL, False),
+            (Method.ASYMPTOTIC, -15.0, 0.7, 1e-12, True),
+            (Method.ASYMPTOTIC, -5.0, 0.7, 1e-12, False),
+            (Method.QUAD_PARABOLIC, 3.0, 0.5, DEFAULT_TOL, True),
+            (Method.QUAD_HYPERBOLIC, 3.0, 0.5, DEFAULT_TOL, True),
+        ],
+    )
+    def test_forced_method_reports_its_stopping_rule(
+        self, method: Method, z: float, alpha: float, tol: float, converged: bool
+    ) -> None:
+        res = run_method(method, complex(z), alpha, 1.0, tol)
+        assert res.method is method
+        assert res.converged is converged
+
+    def test_reduction_with_an_unconverged_step(self, monkeypatch) -> None:
+        # every routed step converges, so mark one sub-evaluation as missed
+        want = ml_auto(complex(4.0, 3.0), 1.8, 0.9)
+        low = dispatch._ml_auto_low
+        calls = []
+
+        def first_unconverged(*args):
+            res = low(*args)
+            calls.append(res)
+            return dataclasses.replace(res, converged=len(calls) > 1)
+
+        monkeypatch.setattr(dispatch, "_ml_auto_low", first_unconverged)
+        res = ml_auto(complex(4.0, 3.0), 1.8, 0.9)
+        assert res.method is Method.REDUCTION
+        assert len(calls) == 2
+        assert res.converged is False
+        assert res.value == want.value and want.converged is True
 
 
 class TestClosedForms:
@@ -163,6 +237,16 @@ class TestInterface:
     def test_alpha_validation(self, z: complex, alpha: float) -> None:
         with pytest.raises(DomainError):
             ml_auto(z, alpha, 1.0)
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_beta_validation(self, beta: float) -> None:
+        with pytest.raises(DomainError):
+            ml_auto(2.0, 0.5, beta)
+
+    def test_rule_cache_is_shared(self) -> None:
+        assert quad_rule(Method.QUAD_PARABOLIC, 8) is quad_rule(Method.QUAD_PARABOLIC, 8)
+        assert quad_rule(Method.QUAD_PARABOLIC, 8) == build_parabolic_rule(8)
+        assert quad_rule(Method.QUAD_HYPERBOLIC, 14) == HYP14
 
     @pytest.mark.parametrize("tol", [1e-16, 0.5, 0.0])
     def test_tol_validation(self, tol: float) -> None:

@@ -126,6 +126,12 @@ class TestSolvers:
         with pytest.raises(DomainError):
             build_pade(1.5, 1.0, 4, 3)
 
+    @pytest.mark.parametrize("solver", ["fixed", "svd", "lu"])
+    @pytest.mark.parametrize("beta", [math.nan, math.inf])
+    def test_beta_validation(self, beta: float, solver: str) -> None:
+        with pytest.raises(DomainError):
+            build_pade(0.5, beta, 6, 5, solver)
+
 
 class TestApproximationQuality:
     def test_matches_function_at_one(self) -> None:
