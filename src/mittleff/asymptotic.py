@@ -3,14 +3,18 @@
 The algebraic part is the divergent expansion -sum_n sigma_n*tau_n*z**-n,
 summed with a practical stopping rule: stop once the term-size proxy
 tau_n*|z|**-n drops below tol (converged), or once n exceeds the optimal
-truncation bound |z|**(1/alpha)/alpha (not converged).  When |Arg z| is
-within alpha*pi the exponentially growing contribution
-exp(z**(1/alpha)) * z**((1-beta)/alpha) / alpha is added on top.
+truncation bound |z|**(1/alpha)/alpha (not converged).  Just above the
+zero of 1/Gamma at beta - n*alpha = 0 the proxy uses the reflection
+envelope of tau_n, so a coefficient that is small there does not stop
+the sum.  When |Arg z| is within alpha*pi the exponentially growing
+contribution exp(z**(1/alpha)) * z**((1-beta)/alpha) / alpha is added
+on top.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,6 +22,7 @@ from .exceptions import DomainError
 from .kernels import cexp, principal_arg
 
 INF = math.inf
+TABLE_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -42,6 +47,27 @@ def asymptotic_sigma_tau(n: int, alpha: float, beta: float) -> tuple[float, floa
     return -math.sin(math.pi * (n * alpha - beta)), math.lgamma(1.0 - x) - math.log(math.pi)
 
 
+@functools.lru_cache(maxsize=256)
+def _sigma_tau_block(alpha: float, beta: float, block: int) -> tuple[tuple[float, float, float], ...]:
+    """(sigma_n, log tau_n, log size_n) for the TABLE_BLOCK indices n of one block.
+
+    size_n is the magnitude the stopping rule reads.  It is tau_n except
+    where 0 < beta - n*alpha < 1/2: there 1/Gamma vanishes towards its zero
+    at 0 while the next coefficient does not, so the term is sized by the
+    reflection envelope Gamma(1 - x)/pi that the terms past the zero use.
+
+    Cached per (alpha, beta) like the series coefficients; a block is
+    immutable once cached, so concurrent callers never see part of one.
+    """
+    rows = []
+    for n in range(block * TABLE_BLOCK, (block + 1) * TABLE_BLOCK):
+        sigma, log_tau = asymptotic_sigma_tau(n, alpha, beta)
+        x = beta - n * alpha
+        log_size = math.lgamma(1.0 - x) - math.log(math.pi) if 0.0 < x < 0.5 else log_tau
+        rows.append((sigma, log_tau, log_size))
+    return tuple(rows)
+
+
 def ml_asymptotic(z: complex, alpha: float, beta: float, tol: float) -> AsymptoticResult:
     """Asymptotic value of E[alpha, beta](z) for large |z|, alpha in (0, 1]."""
     if not 0.0 < alpha <= 1.0:
@@ -64,14 +90,20 @@ def ml_asymptotic(z: complex, alpha: float, beta: float, tol: float) -> Asymptot
     t_last = INF
     m = 1
     converged = False
+    coeffs = _sigma_tau_block(alpha, beta, 0)
     while True:
         if math.log(n) > log_n_max:
             m = n  # stopped before adding term n
             break
-        sigma, log_tau = asymptotic_sigma_tau(n, alpha, beta)
+        if n % TABLE_BLOCK == 0:
+            coeffs = _sigma_tau_block(alpha, beta, n // TABLE_BLOCK)
+        sigma, log_tau, log_size = coeffs[n % TABLE_BLOCK]
         log_t = log_tau - n * ln_r
         t = math.exp(log_t) if log_t < 709.0 else INF
         acc += sigma * t * cmath.rect(1.0, -n * theta)
+        if log_size != log_tau:
+            log_t = log_size - n * ln_r
+            t = math.exp(log_t) if log_t < 709.0 else INF
         t_last = t
         if log_t < log_tol:
             m = n + 1

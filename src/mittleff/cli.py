@@ -114,11 +114,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     label = "nodes" if res.method in _QUAD_METHODS else "terms"
     print(f"{label}: {res.nodes_or_terms}")
     print(f"err_estimate: {res.err_estimate!r}")
-    if not res.converged:
-        print("warning: not converged", file=sys.stderr)
-        return EXIT_NUMERICAL
     if v != v:  # NaN
         print("warning: result is NaN", file=sys.stderr)
+        return EXIT_NUMERICAL
+    if not res.converged:
+        print("warning: not converged", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
 

@@ -8,6 +8,8 @@ Routing order:
    rule: hyperbolic contour quadrature with N picked from tol.
 4. alpha > 1 otherwise: split into m = ceil(alpha) rotated evaluations
    with alpha/m <= 1 each, recursing exactly one level into steps 1-3.
+   For real z the sub-points come in conjugate pairs, so one evaluation
+   serves each pair and the value is exactly real.
 
 Each step runs through run_method, as does a method forced in the CLI,
 so both give the same bits wherever the route picks that method.
@@ -48,10 +50,12 @@ def quad_rule(method: Method, n: int) -> QuadratureRule:
 
 
 def validate_params(alpha: float, beta: float, tol: float, z: complex = 0.0) -> None:
-    """Reject z with a NaN part, alpha that is not a positive finite number,
-    beta that is not finite, and tol outside [TOL_MIN, TOL_MAX]."""
+    """Reject z with a NaN or infinite part, alpha that is not a positive
+    finite number, beta that is not finite, and tol outside [TOL_MIN, TOL_MAX]."""
     if cmath.isnan(z):
         raise DomainError(f"z={z!r} has a NaN part")
+    if cmath.isinf(z):
+        raise DomainError(f"z={z!r} must be finite")
     if not 0.0 < alpha < math.inf:
         raise DomainError(f"alpha={alpha!r} must be positive and finite")
     if not math.isfinite(beta):
@@ -66,7 +70,7 @@ def run_method(
     """E[alpha, beta](z) by one method other than REDUCTION, unvalidated.
 
     converged says whether the series or the expansion met its stopping
-    rule; quadrature has none and always sets it.  n is the contour
+    rule; quadrature has none and sets it wherever z != 0.  n is the contour
     parameter N of a quadrature method, picked from tol when None.
     """
     if method is Method.SERIES:
@@ -102,16 +106,27 @@ def ml_auto(z: complex, alpha: float, beta: float, tol: float = DEFAULT_TOL) -> 
             return res
     # E[a,b](z) = (1/m) sum_k E[a/m,b](z**(1/m) * e**(2 pi i k/m)), a/m <= 1
     m = math.ceil(alpha)
-    root = cpow_principal(z, 1.0 / m)
     alpha_m = alpha / m
+    if z.imag == 0.0:
+        # real z: the sub-points sit at angles j*pi/m, j even for z >= 0 and
+        # odd for z < 0.  Points j and 2m - j are conjugates, and E(conj w) =
+        # conj E(w), so a point with 0 < j < m adds 2 Re E(w) for its pair;
+        # j = 0 and j = m are real points and add Re E(w)
+        r = abs(z.real) ** (1.0 / m)
+        subs = [
+            (cmath.rect(r, j * math.pi / m), 2.0) if 0 < j < m else (complex(r if j == 0 else -r), 1.0)
+            for j in range(0 if z.real >= 0.0 else 1, m + 1, 2)
+        ]
+    else:
+        root = cpow_principal(z, 1.0 / m)
+        subs = [(root * cmath.rect(1.0, 2.0 * math.pi * k / m), None) for k in range(m)]
     acc = 0.0j
     worst = 0.0
     count = 0
     converged = True
-    for k in range(m):
-        zk = root * cmath.rect(1.0, 2.0 * math.pi * k / m)
-        sub = _ml_auto_low(zk, alpha_m, beta, tol)
-        acc += sub.value
+    for w, weight in subs:
+        sub = _ml_auto_low(w, alpha_m, beta, tol)
+        acc += sub.value if weight is None else weight * sub.value.real
         worst = max(worst, sub.err_estimate)
         count += sub.nodes_or_terms
         converged = converged and sub.converged

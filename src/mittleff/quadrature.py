@@ -52,7 +52,7 @@ class EvalResult:
     method: Method
     nodes_or_terms: int
     err_estimate: float
-    converged: bool  # series/expansion: stopping rule met; reduction: every step did; quadrature: True
+    converged: bool  # series/expansion: stopping rule met; reduction: every step did; quadrature: z != 0
 
 
 def _method_for(rule: QuadratureRule) -> Method:
@@ -236,12 +236,13 @@ def ml_quad(z: complex, alpha: float, beta: float, rule: QuadratureRule) -> Eval
     """E[alpha, beta](z) by contour quadrature, alpha in (0, 1].
 
     A batch of one through ml_quad_values; the rule is reusable across z.
-    z = 0 yields a NaN value (callers should route z = 0 to the series).
+    z = 0 yields a NaN value with converged False (callers should route
+    z = 0 to the series).
     """
     z = complex(z)
     value = complex(ml_quad_values(np.array([z]), alpha, beta, rule)[0])
     err = math.nan if z == 0 else origin_accuracy(rule, beta)
-    return EvalResult(value, _method_for(rule), 2 * rule.N + 1, err, True)
+    return EvalResult(value, _method_for(rule), 2 * rule.N + 1, err, z != 0)
 
 
 def ml_quad_neg_axis_wide_alpha(

@@ -7,12 +7,15 @@ quadrature evaluators.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 from .exceptions import DomainError
 from .kernels import reciprocal_gamma
 
 DEFAULT_MAX_TERMS = 250
+TABLE_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -21,6 +24,18 @@ class SeriesResult:
     terms_used: int
     err_estimate: float  # magnitude of the first omitted term
     converged: bool
+
+
+@functools.lru_cache(maxsize=256)
+def _rgamma_block(alpha: float, beta: float, block: int) -> tuple[float, ...]:
+    """1/Gamma(beta + n*alpha) for the TABLE_BLOCK indices n of one block.
+
+    The coefficients do not depend on z, so each block is computed once
+    per (alpha, beta) and shared by every call; a block is immutable once
+    cached, so concurrent callers never see part of one.
+    """
+    start = block * TABLE_BLOCK
+    return tuple(reciprocal_gamma(beta + n * alpha) for n in range(start, start + TABLE_BLOCK))
 
 
 def ml_series(
@@ -37,7 +52,8 @@ def ml_series(
     relative accuracy; that term's magnitude is reported as
     err_estimate.  Terms whose gamma factor sits at a pole contribute
     zero and are skipped by the convergence test.  If max_terms is
-    exhausted first, converged is False.
+    exhausted first, converged is False.  The coefficients
+    1/Gamma(beta + n*alpha) come from a table cached per (alpha, beta).
     """
     if alpha <= 0.0:
         raise DomainError(f"alpha={alpha!r} must be positive")
@@ -49,17 +65,17 @@ def ml_series(
     acc = 0.0j
     zp = 1.0 + 0.0j  # z**n
     n = 0
-    while True:
-        rg = reciprocal_gamma(beta + n * alpha)
-        term = zp * rg
-        if n >= 1:
-            if rg != 0.0 and abs(term) <= tol * abs(acc):
-                return SeriesResult(acc, n, abs(term), True)
-            if n >= max_terms:
-                return SeriesResult(acc, n, abs(term), False)
-        acc += term
-        zp *= z
-        n += 1
+    for block in itertools.count():
+        for rg in _rgamma_block(alpha, beta, block):
+            term = zp * rg
+            if n >= 1:
+                if rg != 0.0 and abs(term) <= tol * abs(acc):
+                    return SeriesResult(acc, n, abs(term), True)
+                if n >= max_terms:
+                    return SeriesResult(acc, n, abs(term), False)
+            acc += term
+            zp *= z
+            n += 1
 
 
 def ml_derivative(z: complex, alpha: float, beta: float, tol: float = 1e-14) -> complex:

@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from mittleff.asymptotic import AsymptoticResult, asymptotic_sigma_tau, ml_asymptotic
+from mittleff import asymptotic
+from mittleff.asymptotic import TABLE_BLOCK, AsymptoticResult, asymptotic_sigma_tau, ml_asymptotic
 from mittleff.exceptions import DomainError
 
 # sign/magnitude factors of the large-|z| expansion terms, alpha=0.7, beta=1
@@ -52,6 +53,26 @@ class TestNegativeAxisTable:
         assert 1e-6 <= abs(res.value - want) <= 1e-4
 
 
+class TestNearGammaZero:
+    # E[0.3, 0.3](-5), an 80-digit series sum
+    WANT = 0.0072751008031549118806
+
+    def test_exact_zero(self) -> None:
+        # at beta - alpha = 0 the reflection form gives sigma = 0, tau = 1/pi
+        res = ml_asymptotic(complex(-5.0), 0.3, 0.3, 1e-14)
+        assert res.converged and res.m == 26
+        assert abs(res.value - self.WANT) <= res.err_estimate
+
+    @pytest.mark.parametrize("beta", [0.1 * 3, 0.3 + 1e-15])
+    def test_small_coefficient_does_not_stop_the_sum(self, beta: float) -> None:
+        # beta - alpha is just above 0, so 1/Gamma(beta - alpha) ~ 5e-17 makes
+        # the first term tiny and the second is not; a proxy sized by 1/Gamma
+        # stopped there, converged, with 1.1e-17 for 7.3e-3
+        res = ml_asymptotic(complex(-5.0), 0.3, beta, 1e-14)
+        assert res.converged and res.m == 26
+        assert abs(res.value - self.WANT) <= res.err_estimate
+
+
 class TestExponentialTerm:
     def test_positive_axis_includes_growth(self) -> None:
         want = 8.8671406614324431567e20
@@ -92,6 +113,42 @@ def test_result_fields() -> None:
     assert isinstance(res, AsymptoticResult)
     assert res.m >= 1
     assert res.err_estimate >= 0.0
+
+
+class TestCoefficientTable:
+    # at alpha 0.3, |z| = 3 the expansion runs past 32 terms, across a block boundary
+    POINTS = [complex(-3.0), 3.0 * cmath.exp(2.0j), complex(-15.0), complex(20.0, 5.0)]
+
+    def evaluate(self, alpha: float, beta: float, tol: float) -> list:
+        return [ml_asymptotic(z, alpha, beta, tol) for z in self.POINTS]
+
+    def test_blocks_hold_the_coefficients(self) -> None:
+        for block in (0, 1):
+            rows = asymptotic._sigma_tau_block(0.3, 1.1, block)
+            assert len(rows) == TABLE_BLOCK
+            for n, (sigma, log_tau, log_size) in enumerate(rows, block * TABLE_BLOCK):
+                assert (sigma, log_tau) == asymptotic_sigma_tau(n, 0.3, 1.1)
+                x = 1.1 - n * 0.3
+                assert log_size == (math.lgamma(1.0 - x) - math.log(math.pi) if 0.0 < x < 0.5 else log_tau)
+
+    def test_cold_and_warm_calls_agree(self) -> None:
+        asymptotic._sigma_tau_block.cache_clear()
+        cold = self.evaluate(0.3, 1.0, 1e-14)
+        assert max(r.m for r in cold) > TABLE_BLOCK
+        assert cold == self.evaluate(0.3, 1.0, 1e-14)
+
+    def test_call_order_does_not_matter(self) -> None:
+        asymptotic._sigma_tau_block.cache_clear()
+        first = self.evaluate(0.3, 1.0, 1e-14), self.evaluate(0.3, 1.0, 1e-6)
+        asymptotic._sigma_tau_block.cache_clear()
+        second_loose = self.evaluate(0.3, 1.0, 1e-6)
+        assert (self.evaluate(0.3, 1.0, 1e-14), second_loose) == first
+
+    def test_threads_match_serial(self, in_threads) -> None:
+        serial = self.evaluate(0.31, 1.07, 1e-14)
+        asymptotic._sigma_tau_block.cache_clear()
+        for got in in_threads(lambda: self.evaluate(0.31, 1.07, 1e-14)):
+            assert got == serial
 
 
 class TestValidation:

@@ -141,6 +141,8 @@ class TestConverged:
             (Method.ASYMPTOTIC, -5.0, 0.7, 1e-12, False),
             (Method.QUAD_PARABOLIC, 3.0, 0.5, DEFAULT_TOL, True),
             (Method.QUAD_HYPERBOLIC, 3.0, 0.5, DEFAULT_TOL, True),
+            # quadrature is NaN at the origin, so it must not claim convergence
+            (Method.QUAD_HYPERBOLIC, 0.0, 0.5, DEFAULT_TOL, False),
         ],
     )
     def test_forced_method_reports_its_stopping_rule(
@@ -167,6 +169,55 @@ class TestConverged:
         assert len(calls) == 2
         assert res.converged is False
         assert res.value == want.value and want.converged is True
+
+
+class TestConjugatePairs:
+    """For real z the reduction evaluates one sub-point per conjugate pair."""
+
+    @pytest.mark.parametrize("alpha", [1.3, 1.7, 2.0, 2.5, 3.7])
+    @pytest.mark.parametrize("x", [-37.5, -4.2, 4.2, 37.5])
+    def test_real_argument_gives_real_value(self, x: float, alpha: float) -> None:
+        res = ml_auto(x, alpha, 1.0)
+        assert res.method is Method.REDUCTION
+        assert res.value.imag == 0.0
+        # the reference sums all m rotated sub-points, as a complex z does
+        m = math.ceil(alpha)
+        root = cmath.rect(abs(x) ** (1.0 / m), 0.0 if x > 0 else math.pi / m)
+        want = sum(
+            dispatch._ml_auto_low(root * cmath.rect(1.0, 2.0 * math.pi * k / m), alpha / m, 1.0, DEFAULT_TOL).value
+            for k in range(m)
+        ) / m
+        assert abs(res.value - want) <= 1e-13 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize(
+        "z, alpha, calls, real_points",
+        [
+            (-4.2, 1.5, 1, 0),
+            (-4.2, 2.5, 2, 1),
+            (4.2, 1.5, 2, 2),
+            (4.2, 2.5, 2, 1),
+            (4.2 + 1.0j, 1.5, 2, None),
+            (-4.2 - 1.0j, 2.5, 3, None),
+        ],
+    )
+    def test_one_evaluation_per_conjugate_pair(
+        self, monkeypatch, z: complex, alpha: float, calls: int, real_points: int | None
+    ) -> None:
+        low = dispatch._ml_auto_low
+        made = []
+
+        def counted(*args):
+            made.append((args[0], low(*args)))
+            return made[-1][1]
+
+        monkeypatch.setattr(dispatch, "_ml_auto_low", counted)
+        res = ml_auto(z, alpha, 1.0)
+        assert res.method is Method.REDUCTION
+        assert len(made) == calls
+        assert res.nodes_or_terms == sum(sub.nodes_or_terms for _, sub in made)
+        if real_points is not None:
+            # the self-conjugate sub-points +-|z|**(1/m) are built exactly real
+            assert sum(w.imag == 0.0 for w, _ in made) == real_points
 
 
 class TestClosedForms:
@@ -231,8 +282,9 @@ class TestInterface:
         [
             (1.0, 0.0), (1.0, -1.0), (1.0, math.nan), (1.0, math.inf),
             (math.nan, 0.5), (complex(1.0, math.nan), 0.5),
+            (-math.inf, 1.0), (-math.inf, 1.5), (complex(0.0, math.inf), 0.5),
         ],
-        ids=["0.0", "-1.0", "nan", "inf", "z=nan", "z=1+nanj"],
+        ids=["0.0", "-1.0", "nan", "inf", "z=nan", "z=1+nanj", "z=-inf", "z=-inf,alpha=1.5", "z=infj"],
     )
     def test_alpha_validation(self, z: complex, alpha: float) -> None:
         with pytest.raises(DomainError):

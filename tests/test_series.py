@@ -3,9 +3,10 @@ import math
 
 import pytest
 
+from mittleff import series
 from mittleff.exceptions import DomainError
 from mittleff.kernels import reciprocal_gamma
-from mittleff.series import SeriesResult, ml_derivative, ml_series
+from mittleff.series import TABLE_BLOCK, SeriesResult, ml_derivative, ml_series
 
 
 class TestKnownValues:
@@ -77,6 +78,39 @@ class TestProperties:
         assert isinstance(res, SeriesResult)
         with pytest.raises(Exception):
             res.value = 0.0  # type: ignore[misc]
+
+
+class TestCoefficientTable:
+    # 0.95+0.2j needs 54 terms at alpha 0.3, so the sums cross a block boundary
+    POINTS = [complex(0.3, 0.4), complex(-0.9), complex(0.95, 0.2), complex(0.5, -0.7)]
+
+    def evaluate(self, alpha: float, beta: float, **kw) -> list:
+        return [ml_series(z, alpha, beta, **kw) for z in self.POINTS]
+
+    def test_blocks_hold_the_reciprocal_gammas(self) -> None:
+        block = series._rgamma_block(0.3, 1.1, 1)
+        assert len(block) == TABLE_BLOCK
+        assert block == tuple(reciprocal_gamma(1.1 + n * 0.3) for n in range(TABLE_BLOCK, 2 * TABLE_BLOCK))
+
+    def test_cold_and_warm_calls_agree(self) -> None:
+        series._rgamma_block.cache_clear()
+        cold = self.evaluate(0.3, 1.1, tol=1e-15)
+        assert max(r.terms_used for r in cold) > TABLE_BLOCK
+        assert cold == self.evaluate(0.3, 1.1, tol=1e-15)
+
+    def test_call_order_does_not_matter(self) -> None:
+        loose = {"tol": 1e-6, "max_terms": 5}
+        series._rgamma_block.cache_clear()
+        first = self.evaluate(0.3, 1.1, tol=1e-15), self.evaluate(0.3, 1.1, **loose)
+        series._rgamma_block.cache_clear()
+        second_loose = self.evaluate(0.3, 1.1, **loose)
+        assert (self.evaluate(0.3, 1.1, tol=1e-15), second_loose) == first
+
+    def test_threads_match_serial(self, in_threads) -> None:
+        serial = self.evaluate(0.29, 1.13, tol=1e-15)
+        series._rgamma_block.cache_clear()
+        for got in in_threads(lambda: self.evaluate(0.29, 1.13, tol=1e-15)):
+            assert got == serial
 
 
 class TestValidation:
