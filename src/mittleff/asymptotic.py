@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .exceptions import DomainError
-from .kernels import cexp, principal_arg
+from .kernels import cexp, finite_complex, principal_arg
 
 INF = math.inf
 TABLE_BLOCK = 32
@@ -72,9 +72,9 @@ def ml_asymptotic(z: complex, alpha: float, beta: float, tol: float) -> Asymptot
     """Asymptotic value of E[alpha, beta](z) for large |z|, alpha in (0, 1]."""
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha={alpha!r} outside (0, 1]")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise DomainError(f"tol={tol!r} must be positive")
-    z = complex(z)
+    z = finite_complex(z)
     if z == 0:
         raise DomainError("z = 0 is not in the asymptotic regime")
 

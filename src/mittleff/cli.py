@@ -142,10 +142,11 @@ def cmd_grid(args: argparse.Namespace) -> int:
     if args.steps < 1:
         raise DomainError(f"steps={args.steps!r} must be >= 1")
     first, second = args.compare_method if args.compare_method is not None else ("auto", None)
-    # outer loop over re, inner over im
-    points = itertools.product(
-        _linspace(args.re_min, args.re_max, args.steps), _linspace(args.im_min, args.im_max, args.steps)
-    )
+    re_axis = _linspace(args.re_min, args.re_max, args.steps)
+    im_axis = _linspace(args.im_min, args.im_max, args.steps)
+    if not all(math.isfinite(v) for v in (*re_axis, *im_axis)):
+        raise DomainError("grid bounds must be finite, and so must the points between them")
+    points = itertools.product(re_axis, im_axis)  # outer loop over re, inner over im
     lines = ["re,im,value_re,value_im" + (",log10_abs_err" if second else "")]
     while block := list(itertools.islice(points, GRID_BLOCK)):
         zs = [complex(re, im) for re, im in block]
@@ -154,8 +155,8 @@ def cmd_grid(args: argparse.Namespace) -> int:
         for (re, im), v1, v2 in zip(block, values, others):
             row = f"{re!r},{im!r},{v1.real!r},{v1.imag!r}"
             if second:
-                diff = abs(v1 - v2)
-                row += f",{math.log10(diff) if diff > 0.0 else float('-inf')!r}"
+                diff = abs(v1 - v2)  # NaN where either value is NaN: log10 keeps it
+                row += f",{math.log10(diff) if diff != 0.0 else -math.inf!r}"
             lines.append(row)
     _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
@@ -184,8 +185,8 @@ def cmd_table_asymp(args: argparse.Namespace) -> int:
     header = f"{'x':>8} {'terms':>6} {'exp_scale':>14} {'err_vs_quad':>13} {'tail_prev':>13} {'tail_last':>13}"
     rows = [header]
     for x in args.x:
-        if x <= 0.0:
-            raise DomainError(f"x={x!r} must be positive")
+        if not 0.0 < x < math.inf:
+            raise DomainError(f"x={x!r} outside (0, inf)")
         z = complex(-x)
         res = run_method(Method.ASYMPTOTIC, z, args.alpha, args.beta, args.tol)
         ref = run_method(Method.QUAD_HYPERBOLIC, z, args.alpha, args.beta, args.tol, 14).value

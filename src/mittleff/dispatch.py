@@ -24,7 +24,7 @@ import math
 from .asymptotic import ml_asymptotic
 from .contours import QuadratureRule, build_hyperbolic_rule, build_parabolic_rule
 from .exceptions import DomainError
-from .kernels import cpow_principal
+from .kernels import cpow_principal, finite_complex
 from .quadrature import EvalResult, Method, ml_quad
 from .series import ml_series
 
@@ -52,10 +52,7 @@ def quad_rule(method: Method, n: int) -> QuadratureRule:
 def validate_params(alpha: float, beta: float, tol: float, z: complex = 0.0) -> None:
     """Reject z with a NaN or infinite part, alpha that is not a positive
     finite number, beta that is not finite, and tol outside [TOL_MIN, TOL_MAX]."""
-    if cmath.isnan(z):
-        raise DomainError(f"z={z!r} has a NaN part")
-    if cmath.isinf(z):
-        raise DomainError(f"z={z!r} must be finite")
+    finite_complex(z)
     if not 0.0 < alpha < math.inf:
         raise DomainError(f"alpha={alpha!r} must be positive and finite")
     if not math.isfinite(beta):

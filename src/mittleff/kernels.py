@@ -54,6 +54,16 @@ def reciprocal_gamma(x: float) -> float:
     return 1.0 / g if g != 0.0 else math.copysign(math.inf, g)
 
 
+def finite_complex(z: complex) -> complex:
+    """complex(z), or DomainError if a part of z is NaN or infinite."""
+    z = complex(z)
+    if cmath.isnan(z):
+        raise DomainError(f"z={z!r} has a NaN part")
+    if cmath.isinf(z):
+        raise DomainError(f"z={z!r} must be finite")
+    return z
+
+
 def cexp(w: complex) -> complex:
     """exp(w) that saturates to inf components instead of raising on overflow.
 
@@ -115,6 +125,21 @@ def _expm1_complex(z: complex) -> complex:
     return (u - 1.0) * (z / cmath.log(u))
 
 
+def _binomial_tail(eps: complex, a: float, k0: int, coeff: float) -> complex:
+    # sum_{k>=k0} binom(a, k) eps^(k-k0), where coeff = binom(a, k0); for
+    # |eps| <= 1/2 the term ratio is at most about 1/2, so this ends fast
+    acc = complex(coeff)
+    epk = 1.0 + 0.0j
+    for k in range(k0, 400):
+        coeff *= (a - k) / (k + 1.0)
+        epk *= eps
+        term = coeff * epk
+        acc += term
+        if abs(term) <= 1e-17 * abs(acc):
+            break
+    return acc
+
+
 def psi1(eps: complex, a: float) -> complex:
     """((1+eps)**a - 1)/eps, stable for small |eps|.
 
@@ -125,18 +150,7 @@ def psi1(eps: complex, a: float) -> complex:
     if eps == 0:
         return complex(a)
     if abs(eps) <= 0.5:
-        # sum_{k>=1} binom(a, k) eps^(k-1); ratio <= ~0.5 so this terminates fast
-        coeff = a
-        acc = complex(a)
-        epk = 1.0 + 0.0j
-        for k in range(1, 400):
-            coeff *= (a - k) / (k + 1.0)
-            epk *= eps
-            term = coeff * epk
-            acc += term
-            if abs(term) <= 1e-17 * abs(acc):
-                break
-        return acc
+        return _binomial_tail(eps, a, 1, a)
     if eps.imag == 0.0:
         return complex(math.expm1(a * math.log1p(eps.real)) / eps.real)
     return _expm1_complex(a * _log1p_complex(eps)) / eps
@@ -154,18 +168,7 @@ def psi2(eps: complex, a: float) -> complex:
     if eps == 0:
         return complex(0.5 * a * (a - 1.0))
     if abs(eps) <= 0.5:
-        # sum_{k>=2} binom(a, k) eps^(k-2); ratio <= ~0.5 so this terminates fast
-        coeff = 0.5 * a * (a - 1.0)
-        acc = complex(coeff)
-        epk = 1.0 + 0.0j
-        for k in range(2, 400):
-            coeff *= (a - k) / (k + 1.0)
-            epk *= eps
-            term = coeff * epk
-            acc += term
-            if abs(term) <= 1e-17 * abs(acc):
-                break
-        return acc
+        return _binomial_tail(eps, a, 2, 0.5 * a * (a - 1.0))
     w = cpow_principal(1.0 + eps, a)
     return (w - (1.0 + a * eps)) / (eps * eps)
 

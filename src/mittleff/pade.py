@@ -112,10 +112,11 @@ def assemble_pade_matrix(alpha: float, beta: float, m: int, n: int) -> np.ndarra
     return C
 
 
-def _pack(
-    x: np.ndarray, alpha: float, beta: float, m: int, n: int, solver: PadeSolver
-) -> PadeApproximant:
+def _pack(x: np.ndarray, alpha: float, beta: float, m: int, n: int, solver: PadeSolver) -> PadeApproximant:
+    # scaled to q_0 = 1 unless q_0 is numerically zero
     r = (m + n - 1) // 2
+    if abs(x[r]) > 1e-13:
+        x = x / x[r]
     p = tuple(float(v) for v in x[:r]) + (0.0,)
     q = tuple(float(v) for v in x[r:])
     return PadeApproximant(alpha, beta, m, n, r, p, q, solver)
@@ -134,27 +135,16 @@ def solve_fixed_q0(C: np.ndarray, alpha: float, beta: float, m: int, n: int) -> 
     return _pack(x, alpha, beta, m, n, PadeSolver.FIXED_Q0)
 
 
-def solve_svd_null(
-    C: np.ndarray, alpha: float, beta: float, m: int, n: int, rescale: bool = True
-) -> PadeApproximant:
-    """Coefficients from the right singular vector of the smallest singular value.
-
-    The raw vector has unit 2-norm; with rescale (default) it is divided
-    by q_0 afterwards whenever |q_0| > 1e-13.
-    """
+def solve_svd_null(C: np.ndarray, alpha: float, beta: float, m: int, n: int) -> PadeApproximant:
+    """Coefficients from the right singular vector of the smallest singular value."""
     r = (m + n - 1) // 2
     _, s, vt = np.linalg.svd(C)
     if s[-1] <= (2 * r + 1) * _EPS * s[0]:
         raise SingularSystemError("null space is not one-dimensional at working precision")
-    x = vt[-1].copy()
-    if rescale and abs(x[r]) > 1e-13:
-        x /= x[r]
-    return _pack(x, alpha, beta, m, n, PadeSolver.SVD_NULL)
+    return _pack(vt[-1], alpha, beta, m, n, PadeSolver.SVD_NULL)
 
 
-def solve_lu_homogeneous(
-    C: np.ndarray, alpha: float, beta: float, m: int, n: int, rescale: bool = True
-) -> PadeApproximant:
+def solve_lu_homogeneous(C: np.ndarray, alpha: float, beta: float, m: int, n: int) -> PadeApproximant:
     """Row-pivoted elimination of C, then back substitution with q_r = 1."""
     r = (m + n - 1) // 2
     U = np.array(C, dtype=float, copy=True)
@@ -176,8 +166,6 @@ def solve_lu_homogeneous(
                 f"pivot {abs(U[i, i]):.3e} at row {i} below tolerance {pivot_tol:.3e}"
             )
         x[i] = -float(np.dot(U[i, i + 1 :], x[i + 1 :])) / U[i, i]
-    if rescale and abs(x[r]) > 1e-13:
-        x /= x[r]
     return _pack(x, alpha, beta, m, n, PadeSolver.LU_HOMOGENEOUS)
 
 
@@ -211,8 +199,8 @@ def _horner(coeffs: tuple[float, ...], x: complex) -> complex:
 
 def pade_eval(approx: PadeApproximant, x: float) -> float:
     """p(x)/q(x) at a point of [0, inf)."""
-    if x < 0.0:
-        raise DomainError(f"x={x!r} must be >= 0")
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"x={x!r} outside [0, inf)")
     den = _horner(approx.q, x)
     if den == 0.0:
         raise PoleError(f"q({x!r}) = 0")

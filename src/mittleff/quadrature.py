@@ -28,6 +28,7 @@ from .exceptions import DomainError
 from .kernels import (  # noqa: F401  cexp, principal_arg: bench/tracing.py rebinds them here
     cexp,
     cpow_principal as _cpow,
+    finite_complex,
     principal_arg,
     psi1,
     psi2,
@@ -237,9 +238,9 @@ def ml_quad(z: complex, alpha: float, beta: float, rule: QuadratureRule) -> Eval
 
     A batch of one through ml_quad_values; the rule is reusable across z.
     z = 0 yields a NaN value with converged False (callers should route
-    z = 0 to the series).
+    z = 0 to the series).  A NaN or infinite part of z raises DomainError.
     """
-    z = complex(z)
+    z = finite_complex(z)
     value = complex(ml_quad_values(np.array([z]), alpha, beta, rule)[0])
     err = math.nan if z == 0 else origin_accuracy(rule, beta)
     return EvalResult(value, _method_for(rule), 2 * rule.N + 1, err, z != 0)
@@ -273,44 +274,3 @@ def ml_quad_neg_axis_wide_alpha(
     integral = q_sum(rule, lambda w: _f_two(w, x, alpha, beta, gp, gm), True)
     value = complex(residue_pair + integral.real)
     return EvalResult(value, _method_for(rule), 2 * rule.N + 1, origin_accuracy(rule, beta), True)
-
-
-def shift_beta_down(z: complex, alpha: float, beta: float, m: int, tol: float = 1e-14) -> complex:
-    """E[alpha, beta](z) routed through E[alpha, beta - m*alpha].
-
-    Uses E[a,b](z) = z**-m E[a, b-m*a](z) - sum_{n=1..m} z**-n/Gamma(b-n*a).
-    Explicit utility; never applied automatically.  Requires z != 0.
-    """
-    if m < 1:
-        raise DomainError(f"m={m!r} must be >= 1")
-    z = complex(z)
-    if z == 0:
-        raise DomainError("shift_beta_down needs z != 0")
-    from .dispatch import ml_auto
-
-    shifted = ml_auto(z, alpha, beta - m * alpha, tol).value
-    tail = 0.0j
-    zp = 1.0 + 0.0j
-    for n in range(1, m + 1):
-        zp /= z
-        tail += zp * reciprocal_gamma(beta - n * alpha)
-    return shifted * z**-m - tail
-
-
-def shift_beta_up(z: complex, alpha: float, beta: float, m: int, tol: float = 1e-14) -> complex:
-    """E[alpha, beta](z) routed through E[alpha, beta + m*alpha].
-
-    Uses E[a,b](z) = z**m E[a, b+m*a](z) + sum_{n=0..m-1} z**n/Gamma(b+n*a).
-    """
-    if m < 1:
-        raise DomainError(f"m={m!r} must be >= 1")
-    z = complex(z)
-    from .dispatch import ml_auto
-
-    shifted = ml_auto(z, alpha, beta + m * alpha, tol).value
-    head = 0.0j
-    zp = 1.0 + 0.0j
-    for n in range(m):
-        head += zp * reciprocal_gamma(beta + n * alpha)
-        zp *= z
-    return shifted * z**m + head

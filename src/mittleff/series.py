@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 from .exceptions import DomainError
-from .kernels import reciprocal_gamma
+from .kernels import finite_complex, gamma_real, reciprocal_gamma
 
 DEFAULT_MAX_TERMS = 250
 TABLE_BLOCK = 32
@@ -22,7 +23,7 @@ TABLE_BLOCK = 32
 class SeriesResult:
     value: complex
     terms_used: int
-    err_estimate: float  # magnitude of the first omitted term
+    err_estimate: float  # magnitude of the first omitted term, enveloped left of x = 1/2
     converged: bool
 
 
@@ -50,18 +51,25 @@ def ml_series(
     Terms are added until the next one satisfies |term| <= tol*|sum|,
     so small values such as E[0.5, 150](0.5) = 2.7e-261 keep their
     relative accuracy; that term's magnitude is reported as
-    err_estimate.  Terms whose gamma factor sits at a pole contribute
-    zero and are skipped by the convergence test.  If max_terms is
-    exhausted first, converged is False.  The coefficients
-    1/Gamma(beta + n*alpha) come from a table cached per (alpha, beta).
+    err_estimate.  Where x = beta + n*alpha < 1/2 the coefficient
+    1/Gamma(x) = sin(pi*x)*Gamma(1-x)/pi vanishes at the poles of Gamma
+    while the next one need not, so the test and the estimate size it by
+    the envelope Gamma(1-x)/pi instead; the sum itself adds 1/Gamma(x).
+    If max_terms is exhausted first, converged is False.  The
+    coefficients 1/Gamma(beta + n*alpha) come from a table cached per
+    (alpha, beta).
     """
     if alpha <= 0.0:
         raise DomainError(f"alpha={alpha!r} must be positive")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise DomainError(f"tol={tol!r} must be positive")
     if max_terms < 1:
         raise DomainError(f"max_terms={max_terms!r} must be >= 1")
-    z = complex(z)
+    z = finite_complex(z)
+    # terms n < n_reflect have x < 1/2 and are sized by the envelope
+    n_reflect = 1
+    while n_reflect <= max_terms and beta + n_reflect * alpha < 0.5:
+        n_reflect += 1
     acc = 0.0j
     zp = 1.0 + 0.0j  # z**n
     n = 0
@@ -69,29 +77,14 @@ def ml_series(
         for rg in _rgamma_block(alpha, beta, block):
             term = zp * rg
             if n >= 1:
-                if rg != 0.0 and abs(term) <= tol * abs(acc):
-                    return SeriesResult(acc, n, abs(term), True)
+                if n >= n_reflect:
+                    size = abs(term)
+                else:
+                    size = abs(zp) * gamma_real(1.0 - (beta + n * alpha)) / math.pi
+                if size <= tol * abs(acc):
+                    return SeriesResult(acc, n, size, True)
                 if n >= max_terms:
-                    return SeriesResult(acc, n, abs(term), False)
+                    return SeriesResult(acc, n, size, False)
             acc += term
             zp *= z
             n += 1
-
-
-def ml_derivative(z: complex, alpha: float, beta: float, tol: float = 1e-14) -> complex:
-    """d/dz of the function, via the two-evaluation identity.
-
-    For z != 0 uses (E[alpha, beta-1](z) - (beta-1)*E[alpha, beta](z))
-    / (alpha*z); at z = 0 the limit is the n = 1 series coefficient
-    1/Gamma(alpha + beta).
-    """
-    if tol <= 0.0:
-        raise DomainError(f"tol={tol!r} must be positive")
-    z = complex(z)
-    if z == 0:
-        return complex(reciprocal_gamma(alpha + beta))
-    from .dispatch import ml_auto
-
-    upper = ml_auto(z, alpha, beta - 1.0, tol).value
-    center = ml_auto(z, alpha, beta, tol).value
-    return (upper - (beta - 1.0) * center) / (alpha * z)

@@ -164,3 +164,16 @@ class TestValidation:
     def test_bad_tol(self) -> None:
         with pytest.raises(DomainError):
             ml_asymptotic(complex(-30.0), 0.7, 1.0, 0.0)
+
+    def test_nan_tol(self) -> None:
+        # a NaN tol passed the old tol <= 0 test, and the sum at -1e6 never stopped
+        with pytest.raises(DomainError):
+            ml_asymptotic(complex(-1e6), 0.7, 1.0, math.nan)
+
+    @pytest.mark.parametrize(
+        "z", [complex("nan"), complex(1.0, math.nan), complex(-math.inf), complex(0.0, math.inf)]
+    )
+    def test_nonfinite_z(self, z: complex) -> None:
+        # a NaN z made both loop exits compare against NaN, so the sum never ended
+        with pytest.raises(DomainError):
+            ml_asymptotic(z, 0.5, 1.0, 1e-14)

@@ -204,6 +204,36 @@ class TestGrid:
             tail = row.split(",")[-1]
             assert tail == "-inf" or float(tail) <= -12.0
 
+    def test_nan_difference_is_not_agreement(self, capsys) -> None:
+        # quadrature gives NaN at z = 0; its difference used to read -inf
+        code, out, _ = run(
+            capsys, "grid", "--alpha", "0.5", "--beta", "1",
+            "--re-min=-1", "--re-max", "1", "--im-min=-1", "--im-max", "1",
+            "--steps", "3", "--out", "-", "--compare-method", "quad-par,quad-hyp",
+        )
+        assert code == 0
+        rows = out.splitlines()[1:]
+        assert rows[4] == "0.0,0.0,nan,nan,nan"
+        assert all(math.isfinite(float(row.split(",")[-1])) for i, row in enumerate(rows) if i != 4)
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            ("--re-min", "nan", "--re-max", "1"),
+            ("--re-min", "0", "--re-max", "inf"),
+            ("--re-min=-1e308", "--re-max", "1e308"),
+        ],
+    )
+    def test_nonfinite_bounds_rejected(self, capsys, bounds: tuple[str, ...]) -> None:
+        # the last pair is finite, but the points between them overflow
+        code, out, _ = run(
+            capsys, "grid", "--alpha", "0.5", "--beta", "1", *bounds,
+            "--im-min", "0", "--im-max", "1", "--steps", "3", "--out", "-",
+            "--compare-method", "quad-par,quad-hyp",
+        )
+        assert code == 2
+        assert out == ""
+
     def test_quadrature_rows_match_eval_bitwise(self, capsys) -> None:
         # more points than one block, and not a multiple of it
         steps = 17
@@ -292,4 +322,10 @@ class TestAsymptoticTable:
 
     def test_nonpositive_abscissa_rejected(self, capsys) -> None:
         code, _, _ = run(capsys, "table-asymp", "--x", "0")
+        assert code == 2
+
+    @pytest.mark.parametrize("x", ["nan", "inf"])
+    def test_nonfinite_abscissa_rejected(self, capsys, x: str) -> None:
+        # --x nan hung: the expansion's loop exits compared against NaN
+        code, _, _ = run(capsys, "table-asymp", "--x", x)
         assert code == 2

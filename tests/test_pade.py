@@ -85,18 +85,7 @@ class TestSolvers:
         assert ap.r == 8 and len(ap.p) == 9 and len(ap.q) == 9
         assert ap.solver is PadeSolver.FIXED_Q0
 
-    def test_svd_raw_vector_has_unit_norm(self) -> None:
-        C = assemble_pade_matrix(0.2, 1.0, 9, 8)
-        ap = solve_svd_null(C, 0.2, 1.0, 9, 8, rescale=False)
-        norm = math.sqrt(sum(v * v for v in ap.p[:-1]) + sum(v * v for v in ap.q))
-        assert norm == pytest.approx(1.0, abs=1e-12)
-
-    def test_lu_pins_trailing_coefficient(self) -> None:
-        C = assemble_pade_matrix(0.2, 1.0, 9, 8)
-        ap = solve_lu_homogeneous(C, 0.2, 1.0, 9, 8, rescale=False)
-        assert ap.q[-1] == 1.0
-
-    def test_rescaled_solvers_match_fixed_exactly_where_wellposed(self) -> None:
+    def test_scaled_solvers_match_fixed_exactly_where_wellposed(self) -> None:
         ap_f = build_pade(0.5, 1.0, 4, 3, "fixed")
         ap_s = build_pade(0.5, 1.0, 4, 3, "svd")
         ap_l = build_pade(0.5, 1.0, 4, 3, "lu")
@@ -177,6 +166,13 @@ class TestEvaluation:
         ap = build_pade(0.5, 1.0, 4, 3)
         with pytest.raises(DomainError):
             pade_eval(ap, -0.1)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_nonfinite_x_rejected(self, x: float) -> None:
+        # NaN passed the old x < 0 test and came back as a NaN value
+        ap = build_pade(0.5, 1.0, 4, 3)
+        with pytest.raises(DomainError):
+            pade_eval(ap, x)
 
     def test_denominator_zero_reported(self) -> None:
         bad = PadeApproximant(0.5, 1.0, 1, 2, 1, (1.0, 0.0), (-1.0, 1.0), PadeSolver.FIXED_Q0)

@@ -1,12 +1,14 @@
 import cmath
 import math
 
+import mpmath as mp
 import pytest
 
 from mittleff import series
+from mittleff.dispatch import ml_auto
 from mittleff.exceptions import DomainError
 from mittleff.kernels import reciprocal_gamma
-from mittleff.series import TABLE_BLOCK, SeriesResult, ml_derivative, ml_series
+from mittleff.series import TABLE_BLOCK, SeriesResult, ml_series
 
 
 class TestKnownValues:
@@ -38,6 +40,32 @@ class TestKnownValues:
         want = z * z * cmath.exp(z)
         got = ml_series(z, 1.0, -1.0, tol=1e-15).value
         assert abs(got - want) <= 1e-12 * abs(want)
+
+
+class TestNearGammaPole:
+    # beta + alpha = -1 + 2.2e-16 sits next to the pole of Gamma at -1, so
+    # 1/Gamma there is about 2e-16 while the next coefficient is not; a test
+    # sized by 1/Gamma stopped after 1 term, converged, with 0.4231 for 2.9500
+    BETA = -1.5 + 2.2e-16
+
+    def reference(self) -> float:
+        with mp.workdps(40):
+            beta, half, z = mp.mpf(self.BETA), mp.mpf(0.5), mp.mpf(0.9)
+            return float(mp.fsum(z**n * mp.rgamma(beta + n * half) for n in range(150)))
+
+    def test_small_coefficient_does_not_stop_the_sum(self) -> None:
+        want = self.reference()
+        for res in (ml_series(0.9, 0.5, self.BETA, tol=1e-14), ml_auto(0.9, 0.5, self.BETA)):
+            assert res.converged
+            assert abs(res.value - want) <= 1e-12 * abs(want)
+            assert res.err_estimate <= 1e-13
+
+    def test_envelope_sizes_the_estimate(self) -> None:
+        # capped at the term next to the pole: the estimate is |z|*Gamma(2)/pi,
+        # not the 2e-16 of the coefficient itself
+        res = ml_series(0.9, 0.5, self.BETA, max_terms=1)
+        assert not res.converged
+        assert res.err_estimate == pytest.approx(0.9 / math.pi, rel=1e-12)
 
 
 class TestProperties:
@@ -123,25 +151,17 @@ class TestValidation:
         with pytest.raises(DomainError):
             ml_series(1.0, 1.0, 1.0, tol=0.0)
 
+    def test_nan_tol(self) -> None:
+        with pytest.raises(DomainError):
+            ml_series(1.0, 1.0, 1.0, tol=math.nan)
+
+    @pytest.mark.parametrize(
+        "z", [complex("nan"), complex(1.0, math.nan), complex(-math.inf), complex(0.0, math.inf)]
+    )
+    def test_nonfinite_z(self, z: complex) -> None:
+        with pytest.raises(DomainError):
+            ml_series(z, 0.5, 1.0)
+
     def test_bad_max_terms(self) -> None:
         with pytest.raises(DomainError):
             ml_series(1.0, 1.0, 1.0, max_terms=0)
-
-
-class TestDerivative:
-    def test_at_zero(self) -> None:
-        assert ml_derivative(0.0, 0.5, 1.0) == complex(reciprocal_gamma(1.5))
-
-    def test_exponential(self) -> None:
-        got = ml_derivative(1.0, 1.0, 1.0)
-        assert abs(got - math.e) <= 1e-12 * math.e
-
-    def test_against_finite_difference(self) -> None:
-        from mittleff.dispatch import ml_auto
-
-        z, h = -2.0, 1e-5
-        fd = (ml_auto(complex(z + h), 0.5, 1.0).value - ml_auto(complex(z - h), 0.5, 1.0).value) / (
-            2.0 * h
-        )
-        got = ml_derivative(complex(z), 0.5, 1.0)
-        assert abs(got - fd) <= 1e-6
