@@ -35,6 +35,7 @@ TOL_MIN = 1e-15
 TOL_MAX = 1e-2
 
 
+@functools.lru_cache(maxsize=32)
 def quadrature_n_for_tol(tol: float) -> int:
     """Node count giving ~tol accuracy on the hyperbolic contour, capped at 14."""
     return min(14, math.ceil(math.log(1.0 / tol) / math.log(10.13)) + 1)

@@ -6,8 +6,10 @@ sector |Arg z| <= alpha*pi, the integrand is either used as-is (f_plain)
 or has the simple pole at gamma = z**(1/alpha) split off analytically
 (f_one), with the pole's residue alpha**-1 * gamma**(1-beta) * e**gamma
 added back in closed form.  The node factors of the integrand do not
-depend on z, so ml_quad_values caches them per (rule, alpha, beta) and
-sums many z at once; the scalar ml_quad is a batch of one.  A separate
+depend on z, so they are cached per (rule, alpha, beta): ml_quad_values
+sums many z at once in numpy, and the scalar ml_quad runs a plain loop
+over the same factors as floats.  The loop repeats the engine's
+operations in the engine's order, so both give the same bits.  A separate
 entry point handles the negative real axis for 1 < alpha < 2, where a
 conjugate pair of poles must be split off (two-pole integrand f_2).
 """
@@ -37,6 +39,7 @@ from .kernels import (  # noqa: F401  cexp, principal_arg: bench/tracing.py rebi
 
 # below this relative distance to a pole the psi-form integrands take over
 EPS_SWITCH = 0.1
+_EPS_SWITCH_SQ = EPS_SWITCH * EPS_SWITCH
 
 
 class Method(str, Enum):
@@ -147,51 +150,75 @@ def origin_accuracy(rule: QuadratureRule, beta: float) -> float:
 @functools.lru_cache(maxsize=64)
 def _node_factors(
     rule: QuadratureRule, alpha: float, beta: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple]:
     """The z-independent factors w_n, A*C_n, A*C_n*w_n**(alpha-beta), w_n**alpha.
 
-    Columns form two blocks of N+1: the nodes n = 0..N, then their
-    reflections conj(w_n).  w_0 and C_0 are real, so both blocks hold node
-    0, each with half its weight: the first block's sum is then half the
-    sum over n = -N..N of a conjugate-symmetric integrand.  Powers are
-    principal-branch exp(a*log w), as in cpow_principal.
+    Each is a column of 2N+2 nodes in two blocks of N+1: the nodes
+    n = 0..N, then their reflections conj(w_n).  w_0 and C_0 are real, so
+    both blocks hold node 0, each with half its weight: the first block's
+    sum is then half the sum over n = -N..N of a conjugate-symmetric
+    integrand.  Powers are principal-branch exp(a*log w), as in
+    cpow_principal.  The last item holds the same factors as floats for
+    the scalar loop: per block, one tuple (re, im of each factor) per node.
     """
     nodes = np.array(rule.nodes)
     weights = rule.A * np.array(rule.weights)
     weights[0] *= 0.5
-    w = np.concatenate([nodes, nodes.conj()])
-    c = np.concatenate([weights, weights.conj()])
+    w = np.concatenate([nodes, nodes.conj()])[:, None]
+    c = np.concatenate([weights, weights.conj()])[:, None]
     log_w = np.log(w)
-    return w, c, c * np.exp((alpha - beta) * log_w), np.exp(alpha * log_w)
+    c_wab = c * np.exp((alpha - beta) * log_w)
+    wa = np.exp(alpha * log_w)
+    parts = np.concatenate([w, c, c_wab, wa], axis=1).view(np.float64).tolist()
+    n = rule.N + 1
+    return w, c, c_wab, wa, (tuple(map(tuple, parts[:n])), tuple(map(tuple, parts[n:])))
 
 
 def _sum_rows(terms: np.ndarray, sym: np.ndarray, n: int) -> np.ndarray:
+    # terms is (nodes, points); numpy reduces a non-innermost axis from +0.0,
+    # adding node after node as the scalar loop does.  A lone column would
+    # be summed pairwise, so it is accumulated instead; + 0.0 gives its sum
+    # the zero sign of a start at +0.0
+    blocks = terms.reshape(2, n + 1, -1)
+    if blocks.shape[2] > 1:
+        sums = blocks.sum(axis=1)
+    else:
+        sums = np.add.accumulate(blocks, axis=1)[:, -1] + 0.0
     # conjugate-symmetric rows take twice the real part of the first block, so
     # their imaginary part is exactly 0; the other rows sum both blocks
-    blocks = terms.reshape(len(terms), 2, n + 1).sum(axis=2)
-    return np.where(sym, 2.0 * blocks[:, 0].real, blocks[:, 0] + blocks[:, 1])
+    return np.where(sym, 2.0 * sums[0].real, sums[0] + sums[1])
 
 
 def _plain_values(z: np.ndarray, alpha: float, beta: float, rule: QuadratureRule) -> np.ndarray:
-    _, _, c_wab, wa = _node_factors(rule, alpha, beta)
-    return _sum_rows(c_wab / (wa - z[:, None]), z.imag == 0.0, rule.N)
+    _, _, c_wab, wa, _ = _node_factors(rule, alpha, beta)
+    return _sum_rows(c_wab / (wa - z), z.imag == 0.0, rule.N)
 
 
 def _pole_split_values(z: np.ndarray, alpha: float, beta: float, rule: QuadratureRule) -> np.ndarray:
-    w, c, c_wab, wa = _node_factors(rule, alpha, beta)
+    w, c, c_wab, wa, _ = _node_factors(rule, alpha, beta)
     log_gamma = np.log(z) / alpha
     gamma = np.exp(log_gamma)
     log_pole = (1.0 - beta) * log_gamma - math.log(alpha)  # log(gamma**(1-beta)/alpha)
-    dw = w - gamma[:, None]
-    terms = c_wab / (wa - z[:, None]) - c * (np.exp(log_pole)[:, None] / dw)
+    dw = w - gamma
+    terms = c_wab / (wa - z)
+    # c * (pole/dw) in real arithmetic: numpy's complex product may be fused
+    # (FMA), which Python floats cannot repeat
+    q = np.exp(log_pole) / dw
+    terms.real -= c.real * q.real - c.imag * q.imag
+    terms.imag -= c.real * q.imag + c.imag * q.real
     # the integrand is conjugate-symmetric only for gamma on the positive real
     # axis: gamma**(1-beta) is complex elsewhere, even for real z < 0
     sym = log_gamma.imag == 0.0
     # near the pole the difference cancels: f_one's psi form takes over
     # (symmetric rows never read the second block)
-    for i, j in zip(*np.nonzero(np.abs(dw / gamma[:, None]) < EPS_SWITCH)):
+    near = dw.real * dw.real + dw.imag * dw.imag < _EPS_SWITCH_SQ * (
+        gamma.real * gamma.real + gamma.imag * gamma.imag
+    )
+    for j, i in zip(*np.nonzero(near)):
         if j <= rule.N or not sym[i]:
-            terms[i, j] = c[j] * f_one(complex(w[j]), complex(z[i]), alpha, beta, complex(gamma[i]))
+            cj = complex(c[j, 0])
+            f = f_one(complex(w[j, 0]), complex(z[i]), alpha, beta, complex(gamma[i]))
+            terms[j, i] = complex(*_mul(cj.real, cj.imag, f.real, f.imag))
     residue = np.exp(log_pole + gamma)
     # real rows add the real part alone: inf*0 would make the imaginary part NaN
     values = np.where(sym, residue.real, residue) + _sum_rows(terms, sym, rule.N)
@@ -199,29 +226,38 @@ def _pole_split_values(z: np.ndarray, alpha: float, beta: float, rule: Quadratur
     return np.where(z == 0.0, complex(math.nan, math.nan), values)
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha <= 1.0:
+        raise DomainError(f"alpha={alpha!r} outside (0, 1]")
+
+
 def ml_quad_values(z: ArrayLike, alpha: float, beta: float, rule: QuadratureRule) -> np.ndarray:
     """E[alpha, beta] at every entry of the array z by contour quadrature.
 
-    alpha in (0, 1].  Returns a complex array of z's shape.  Each row of
-    the (points x nodes) integrand is summed on its own, so a value does
-    not depend on the other points in the batch.  Outside the sector
-    |Arg z| <= alpha*pi the plain integrand is summed; inside it the pole
-    at gamma = z**(1/alpha) is split off and its residue added in closed
-    form.  z = 0 yields NaN (callers should route z = 0 to the series).
-    Overflow gives inf parts and raises no warning.
+    alpha in (0, 1].  Returns a complex array of z's shape.  Each column of
+    the (nodes x points) integrand is summed on its own, node after node,
+    so a value does not depend on the other points in the batch and equals
+    ml_quad's bit for bit.  Outside the sector |Arg z| <= alpha*pi the plain
+    integrand is summed; inside it the pole at gamma = z**(1/alpha) is
+    split off and its residue added in closed form.  z = 0 yields NaN
+    (callers should route z = 0 to the series); an entry with a NaN or
+    infinite part raises DomainError.  Overflow gives inf parts and raises
+    no warning.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"alpha={alpha!r} outside (0, 1]")
+    _check_alpha(alpha)
     # + 0.0 copies z and turns a -0.0 imaginary part into +0.0: the negative
     # real axis is read from above, as in principal_arg
     z = np.asarray(z, dtype=np.complex128) + 0.0
     flat = z.reshape(-1)
-    # every product and quotient in the helpers has a broadcast operand, so
-    # numpy runs it row by row and a row's bits do not depend on the batch
+    if not np.isfinite(flat).all():
+        raise DomainError("z has an entry with a NaN or infinite part")
+    # every product and quotient in the helpers is elementwise and has no
+    # complex product left to fuse, so a column's bits do not depend on the
+    # batch
     with np.errstate(all="ignore"):
         split = np.abs(np.arctan2(flat.imag, flat.real)) <= alpha * math.pi
         n_split = np.count_nonzero(split)
-        # one-sided batches, every batch of one among them, skip the index copies
+        # one-sided batches skip the index copies
         if n_split == 0:
             out = _plain_values(flat, alpha, beta, rule)
         elif n_split == len(flat):
@@ -233,15 +269,148 @@ def ml_quad_values(z: ArrayLike, alpha: float, beta: float, rule: QuadratureRule
     return out.reshape(z.shape)
 
 
+def _div(ar: float, ai: float, br: float, bi: float) -> tuple[float, float]:
+    # numpy's complex quotient (Smith's method), repeated in floats: CPython's
+    # complex / rounds differently.  A zero divisor raises ZeroDivisionError,
+    # where numpy gives inf or NaN
+    if abs(br) >= abs(bi):
+        rat = bi / br
+        scl = 1.0 / (br + bi * rat)
+        return (ar + ai * rat) * scl, (ai - ar * rat) * scl
+    rat = br / bi
+    scl = 1.0 / (bi + br * rat)
+    return (ar * rat + ai) * scl, (ai * rat - ar) * scl
+
+
+def _mul(ar: float, ai: float, br: float, bi: float) -> tuple[float, float]:
+    # the complex product, unfused
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _plain_sum(block: tuple, zr: float, zi: float) -> tuple[float, float]:
+    # one block of a _plain_values column, node after node from +0.0; the
+    # quotient is _div's, written out because this is ml_quad's hot loop
+    sr = si = 0.0
+    for _, _, _, _, ar, ai, br, bi in block:
+        br -= zr
+        bi -= zi
+        if abs(br) >= abs(bi):
+            rat = bi / br
+            scl = 1.0 / (br + bi * rat)
+            sr += (ar + ai * rat) * scl
+            si += (ai - ar * rat) * scl
+        else:
+            rat = br / bi
+            scl = 1.0 / (bi + br * rat)
+            sr += (ar * rat + ai) * scl
+            si += (ai * rat - ar) * scl
+    return sr, si
+
+
+def _split_sum(
+    block: tuple, z: complex, alpha: float, beta: float, gamma: complex, pole: complex
+) -> tuple[float, float]:
+    # one block of a _pole_split_values column, node after node from +0.0;
+    # both quotients are _div's, written out as in _plain_sum
+    zr, zi = z.real, z.imag
+    gr, gi = gamma.real, gamma.imag
+    pr, pi = pole.real, pole.imag
+    near = _EPS_SWITCH_SQ * (gr * gr + gi * gi)
+    sr = si = 0.0
+    for wr, wi, cr, ci, ar, ai, br, bi in block:
+        dr = wr - gr
+        di = wi - gi
+        if dr * dr + di * di < near:
+            f = f_one(complex(wr, wi), z, alpha, beta, gamma)
+            tr, ti = _mul(cr, ci, f.real, f.imag)
+        else:
+            if abs(dr) >= abs(di):
+                rat = di / dr
+                scl = 1.0 / (dr + di * rat)
+                qr = (pr + pi * rat) * scl
+                qi = (pi - pr * rat) * scl
+            else:
+                rat = dr / di
+                scl = 1.0 / (di + dr * rat)
+                qr = (pr * rat + pi) * scl
+                qi = (pi * rat - pr) * scl
+            br -= zr
+            bi -= zi
+            if abs(br) >= abs(bi):
+                rat = bi / br
+                scl = 1.0 / (br + bi * rat)
+                tr = (ar + ai * rat) * scl - (cr * qr - ci * qi)
+                ti = (ai - ar * rat) * scl - (cr * qi + ci * qr)
+            else:
+                rat = br / bi
+                scl = 1.0 / (bi + br * rat)
+                tr = (ar * rat + ai) * scl - (cr * qr - ci * qi)
+                ti = (ai * rat - ar) * scl - (cr * qi + ci * qr)
+        sr += tr
+        si += ti
+    return sr, si
+
+
+def _row_total(sums: list[tuple[float, float]], sym: bool) -> complex:
+    # _sum_rows's last step, for one point
+    if sym:
+        return complex(2.0 * sums[0][0], 0.0)
+    (ar, ai), (br, bi) = sums
+    return complex(ar + br, ai + bi)
+
+
+def _quad_row(z: complex, alpha: float, beta: float, rule: QuadratureRule) -> complex:
+    """ml_quad_values at one finite z, bit for bit, as a loop over floats.
+
+    The engine's operations in the engine's order: quotients as _div,
+    products as _mul, exp and log on numpy scalars.
+    """
+    z = complex(z.real + 0.0, z.imag + 0.0)
+    if z == 0.0:
+        return complex(math.nan, math.nan)
+    blocks = _node_factors(rule, alpha, beta)[4]
+    edge = alpha * math.pi
+    arg = abs(math.atan2(z.imag, z.real))
+    if abs(arg - edge) < 1e-12:
+        # numpy's arctan2 may be a SIMD one that rounds an ulp apart from
+        # math.atan2: at the sector edge, take the engine's
+        arg = abs(float(np.arctan2(z.imag, z.real)))
+    if arg > edge:
+        sym = z.imag == 0.0
+        return _row_total([_plain_sum(b, z.real, z.imag) for b in blocks[: 1 if sym else 2]], sym)
+    with np.errstate(all="ignore"):
+        log_z = complex(np.log(z))
+        log_gamma = complex(*_div(log_z.real, log_z.imag, alpha, 0.0))
+        gamma = complex(np.exp(log_gamma))
+        lpr, lpi = _mul(1.0 - beta, 0.0, log_gamma.real, log_gamma.imag)
+        log_pole = complex(lpr - math.log(alpha), lpi)
+        pole = complex(np.exp(log_pole))
+        residue = complex(np.exp(log_pole + gamma))
+    sym = log_gamma.imag == 0.0
+    total = _row_total(
+        [_split_sum(b, z, alpha, beta, gamma, pole) for b in blocks[: 1 if sym else 2]], sym
+    )
+    if sym:
+        return complex(residue.real + total.real, 0.0)
+    return residue + total
+
+
 def ml_quad(z: complex, alpha: float, beta: float, rule: QuadratureRule) -> EvalResult:
     """E[alpha, beta](z) by contour quadrature, alpha in (0, 1].
 
-    A batch of one through ml_quad_values; the rule is reusable across z.
-    z = 0 yields a NaN value with converged False (callers should route
-    z = 0 to the series).  A NaN or infinite part of z raises DomainError.
+    A plain loop over the cached node factors that gives ml_quad_values's
+    bits at z; the rule is reusable across z.  z = 0 yields a NaN value
+    with converged False (callers should route z = 0 to the series).  A
+    NaN or infinite part of z raises DomainError.
     """
     z = finite_complex(z)
-    value = complex(ml_quad_values(np.array([z]), alpha, beta, rule)[0])
+    _check_alpha(alpha)
+    try:
+        value = _quad_row(z, alpha, beta, rule)
+    except ZeroDivisionError:
+        # z equals some w_n**alpha exactly (at alpha = 5e-324, w_0**alpha is
+        # 1.0): the engine divides by zero as IEEE does
+        value = complex(ml_quad_values(z, alpha, beta, rule))
     err = math.nan if z == 0 else origin_accuracy(rule, beta)
     return EvalResult(value, _method_for(rule), 2 * rule.N + 1, err, z != 0)
 

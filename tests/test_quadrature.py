@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import Phase, example, given, settings
+from hypothesis import strategies as st
 
 from mittleff.contours import build_hyperbolic_rule, build_parabolic_rule
 from mittleff.exceptions import DomainError
@@ -200,6 +202,69 @@ class TestMlQuad:
             assert abs(direct - rational) <= 1e-13 * abs(direct)
 
 
+def _bits(v: complex) -> tuple:
+    # each part with its zero sign; every NaN alike
+    return tuple(
+        "nan" if math.isnan(x) else (x, math.copysign(1.0, x)) for x in (v.real, v.imag)
+    )
+
+
+_RULES = [build(n) for build in (build_hyperbolic_rule, build_parabolic_rule) for n in (4, 8, 14, 20)]
+
+
+@st.composite
+def _quad_cases(draw) -> tuple:
+    rule = draw(st.sampled_from(_RULES))
+    # hypothesis favours tiny floats, where most values are NaN: half the
+    # draws keep to alphas in use
+    alpha = draw(st.floats(0.05, 1.0) | st.floats(0.0, 1.0, exclude_min=True))
+    beta = draw(st.floats(-1.0, 6.0))
+    kind = draw(st.sampled_from(["edge", "axis", "near", "zero", "plane"]))
+    if kind == "edge":
+        # either side of |Arg z| = alpha*pi, above and below the real axis
+        off = draw(st.sampled_from([0.0, 1e-15, -1e-15]) | st.floats(-1e-6, 1e-6))
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        z = cmath.rect(draw(st.floats(1e-3, 1e2)), sign * (alpha * math.pi + off))
+    elif kind == "axis":
+        # large positive z overflows to inf
+        z = complex(draw(st.floats(-1e3, 1e3)), draw(st.sampled_from([0.0, -0.0])))
+    elif kind == "near":
+        # gamma = z**(1/alpha) within EPS_SWITCH of a node or a reflected node
+        w = draw(st.sampled_from(rule.nodes))
+        w = w.conjugate() if draw(st.booleans()) else w
+        eps = complex(draw(st.floats(-0.07, 0.07)), draw(st.floats(-0.07, 0.07)))
+        z = cpow_principal(w * (1.0 + eps), alpha)
+    elif kind == "zero":
+        z = complex(draw(st.sampled_from([0.0, -0.0])), draw(st.sampled_from([0.0, -0.0])))
+    else:
+        z = complex(draw(st.floats(-50.0, 50.0)), draw(st.floats(-50.0, 50.0)))
+    return rule, alpha, beta, z
+
+
+@settings(
+    derandomize=True,
+    max_examples=500,
+    database=None,
+    deadline=None,
+    phases=[Phase.explicit, Phase.generate, Phase.shrink],
+)
+@given(case=_quad_cases())
+@example(case=(HYP14, 0.5, 1.0, complex(1e3, 0.0)))
+@example(case=(PAR14, 0.3, 2.5, complex(1e3, 1.0)))
+# w_0**alpha rounds to 1.0 here, so z = 1 divides by zero
+@example(case=(_RULES[0], 5e-324, 0.0, complex(1.0)))
+def test_scalar_loop_matches_engine_bitwise(case: tuple) -> None:
+    # ml_quad's float loop against the numpy engine on a lone column (a batch
+    # of one) and on a wider block, with overflow kept silent
+    rule, alpha, beta, z = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        one = ml_quad(z, alpha, beta, rule).value
+        lone = complex(ml_quad_values(z, alpha, beta, rule))
+        wide = complex(ml_quad_values([z, z], alpha, beta, rule)[0])
+    assert _bits(one) == _bits(lone) == _bits(wide)
+
+
 def _same_bits(a: complex, b: complex) -> bool:
     if math.isnan(a.real) or math.isnan(b.real):
         return math.isnan(a.real) and math.isnan(b.real)
@@ -233,6 +298,15 @@ class TestEngine:
         up, dn = ml_quad_values([complex(-3.0, 0.0), complex(-3.0, -0.0)], 1.0, 1.0, HYP14)
         assert up == dn
         assert abs(up - math.exp(-3.0)) <= 1e-13
+
+    def test_nonfinite_entries_rejected(self) -> None:
+        # NaN, -inf and an infinite imaginary part came back as nan, 0 and nan
+        # with no error
+        with pytest.raises(DomainError):
+            ml_quad_values([math.nan, -math.inf, complex(0.0, math.inf)], 0.5, 1.0, HYP14)
+        for bad in (math.nan, -math.inf, complex(0.0, math.inf)):
+            with pytest.raises(DomainError):
+                ml_quad_values([1.0, bad], 0.5, 1.0, HYP14)
 
     def test_overflow_is_inf_without_warning(self) -> None:
         with warnings.catch_warnings():
