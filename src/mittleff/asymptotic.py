@@ -23,6 +23,7 @@ from .kernels import cexp, finite_complex, principal_arg
 
 INF = math.inf
 TABLE_BLOCK = 32
+FLOOR_TERMS = 8 * TABLE_BLOCK  # log_r_floor scans at most eight coefficient blocks
 
 
 @dataclass(frozen=True)
@@ -68,6 +69,30 @@ def _sigma_tau_block(alpha: float, beta: float, block: int) -> tuple[tuple[float
     return tuple(rows)
 
 
+@functools.lru_cache(maxsize=256)
+def log_r_floor(alpha: float, beta: float, tol: float) -> float:
+    """A lower bound on the log|z| at which ml_asymptotic can converge.
+
+    Term n is reached iff log|z| >= alpha*(log n + log alpha), and it meets
+    the stopping rule iff log|z| > (log size_n - log tol)/n.  The bound is
+    the least over n of the larger of the two.  The reach grows with n, so
+    the scan ends once it passes the least value found; it also ends at
+    n = FLOOR_TERMS, whose reach then caps the bound, since as alpha -> 0
+    the scan would grow without bound and evict the coefficient blocks the
+    expansion reads.
+    """
+    log_alpha = math.log(alpha)
+    log_tol = math.log(tol)
+    floor = alpha * (math.log(FLOOR_TERMS) + log_alpha)
+    for n in range(1, FLOOR_TERMS):
+        reach = alpha * (math.log(n) + log_alpha)
+        if reach >= floor:
+            break
+        log_size = _sigma_tau_block(alpha, beta, n // TABLE_BLOCK)[n % TABLE_BLOCK][2]
+        floor = min(floor, max(reach, (log_size - log_tol) / n))
+    return floor
+
+
 def ml_asymptotic(z: complex, alpha: float, beta: float, tol: float) -> AsymptoticResult:
     """Asymptotic value of E[alpha, beta](z) for large |z|, alpha in (0, 1]."""
     if not 0.0 < alpha <= 1.0:
@@ -85,7 +110,10 @@ def ml_asymptotic(z: complex, alpha: float, beta: float, tol: float) -> Asymptot
     log_n_max = ln_r / alpha - math.log(alpha)
     log_tol = math.log(tol)
 
-    acc = 0.0j
+    # a real z has theta 0 or pi, where rect(1, -n*theta) is exactly (+-1, ~0):
+    # it is summed in floats, the complex loop's real part bit for bit
+    real = z.imag == 0.0
+    acc = 0.0 if real else 0.0j
     n = 1
     t_last = INF
     m = 1
@@ -100,7 +128,10 @@ def ml_asymptotic(z: complex, alpha: float, beta: float, tol: float) -> Asymptot
         sigma, log_tau, log_size = coeffs[n % TABLE_BLOCK]
         log_t = log_tau - n * ln_r
         t = math.exp(log_t) if log_t < 709.0 else INF
-        acc += sigma * t * cmath.rect(1.0, -n * theta)
+        if real:
+            acc += sigma * t if theta == 0.0 or n % 2 == 0 else -(sigma * t)
+        else:
+            acc += sigma * t * cmath.rect(1.0, -n * theta)
         if log_size != log_tau:
             log_t = log_size - n * ln_r
             t = math.exp(log_t) if log_t < 709.0 else INF
@@ -111,7 +142,7 @@ def ml_asymptotic(z: complex, alpha: float, beta: float, tol: float) -> Asymptot
             break
         n += 1
 
-    value = -acc
+    value = complex(-acc)
     if abs(theta) <= alpha * math.pi:
         lnz = cmath.log(z)
         g = cexp(lnz / alpha)  # z**(1/alpha)

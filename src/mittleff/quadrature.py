@@ -9,9 +9,11 @@ added back in closed form.  The node factors of the integrand do not
 depend on z, so they are cached per (rule, alpha, beta): ml_quad_values
 sums many z at once in numpy, and the scalar ml_quad runs a plain loop
 over the same factors as floats.  The loop repeats the engine's
-operations in the engine's order, so both give the same bits.  A separate
-entry point handles the negative real axis for 1 < alpha < 2, where a
-conjugate pair of poles must be split off (two-pole integrand f_2).
+operations in the engine's order, so both give the same bits.  On the
+negative real axis with 1 < alpha <= 2 a conjugate pair of poles must be
+split off (two-pole integrand f_2): two_pole_row sums it as floats over
+the cached factors, and ml_quad_neg_axis_wide_alpha, through q_sum, is
+its reference.
 """
 
 from __future__ import annotations
@@ -413,6 +415,50 @@ def ml_quad(z: complex, alpha: float, beta: float, rule: QuadratureRule) -> Eval
         value = complex(ml_quad_values(z, alpha, beta, rule))
     err = math.nan if z == 0 else origin_accuracy(rule, beta)
     return EvalResult(value, _method_for(rule), 2 * rule.N + 1, err, z != 0)
+
+
+def two_pole_row(x: float, alpha: float, beta: float, rule: QuadratureRule) -> float:
+    """E[alpha, beta](-x) for x > 0 and 1 < alpha <= 2, as a loop over floats.
+
+    ml_quad_neg_axis_wide_alpha's sum over the cached node factors: the
+    first block holds node 0 at half weight, so the value is the residue
+    pair plus twice the real part of the block's sum of C_n f_2(w_n).  Off
+    the poles the term is Re[c_wab/(wa + x)] minus the real part of
+    c*(P/(w - gamma_+) + conj(P)/(w - gamma_-)), P = gamma_+**(1-beta)/alpha;
+    within EPS_SWITCH*|gamma| of a pole the psi form takes over.
+    """
+    rho = x ** (1.0 / alpha)
+    ang = math.pi / alpha
+    gr, gi = rho * math.cos(ang), rho * math.sin(ang)
+    # x**((1-beta)/alpha) = |gamma**(1-beta)|; cos(pi/alpha) <= 0, so exp never overflows
+    mag = x ** ((1.0 - beta) / alpha)
+    residue_pair = (2.0 / alpha) * mag * math.exp(gr) * math.cos((1.0 - beta) * ang + gi)
+    pr = mag / alpha * math.cos((1.0 - beta) * ang)
+    pi = mag / alpha * math.sin((1.0 - beta) * ang)
+    near = _EPS_SWITCH_SQ * rho * rho
+    s = 0.0
+    for wr, wi, cr, ci, ar, ai, br, bi in _node_factors(rule, alpha, beta)[4][0]:
+        # w - gamma_+ = dr + i*di, w - gamma_- = dr + i*ei
+        dr = wr - gr
+        di = wi - gi
+        ei = wi + gi
+        d2 = dr * dr + di * di
+        e2 = dr * dr + ei * ei
+        if d2 < near or e2 < near:
+            gp, gm = complex(gr, gi), complex(gr, -gi)
+            w = complex(wr, wi)
+            if d2 < near:
+                f = _f_pair_near(w, alpha, beta, gp, gm, (w - gp) / gp)
+            else:
+                f = _f_pair_near(w, alpha, beta, gm, gp, (w - gm) / gm)
+            s += cr * f.real - ci * f.imag
+            continue
+        br += x
+        # P/(w - gamma_+) + conj(P)/(w - gamma_-)
+        qr = (pr * dr + pi * di) / d2 + (pr * dr - pi * ei) / e2
+        qi = (pi * dr - pr * di) / d2 - (pi * dr + pr * ei) / e2
+        s += (ar * br + ai * bi) / (br * br + bi * bi) - (cr * qr - ci * qi)
+    return residue_pair + 2.0 * s
 
 
 def ml_quad_neg_axis_wide_alpha(

@@ -70,8 +70,12 @@ def ml_series(
     n_reflect = 1
     while n_reflect <= max_terms and beta + n_reflect * alpha < 0.5:
         n_reflect += 1
-    acc = 0.0j
-    zp = 1.0 + 0.0j  # z**n
+    if z.imag == 0.0:
+        # summed in floats: the complex loop's real part bit for bit, and an
+        # imaginary part of exactly 0
+        z = z.real
+    acc = 0.0
+    zp = 1.0  # z**n
     n = 0
     for block in itertools.count():
         for rg in _rgamma_block(alpha, beta, block):
@@ -82,9 +86,9 @@ def ml_series(
                 else:
                     size = abs(zp) * gamma_real(1.0 - (beta + n * alpha)) / math.pi
                 if size <= tol * abs(acc):
-                    return SeriesResult(acc, n, size, True)
+                    return SeriesResult(complex(acc), n, size, True)
                 if n >= max_terms:
-                    return SeriesResult(acc, n, size, False)
+                    return SeriesResult(complex(acc), n, size, False)
             acc += term
             zp *= z
             n += 1

@@ -19,7 +19,7 @@ from mittleff.dispatch import (
 )
 from mittleff.exceptions import DomainError
 from mittleff.kernels import reciprocal_gamma
-from mittleff.quadrature import Method, ml_quad, ml_quad_neg_axis_wide_alpha
+from mittleff.quadrature import Method, ml_quad, ml_quad_neg_axis_wide_alpha, origin_accuracy
 from mittleff.series import ml_series
 
 HYP14 = build_hyperbolic_rule(14)
@@ -192,7 +192,6 @@ class TestConjugatePairs:
     @pytest.mark.parametrize(
         "z, alpha, calls, real_points",
         [
-            (-4.2, 1.5, 1, 0),
             (-4.2, 2.5, 2, 1),
             (4.2, 1.5, 2, 2),
             (4.2, 2.5, 2, 1),
@@ -218,6 +217,22 @@ class TestConjugatePairs:
         if real_points is not None:
             # the self-conjugate sub-points +-|z|**(1/m) are built exactly real
             assert sum(w.imag == 0.0 for w, _ in made) == real_points
+
+    def test_negative_axis_pair_takes_the_two_pole_row(self, monkeypatch) -> None:
+        # 1 < alpha <= 2, z < 0: the one pair at i*sqrt(4.2) would go to
+        # quadrature, so E(-4.2) is summed with both poles split off instead
+        low = dispatch._ml_auto_low
+        pair = low(cmath.rect(4.2**0.5, math.pi / 2), 0.75, 1.0, DEFAULT_TOL)
+        assert pair.method is Method.QUAD_HYPERBOLIC
+        made = []
+        monkeypatch.setattr(dispatch, "_ml_auto_low", lambda *args: made.append(args) or low(*args))
+        res = ml_auto(-4.2, 1.5, 1.0)
+        assert made == []
+        assert res.method is Method.REDUCTION
+        assert res.nodes_or_terms == 29
+        assert res.err_estimate == origin_accuracy(HYP14, 1.0)
+        assert res.value.imag == 0.0
+        assert abs(res.value.real - pair.value.real) <= 1e-13
 
 
 class TestClosedForms:

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import warnings
 
@@ -22,6 +23,7 @@ from mittleff.quadrature import (
     ml_quad_values,
     origin_accuracy,
     q_sum,
+    two_pole_row,
 )
 
 HYP14 = build_hyperbolic_rule(14)
@@ -357,6 +359,47 @@ class TestTwoPole:
         want = at_pole + partner
         got = _f_two(gp * (1.0 + 1e-12), x, alpha, beta, gp, gm)
         assert abs(got - want) <= 1e-10 * abs(want)
+
+    @settings(
+        derandomize=True,
+        max_examples=300,
+        database=None,
+        deadline=None,
+        phases=[Phase.explicit, Phase.generate, Phase.shrink],
+    )
+    @given(
+        x=st.floats(1.0, 1e3),
+        alpha=st.floats(1.0, 2.0, exclude_min=True, exclude_max=True),
+        beta=st.floats(0.2, 2.0),
+    )
+    def test_float_row_matches_reference(self, x: float, alpha: float, beta: float) -> None:
+        # the q_sum version is the independent reference for the float loop
+        ref = ml_quad_neg_axis_wide_alpha(x, alpha, beta, HYP14).value
+        assert ref.imag == 0.0
+        assert abs(two_pole_row(x, alpha, beta, HYP14) - ref.real) <= 1e-13 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("x", [1.0, 2.0, 17.3, 250.0, 1e3])
+    def test_float_row_at_alpha_two_is_cos_sqrt(self, x: float) -> None:
+        assert abs(two_pole_row(x, 2.0, 1.0, HYP14) - math.cos(math.sqrt(x))) <= 1e-13
+
+    @pytest.mark.parametrize("offset", [1e-6, 0.03 + 0.04j, -0.09, 0.099])
+    @pytest.mark.parametrize("k", [6, 9, 14])
+    def test_float_row_near_a_node(self, k: int, offset: complex) -> None:
+        # gamma_+ within EPS_SWITCH of node k, where the psi form takes over
+        gp = HYP14.nodes[k] * (1.0 + offset)
+        alpha = math.pi / cmath.phase(gp)
+        x = abs(gp) ** alpha
+        assert 1.0 < alpha < 2.0 and abs((HYP14.nodes[k] - gp) / gp) < EPS_SWITCH
+        ref = ml_quad_neg_axis_wide_alpha(x, alpha, 1.3, HYP14).value.real
+        got = two_pole_row(x, alpha, 1.3, HYP14)
+        assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref))
+        # the same rule with node k stored as its reflection conj(w_k): the
+        # node now sits next to gamma_-, and the symmetric sum is unchanged
+        def flip(seq: tuple) -> tuple:
+            return tuple(v.conjugate() if i == k else v for i, v in enumerate(seq))
+
+        mirrored = dataclasses.replace(HYP14, nodes=flip(HYP14.nodes), weights=flip(HYP14.weights))
+        assert abs(two_pole_row(x, alpha, 1.3, mirrored) - got) <= 1e-13 * max(1.0, abs(got))
 
     def test_partner_pole_term_vanishes_at_beta_one(self) -> None:
         alpha, x = 1.5, 2.0
