@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exceptions import DomainError
 from .kernels import cexp, finite_complex, principal_arg
@@ -26,8 +26,7 @@ TABLE_BLOCK = 32
 FLOOR_TERMS = 8 * TABLE_BLOCK  # log_r_floor scans at most eight coefficient blocks
 
 
-@dataclass(frozen=True)
-class AsymptoticResult:
+class AsymptoticResult(NamedTuple):
     value: complex
     m: int  # sum ran over n = 1 .. m-1
     err_estimate: float  # tau_[m-1] * |z|**-(m-1), size proxy of the last term

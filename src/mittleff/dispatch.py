@@ -40,6 +40,7 @@ R_SERIES = 1.0
 ASYMP_GATE = 40.0
 TOL_MIN = 1e-15
 TOL_MAX = 1e-2
+_LOG_ASYMP_GATE = math.log(ASYMP_GATE)
 
 
 @functools.lru_cache(maxsize=32)
@@ -100,7 +101,7 @@ def _series_or_expansion(z: complex, alpha: float, beta: float, tol: float) -> E
     if r <= R_SERIES:
         method = Method.SERIES
     elif (
-        math.log(r) / alpha - math.log(alpha) > math.log(ASYMP_GATE)
+        math.log(r) / alpha - math.log(alpha) > _LOG_ASYMP_GATE
         # below the floor the expansion cannot meet its stopping rule; the
         # margin covers rounding in the expansion's own tests
         and math.log(r) >= log_r_floor(alpha, beta, tol) - 1e-9

@@ -9,20 +9,22 @@ added back in closed form.  The node factors of the integrand do not
 depend on z, so they are cached per (rule, alpha, beta): ml_quad_values
 sums many z at once in numpy, and the scalar ml_quad runs a plain loop
 over the same factors as floats.  The loop repeats the engine's
-operations in the engine's order, so both give the same bits.  On the
-negative real axis with 1 < alpha <= 2 a conjugate pair of poles must be
-split off (two-pole integrand f_2): two_pole_row sums it as floats over
-the cached factors, and ml_quad_neg_axis_wide_alpha, through q_sum, is
-its reference.
+operations in the engine's order, so both give the same bits.  At
+alpha = 1 a real z < 0 puts the pole gamma = z on the branch cut: the
+edge row splits it off with the real part of its residue weight, which
+makes the summand conjugate-symmetric, and sums one block of nodes as
+floats (both paths run this one loop).  On the negative real axis with
+1 < alpha <= 2 a conjugate pair of poles must be split off (two-pole
+integrand f_2): two_pole_row sums it as floats over the cached factors,
+and ml_quad_neg_axis_wide_alpha, through q_sum, is its reference.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -52,8 +54,7 @@ class Method(str, Enum):
     REDUCTION = "reduction"
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(NamedTuple):
     value: complex
     method: Method
     nodes_or_terms: int
@@ -152,7 +153,7 @@ def origin_accuracy(rule: QuadratureRule, beta: float) -> float:
 @functools.lru_cache(maxsize=64)
 def _node_factors(
     rule: QuadratureRule, alpha: float, beta: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple, float]:
     """The z-independent factors w_n, A*C_n, A*C_n*w_n**(alpha-beta), w_n**alpha.
 
     Each is a column of 2N+2 nodes in two blocks of N+1: the nodes
@@ -160,8 +161,10 @@ def _node_factors(
     both blocks hold node 0, each with half its weight: the first block's
     sum is then half the sum over n = -N..N of a conjugate-symmetric
     integrand.  Powers are principal-branch exp(a*log w), as in
-    cpow_principal.  The last item holds the same factors as floats for
-    the scalar loop: per block, one tuple (re, im of each factor) per node.
+    cpow_principal, except w_n**1 = w_n: exp(log w) rounds.  The fifth
+    item holds the same factors as floats for the scalar loop: per block,
+    one tuple (re, im of each factor) per node.  The last is the rule's
+    origin_accuracy at beta, None where it overflows.
     """
     nodes = np.array(rule.nodes)
     weights = rule.A * np.array(rule.weights)
@@ -170,10 +173,17 @@ def _node_factors(
     c = np.concatenate([weights, weights.conj()])[:, None]
     log_w = np.log(w)
     c_wab = c * np.exp((alpha - beta) * log_w)
-    wa = np.exp(alpha * log_w)
+    wa = w if alpha == 1.0 else np.exp(alpha * log_w)
     parts = np.concatenate([w, c, c_wab, wa], axis=1).view(np.float64).tolist()
     n = rule.N + 1
-    return w, c, c_wab, wa, (tuple(map(tuple, parts[:n])), tuple(map(tuple, parts[n:])))
+    blocks = (tuple(map(tuple, parts[:n])), tuple(map(tuple, parts[n:])))
+    try:
+        err = origin_accuracy(rule, beta)
+    except OverflowError:
+        # w**-beta overflows (beta below about -180): the engine does not
+        # need the accuracy, and ml_quad raises when it asks for it
+        err = None
+    return w, c, c_wab, wa, blocks, err
 
 
 def _sum_rows(terms: np.ndarray, sym: np.ndarray, n: int) -> np.ndarray:
@@ -192,12 +202,12 @@ def _sum_rows(terms: np.ndarray, sym: np.ndarray, n: int) -> np.ndarray:
 
 
 def _plain_values(z: np.ndarray, alpha: float, beta: float, rule: QuadratureRule) -> np.ndarray:
-    _, _, c_wab, wa, _ = _node_factors(rule, alpha, beta)
+    _, _, c_wab, wa, _, _ = _node_factors(rule, alpha, beta)
     return _sum_rows(c_wab / (wa - z), z.imag == 0.0, rule.N)
 
 
 def _pole_split_values(z: np.ndarray, alpha: float, beta: float, rule: QuadratureRule) -> np.ndarray:
-    w, c, c_wab, wa, _ = _node_factors(rule, alpha, beta)
+    w, c, c_wab, wa, _, _ = _node_factors(rule, alpha, beta)
     log_gamma = np.log(z) / alpha
     gamma = np.exp(log_gamma)
     log_pole = (1.0 - beta) * log_gamma - math.log(alpha)  # log(gamma**(1-beta)/alpha)
@@ -209,7 +219,8 @@ def _pole_split_values(z: np.ndarray, alpha: float, beta: float, rule: Quadratur
     terms.real -= c.real * q.real - c.imag * q.imag
     terms.imag -= c.real * q.imag + c.imag * q.real
     # the integrand is conjugate-symmetric only for gamma on the positive real
-    # axis: gamma**(1-beta) is complex elsewhere, even for real z < 0
+    # axis: gamma**(1-beta) is complex elsewhere (real z < 0 at alpha = 1
+    # takes the edge row)
     sym = log_gamma.imag == 0.0
     # near the pole the difference cancels: f_one's psi form takes over
     # (symmetric rows never read the second block)
@@ -241,7 +252,8 @@ def ml_quad_values(z: ArrayLike, alpha: float, beta: float, rule: QuadratureRule
     so a value does not depend on the other points in the batch and equals
     ml_quad's bit for bit.  Outside the sector |Arg z| <= alpha*pi the plain
     integrand is summed; inside it the pole at gamma = z**(1/alpha) is
-    split off and its residue added in closed form.  z = 0 yields NaN
+    split off and its residue added in closed form.  At alpha = 1 a real
+    z < 0 takes ml_quad's edge row, which is exactly real.  z = 0 yields NaN
     (callers should route z = 0 to the series); an entry with a NaN or
     infinite part raises DomainError.  Overflow gives inf parts and raises
     no warning.
@@ -258,16 +270,26 @@ def ml_quad_values(z: ArrayLike, alpha: float, beta: float, rule: QuadratureRule
     # batch
     with np.errstate(all="ignore"):
         split = np.abs(np.arctan2(flat.imag, flat.real)) <= alpha * math.pi
+        edge = None
+        if alpha == 1.0:
+            # the pole on the cut: these points take the float loop's edge row
+            edge = (flat.imag == 0.0) & (flat.real < 0.0)
+            split &= ~edge
         n_split = np.count_nonzero(split)
         # one-sided batches skip the index copies
-        if n_split == 0:
+        if edge is None and n_split == 0:
             out = _plain_values(flat, alpha, beta, rule)
         elif n_split == len(flat):
             out = _pole_split_values(flat, alpha, beta, rule)
         else:
             out = np.empty_like(flat)
+            plain = ~split
+            if edge is not None:
+                plain &= ~edge
+                block = _node_factors(rule, alpha, beta)[4][0]
+                out[edge] = [_edge_row(-zr, beta, block) for zr in flat[edge].real.tolist()]
             out[split] = _pole_split_values(flat[split], alpha, beta, rule)
-            out[~split] = _plain_values(flat[~split], alpha, beta, rule)
+            out[plain] = _plain_values(flat[plain], alpha, beta, rule)
     return out.reshape(z.shape)
 
 
@@ -361,16 +383,59 @@ def _row_total(sums: list[tuple[float, float]], sym: bool) -> complex:
     return complex(ar + br, ai + bi)
 
 
-def _quad_row(z: complex, alpha: float, beta: float, rule: QuadratureRule) -> complex:
+def _edge_row(x: float, beta: float, block: tuple) -> float:
+    """E[1, beta](-x) for x > 0 from the first block of node factors at alpha = 1.
+
+    The pole gamma = -x lies on the branch cut, where its weight P =
+    gamma**(1-beta) is read from above.  For any constant Q, Q*e**gamma +
+    sum C_n (f(w_n) - Q/(w_n - gamma)) approximates the same integral, and
+    Q = Re P makes the summand conjugate-symmetric.  With w**1 = w both
+    quotients share w + x: the row is Re P * e**-x plus twice the sum of
+    Re[(c_wab - Re P * c)/(w + x)], the real part in Smith form (|w + x|**2
+    overflows from x ~ 1e154 on).  Within EPS_SWITCH*x of gamma the term
+    is f_one plus i*Im P/(w + x).
+    """
+    # P = x**(1-beta) * e**(i*ang); |P| and |P|*e**-x are inf where they
+    # overflow (P alone may overflow where P*e**-x does not)
+    log_mag = (1.0 - beta) * math.log(x)
+    ang = (1.0 - beta) * math.pi
+    mag = math.exp(log_mag) if log_mag < 709.0 else math.inf
+    res = math.exp(log_mag - x) if log_mag - x < 709.0 else math.inf
+    pr = mag * math.cos(ang)
+    near = _EPS_SWITCH_SQ * x * x
+    s = 0.0
+    for wr, wi, cr, ci, ar, ai, _, _ in block:
+        br = wr + x
+        if br * br + wi * wi < near:
+            w = complex(wr, wi)
+            # f_one subtracts P/(w - gamma): add back i*Im P/(w + x)
+            f = f_one(w, complex(-x), 1.0, beta, complex(-x))
+            f += complex(0.0, mag * math.sin(ang)) / (w + x)
+            s += cr * f.real - ci * f.imag
+            continue
+        ar -= pr * cr
+        ai -= pr * ci
+        if abs(br) >= abs(wi):
+            rat = wi / br
+            s += (ar + ai * rat) / (br + wi * rat)
+        else:
+            rat = br / wi
+            s += (ar * rat + ai) / (wi + br * rat)
+    return res * math.cos(ang) + 2.0 * s
+
+
+def _quad_row(z: complex, alpha: float, beta: float, blocks: tuple) -> complex:
     """ml_quad_values at one finite z, bit for bit, as a loop over floats.
 
     The engine's operations in the engine's order: quotients as _div,
-    products as _mul, exp and log on numpy scalars.
+    products as _mul, exp and log on numpy scalars.  blocks are the
+    cached float factors of (rule, alpha, beta).
     """
     z = complex(z.real + 0.0, z.imag + 0.0)
     if z == 0.0:
         return complex(math.nan, math.nan)
-    blocks = _node_factors(rule, alpha, beta)[4]
+    if alpha == 1.0 and z.imag == 0.0 and z.real < 0.0:
+        return complex(_edge_row(-z.real, beta, blocks[0]))
     edge = alpha * math.pi
     arg = abs(math.atan2(z.imag, z.real))
     if abs(arg - edge) < 1e-12:
@@ -407,14 +472,16 @@ def ml_quad(z: complex, alpha: float, beta: float, rule: QuadratureRule) -> Eval
     """
     z = finite_complex(z)
     _check_alpha(alpha)
+    _, _, _, _, blocks, err = _node_factors(rule, alpha, beta)
+    if err is None:
+        err = origin_accuracy(rule, beta)  # raises its OverflowError
     try:
-        value = _quad_row(z, alpha, beta, rule)
+        value = _quad_row(z, alpha, beta, blocks)
     except ZeroDivisionError:
         # z equals some w_n**alpha exactly (at alpha = 5e-324, w_0**alpha is
         # 1.0): the engine divides by zero as IEEE does
         value = complex(ml_quad_values(z, alpha, beta, rule))
-    err = math.nan if z == 0 else origin_accuracy(rule, beta)
-    return EvalResult(value, _method_for(rule), 2 * rule.N + 1, err, z != 0)
+    return EvalResult(value, _method_for(rule), 2 * rule.N + 1, math.nan if z == 0 else err, z != 0)
 
 
 def two_pole_row(x: float, alpha: float, beta: float, rule: QuadratureRule) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exceptions import DomainError
 from .kernels import finite_complex, gamma_real, reciprocal_gamma
@@ -19,8 +19,7 @@ DEFAULT_MAX_TERMS = 250
 TABLE_BLOCK = 32
 
 
-@dataclass(frozen=True)
-class SeriesResult:
+class SeriesResult(NamedTuple):
     value: complex
     terms_used: int
     err_estimate: float  # magnitude of the first omitted term, enveloped left of x = 1/2

@@ -111,8 +111,12 @@ def test_conjugate_symmetry() -> None:
 def test_result_fields() -> None:
     res = ml_asymptotic(complex(-30.0), 0.5, 1.0, 1e-12)
     assert isinstance(res, AsymptoticResult)
+    assert res._fields == ("value", "m", "err_estimate", "converged")
     assert res.m >= 1
     assert res.err_estimate >= 0.0
+    assert hash(res) == hash(ml_asymptotic(complex(-30.0), 0.5, 1.0, 1e-12))
+    with pytest.raises(AttributeError):
+        res.value = 0j  # type: ignore[misc]
 
 
 class TestCoefficientTable:

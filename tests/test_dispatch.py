@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 from itertools import combinations
 
@@ -161,7 +160,7 @@ class TestConverged:
         def first_unconverged(*args):
             res = low(*args)
             calls.append(res)
-            return dataclasses.replace(res, converged=len(calls) > 1)
+            return res._replace(converged=len(calls) > 1)
 
         monkeypatch.setattr(dispatch, "_ml_auto_low", first_unconverged)
         res = ml_auto(complex(4.0, 3.0), 1.8, 0.9)

@@ -3,11 +3,13 @@ import dataclasses
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
+from mittleff import quadrature
 from mittleff.contours import build_hyperbolic_rule, build_parabolic_rule
 from mittleff.exceptions import DomainError
 from mittleff.kernels import cpow_principal, reciprocal_gamma
@@ -255,6 +257,12 @@ def _quad_cases(draw) -> tuple:
 @example(case=(PAR14, 0.3, 2.5, complex(1e3, 1.0)))
 # w_0**alpha rounds to 1.0 here, so z = 1 divides by zero
 @example(case=(_RULES[0], 5e-324, 0.0, complex(1.0)))
+# alpha = 1 on the negative axis: the pole on the cut, summed by the edge row
+@example(case=(HYP14, 1.0, 1.0, complex(-3.0)))
+@example(case=(PAR14, 1.0, 0.6, complex(-17.3, -0.0)))
+@example(case=(HYP14, 1.0, 2.5, complex(-0.02)))
+# the outermost node comes closest to the cut
+@example(case=(HYP14, 1.0, 1.3, complex(HYP14.nodes[-1].real)))
 def test_scalar_loop_matches_engine_bitwise(case: tuple) -> None:
     # ml_quad's float loop against the numpy engine on a lone column (a batch
     # of one) and on a wider block, with overflow kept silent
@@ -278,8 +286,9 @@ class TestEngine:
     @pytest.mark.parametrize("alpha,beta", [(0.5, 1.0), (0.8, 1.3), (1.0, 1.0)])
     def test_batch_matches_batch_of_one_bitwise(self, rule, alpha: float, beta: float) -> None:
         # both sides of the sector edge, the real axis (inside the sector for
-        # z > 0, outside for z < 0 unless alpha = 1), z = 0, and points whose
-        # pole gamma = z**(1/alpha) sits within EPS_SWITCH of a node
+        # z > 0, outside for z < 0 unless alpha = 1, where the edge row sums
+        # it), z = 0, and points whose pole gamma = z**(1/alpha) sits within
+        # EPS_SWITCH of a node
         grid = [complex(re, im) for re in np.linspace(-5, 3, 19) for im in np.linspace(-4, 4, 17)]
         near = [cpow_principal(w * (1.0 + 0.03j), alpha) for w in rule.nodes[:4]]
         for w, z in zip(rule.nodes, near):
@@ -292,7 +301,7 @@ class TestEngine:
             one = ml_quad(complex(zk), alpha, beta, rule).value
             assert _same_bits(complex(got), one), zk
             if zk.imag == 0.0 and zk != 0:
-                assert got.imag == 0.0 or (alpha == 1.0 and zk.real < 0.0)
+                assert got.imag == 0.0
         assert math.isnan(batch.ravel()[-3].real)
 
     def test_negative_zero_imaginary_part_reads_from_above(self) -> None:
@@ -317,6 +326,74 @@ class TestEngine:
             assert ml_quad(1e3, 0.5, 1.0, HYP14).value == real
         assert real == complex(math.inf, 0.0) and real.imag == 0.0
         assert math.isinf(cplx.real) and math.isinf(cplx.imag)
+
+
+class TestEdgeRow:
+    """alpha = 1, z = -x < 0: the pole gamma = -x on the branch cut."""
+
+    @pytest.mark.parametrize("rule", [HYP14, PAR14], ids=["hyp", "par"])
+    @pytest.mark.parametrize("x", [1e-3, 0.5, 3.0, 17.3, 30.0, 99.0])
+    def test_beta_one_is_exp(self, rule, x: float) -> None:
+        # with w**1 = w the pole term cancels the integrand exactly: only
+        # Re P * e**-x = e**-x is left, to full relative accuracy
+        res = ml_quad(-x, 1.0, 1.0, rule)
+        assert res.value.imag == 0.0
+        assert abs(res.value.real - math.exp(-x)) <= 1e-15 * math.exp(-x)
+
+    def test_routed_beta_one_is_exp(self) -> None:
+        from mittleff.dispatch import ml_auto
+
+        # relative error 1.4e-3 when the pole term was summed over both blocks
+        res = ml_auto(-30.0, 1.0, 1.0)
+        assert res.method is Method.QUAD_HYPERBOLIC
+        assert abs(res.value.real - math.exp(-30.0)) <= 1e-15 * math.exp(-30.0)
+
+    @pytest.mark.parametrize(
+        "beta,bound",
+        [(0.5, 5e-13), (0.6, 5e-13), (1.5, 1e-12), (2.0, 2e-11), (3.0, 1e-9)],
+    )
+    def test_closed_forms(self, beta: float, bound: float) -> None:
+        # E[1,2] = (1 - e**-x)/x, E[1,3] = (e**-x - 1 + x)/x**2, else
+        # 1F1(1; beta; -x)/Gamma(beta); bounds of max(1, |E|) that the
+        # two-block sum met too
+        with mp.workdps(40):
+            for x in np.logspace(-2, 2, 41):
+                t = mp.mpf(float(x))
+                if beta == 2.0:
+                    ref = (1 - mp.exp(-t)) / t
+                elif beta == 3.0:
+                    ref = (mp.exp(-t) - 1 + t) / t**2
+                else:
+                    ref = mp.hyp1f1(1, beta, -t) / mp.gamma(beta)
+                got = ml_quad(-x, 1.0, beta, HYP14).value
+                assert got.imag == 0.0
+                assert abs(got.real - float(ref)) <= bound * max(1.0, abs(float(ref))), x
+
+    def test_huge_x(self) -> None:
+        # E[1,2](-x) = 1/x here; |w + x|**2 overflows, so the real parts are
+        # taken in Smith form
+        assert abs(ml_quad(-1e200, 1.0, 2.0, HYP14).value.real - 1e-200) <= 1e-12 * 1e-200
+        got = ml_quad(-1e300, 1.0, 2.0, HYP14).value
+        assert not math.isnan(got.real)
+        assert abs(got.real - 1e-300) <= 1e-12 * 1e-300
+
+    @pytest.mark.parametrize("beta", [0.6, 1.3, 2.5])
+    def test_near_node_psi_form_matches_direct_sum(self, monkeypatch, beta: float) -> None:
+        # the built rules keep their nodes outside EPS_SWITCH*x of the cut, so
+        # move node k next to gamma = -x; with the switch radius set to 0 the
+        # same rule sums the direct difference instead of the psi form
+        x, k = 20.0, 12
+        nodes = tuple(complex(-x, 0.05 * x) if i == k else w for i, w in enumerate(HYP14.nodes))
+        rule = dataclasses.replace(HYP14, nodes=nodes)
+        calls = []
+        monkeypatch.setattr(quadrature, "f_one", lambda *a: calls.append(a) or f_one(*a))
+        near = ml_quad(-x, 1.0, beta, rule).value
+        assert len(calls) == 1
+        monkeypatch.setattr(quadrature, "_EPS_SWITCH_SQ", 0.0)
+        direct = ml_quad(-x, 1.0, beta, rule).value
+        assert len(calls) == 1
+        assert near.imag == direct.imag == 0.0
+        assert abs(near.real - direct.real) <= 1e-13 * max(1.0, abs(direct.real))
 
 
 class TestTwoPole:
@@ -426,6 +503,8 @@ def test_origin_accuracy_frozen() -> None:
 def test_result_type() -> None:
     res = ml_quad(complex(-1.0), 0.5, 1.0, PAR14)
     assert isinstance(res, EvalResult)
+    assert res._fields == ("value", "method", "nodes_or_terms", "err_estimate", "converged")
     assert res.method is Method.QUAD_PARABOLIC
-    with pytest.raises(Exception):
+    assert hash(res) == hash(ml_quad(complex(-1.0), 0.5, 1.0, PAR14))
+    with pytest.raises(AttributeError):
         res.value = 0j  # type: ignore[misc]

@@ -74,8 +74,9 @@ def test_every_route_gives_an_exactly_real_value(z: float, alpha: float, beta: f
 
 @pytest.mark.parametrize("method", ["quad-hyp", "quad-par", "asymp"])
 def test_forced_method_on_the_cut_is_exactly_real(capsys, method: str) -> None:
-    # alpha = 1, z < 0: the pole sits on the branch cut, where quadrature
-    # and the expansion's exponential part round to a complex value
+    # alpha = 1, z < 0: the pole sits on the branch cut, where the
+    # expansion's exponential part rounds to a complex value; quadrature's
+    # edge row is exactly real
     z = "-45" if method == "asymp" else "-5"
     code = main(["eval", "--alpha", "1", "--beta", "0.6", "--z", z, "--method", method])
     out = capsys.readouterr().out

@@ -104,7 +104,9 @@ class TestProperties:
     def test_result_is_frozen(self) -> None:
         res = ml_series(0.5, 0.5, 1.0)
         assert isinstance(res, SeriesResult)
-        with pytest.raises(Exception):
+        assert res._fields == ("value", "terms_used", "err_estimate", "converged")
+        assert hash(res) == hash(ml_series(0.5, 0.5, 1.0))
+        with pytest.raises(AttributeError):
             res.value = 0.0  # type: ignore[misc]
 
 
