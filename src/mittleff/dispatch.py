@@ -29,7 +29,7 @@ import functools
 import math
 
 from .asymptotic import log_r_floor, ml_asymptotic
-from .contours import QuadratureRule, build_hyperbolic_rule, build_parabolic_rule
+from .contours import HYPERBOLIC_RATE, QuadratureRule, build_hyperbolic_rule, build_parabolic_rule
 from .exceptions import DomainError
 from .kernels import cpow_principal, finite_complex
 from .quadrature import EvalResult, Method, ml_quad, origin_accuracy, two_pole_row
@@ -46,7 +46,7 @@ _LOG_ASYMP_GATE = math.log(ASYMP_GATE)
 @functools.lru_cache(maxsize=32)
 def quadrature_n_for_tol(tol: float) -> int:
     """Node count giving ~tol accuracy on the hyperbolic contour, capped at 14."""
-    return min(14, math.ceil(math.log(1.0 / tol) / math.log(10.13)) + 1)
+    return min(14, math.ceil(math.log(1.0 / tol) / math.log(HYPERBOLIC_RATE)) + 1)
 
 
 @functools.lru_cache(maxsize=32)

@@ -7,13 +7,14 @@ or has the simple pole at gamma = z**(1/alpha) split off analytically
 (f_one), with the pole's residue alpha**-1 * gamma**(1-beta) * e**gamma
 added back in closed form.  The node factors of the integrand do not
 depend on z, so they are cached per (rule, alpha, beta): ml_quad_values
-sums many z at once in numpy, and the scalar ml_quad runs a plain loop
-over the same factors as floats.  The loop repeats the engine's
-operations in the engine's order, so both give the same bits.  At
-alpha = 1 a real z < 0 puts the pole gamma = z on the branch cut: the
-edge row splits it off with the real part of its residue weight, which
-makes the summand conjugate-symmetric, and sums one block of nodes as
-floats (both paths run this one loop).  On the negative real axis with
+sums many z at once in numpy.  The scalar ml_quad serves a real z < 0,
+where the summand is conjugate-symmetric, with a plain loop over one
+block of the same factors as floats; the loop repeats the engine's
+operations in the engine's order, so both give the same bits.  Any other
+z is the engine's batch of one.  At alpha = 1 a real z < 0 puts the pole
+gamma = z on the branch cut: the edge row splits it off with the real
+part of its residue weight, which keeps the summand conjugate-symmetric
+(both paths run this one loop).  On the negative real axis with
 1 < alpha <= 2 a conjugate pair of poles must be split off (two-pole
 integrand f_2): two_pole_row sums it as floats over the cached factors,
 and ml_quad_neg_axis_wide_alpha, through q_sum, is its reference.
@@ -162,28 +163,30 @@ def _node_factors(
     sum is then half the sum over n = -N..N of a conjugate-symmetric
     integrand.  Powers are principal-branch exp(a*log w), as in
     cpow_principal, except w_n**1 = w_n: exp(log w) rounds.  The fifth
-    item holds the same factors as floats for the scalar loop: per block,
-    one tuple (re, im of each factor) per node.  The last is the rule's
-    origin_accuracy at beta, None where it overflows.
+    item holds the first block's factors as floats for the real-axis
+    loops: one tuple (re, im of each factor) per node.  The last is the
+    rule's origin_accuracy at beta.  A factor that is not finite, or an
+    origin_accuracy that overflows (beta far from 0), raises DomainError.
     """
     nodes = np.array(rule.nodes)
     weights = rule.A * np.array(rule.weights)
     weights[0] *= 0.5
     w = np.concatenate([nodes, nodes.conj()])[:, None]
     c = np.concatenate([weights, weights.conj()])[:, None]
-    log_w = np.log(w)
-    c_wab = c * np.exp((alpha - beta) * log_w)
-    wa = w if alpha == 1.0 else np.exp(alpha * log_w)
-    parts = np.concatenate([w, c, c_wab, wa], axis=1).view(np.float64).tolist()
-    n = rule.N + 1
-    blocks = (tuple(map(tuple, parts[:n])), tuple(map(tuple, parts[n:])))
+    with np.errstate(all="ignore"):
+        log_w = np.log(w)
+        c_wab = c * np.exp((alpha - beta) * log_w)
+        wa = w if alpha == 1.0 else np.exp(alpha * log_w)
+    factors = np.concatenate([w, c, c_wab, wa], axis=1)
+    overflow = DomainError(f"beta={beta!r}: the node factors of this rule overflow")
+    if not np.isfinite(factors).all():
+        raise overflow
     try:
         err = origin_accuracy(rule, beta)
     except OverflowError:
-        # w**-beta overflows (beta below about -180): the engine does not
-        # need the accuracy, and ml_quad raises when it asks for it
-        err = None
-    return w, c, c_wab, wa, blocks, err
+        raise overflow from None
+    block = tuple(map(tuple, factors[: rule.N + 1].view(np.float64).tolist()))
+    return w, c, c_wab, wa, block, err
 
 
 def _sum_rows(terms: np.ndarray, sym: np.ndarray, n: int) -> np.ndarray:
@@ -206,6 +209,11 @@ def _plain_values(z: np.ndarray, alpha: float, beta: float, rule: QuadratureRule
     return _sum_rows(c_wab / (wa - z), z.imag == 0.0, rule.N)
 
 
+def _mul(ar: float, ai: float, br: float, bi: float) -> tuple[float, float]:
+    # the complex product, unfused
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
 def _pole_split_values(z: np.ndarray, alpha: float, beta: float, rule: QuadratureRule) -> np.ndarray:
     w, c, c_wab, wa, _, _ = _node_factors(rule, alpha, beta)
     log_gamma = np.log(z) / alpha
@@ -213,8 +221,9 @@ def _pole_split_values(z: np.ndarray, alpha: float, beta: float, rule: Quadratur
     log_pole = (1.0 - beta) * log_gamma - math.log(alpha)  # log(gamma**(1-beta)/alpha)
     dw = w - gamma
     terms = c_wab / (wa - z)
-    # c * (pole/dw) in real arithmetic: numpy's complex product may be fused
-    # (FMA), which Python floats cannot repeat
+    # c * (pole/dw) in real arithmetic: whether numpy fuses its complex
+    # product (FMA) depends on the CPU and the loop it picks; written out,
+    # the bits do not
     q = np.exp(log_pole) / dw
     terms.real -= c.real * q.real - c.imag * q.imag
     terms.imag -= c.real * q.imag + c.imag * q.real
@@ -255,8 +264,9 @@ def ml_quad_values(z: ArrayLike, alpha: float, beta: float, rule: QuadratureRule
     split off and its residue added in closed form.  At alpha = 1 a real
     z < 0 takes ml_quad's edge row, which is exactly real.  z = 0 yields NaN
     (callers should route z = 0 to the series); an entry with a NaN or
-    infinite part raises DomainError.  Overflow gives inf parts and raises
-    no warning.
+    infinite part raises DomainError, and so does a beta whose node
+    factors overflow.  Overflow of a value gives inf parts and raises no
+    warning.
     """
     _check_alpha(alpha)
     # + 0.0 copies z and turns a -0.0 imaginary part into +0.0: the negative
@@ -286,101 +296,31 @@ def ml_quad_values(z: ArrayLike, alpha: float, beta: float, rule: QuadratureRule
             plain = ~split
             if edge is not None:
                 plain &= ~edge
-                block = _node_factors(rule, alpha, beta)[4][0]
+                block = _node_factors(rule, alpha, beta)[4]
                 out[edge] = [_edge_row(-zr, beta, block) for zr in flat[edge].real.tolist()]
             out[split] = _pole_split_values(flat[split], alpha, beta, rule)
             out[plain] = _plain_values(flat[plain], alpha, beta, rule)
     return out.reshape(z.shape)
 
 
-def _div(ar: float, ai: float, br: float, bi: float) -> tuple[float, float]:
-    # numpy's complex quotient (Smith's method), repeated in floats: CPython's
-    # complex / rounds differently.  A zero divisor raises ZeroDivisionError,
-    # where numpy gives inf or NaN
-    if abs(br) >= abs(bi):
-        rat = bi / br
-        scl = 1.0 / (br + bi * rat)
-        return (ar + ai * rat) * scl, (ai - ar * rat) * scl
-    rat = br / bi
-    scl = 1.0 / (bi + br * rat)
-    return (ar * rat + ai) * scl, (ai * rat - ar) * scl
+def _plain_row(x: float, block: tuple) -> float:
+    """E[alpha, beta](-x) for x > 0 and alpha < 1 from the first block of node factors.
 
-
-def _mul(ar: float, ai: float, br: float, bi: float) -> tuple[float, float]:
-    # the complex product, unfused
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _plain_sum(block: tuple, zr: float, zi: float) -> tuple[float, float]:
-    # one block of a _plain_values column, node after node from +0.0; the
-    # quotient is _div's, written out because this is ml_quad's hot loop
-    sr = si = 0.0
+    The summand is conjugate-symmetric, so the row is twice the real part
+    of the block's sum of c_wab/(wa + x), node after node from +0.0.  The
+    real part of each quotient is numpy's (Smith's method), so the value
+    is the engine's to the bit.
+    """
+    s = 0.0
     for _, _, _, _, ar, ai, br, bi in block:
-        br -= zr
-        bi -= zi
+        br += x
         if abs(br) >= abs(bi):
             rat = bi / br
-            scl = 1.0 / (br + bi * rat)
-            sr += (ar + ai * rat) * scl
-            si += (ai - ar * rat) * scl
+            s += (ar + ai * rat) * (1.0 / (br + bi * rat))
         else:
             rat = br / bi
-            scl = 1.0 / (bi + br * rat)
-            sr += (ar * rat + ai) * scl
-            si += (ai * rat - ar) * scl
-    return sr, si
-
-
-def _split_sum(
-    block: tuple, z: complex, alpha: float, beta: float, gamma: complex, pole: complex
-) -> tuple[float, float]:
-    # one block of a _pole_split_values column, node after node from +0.0;
-    # both quotients are _div's, written out as in _plain_sum
-    zr, zi = z.real, z.imag
-    gr, gi = gamma.real, gamma.imag
-    pr, pi = pole.real, pole.imag
-    near = _EPS_SWITCH_SQ * (gr * gr + gi * gi)
-    sr = si = 0.0
-    for wr, wi, cr, ci, ar, ai, br, bi in block:
-        dr = wr - gr
-        di = wi - gi
-        if dr * dr + di * di < near:
-            f = f_one(complex(wr, wi), z, alpha, beta, gamma)
-            tr, ti = _mul(cr, ci, f.real, f.imag)
-        else:
-            if abs(dr) >= abs(di):
-                rat = di / dr
-                scl = 1.0 / (dr + di * rat)
-                qr = (pr + pi * rat) * scl
-                qi = (pi - pr * rat) * scl
-            else:
-                rat = dr / di
-                scl = 1.0 / (di + dr * rat)
-                qr = (pr * rat + pi) * scl
-                qi = (pi * rat - pr) * scl
-            br -= zr
-            bi -= zi
-            if abs(br) >= abs(bi):
-                rat = bi / br
-                scl = 1.0 / (br + bi * rat)
-                tr = (ar + ai * rat) * scl - (cr * qr - ci * qi)
-                ti = (ai - ar * rat) * scl - (cr * qi + ci * qr)
-            else:
-                rat = br / bi
-                scl = 1.0 / (bi + br * rat)
-                tr = (ar * rat + ai) * scl - (cr * qr - ci * qi)
-                ti = (ai * rat - ar) * scl - (cr * qi + ci * qr)
-        sr += tr
-        si += ti
-    return sr, si
-
-
-def _row_total(sums: list[tuple[float, float]], sym: bool) -> complex:
-    # _sum_rows's last step, for one point
-    if sym:
-        return complex(2.0 * sums[0][0], 0.0)
-    (ar, ai), (br, bi) = sums
-    return complex(ar + br, ai + bi)
+            s += (ar * rat + ai) * (1.0 / (bi + br * rat))
+    return 2.0 * s
 
 
 def _edge_row(x: float, beta: float, block: tuple) -> float:
@@ -424,62 +364,23 @@ def _edge_row(x: float, beta: float, block: tuple) -> float:
     return res * math.cos(ang) + 2.0 * s
 
 
-def _quad_row(z: complex, alpha: float, beta: float, blocks: tuple) -> complex:
-    """ml_quad_values at one finite z, bit for bit, as a loop over floats.
-
-    The engine's operations in the engine's order: quotients as _div,
-    products as _mul, exp and log on numpy scalars.  blocks are the
-    cached float factors of (rule, alpha, beta).
-    """
-    z = complex(z.real + 0.0, z.imag + 0.0)
-    if z == 0.0:
-        return complex(math.nan, math.nan)
-    if alpha == 1.0 and z.imag == 0.0 and z.real < 0.0:
-        return complex(_edge_row(-z.real, beta, blocks[0]))
-    edge = alpha * math.pi
-    arg = abs(math.atan2(z.imag, z.real))
-    if abs(arg - edge) < 1e-12:
-        # numpy's arctan2 may be a SIMD one that rounds an ulp apart from
-        # math.atan2: at the sector edge, take the engine's
-        arg = abs(float(np.arctan2(z.imag, z.real)))
-    if arg > edge:
-        sym = z.imag == 0.0
-        return _row_total([_plain_sum(b, z.real, z.imag) for b in blocks[: 1 if sym else 2]], sym)
-    with np.errstate(all="ignore"):
-        log_z = complex(np.log(z))
-        log_gamma = complex(*_div(log_z.real, log_z.imag, alpha, 0.0))
-        gamma = complex(np.exp(log_gamma))
-        lpr, lpi = _mul(1.0 - beta, 0.0, log_gamma.real, log_gamma.imag)
-        log_pole = complex(lpr - math.log(alpha), lpi)
-        pole = complex(np.exp(log_pole))
-        residue = complex(np.exp(log_pole + gamma))
-    sym = log_gamma.imag == 0.0
-    total = _row_total(
-        [_split_sum(b, z, alpha, beta, gamma, pole) for b in blocks[: 1 if sym else 2]], sym
-    )
-    if sym:
-        return complex(residue.real + total.real, 0.0)
-    return residue + total
-
-
 def ml_quad(z: complex, alpha: float, beta: float, rule: QuadratureRule) -> EvalResult:
     """E[alpha, beta](z) by contour quadrature, alpha in (0, 1].
 
-    A plain loop over the cached node factors that gives ml_quad_values's
-    bits at z; the rule is reusable across z.  z = 0 yields a NaN value
-    with converged False (callers should route z = 0 to the series).  A
-    NaN or infinite part of z raises DomainError.
+    ml_quad_values's value at z; the rule is reusable across z.  A real
+    z < 0 is summed by a plain loop over the cached node factors as floats
+    (the engine's operations in the engine's order, so the same bits),
+    every other z by the engine as a batch of one.  z = 0 yields a NaN
+    value with converged False (callers should route z = 0 to the
+    series).  A NaN or infinite part of z, or a beta whose node factors
+    overflow, raises DomainError.
     """
     z = finite_complex(z)
     _check_alpha(alpha)
-    _, _, _, _, blocks, err = _node_factors(rule, alpha, beta)
-    if err is None:
-        err = origin_accuracy(rule, beta)  # raises its OverflowError
-    try:
-        value = _quad_row(z, alpha, beta, blocks)
-    except ZeroDivisionError:
-        # z equals some w_n**alpha exactly (at alpha = 5e-324, w_0**alpha is
-        # 1.0): the engine divides by zero as IEEE does
+    _, _, _, _, block, err = _node_factors(rule, alpha, beta)
+    if z.imag == 0.0 and z.real < 0.0:
+        value = complex(_edge_row(-z.real, beta, block) if alpha == 1.0 else _plain_row(-z.real, block))
+    else:
         value = complex(ml_quad_values(z, alpha, beta, rule))
     return EvalResult(value, _method_for(rule), 2 * rule.N + 1, math.nan if z == 0 else err, z != 0)
 
@@ -504,7 +405,7 @@ def two_pole_row(x: float, alpha: float, beta: float, rule: QuadratureRule) -> f
     pi = mag / alpha * math.sin((1.0 - beta) * ang)
     near = _EPS_SWITCH_SQ * rho * rho
     s = 0.0
-    for wr, wi, cr, ci, ar, ai, br, bi in _node_factors(rule, alpha, beta)[4][0]:
+    for wr, wi, cr, ci, ar, ai, br, bi in _node_factors(rule, alpha, beta)[4]:
         # w - gamma_+ = dr + i*di, w - gamma_- = dr + i*ei
         dr = wr - gr
         di = wi - gi

@@ -155,6 +155,12 @@ class TestExitCodes:
         assert "not converged" in err
         assert VALUE_LINE.match(out.splitlines()[0])
 
+    def test_node_factor_overflow_is_usage_error(self, capsys) -> None:
+        code, out, err = run(capsys, "eval", "--alpha", "0.5", "--beta", "-200", "--z", "-5")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "beta" in err
+
     def test_nan_at_origin_is_numerical_failure(self, capsys) -> None:
         code, _, err = run(
             capsys, "eval", "--alpha", "0.5", "--beta", "1", "--z", "0",

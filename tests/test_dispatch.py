@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 from itertools import combinations
 
 import mpmath as mp
@@ -280,6 +281,23 @@ class TestOverflow:
         got = ml_auto(0.5, 0.5, 150.0).value
         assert got.imag == 0.0
         assert abs(got.real - want) <= 1e-14 * want
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    def test_node_factor_overflow_is_domain_error(self, alpha: float) -> None:
+        # w**(alpha - beta) overflows on the contour: a bare OverflowError
+        # after numpy warnings before
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflow"):
+                ml_auto(-5.0, alpha, -200.0)
+
+    def test_large_negative_beta_short_of_overflow_still_evaluates(self) -> None:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = ml_auto(-5.0, 0.5, -175.0)
+        assert res.method is Method.QUAD_HYPERBOLIC
+        assert res.value == complex(5.89021459847562e275)
+        assert res.err_estimate == 1.6899345924157823e276
 
 
 class TestInterface:

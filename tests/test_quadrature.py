@@ -257,6 +257,9 @@ def _quad_cases(draw) -> tuple:
 @example(case=(PAR14, 0.3, 2.5, complex(1e3, 1.0)))
 # w_0**alpha rounds to 1.0 here, so z = 1 divides by zero
 @example(case=(_RULES[0], 5e-324, 0.0, complex(1.0)))
+# the real-axis loop at the ends of the negative axis
+@example(case=(HYP14, 0.3, 1.0, complex(-1e300, -0.0)))
+@example(case=(PAR14, 0.5, 1.0, complex(-5e-324)))
 # alpha = 1 on the negative axis: the pole on the cut, summed by the edge row
 @example(case=(HYP14, 1.0, 1.0, complex(-3.0)))
 @example(case=(PAR14, 1.0, 0.6, complex(-17.3, -0.0)))
@@ -319,6 +322,15 @@ class TestEngine:
             with pytest.raises(DomainError):
                 ml_quad_values([1.0, bad], 0.5, 1.0, HYP14)
 
+    def test_node_factor_overflow_is_domain_error(self) -> None:
+        # w**(alpha - beta) overflows on the contour: the values were NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflow"):
+                ml_quad_values([-5.0, 1j], 0.5, -200.0, HYP14)
+            with pytest.raises(DomainError, match="overflow"):
+                ml_quad(-5.0, 0.5, -200.0, HYP14)
+
     def test_overflow_is_inf_without_warning(self) -> None:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -326,6 +338,23 @@ class TestEngine:
             assert ml_quad(1e3, 0.5, 1.0, HYP14).value == real
         assert real == complex(math.inf, 0.0) and real.imag == 0.0
         assert math.isinf(cplx.real) and math.isinf(cplx.imag)
+
+
+def test_negative_axis_never_runs_the_engine(monkeypatch) -> None:
+    # the scalar traffic is real z < 0: it stays on the float loops
+    def engine(*args):
+        raise RuntimeError("ml_quad_values called")
+
+    monkeypatch.setattr(quadrature, "ml_quad_values", engine)
+    assert ml_quad(-3.0, 0.5, 1.0, HYP14).value.imag == 0.0
+    assert ml_quad(-3.0, 1.0, 0.6, HYP14).value.imag == 0.0
+    from mittleff.dispatch import ml_auto
+
+    res = ml_auto(-9.0, 0.7, 1.0)
+    assert res.method is Method.QUAD_HYPERBOLIC
+    assert 0.0 < res.value.real < 1.0
+    with pytest.raises(RuntimeError, match="ml_quad_values"):
+        ml_quad(3.0, 0.5, 1.0, HYP14)
 
 
 class TestEdgeRow:
