@@ -19,7 +19,7 @@ import math
 from typing import NamedTuple
 
 from .exceptions import DomainError
-from .kernels import cexp, finite_complex, principal_arg
+from .kernels import cexp, finite_beta, finite_complex, principal_arg
 
 INF = math.inf
 TABLE_BLOCK = 32
@@ -93,9 +93,10 @@ def log_r_floor(alpha: float, beta: float, tol: float) -> float:
 
 
 def ml_asymptotic(z: complex, alpha: float, beta: float, tol: float) -> AsymptoticResult:
-    """Asymptotic value of E[alpha, beta](z) for large |z|, alpha in (0, 1]."""
+    """Asymptotic value of E[alpha, beta](z) for large |z|, alpha in (0, 1]; real for real z."""
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha={alpha!r} outside (0, 1]")
+    finite_beta(beta)
     if not tol > 0.0:
         raise DomainError(f"tol={tol!r} must be positive")
     z = finite_complex(z)
@@ -152,4 +153,5 @@ def ml_asymptotic(z: complex, alpha: float, beta: float, tol: float) -> Asymptot
         elif g.real > 0.0:
             value = complex(INF, INF)
         # g overflowed with Re g < 0: exp factor underflows to 0
-    return AsymptoticResult(value, m, t_last, converged)
+    # on the cut (alpha = 1, z < 0) the exponential part rounds to a complex value
+    return AsymptoticResult(complex(value.real) if real else value, m, t_last, converged)

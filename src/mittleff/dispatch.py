@@ -31,7 +31,7 @@ import math
 from .asymptotic import log_r_floor, ml_asymptotic
 from .contours import HYPERBOLIC_RATE, QuadratureRule, build_hyperbolic_rule, build_parabolic_rule
 from .exceptions import DomainError
-from .kernels import cpow_principal, finite_complex
+from .kernels import cpow_principal, finite_beta, finite_complex
 from .quadrature import EvalResult, Method, ml_quad, origin_accuracy, two_pole_row
 from .series import ml_series
 
@@ -64,8 +64,7 @@ def validate_params(alpha: float, beta: float, tol: float, z: complex = 0.0) -> 
     finite_complex(z)
     if not 0.0 < alpha < math.inf:
         raise DomainError(f"alpha={alpha!r} must be positive and finite")
-    if not math.isfinite(beta):
-        raise DomainError(f"beta={beta!r} must be finite")
+    finite_beta(beta)
     if not TOL_MIN <= tol <= TOL_MAX:
         raise DomainError(f"tol={tol!r} outside [{TOL_MIN}, {TOL_MAX}]")
 
@@ -77,21 +76,15 @@ def run_method(
 
     converged says whether the series or the expansion met its stopping
     rule; quadrature has none and sets it wherever z != 0.  n is the contour
-    parameter N of a quadrature method, picked from tol when None.  E is
-    real on the real axis, so a real z != 0 gets an imaginary part of
-    exactly 0 (quadrature's NaN at z = 0 keeps both parts).
+    parameter N of a quadrature method, picked from tol when None.
     """
     if method is Method.SERIES:
         s = ml_series(z, alpha, beta, tol)
-        res = EvalResult(s.value, method, s.terms_used, s.err_estimate, s.converged)
-    elif method is Method.ASYMPTOTIC:
+        return EvalResult(s.value, method, s.terms_used, s.err_estimate, s.converged)
+    if method is Method.ASYMPTOTIC:
         a = ml_asymptotic(z, alpha, beta, tol)
-        res = EvalResult(a.value, method, a.m, a.err_estimate, a.converged)
-    else:
-        res = ml_quad(z, alpha, beta, quad_rule(method, quadrature_n_for_tol(tol) if n is None else n))
-    if z.imag == 0.0 and z != 0.0 and res.value.imag != 0.0:
-        return EvalResult(complex(res.value.real, 0.0), method, res.nodes_or_terms, res.err_estimate, res.converged)
-    return res
+        return EvalResult(a.value, method, a.m, a.err_estimate, a.converged)
+    return ml_quad(z, alpha, beta, quad_rule(method, quadrature_n_for_tol(tol) if n is None else n))
 
 
 def _series_or_expansion(z: complex, alpha: float, beta: float, tol: float) -> EvalResult | None:

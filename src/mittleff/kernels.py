@@ -64,6 +64,12 @@ def finite_complex(z: complex) -> complex:
     return z
 
 
+def finite_beta(beta: float) -> None:
+    """DomainError if beta is NaN or infinite."""
+    if not math.isfinite(beta):
+        raise DomainError(f"beta={beta!r} must be finite")
+
+
 def cexp(w: complex) -> complex:
     """exp(w) that saturates to inf components instead of raising on overflow.
 

@@ -7,17 +7,15 @@ or has the simple pole at gamma = z**(1/alpha) split off analytically
 (f_one), with the pole's residue alpha**-1 * gamma**(1-beta) * e**gamma
 added back in closed form.  The node factors of the integrand do not
 depend on z, so they are cached per (rule, alpha, beta): ml_quad_values
-sums many z at once in numpy.  The scalar ml_quad serves a real z < 0,
-where the summand is conjugate-symmetric, with a plain loop over one
-block of the same factors as floats; the loop repeats the engine's
-operations in the engine's order, so both give the same bits.  Any other
-z is the engine's batch of one.  At alpha = 1 a real z < 0 puts the pole
-gamma = z on the branch cut: the edge row splits it off with the real
-part of its residue weight, which keeps the summand conjugate-symmetric
-(both paths run this one loop).  On the negative real axis with
-1 < alpha <= 2 a conjugate pair of poles must be split off (two-pole
-integrand f_2): two_pole_row sums it as floats over the cached factors,
-and ml_quad_neg_axis_wide_alpha, through q_sum, is its reference.
+sums many z at once in numpy.  A real z < 0 has a conjugate-symmetric
+summand, and _neg_axis_row sums one block of the factors as floats: the
+plain row for alpha < 1, and the edge row at alpha = 1, where the pole
+gamma = z lies on the branch cut.  ml_quad and ml_quad_values both call
+it; ml_quad passes any other z to the engine as a batch of one.  On the
+negative real axis with 1 < alpha <= 2 a conjugate pair of poles must be
+split off (two-pole integrand f_2): two_pole_row sums it as floats over
+the cached factors, and ml_quad_neg_axis_wide_alpha, through q_sum, is
+its reference.
 """
 
 from __future__ import annotations
@@ -35,6 +33,7 @@ from .exceptions import DomainError
 from .kernels import (  # noqa: F401  cexp, principal_arg: bench/tracing.py rebinds them here
     cexp,
     cpow_principal as _cpow,
+    finite_beta,
     finite_complex,
     principal_arg,
     psi1,
@@ -189,11 +188,11 @@ def _node_factors(
     return w, c, c_wab, wa, block, err
 
 
-def _sum_rows(terms: np.ndarray, sym: np.ndarray, n: int) -> np.ndarray:
+def _sum_rows(terms: np.ndarray, sym: np.ndarray | bool, n: int) -> np.ndarray:
     # terms is (nodes, points); numpy reduces a non-innermost axis from +0.0,
-    # adding node after node as the scalar loop does.  A lone column would
-    # be summed pairwise, so it is accumulated instead; + 0.0 gives its sum
-    # the zero sign of a start at +0.0
+    # adding node after node.  A lone column would be summed pairwise, so it
+    # is accumulated instead, and a point's bits do not depend on the batch;
+    # + 0.0 gives its sum the zero sign of a start at +0.0
     blocks = terms.reshape(2, n + 1, -1)
     if blocks.shape[2] > 1:
         sums = blocks.sum(axis=1)
@@ -206,12 +205,7 @@ def _sum_rows(terms: np.ndarray, sym: np.ndarray, n: int) -> np.ndarray:
 
 def _plain_values(z: np.ndarray, alpha: float, beta: float, rule: QuadratureRule) -> np.ndarray:
     _, _, c_wab, wa, _, _ = _node_factors(rule, alpha, beta)
-    return _sum_rows(c_wab / (wa - z), z.imag == 0.0, rule.N)
-
-
-def _mul(ar: float, ai: float, br: float, bi: float) -> tuple[float, float]:
-    # the complex product, unfused
-    return ar * br - ai * bi, ar * bi + ai * br
+    return _sum_rows(c_wab / (wa - z), False, rule.N)
 
 
 def _pole_split_values(z: np.ndarray, alpha: float, beta: float, rule: QuadratureRule) -> np.ndarray:
@@ -228,8 +222,7 @@ def _pole_split_values(z: np.ndarray, alpha: float, beta: float, rule: Quadratur
     terms.real -= c.real * q.real - c.imag * q.imag
     terms.imag -= c.real * q.imag + c.imag * q.real
     # the integrand is conjugate-symmetric only for gamma on the positive real
-    # axis: gamma**(1-beta) is complex elsewhere (real z < 0 at alpha = 1
-    # takes the edge row)
+    # axis: gamma**(1-beta) is complex elsewhere
     sym = log_gamma.imag == 0.0
     # near the pole the difference cancels: f_one's psi form takes over
     # (symmetric rows never read the second block)
@@ -238,9 +231,8 @@ def _pole_split_values(z: np.ndarray, alpha: float, beta: float, rule: Quadratur
     )
     for j, i in zip(*np.nonzero(near)):
         if j <= rule.N or not sym[i]:
-            cj = complex(c[j, 0])
             f = f_one(complex(w[j, 0]), complex(z[i]), alpha, beta, complex(gamma[i]))
-            terms[j, i] = complex(*_mul(cj.real, cj.imag, f.real, f.imag))
+            terms[j, i] = complex(c[j, 0]) * f
     residue = np.exp(log_pole + gamma)
     # real rows add the real part alone: inf*0 would make the imaginary part NaN
     values = np.where(sym, residue.real, residue) + _sum_rows(terms, sym, rule.N)
@@ -248,27 +240,26 @@ def _pole_split_values(z: np.ndarray, alpha: float, beta: float, rule: Quadratur
     return np.where(z == 0.0, complex(math.nan, math.nan), values)
 
 
-def _check_alpha(alpha: float) -> None:
+def _check_params(alpha: float, beta: float) -> None:
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha={alpha!r} outside (0, 1]")
+    finite_beta(beta)
 
 
 def ml_quad_values(z: ArrayLike, alpha: float, beta: float, rule: QuadratureRule) -> np.ndarray:
     """E[alpha, beta] at every entry of the array z by contour quadrature.
 
-    alpha in (0, 1].  Returns a complex array of z's shape.  Each column of
-    the (nodes x points) integrand is summed on its own, node after node,
-    so a value does not depend on the other points in the batch and equals
-    ml_quad's bit for bit.  Outside the sector |Arg z| <= alpha*pi the plain
-    integrand is summed; inside it the pole at gamma = z**(1/alpha) is
-    split off and its residue added in closed form.  At alpha = 1 a real
-    z < 0 takes ml_quad's edge row, which is exactly real.  z = 0 yields NaN
-    (callers should route z = 0 to the series); an entry with a NaN or
-    infinite part raises DomainError, and so does a beta whose node
-    factors overflow.  Overflow of a value gives inf parts and raises no
-    warning.
+    alpha in (0, 1].  Returns a complex array of z's shape, equal to
+    ml_quad's values bit for bit.  A real z < 0 takes _neg_axis_row; every
+    other column of the (nodes x points) integrand is summed on its own,
+    with the pole at gamma = z**(1/alpha) split off inside the sector
+    |Arg z| <= alpha*pi, so a value does not depend on the batch.  z = 0
+    yields NaN (callers should route z = 0 to the series).  A NaN or
+    infinite entry, or a beta that is not finite or whose node factors
+    overflow, raises DomainError; an overflowing value gives inf parts and
+    no warning.
     """
-    _check_alpha(alpha)
+    _check_params(alpha, beta)
     # + 0.0 copies z and turns a -0.0 imaginary part into +0.0: the negative
     # real axis is read from above, as in principal_arg
     z = np.asarray(z, dtype=np.complex128) + 0.0
@@ -279,25 +270,20 @@ def ml_quad_values(z: ArrayLike, alpha: float, beta: float, rule: QuadratureRule
     # complex product left to fuse, so a column's bits do not depend on the
     # batch
     with np.errstate(all="ignore"):
-        split = np.abs(np.arctan2(flat.imag, flat.real)) <= alpha * math.pi
-        edge = None
-        if alpha == 1.0:
-            # the pole on the cut: these points take the float loop's edge row
-            edge = (flat.imag == 0.0) & (flat.real < 0.0)
-            split &= ~edge
+        axis = (flat.imag == 0.0) & (flat.real < 0.0)
+        # at alpha = 1 the negative axis is inside the sector
+        split = (np.abs(np.arctan2(flat.imag, flat.real)) <= alpha * math.pi) & ~axis
         n_split = np.count_nonzero(split)
         # one-sided batches skip the index copies
-        if edge is None and n_split == 0:
+        if n_split == 0 and not axis.any():
             out = _plain_values(flat, alpha, beta, rule)
         elif n_split == len(flat):
             out = _pole_split_values(flat, alpha, beta, rule)
         else:
             out = np.empty_like(flat)
-            plain = ~split
-            if edge is not None:
-                plain &= ~edge
-                block = _node_factors(rule, alpha, beta)[4]
-                out[edge] = [_edge_row(-zr, beta, block) for zr in flat[edge].real.tolist()]
+            plain = ~(axis | split)
+            block = _node_factors(rule, alpha, beta)[4]
+            out[axis] = [_neg_axis_row(-zr, alpha, beta, block) for zr in flat[axis].real.tolist()]
             out[split] = _pole_split_values(flat[split], alpha, beta, rule)
             out[plain] = _plain_values(flat[plain], alpha, beta, rule)
     return out.reshape(z.shape)
@@ -306,10 +292,9 @@ def ml_quad_values(z: ArrayLike, alpha: float, beta: float, rule: QuadratureRule
 def _plain_row(x: float, block: tuple) -> float:
     """E[alpha, beta](-x) for x > 0 and alpha < 1 from the first block of node factors.
 
-    The summand is conjugate-symmetric, so the row is twice the real part
-    of the block's sum of c_wab/(wa + x), node after node from +0.0.  The
-    real part of each quotient is numpy's (Smith's method), so the value
-    is the engine's to the bit.
+    The summand is conjugate-symmetric, so the row is twice the sum of
+    Re[c_wab/(wa + x)], node after node from +0.0.  The real part is taken
+    in Smith form: |wa + x|**2 overflows from x ~ 1e154 on.
     """
     s = 0.0
     for _, _, _, _, ar, ai, br, bi in block:
@@ -364,22 +349,25 @@ def _edge_row(x: float, beta: float, block: tuple) -> float:
     return res * math.cos(ang) + 2.0 * s
 
 
+def _neg_axis_row(x: float, alpha: float, beta: float, block: tuple) -> float:
+    # E[alpha, beta](-x), x > 0: the one sum of each regime of the negative axis
+    return _edge_row(x, beta, block) if alpha == 1.0 else _plain_row(x, block)
+
+
 def ml_quad(z: complex, alpha: float, beta: float, rule: QuadratureRule) -> EvalResult:
     """E[alpha, beta](z) by contour quadrature, alpha in (0, 1].
 
     ml_quad_values's value at z; the rule is reusable across z.  A real
-    z < 0 is summed by a plain loop over the cached node factors as floats
-    (the engine's operations in the engine's order, so the same bits),
-    every other z by the engine as a batch of one.  z = 0 yields a NaN
-    value with converged False (callers should route z = 0 to the
-    series).  A NaN or infinite part of z, or a beta whose node factors
-    overflow, raises DomainError.
+    z < 0 takes _neg_axis_row, every other z the engine as a batch of one.
+    z = 0 yields a NaN value with converged False (callers should route
+    z = 0 to the series).  A NaN or infinite part of z, a beta that is not
+    finite, or a beta whose node factors overflow raises DomainError.
     """
     z = finite_complex(z)
-    _check_alpha(alpha)
+    _check_params(alpha, beta)
     _, _, _, _, block, err = _node_factors(rule, alpha, beta)
     if z.imag == 0.0 and z.real < 0.0:
-        value = complex(_edge_row(-z.real, beta, block) if alpha == 1.0 else _plain_row(-z.real, block))
+        value = complex(_neg_axis_row(-z.real, alpha, beta, block))
     else:
         value = complex(ml_quad_values(z, alpha, beta, rule))
     return EvalResult(value, _method_for(rule), 2 * rule.N + 1, math.nan if z == 0 else err, z != 0)
@@ -447,13 +435,17 @@ def ml_quad_neg_axis_wide_alpha(
     ang = math.pi / alpha
     gp = complex(rho * math.cos(ang), rho * math.sin(ang))
     gm = gp.conjugate()
-    # cos(pi/alpha) < 0 for alpha < 2, so this never overflows
-    residue_pair = (
-        (2.0 / alpha)
-        * x ** ((1.0 - beta) / alpha)
-        * math.exp(rho * math.cos(ang))
-        * math.cos((1.0 - beta) * ang + rho * math.sin(ang))
-    )
-    integral = q_sum(rule, lambda w: _f_two(w, x, alpha, beta, gp, gm), True)
+    try:
+        # cos(pi/alpha) < 0 for alpha < 2, so the exponential never overflows
+        residue_pair = (
+            (2.0 / alpha)
+            * x ** ((1.0 - beta) / alpha)
+            * math.exp(rho * math.cos(ang))
+            * math.cos((1.0 - beta) * ang + rho * math.sin(ang))
+        )
+        integral = q_sum(rule, lambda w: _f_two(w, x, alpha, beta, gp, gm), True)
+        err = origin_accuracy(rule, beta)
+    except OverflowError:  # beta far from 0: a power of w or x leaves the float range
+        raise DomainError(f"beta={beta!r}: the two-pole sum overflows") from None
     value = complex(residue_pair + integral.real)
-    return EvalResult(value, _method_for(rule), 2 * rule.N + 1, origin_accuracy(rule, beta), True)
+    return EvalResult(value, _method_for(rule), 2 * rule.N + 1, err, True)

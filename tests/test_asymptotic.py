@@ -165,6 +165,12 @@ class TestValidation:
         with pytest.raises(DomainError):
             ml_asymptotic(complex(-30.0), alpha, 1.0, 1e-12)
 
+    @pytest.mark.parametrize("alpha, beta", [(0.5, math.nan), (0.5, math.inf), (math.nan, 1.0)])
+    def test_nonfinite_alpha_or_beta(self, alpha: float, beta: float) -> None:
+        # a NaN beta ran 5000 terms and returned nan+nanj
+        with pytest.raises(DomainError):
+            ml_asymptotic(complex(50.0), alpha, beta, 1e-14)
+
     def test_bad_tol(self) -> None:
         with pytest.raises(DomainError):
             ml_asymptotic(complex(-30.0), 0.7, 1.0, 0.0)

@@ -137,6 +137,18 @@ class TestMlQuad:
         with pytest.raises(DomainError):
             ml_quad(complex(-1.0), 1.5, 1.0, HYP14)
 
+    @pytest.mark.parametrize("beta", [math.inf, math.nan, -math.inf])
+    @pytest.mark.parametrize("z", [-3.0, 2.0 + 1.0j])
+    def test_nonfinite_beta(self, z: complex, beta: float) -> None:
+        # beta = inf gave 0j with converged True; beta = NaN raised a
+        # DomainError that blamed an overflow of the node factors
+        with pytest.raises(DomainError, match="finite"):
+            ml_quad(z, 0.5, beta, HYP14)
+        with pytest.raises(DomainError, match="finite"):
+            ml_quad_values([z], 0.5, beta, HYP14)
+        with pytest.raises(DomainError):
+            ml_quad(z, math.nan, 1.0, HYP14)
+
     @pytest.mark.parametrize(
         "z", [complex("nan"), complex(1.0, math.nan), complex(-math.inf), complex(0.0, math.inf)]
     )
@@ -267,8 +279,9 @@ def _quad_cases(draw) -> tuple:
 # the outermost node comes closest to the cut
 @example(case=(HYP14, 1.0, 1.3, complex(HYP14.nodes[-1].real)))
 def test_scalar_loop_matches_engine_bitwise(case: tuple) -> None:
-    # ml_quad's float loop against the numpy engine on a lone column (a batch
-    # of one) and on a wider block, with overflow kept silent
+    # ml_quad against the numpy engine on a lone column (a batch of one) and
+    # on a wider block, with overflow kept silent: a real z < 0 takes the same
+    # float row in all three, any other z the engine's columns
     rule, alpha, beta, z = case
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -289,9 +302,8 @@ class TestEngine:
     @pytest.mark.parametrize("alpha,beta", [(0.5, 1.0), (0.8, 1.3), (1.0, 1.0)])
     def test_batch_matches_batch_of_one_bitwise(self, rule, alpha: float, beta: float) -> None:
         # both sides of the sector edge, the real axis (inside the sector for
-        # z > 0, outside for z < 0 unless alpha = 1, where the edge row sums
-        # it), z = 0, and points whose pole gamma = z**(1/alpha) sits within
-        # EPS_SWITCH of a node
+        # z > 0; z < 0 takes the float row), z = 0, and points whose pole
+        # gamma = z**(1/alpha) sits within EPS_SWITCH of a node
         grid = [complex(re, im) for re in np.linspace(-5, 3, 19) for im in np.linspace(-4, 4, 17)]
         near = [cpow_principal(w * (1.0 + 0.03j), alpha) for w in rule.nodes[:4]]
         for w, z in zip(rule.nodes, near):
@@ -522,6 +534,12 @@ class TestTwoPole:
     def test_x_validation(self) -> None:
         with pytest.raises(DomainError):
             ml_quad_neg_axis_wide_alpha(-1.0, 1.5, 1.0, HYP14)
+
+    def test_overflow_is_domain_error(self) -> None:
+        # w**(alpha - beta) overflows inside q_sum: this was a bare OverflowError
+        for row in (two_pole_row, ml_quad_neg_axis_wide_alpha):
+            with pytest.raises(DomainError, match="overflow"):
+                row(5.0, 1.5, -300.0, HYP14)
 
 
 def test_origin_accuracy_frozen() -> None:

@@ -37,12 +37,13 @@ def test_series_and_expansion_keep_their_real_part_bits() -> None:
             res = ml_asymptotic(z, alpha, beta, tol)
             got = (res.value, res.m, res.converged)
         assert (got[0].real.hex(), got[1], got[2]) == (want, count, converged), (method, z, alpha, beta, tol)
-        # the sums are real; only the exponential part of the expansion on
-        # the cut (alpha = 1, z < 0) is complex, and run_method drops that
-        if method == "series" or z.real > 0 or alpha < 1.0:
-            assert got[0].imag == 0.0 and math.copysign(1.0, got[0].imag) == 1.0
+        # every value is exactly real, the expansion's on the cut (alpha = 1,
+        # z < 0) included, whose exponential part rounds to a complex value;
+        # run_method hands it back as it is
+        assert got[0].imag == 0.0 and math.copysign(1.0, got[0].imag) == 1.0
         routed = run_method(Method(method), z, alpha, beta, tol)
-        assert routed.value == complex(got[0].real, 0.0)
+        assert routed.value.real.hex() == got[0].real.hex()
+        assert routed.value.imag.hex() == got[0].imag.hex()
 
 
 ROUTES = [

@@ -149,6 +149,12 @@ class TestValidation:
         with pytest.raises(DomainError):
             ml_series(1.0, alpha, 1.0)
 
+    @pytest.mark.parametrize("alpha, beta", [(0.5, math.nan), (math.inf, 1.0), (math.nan, 1.0), (0.5, -math.inf)])
+    def test_nonfinite_alpha_or_beta(self, alpha: float, beta: float) -> None:
+        # a NaN beta and an infinite alpha returned NaN
+        with pytest.raises(DomainError, match="finite"):
+            ml_series(0.5, alpha, beta)
+
     def test_bad_tol(self) -> None:
         with pytest.raises(DomainError):
             ml_series(1.0, 1.0, 1.0, tol=0.0)
