@@ -39,12 +39,16 @@ def asymptotic_sigma_tau(n: int, alpha: float, beta: float) -> tuple[float, floa
     While n*alpha < beta the coefficient is the plain 1/Gamma(beta -
     n*alpha); past that point the reflection form kicks in:
     sigma = -sin(pi*(n*alpha - beta)), tau = Gamma(1 + n*alpha - beta)/pi.
-    tau is returned as a log to dodge overflow at large n.
+    Where n*alpha - beta is a nonnegative integer, 1/Gamma is 0, and so is
+    sigma: sin(pi*k) would round to about k*1e-16, noise that swamps a
+    small value such as E[1, 1](-x) = e**-x.  tau is returned as a log to
+    dodge overflow at large n.
     """
     x = beta - n * alpha
     if x > 0.0:
         return 1.0, -math.lgamma(x)
-    return -math.sin(math.pi * (n * alpha - beta)), math.lgamma(1.0 - x) - math.log(math.pi)
+    sigma = 0.0 if x == math.floor(x) else -math.sin(math.pi * (n * alpha - beta))
+    return sigma, math.lgamma(1.0 - x) - math.log(math.pi)
 
 
 @functools.lru_cache(maxsize=256)

@@ -27,7 +27,7 @@ from .exceptions import (
     PoleError,
     SingularSystemError,
 )
-from .kernels import gamma_real, reciprocal_gamma
+from .kernels import finite_beta, gamma_real, reciprocal_gamma
 
 _EPS = float(np.finfo(float).eps)
 
@@ -179,8 +179,7 @@ def build_pade(
     """Assemble and solve in one step."""
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha={alpha!r} outside (0, 1]")
-    if not math.isfinite(beta):
-        raise DomainError(f"beta={beta!r} must be finite")
+    finite_beta(beta)
     solver = PadeSolver(solver)
     C = assemble_pade_matrix(alpha, beta, m, n)
     if solver is PadeSolver.FIXED_Q0:
@@ -212,11 +211,12 @@ def partial_fractions(approx: PadeApproximant) -> PartialFractionForm:
     so that p(x)/q(x) = sum_j residue_j / (chi_j - x).
 
     The poles are the eigenvalues of the companion matrix of q
-    (numpy.roots, backward stable), each polished by one Newton step on
-    q; conjugate pairs are symmetrized exactly.  The residues are those
-    of p over the polynomial with exactly these poles.  Against p/q on
-    [0, 50] the fractions are good to 2e-11 relative for alpha >= 0.5
-    up to r = 12, and to 3e-10 at alpha = 0.2 for r = 10 and 12.
+    (numpy.roots, backward stable; complex ones in exact conjugate pairs),
+    each polished by one complex Newton step on q, which keeps pairs exact.
+    The residues are those of p over the polynomial with exactly these
+    poles.  Against p/q on [0, 50] the fractions are good to 2e-11 relative
+    for alpha >= 0.5 up to r = 12, and to 3e-10 at alpha = 0.2 for r = 10
+    and 12.
     """
     r = approx.r
     q = approx.q
@@ -224,7 +224,8 @@ def partial_fractions(approx: PadeApproximant) -> PartialFractionForm:
     if abs(q[r]) <= 1e-13 * scale:
         raise DomainError("leading denominator coefficient is numerically zero")
     try:
-        roots = np.roots(q[::-1]).tolist()
+        # complex before tolist: an all-real root array would give floats
+        roots = np.roots(q[::-1]).astype(complex).tolist()
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"companion-matrix eigenvalues did not converge: {exc}") from exc
     dq = tuple((k + 1) * q[k + 1] for k in range(r))
@@ -233,24 +234,7 @@ def partial_fractions(approx: PadeApproximant) -> PartialFractionForm:
     for chi in roots:
         slope = _horner(dq, chi)
         polished.append(chi - _horner(q, chi) / slope if slope else chi)
-
-    # real coefficients: force exact conjugate pairing and kill stray imag
-    cleaned = [
-        complex(c.real, 0.0) if abs(c.imag) <= 1e-10 * (1.0 + abs(c)) else c for c in polished
-    ]
-    upper = [c for c in cleaned if c.imag > 0.0]
-    lower = [c for c in cleaned if c.imag < 0.0]
-    reals = [c for c in cleaned if c.imag == 0.0]
-    paired: list[complex] = []
-    if len(upper) == len(lower):
-        remaining = list(lower)
-        for u in upper:
-            partner = min(remaining, key=lambda c: abs(c.conjugate() - u))
-            remaining.remove(partner)
-            mean = 0.5 * (u + partner.conjugate())
-            paired.extend([mean, mean.conjugate()])
-        cleaned = reals + paired
-    poles = tuple(sorted(cleaned, key=lambda c: (c.real, c.imag)))
+    poles = tuple(sorted(polished, key=lambda c: (c.real, c.imag)))
 
     for i in range(r):
         for j in range(i + 1, r):

@@ -44,6 +44,10 @@ from .kernels import (  # noqa: F401  cexp, principal_arg: bench/tracing.py rebi
 # below this relative distance to a pole the psi-form integrands take over
 EPS_SWITCH = 0.1
 _EPS_SWITCH_SQ = EPS_SWITCH * EPS_SWITCH
+# for beta > 1 a pole gamma = z**(1/alpha) nearer the origin than this stays in
+# the integrand: on the hyperbolic and parabolic rules with N = 8..14 the split
+# column loses to the plain one below |gamma| ~ 0.01-0.06 for beta in [1.5, 3]
+_SPLIT_GAMMA_MIN = 0.03
 
 
 class Method(str, Enum):
@@ -188,24 +192,21 @@ def _node_factors(
     return w, c, c_wab, wa, block, err
 
 
-def _sum_rows(terms: np.ndarray, sym: np.ndarray | bool, n: int) -> np.ndarray:
-    # terms is (nodes, points); numpy reduces a non-innermost axis from +0.0,
-    # adding node after node.  A lone column would be summed pairwise, so it
-    # is accumulated instead, and a point's bits do not depend on the batch;
-    # + 0.0 gives its sum the zero sign of a start at +0.0
+def _sum_rows(terms: np.ndarray, n: int) -> np.ndarray:
+    """Each column of terms (nodes, points) summed over both blocks of n + 1 nodes.
+
+    numpy reduces a non-innermost axis node after node from +0.0.  A lone
+    column would be summed pairwise, so it is accumulated instead (+ 0.0 gives
+    it the zero sign of a start at +0.0): a point's bits do not depend on the
+    batch.  For real z > 0 the second block's sum is the exact conjugate of
+    the first's, so the column is real, with imaginary part +0.0.
+    """
     blocks = terms.reshape(2, n + 1, -1)
     if blocks.shape[2] > 1:
         sums = blocks.sum(axis=1)
     else:
         sums = np.add.accumulate(blocks, axis=1)[:, -1] + 0.0
-    # conjugate-symmetric rows take twice the real part of the first block, so
-    # their imaginary part is exactly 0; the other rows sum both blocks
-    return np.where(sym, 2.0 * sums[0].real, sums[0] + sums[1])
-
-
-def _plain_values(z: np.ndarray, alpha: float, beta: float, rule: QuadratureRule) -> np.ndarray:
-    _, _, c_wab, wa, _, _ = _node_factors(rule, alpha, beta)
-    return _sum_rows(c_wab / (wa - z), False, rule.N)
+    return sums[0] + sums[1]
 
 
 def _pole_split_values(z: np.ndarray, alpha: float, beta: float, rule: QuadratureRule) -> np.ndarray:
@@ -221,21 +222,16 @@ def _pole_split_values(z: np.ndarray, alpha: float, beta: float, rule: Quadratur
     q = np.exp(log_pole) / dw
     terms.real -= c.real * q.real - c.imag * q.imag
     terms.imag -= c.real * q.imag + c.imag * q.real
-    # the integrand is conjugate-symmetric only for gamma on the positive real
-    # axis: gamma**(1-beta) is complex elsewhere
-    sym = log_gamma.imag == 0.0
     # near the pole the difference cancels: f_one's psi form takes over
-    # (symmetric rows never read the second block)
     near = dw.real * dw.real + dw.imag * dw.imag < _EPS_SWITCH_SQ * (
         gamma.real * gamma.real + gamma.imag * gamma.imag
     )
     for j, i in zip(*np.nonzero(near)):
-        if j <= rule.N or not sym[i]:
-            f = f_one(complex(w[j, 0]), complex(z[i]), alpha, beta, complex(gamma[i]))
-            terms[j, i] = complex(c[j, 0]) * f
+        f = f_one(complex(w[j, 0]), complex(z[i]), alpha, beta, complex(gamma[i]))
+        terms[j, i] = complex(c[j, 0]) * f
     residue = np.exp(log_pole + gamma)
-    # real rows add the real part alone: inf*0 would make the imaginary part NaN
-    values = np.where(sym, residue.real, residue) + _sum_rows(terms, sym, rule.N)
+    # an overflowing residue is the value: the node sum could only add inf - inf
+    values = np.where(np.isinf(residue), residue, residue + _sum_rows(terms, rule.N))
     # z = 0 has Arg 0 and always lands here
     return np.where(z == 0.0, complex(math.nan, math.nan), values)
 
@@ -253,11 +249,13 @@ def ml_quad_values(z: ArrayLike, alpha: float, beta: float, rule: QuadratureRule
     ml_quad's values bit for bit.  A real z < 0 takes _neg_axis_row; every
     other column of the (nodes x points) integrand is summed on its own,
     with the pole at gamma = z**(1/alpha) split off inside the sector
-    |Arg z| <= alpha*pi, so a value does not depend on the batch.  z = 0
-    yields NaN (callers should route z = 0 to the series).  A NaN or
-    infinite entry, or a beta that is not finite or whose node factors
-    overflow, raises DomainError; an overflowing value gives inf parts and
-    no warning.
+    |Arg z| <= alpha*pi, so a value does not depend on the batch.  Where
+    beta > 1 and |gamma| < _SPLIT_GAMMA_MIN the pole stays in the plain
+    column instead.  A real z > 0 gets a real value through the conjugate
+    node blocks.  z = 0 yields NaN (callers should route z = 0 to the
+    series).  A NaN or infinite entry, or a beta that is not finite or whose
+    node factors overflow, raises DomainError; an overflowing value gives
+    inf parts and no warning.
     """
     _check_params(alpha, beta)
     # + 0.0 copies z and turns a -0.0 imaginary part into +0.0: the negative
@@ -266,6 +264,7 @@ def ml_quad_values(z: ArrayLike, alpha: float, beta: float, rule: QuadratureRule
     flat = z.reshape(-1)
     if not np.isfinite(flat).all():
         raise DomainError("z has an entry with a NaN or infinite part")
+    _, _, c_wab, wa, block, _ = _node_factors(rule, alpha, beta)
     # every product and quotient in the helpers is elementwise and has no
     # complex product left to fuse, so a column's bits do not depend on the
     # batch
@@ -273,25 +272,25 @@ def ml_quad_values(z: ArrayLike, alpha: float, beta: float, rule: QuadratureRule
         axis = (flat.imag == 0.0) & (flat.real < 0.0)
         # at alpha = 1 the negative axis is inside the sector
         split = (np.abs(np.arctan2(flat.imag, flat.real)) <= alpha * math.pi) & ~axis
-        n_split = np.count_nonzero(split)
-        # one-sided batches skip the index copies
-        if n_split == 0 and not axis.any():
-            out = _plain_values(flat, alpha, beta, rule)
-        elif n_split == len(flat):
-            out = _pole_split_values(flat, alpha, beta, rule)
-        else:
-            out = np.empty_like(flat)
-            plain = ~(axis | split)
-            block = _node_factors(rule, alpha, beta)[4]
+        if beta > 1.0:
+            # a pole this near the origin lies inside the contour, where the
+            # plain column sums it; split off, gamma**(1-beta) swamps the value
+            split &= (flat == 0.0) | (np.abs(flat) >= _SPLIT_GAMMA_MIN**alpha)
+        plain = ~(axis | split)
+        out = np.empty_like(flat)
+        if axis.any():
             out[axis] = [_neg_axis_row(-zr, alpha, beta, block) for zr in flat[axis].real.tolist()]
+        if split.any():
             out[split] = _pole_split_values(flat[split], alpha, beta, rule)
-            out[plain] = _plain_values(flat[plain], alpha, beta, rule)
+        if plain.any():
+            out[plain] = _sum_rows(c_wab / (wa - flat[plain]), rule.N)
     return out.reshape(z.shape)
 
 
 def _plain_row(x: float, block: tuple) -> float:
-    """E[alpha, beta](-x) for x > 0 and alpha < 1 from the first block of node factors.
+    """E[alpha, beta](-x) for x > 0 from the first block of node factors.
 
+    alpha < 1, or alpha = 1 with the pole gamma = -x left in the integrand.
     The summand is conjugate-symmetric, so the row is twice the sum of
     Re[c_wab/(wa + x)], node after node from +0.0.  The real part is taken
     in Smith form: |wa + x|**2 overflows from x ~ 1e154 on.
@@ -350,8 +349,12 @@ def _edge_row(x: float, beta: float, block: tuple) -> float:
 
 
 def _neg_axis_row(x: float, alpha: float, beta: float, block: tuple) -> float:
-    # E[alpha, beta](-x), x > 0: the one sum of each regime of the negative axis
-    return _edge_row(x, beta, block) if alpha == 1.0 else _plain_row(x, block)
+    # E[alpha, beta](-x), x > 0: the one sum of each regime of the negative axis;
+    # at alpha = 1 a pole gamma = -x that the engine would keep in the integrand
+    # (beta > 1, |gamma| < _SPLIT_GAMMA_MIN) stays in it here too
+    if alpha == 1.0 and (beta <= 1.0 or x >= _SPLIT_GAMMA_MIN):
+        return _edge_row(x, beta, block)
+    return _plain_row(x, block)
 
 
 def ml_quad(z: complex, alpha: float, beta: float, rule: QuadratureRule) -> EvalResult:

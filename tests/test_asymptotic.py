@@ -1,11 +1,14 @@
 import cmath
 import math
 
+import mpmath as mp
 import pytest
 
 from mittleff import asymptotic
 from mittleff.asymptotic import TABLE_BLOCK, AsymptoticResult, asymptotic_sigma_tau, ml_asymptotic
+from mittleff.dispatch import ml_auto
 from mittleff.exceptions import DomainError
+from mittleff.quadrature import Method
 
 # sign/magnitude factors of the large-|z| expansion terms, alpha=0.7, beta=1
 def test_sigma_tau_small_index() -> None:
@@ -16,6 +19,29 @@ def test_sigma_tau_small_index() -> None:
     # beta - 2 alpha < 0: reflected form
     assert sigma == pytest.approx(-math.sin(math.pi * 0.4), rel=1e-14)
     assert math.exp(log_tau) == pytest.approx(math.gamma(1.4) / math.pi, rel=1e-13)
+
+
+class TestExactZeroCoefficients:
+    """Where n*alpha - beta is a nonnegative integer, 1/Gamma(beta - n*alpha) is 0."""
+
+    @pytest.mark.parametrize("n, alpha, beta", [(1, 1.0, 1.0), (3, 1.0, 0.0), (4, 0.5, 1.0), (2, 1.0, -1)])
+    def test_sigma_is_exactly_zero(self, n: int, alpha: float, beta: float) -> None:
+        # -sin(pi*k) rounds to about k*1e-16; an int beta takes the same path
+        assert asymptotic_sigma_tau(n, alpha, beta)[0] == 0.0
+
+    @pytest.mark.parametrize("x", [50.0, 100.0, 300.0, 700.0])
+    @pytest.mark.parametrize("beta", [1.0, 0.0, -1.0])
+    def test_alpha_one_is_the_closed_form(self, beta: float, x: float) -> None:
+        # E[1, beta](-x) = x**(1-beta) * e**-x * (-1)**(1-beta) for beta in
+        # {1, 0, -1}; the rounding noise of sigma_n gave ml_auto(-100, 1, 1)
+        # = 4.06e-21 against e**-100 = 3.72e-44, with converged True.  The
+        # bound is e**-x's own conditioning: x * eps from the rounding of the
+        # exponent
+        want = mp.power(-x, 1 - int(beta)) * mp.exp(-x)
+        res = ml_auto(-x, 1.0, beta)
+        assert res.method is Method.ASYMPTOTIC and res.converged
+        assert res.value.imag == 0.0
+        assert abs(res.value.real - want) <= 1e-15 * x * abs(want)
 
 
 class TestNegativeAxisTable:

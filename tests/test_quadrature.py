@@ -272,7 +272,8 @@ def _quad_cases(draw) -> tuple:
 # the real-axis loop at the ends of the negative axis
 @example(case=(HYP14, 0.3, 1.0, complex(-1e300, -0.0)))
 @example(case=(PAR14, 0.5, 1.0, complex(-5e-324)))
-# alpha = 1 on the negative axis: the pole on the cut, summed by the edge row
+# alpha = 1 on the negative axis: the pole on the cut, summed by the edge row,
+# or left in the plain row where beta > 1 and x < 0.03 (the last of these)
 @example(case=(HYP14, 1.0, 1.0, complex(-3.0)))
 @example(case=(PAR14, 1.0, 0.6, complex(-17.3, -0.0)))
 @example(case=(HYP14, 1.0, 2.5, complex(-0.02)))
@@ -350,6 +351,82 @@ class TestEngine:
             assert ml_quad(1e3, 0.5, 1.0, HYP14).value == real
         assert real == complex(math.inf, 0.0) and real.imag == 0.0
         assert math.isinf(cplx.real) and math.isinf(cplx.imag)
+
+
+@settings(derandomize=True, max_examples=300, database=None, deadline=None)
+@given(
+    rule=st.sampled_from(_RULES),
+    alpha=st.floats(0.0, 1.0, exclude_min=True),
+    beta=st.floats(-1.0, 6.0),
+    x=st.floats(5e-324, 1e300),
+    zero=st.sampled_from([0.0, -0.0]),
+)
+@example(rule=HYP14, alpha=0.5, beta=1.0, x=3.0, zero=-0.0)
+@example(rule=PAR14, alpha=1.0, beta=2.5, x=1e3, zero=0.0)
+def test_positive_axis_is_exactly_real(rule, alpha: float, beta: float, x: float, zero: float) -> None:
+    # z > 0 has a conjugate-symmetric integrand: the engine sums both node
+    # blocks, and the second block's sum is the exact conjugate of the first,
+    # so the imaginary part cancels to +0.0 with no symmetric-row special case
+    z = complex(x, zero)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = [complex(ml_quad_values(z, alpha, beta, rule)), ml_quad(z, alpha, beta, rule).value]
+    for value in values:
+        # a NaN value (w_n**alpha rounds to 1 as alpha -> 0, so z = 1 divides
+        # by zero) has no sign to check; an overflowing one is inf + 0j
+        if not math.isnan(value.real):
+            assert value.imag == 0.0 and math.copysign(1.0, value.imag) == 1.0
+
+
+class TestPoleSplitEnds:
+    """The split column at both ends of |gamma| = |z|**(1/alpha)."""
+
+    @staticmethod
+    def _series(z: float, alpha: float, beta: float) -> float:
+        with mp.workdps(40):
+            return float(mp.nsum(lambda k: mp.mpf(z) ** k * mp.rgamma(beta + alpha * k), [0, mp.inf]))
+
+    @pytest.mark.parametrize("rule, bound", [(HYP14, 1e-10), (PAR14, 1e-8)], ids=["hyp", "par"])
+    @pytest.mark.parametrize("z, alpha, beta", [(1e-8, 0.5, 2.5), (1e-300, 0.05, 2.5), (1e-3, 0.5, 1.5)])
+    def test_small_gamma_keeps_the_pole_in_the_integrand(self, rule, bound, z, alpha, beta) -> None:
+        # beta > 1: split off, the pole's weight gamma**(1-beta)/alpha swamps the
+        # value (-9.4e10 against 0.7523 at z = 1e-8 on the hyperbolic rule, NaN
+        # at z = 1e-300); the pole lies inside the contour, where the plain
+        # column sums it
+        want = self._series(z, alpha, beta)
+        res = ml_quad(z, alpha, beta, rule)
+        assert abs(res.value - want) <= bound * abs(want)
+        assert res.value.imag == 0.0
+
+    @pytest.mark.parametrize("rule, bound", [(HYP14, 1e-10), (PAR14, 1e-8)], ids=["hyp", "par"])
+    @pytest.mark.parametrize("x, beta", [(1e-20, 2.5), (1e-300, 2.5), (1e-8, 3.0), (0.01, 2.0)])
+    def test_small_gamma_on_the_cut_stays_in_the_integrand(self, rule, bound, x, beta) -> None:
+        # alpha = 1, z = -x: the edge row's split weight Re x**(1-beta) swamped
+        # the value too (9.28 against 0.7523 at x = 1e-20, NaN at 1e-300)
+        want = self._series(-x, 1.0, beta)
+        for value in (ml_quad(-x, 1.0, beta, rule).value, complex(ml_quad_values(-x, 1.0, beta, rule))):
+            assert abs(value - want) <= bound * abs(want)
+            assert value.imag == 0.0
+
+    @pytest.mark.parametrize("rule", [HYP14, PAR14], ids=["hyp", "par"])
+    def test_beta_up_to_one_still_splits(self, rule) -> None:
+        # gamma**(1-beta) is small for beta <= 1: the split column serves there,
+        # down to z = 0, which stays NaN and unconverged
+        want = self._series(1e-8, 0.5, 1.0)
+        assert abs(ml_quad(1e-8, 0.5, 1.0, rule).value - want) <= 1e-12 * want
+        at_zero = ml_quad(0.0, 0.5, 2.5, rule)
+        assert math.isnan(at_zero.value.real) and not at_zero.converged
+
+    @pytest.mark.parametrize("rule", [HYP14, PAR14], ids=["hyp", "par"])
+    @pytest.mark.parametrize("z, alpha, beta", [(1e10, 0.05, -1.0), (1e300, 0.05, 0.05), (complex(1e3, 1.0), 0.5, 1.0)])
+    def test_overflowing_residue_is_the_value(self, rule, z, alpha, beta) -> None:
+        # the node sum held inf - inf: the value was NaN where ml_auto gives inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = ml_quad(z, alpha, beta, rule).value
+            batch = ml_quad_values([z, 2.0], alpha, beta, rule)
+        assert math.isinf(value.real) and not math.isnan(value.imag)
+        assert _same_bits(complex(batch[0]), value)
 
 
 def test_negative_axis_never_runs_the_engine(monkeypatch) -> None:
