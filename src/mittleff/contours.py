@@ -9,14 +9,13 @@ parameter values u = n*h:
 The step h and scale mu are tied to the node count N so that the
 discretization and truncation errors of the trapezoid sum balance, giving
 geometric accuracy ~ predicted_rate**-N.  The hyperbola additionally has
-its opening angle phi tuned once (optimize_phi) to maximize the decay
-exponent.
+its opening angle fixed at HYPERBOLIC_PHI, the phi that maximizes the
+decay exponent hyperbolic_b(phi).
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -27,6 +26,9 @@ from .exceptions import DomainError
 _N_MAX = 300
 # error decay per node of the tuned hyperbola: accuracy ~ HYPERBOLIC_RATE**-N
 HYPERBOLIC_RATE = 10.13
+# the hyperbola's opening angle: the maximum of hyperbolic_b on (pi/4, pi/2),
+# as a golden-section search to 1e-12 finds it
+HYPERBOLIC_PHI = 1.1721042324398927
 
 
 class ContourKind(str, Enum):
@@ -104,37 +106,15 @@ def hyperbolic_b(phi: float) -> float:
     return math.pi * (math.pi - 2.0 * phi) / hyperbolic_a(phi)
 
 
-@functools.lru_cache(maxsize=1)
-def optimize_phi() -> float:
-    """Opening angle maximizing hyperbolic_b (~1.17210), by golden section."""
-    inv_gold = (math.sqrt(5.0) - 1.0) / 2.0
-    lo = math.pi / 4.0 + 1e-6
-    hi = math.pi / 2.0 - 1e-6
-    c = hi - inv_gold * (hi - lo)
-    d = lo + inv_gold * (hi - lo)
-    fc = hyperbolic_b(c)
-    fd = hyperbolic_b(d)
-    while hi - lo > 1e-12:
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - inv_gold * (hi - lo)
-            fc = hyperbolic_b(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + inv_gold * (hi - lo)
-            fd = hyperbolic_b(d)
-    return 0.5 * (lo + hi)
-
-
 def build_hyperbolic_rule(N: int) -> QuadratureRule:
     """Rule on the hyperbola w(u) = mu*(1 + sin(i*u - phi)) at the tuned angle.
 
-    With phi* from optimize_phi: mu = pi*(4*phi* - pi)*N/a(phi*),
+    With phi* = HYPERBOLIC_PHI: mu = pi*(4*phi* - pi)*N/a(phi*),
     h = a(phi*)/N, weights C_n = e**w(nh) * cos(i*n*h - phi*), and
     prefactor A = 2*phi* - pi/2.
     """
     _check_node_count(N)
-    phi = optimize_phi()
+    phi = HYPERBOLIC_PHI
     a = hyperbolic_a(phi)
     mu = math.pi * (4.0 * phi - math.pi) * N / a
     h = a / N

@@ -75,8 +75,9 @@ def run_method(
     """E[alpha, beta](z) by one method other than REDUCTION, unvalidated.
 
     converged says whether the series or the expansion met its stopping
-    rule; quadrature has none and sets it wherever z != 0.  n is the contour
-    parameter N of a quadrature method, picked from tol when None.
+    rule; quadrature has none and sets it wherever its value is not NaN.  n
+    is the contour parameter N of a quadrature method, picked from tol when
+    None.
     """
     if method is Method.SERIES:
         s = ml_series(z, alpha, beta, tol)

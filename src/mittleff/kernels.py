@@ -8,7 +8,9 @@ power-difference kernels
     psi1(eps, a) = ((1 + eps)**a - 1) / eps
     psi2(eps, a) = ((1 + eps)**a - (1 + a*eps)) / eps**2
 
-which stay accurate where the raw formulas cancel catastrophically.
+which stay accurate where the raw formulas cancel catastrophically: each
+is one binomial series on |eps| <= 1/2, a disk that holds every offset
+quadrature passes (|eps| < EPS_SWITCH = 0.1 near a pole).
 All functions here are pure and safe to call from multiple threads.
 """
 
@@ -112,25 +114,6 @@ def cpow_principal(w: complex, a: float) -> complex:
     return cmath.exp(a * cmath.log(w))
 
 
-def _log1p_complex(z: complex) -> complex:
-    # log(1+z) without cancellation for small |z|; assumes Re(1+z) > -1
-    # so the principal branch is smooth (holds for |z| < 1).
-    w = 1.0 + z
-    if w == 1.0:
-        return z
-    # w-1 is exact near 1, so the correction factor fixes the rounding of 1+z
-    return cmath.log(w) * (z / (w - 1.0))
-
-
-def _expm1_complex(z: complex) -> complex:
-    # exp(z)-1 without cancellation for small |z| (|z| < 2*pi assumed,
-    # which holds for every caller here).
-    u = cmath.exp(z)
-    if u == 1.0:
-        return z
-    return (u - 1.0) * (z / cmath.log(u))
-
-
 def _binomial_tail(eps: complex, a: float, k0: int, coeff: float) -> complex:
     # sum_{k>=k0} binom(a, k) eps^(k-k0), where coeff = binom(a, k0); for
     # |eps| <= 1/2 the term ratio is at most about 1/2, so this ends fast
@@ -147,38 +130,25 @@ def _binomial_tail(eps: complex, a: float, k0: int, coeff: float) -> complex:
 
 
 def psi1(eps: complex, a: float) -> complex:
-    """((1+eps)**a - 1)/eps, stable for small |eps|.
+    """((1+eps)**a - 1)/eps for |eps| <= 1/2, as one binomial series.
 
-    Returns exactly a at eps = 0.  Requires |eps| <= 1 and eps != -1.
+    Returns exactly a at eps = 0.
     """
     eps = complex(eps)
     _check_eps(eps, "psi1")
-    if eps == 0:
-        return complex(a)
-    if abs(eps) <= 0.5:
-        return _binomial_tail(eps, a, 1, a)
-    if eps.imag == 0.0:
-        return complex(math.expm1(a * math.log1p(eps.real)) / eps.real)
-    return _expm1_complex(a * _log1p_complex(eps)) / eps
+    return _binomial_tail(eps, a, 1, a)
 
 
 def psi2(eps: complex, a: float) -> complex:
-    """((1+eps)**a - (1+a*eps))/eps**2, stable for small |eps|.
+    """((1+eps)**a - (1+a*eps))/eps**2 for |eps| <= 1/2, as one binomial series.
 
-    Returns exactly a*(a-1)/2 at eps = 0.  Requires |eps| <= 1 and
-    eps != -1.  For |eps| <= 1/2 the binomial series is summed (the
-    direct formula would cancel); beyond that the direct formula is fine.
+    Returns exactly a*(a-1)/2 at eps = 0.
     """
     eps = complex(eps)
     _check_eps(eps, "psi2")
-    if eps == 0:
-        return complex(0.5 * a * (a - 1.0))
-    if abs(eps) <= 0.5:
-        return _binomial_tail(eps, a, 2, 0.5 * a * (a - 1.0))
-    w = cpow_principal(1.0 + eps, a)
-    return (w - (1.0 + a * eps)) / (eps * eps)
+    return _binomial_tail(eps, a, 2, 0.5 * a * (a - 1.0))
 
 
 def _check_eps(eps: complex, who: str) -> None:
-    if abs(eps) > 1.0 or eps == -1.0:
-        raise DomainError(f"{who}: eps={eps!r} outside the unit disk")
+    if not abs(eps) <= 0.5:
+        raise DomainError(f"{who}: eps={eps!r} outside the disk |eps| <= 1/2")

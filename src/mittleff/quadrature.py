@@ -20,6 +20,7 @@ its reference.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from enum import Enum
@@ -63,7 +64,7 @@ class EvalResult(NamedTuple):
     method: Method
     nodes_or_terms: int
     err_estimate: float
-    converged: bool  # series/expansion: stopping rule met; reduction: every step did; quadrature: z != 0
+    converged: bool  # series/expansion: stopping rule met; reduction: every step did; quadrature: value not NaN
 
 
 def _method_for(rule: QuadratureRule) -> Method:
@@ -118,7 +119,7 @@ def f_one(w: complex, z: complex, alpha: float, beta: float, gamma: complex) -> 
 def _f_pair_near(
     w: complex, alpha: float, beta: float, g_near: complex, g_far: complex, eps: complex
 ) -> complex:
-    # two-pole integrand via psi kernels around g_near; exact for any |eps| <= 1
+    # two-pole integrand via psi kernels around g_near; exact for |eps| <= 1/2
     p1 = psi1(eps, alpha)
     den_shared = w - g_far + eps * g_near
     near = (
@@ -231,9 +232,7 @@ def _pole_split_values(z: np.ndarray, alpha: float, beta: float, rule: Quadratur
         terms[j, i] = complex(c[j, 0]) * f
     residue = np.exp(log_pole + gamma)
     # an overflowing residue is the value: the node sum could only add inf - inf
-    values = np.where(np.isinf(residue), residue, residue + _sum_rows(terms, rule.N))
-    # z = 0 has Arg 0 and always lands here
-    return np.where(z == 0.0, complex(math.nan, math.nan), values)
+    return np.where(np.isinf(residue), residue, residue + _sum_rows(terms, rule.N))
 
 
 def _check_params(alpha: float, beta: float) -> None:
@@ -251,11 +250,12 @@ def ml_quad_values(z: ArrayLike, alpha: float, beta: float, rule: QuadratureRule
     with the pole at gamma = z**(1/alpha) split off inside the sector
     |Arg z| <= alpha*pi, so a value does not depend on the batch.  Where
     beta > 1 and |gamma| < _SPLIT_GAMMA_MIN the pole stays in the plain
-    column instead.  A real z > 0 gets a real value through the conjugate
-    node blocks.  z = 0 yields NaN (callers should route z = 0 to the
-    series).  A NaN or infinite entry, or a beta that is not finite or whose
-    node factors overflow, raises DomainError; an overflowing value gives
-    inf parts and no warning.
+    column instead.  z = 0 has no pole (w**alpha = 0 has no root on the
+    contour): its plain column sums w**-beta, so its value approximates
+    1/Gamma(beta) with the error origin_accuracy.  A real z >= 0 gets a
+    real value through the conjugate node blocks.  A NaN or infinite
+    entry, or a beta that is not finite or whose node factors overflow,
+    raises DomainError; an overflowing value gives inf parts and no warning.
     """
     _check_params(alpha, beta)
     # + 0.0 copies z and turns a -0.0 imaginary part into +0.0: the negative
@@ -270,12 +270,13 @@ def ml_quad_values(z: ArrayLike, alpha: float, beta: float, rule: QuadratureRule
     # batch
     with np.errstate(all="ignore"):
         axis = (flat.imag == 0.0) & (flat.real < 0.0)
-        # at alpha = 1 the negative axis is inside the sector
-        split = (np.abs(np.arctan2(flat.imag, flat.real)) <= alpha * math.pi) & ~axis
+        # at alpha = 1 the negative axis is inside the sector; z = 0 has no pole
+        sector = np.abs(np.arctan2(flat.imag, flat.real)) <= alpha * math.pi
+        split = sector & ~axis & (flat != 0.0)
         if beta > 1.0:
             # a pole this near the origin lies inside the contour, where the
             # plain column sums it; split off, gamma**(1-beta) swamps the value
-            split &= (flat == 0.0) | (np.abs(flat) >= _SPLIT_GAMMA_MIN**alpha)
+            split &= np.abs(flat) >= _SPLIT_GAMMA_MIN**alpha
         plain = ~(axis | split)
         out = np.empty_like(flat)
         if axis.any():
@@ -362,9 +363,9 @@ def ml_quad(z: complex, alpha: float, beta: float, rule: QuadratureRule) -> Eval
 
     ml_quad_values's value at z; the rule is reusable across z.  A real
     z < 0 takes _neg_axis_row, every other z the engine as a batch of one.
-    z = 0 yields a NaN value with converged False (callers should route
-    z = 0 to the series).  A NaN or infinite part of z, a beta that is not
-    finite, or a beta whose node factors overflow raises DomainError.
+    Quadrature has no stopping rule: converged says that the value is not
+    NaN.  A NaN or infinite part of z, a beta that is not finite, or a beta
+    whose node factors overflow raises DomainError.
     """
     z = finite_complex(z)
     _check_params(alpha, beta)
@@ -373,7 +374,7 @@ def ml_quad(z: complex, alpha: float, beta: float, rule: QuadratureRule) -> Eval
         value = complex(_neg_axis_row(-z.real, alpha, beta, block))
     else:
         value = complex(ml_quad_values(z, alpha, beta, rule))
-    return EvalResult(value, _method_for(rule), 2 * rule.N + 1, math.nan if z == 0 else err, z != 0)
+    return EvalResult(value, _method_for(rule), 2 * rule.N + 1, err, not cmath.isnan(value))
 
 
 def two_pole_row(x: float, alpha: float, beta: float, rule: QuadratureRule) -> float:

@@ -161,10 +161,19 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:") and "beta" in err
 
-    def test_nan_at_origin_is_numerical_failure(self, capsys) -> None:
-        code, _, err = run(
+    def test_quadrature_at_origin_succeeds(self, capsys) -> None:
+        # z = 0 has no pole: quadrature sums the plain column, 1/Gamma(1) = 1
+        # to about 4e-14 (it gave NaN and exit 3)
+        code, out, err = run(
             capsys, "eval", "--alpha", "0.5", "--beta", "1", "--z", "0",
             "--method", "quad-hyp",
+        )
+        assert code == 0 and err == ""
+        assert abs(float(out.split()[0]) - 1.0) <= 1e-13
+
+    def test_nan_value_is_numerical_failure(self, capsys) -> None:
+        code, _, err = run(
+            capsys, "eval", "--alpha", "1", "--beta=-1", "--z=-1e300", "--method", "quad-hyp",
         )
         assert code == 3
         assert "NaN" in err
@@ -211,16 +220,17 @@ class TestGrid:
             assert tail == "-inf" or float(tail) <= -12.0
 
     def test_nan_difference_is_not_agreement(self, capsys) -> None:
-        # quadrature gives NaN at z = 0; its difference used to read -inf
+        # both quadratures give NaN at E[1,-1](-1e300), and finite values at
+        # z = 0; a NaN difference used to read -inf
         code, out, _ = run(
-            capsys, "grid", "--alpha", "0.5", "--beta", "1",
-            "--re-min=-1", "--re-max", "1", "--im-min=-1", "--im-max", "1",
-            "--steps", "3", "--out", "-", "--compare-method", "quad-par,quad-hyp",
+            capsys, "grid", "--alpha", "1", "--beta=-1",
+            "--re-min=-1e300", "--re-max", "0", "--im-min", "0", "--im-max", "0",
+            "--steps", "2", "--out", "-", "--compare-method", "quad-par,quad-hyp",
         )
         assert code == 0
         rows = out.splitlines()[1:]
-        assert rows[4] == "0.0,0.0,nan,nan,nan"
-        assert all(math.isfinite(float(row.split(",")[-1])) for i, row in enumerate(rows) if i != 4)
+        assert rows[:2] == ["-1e+300,0.0,nan,0.0,nan"] * 2
+        assert all(math.isfinite(float(row.split(",")[-1])) for row in rows[2:])
 
     @pytest.mark.parametrize(
         "bounds",
@@ -258,7 +268,7 @@ class TestGrid:
                 capsys, "eval", "--alpha", "0.5", "--beta", "1", "--z", f"{re_s},{im_s}",
                 "--method", "quad-par",
             )
-            # repr compares NaN (z = 0 is on the grid) and the sign of zero too
+            # repr compares the sign of zero too (z = 0 is on the grid)
             want = [repr(float(f)) for f in single.splitlines()[0].split()]
             assert [repr(float(v_re)), repr(float(v_im))] == want, row
 

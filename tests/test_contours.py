@@ -4,12 +4,12 @@ import math
 import pytest
 
 from mittleff.contours import (
+    HYPERBOLIC_PHI,
     ContourKind,
     build_hyperbolic_rule,
     build_parabolic_rule,
     hyperbolic_a,
     hyperbolic_b,
-    optimize_phi,
 )
 from mittleff.exceptions import DomainError
 
@@ -68,10 +68,13 @@ class TestHyperbolicFunctions:
 
 class TestOptimizePhi:
     def test_location(self) -> None:
-        assert optimize_phi() == pytest.approx(1.17210, abs=5e-5)
-
-    def test_is_cached(self) -> None:
-        assert optimize_phi() == optimize_phi()
+        # the constant is the maximum of the decay exponent, by margins of
+        # about 5.9e-6 and 5.9e-10 at these steps; every hyperbolic rule uses it
+        b = hyperbolic_b(HYPERBOLIC_PHI)
+        for delta in (1e-3, 1e-5):
+            assert b >= hyperbolic_b(HYPERBOLIC_PHI - delta)
+            assert b >= hyperbolic_b(HYPERBOLIC_PHI + delta)
+        assert all(build_hyperbolic_rule(n).phi == HYPERBOLIC_PHI for n in (1, 10, 14))
 
     def test_derived_scalings(self) -> None:
         r = build_hyperbolic_rule(10)
@@ -87,7 +90,7 @@ class TestHyperbolicRule:
         assert r.kind is ContourKind.HYPERBOLIC
         assert len(r.nodes) == 11
         assert r.predicted_rate == 10.13
-        assert r.phi == optimize_phi()
+        assert r.phi == HYPERBOLIC_PHI
 
     @pytest.mark.parametrize("n", [1, 5, 14])
     def test_vertex_real_positive(self, n: int) -> None:

@@ -141,8 +141,6 @@ class TestConverged:
             (Method.ASYMPTOTIC, -5.0, 0.7, 1e-12, False),
             (Method.QUAD_PARABOLIC, 3.0, 0.5, DEFAULT_TOL, True),
             (Method.QUAD_HYPERBOLIC, 3.0, 0.5, DEFAULT_TOL, True),
-            # quadrature is NaN at the origin, so it must not claim convergence
-            (Method.QUAD_HYPERBOLIC, 0.0, 0.5, DEFAULT_TOL, False),
         ],
     )
     def test_forced_method_reports_its_stopping_rule(
@@ -151,6 +149,13 @@ class TestConverged:
         res = run_method(method, complex(z), alpha, 1.0, tol)
         assert res.method is method
         assert res.converged is converged
+
+    @pytest.mark.parametrize("method", [Method.QUAD_PARABOLIC, Method.QUAD_HYPERBOLIC])
+    def test_forced_quadrature_with_a_nan_value_is_not_converged(self, method: Method) -> None:
+        # E[1,-1](-1e300) comes back NaN, so quadrature must not claim convergence
+        res = run_method(method, complex(-1e300), 1.0, -1.0, DEFAULT_TOL)
+        assert res.method is method
+        assert math.isnan(res.value.real) and res.converged is False
 
     def test_reduction_with_an_unconverged_step(self, monkeypatch) -> None:
         # every routed step converges, so mark one sub-evaluation as missed

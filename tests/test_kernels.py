@@ -1,7 +1,10 @@
+import cmath
 import math
 
 import mpmath as mp
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from mittleff.exceptions import DomainError
 from mittleff.kernels import (
@@ -142,10 +145,6 @@ class TestPsiKernels:
         for a in (0.3, 0.7, 2.0, -0.5):
             assert psi2(0.0j, a) == complex(0.5 * a * (a - 1.0))
 
-    def test_psi2_full_step(self) -> None:
-        # ((1+1)^2 - (1+2))/1 = 1, single surviving binomial term
-        assert psi2(1.0 + 0.0j, 2.0) == pytest.approx(1.0 + 0.0j, rel=5e-15)
-
     def test_psi2_tiny_eps(self) -> None:
         # oracle: 3-term binomial series at double precision, frozen
         got = psi2(1e-6 + 0.0j, 0.7)
@@ -153,21 +152,51 @@ class TestPsiKernels:
 
     def test_identity_psi1_psi2(self) -> None:
         # psi1(e, a) = a + e*psi2(e, a)
-        eps_values = [1e-12, 1e-6, 1e-3, 0.1, -0.4, 0.8, 0.3 + 0.2j, 0.49j, 0.9j]
+        eps_values = [1e-12, 1e-6, 1e-3, 0.1, -0.4, 0.3 + 0.2j, 0.49j]
         for a in (0.3, 0.5, 0.7, 1.0, 1.5, -0.25):
             for e in eps_values:
                 lhs = psi1(e, a)
                 rhs = a + e * psi2(e, a)
                 assert abs(lhs - rhs) <= 1e-15 * max(1.0, abs(lhs))
 
-    @pytest.mark.parametrize("eps", [1.5 + 0.0j, -1.0 + 0.0j, 1.2j, complex(0.9, 0.9)])
+    # the kernels serve |eps| < EPS_SWITCH = 0.1 only: outside |eps| <= 1/2
+    # the series would converge slowly, or not at all
+    @pytest.mark.parametrize(
+        "eps", [1.5 + 0.0j, -1.0 + 0.0j, 1.2j, complex(0.9, 0.9), 0.6 + 0.0j, 0.8j, 1.0 + 0.0j, 1j]
+    )
     def test_domain_errors(self, eps: complex) -> None:
         with pytest.raises(DomainError):
             psi1(eps, 0.5)
         with pytest.raises(DomainError):
             psi2(eps, 0.5)
 
-    def test_unit_modulus_is_allowed(self) -> None:
-        # |eps| = 1 is accepted (only eps = -1 itself is singular)
-        psi1(1.0 + 0.0j, 0.5)
-        psi2(1.0j, 0.3)
+
+_HALF_DISK = st.one_of(
+    st.builds(cmath.rect, st.floats(0.0, 0.5), st.floats(-math.pi, math.pi)),
+    st.floats(-0.5, 0.5).map(complex),
+)
+
+
+@settings(
+    derandomize=True,
+    max_examples=300,
+    database=None,
+    deadline=None,
+    phases=[Phase.explicit, Phase.generate, Phase.shrink],
+)
+@given(eps=_HALF_DISK, a=st.floats(-3.0, 3.0))
+def test_psi_kernels_against_mpmath(eps: complex, a: float) -> None:
+    # the binomial series on the whole disk |eps| <= 1/2, complex and real eps,
+    # against the direct formulas with 50 digits to spare after their
+    # cancellation, which costs psi2 twice the digits of eps (limits at eps = 0)
+    if abs(eps) > 0.5:  # rect rounds |eps| up past 1/2 at the rim
+        eps /= 1.0 + 1e-15
+    with mp.workdps(50 + 2 * max(0, -math.floor(math.log10(abs(eps) or 1.0)))):
+        e, am = mp.mpc(eps), mp.mpf(a)
+        if e == 0:
+            refs = (am, am * (am - 1) / 2)
+        else:
+            refs = (((1 + e) ** am - 1) / e, ((1 + e) ** am - (1 + am * e)) / e**2)
+        refs = tuple(complex(r) for r in refs)
+    for got, ref in zip((psi1(eps, a), psi2(eps, a)), refs):
+        assert abs(got - ref) <= 4e-15 * max(1.0, abs(ref)), (eps, a)
