@@ -131,6 +131,20 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
+def _abs_diff(a: complex, b: complex) -> float:
+    """|a - b|, nan or inf where the difference has a NaN or infinite part.
+
+    CPython's complex abs returns NaN for a NaN part without clearing a
+    stale ERANGE left in errno (by an overflowing math.exp, say), and then
+    raises OverflowError; hypot gives the same nan or inf without it.
+    """
+    d = a - b
+    try:
+        return abs(d)
+    except OverflowError:
+        return math.hypot(d.real, d.imag)
+
+
 def _linspace(lo: float, hi: float, steps: int) -> list[float]:
     if steps == 1:
         return [lo]
@@ -146,16 +160,19 @@ def cmd_grid(args: argparse.Namespace) -> int:
     im_axis = _linspace(args.im_min, args.im_max, args.steps)
     if not all(math.isfinite(v) for v in (*re_axis, *im_axis)):
         raise DomainError("grid bounds must be finite, and so must the points between them")
-    points = itertools.product(re_axis, im_axis)  # outer loop over re, inner over im
+    # outer loop over re, inner over im; each axis value is formatted once
+    points = itertools.product(
+        zip(re_axis, map(repr, re_axis)), zip(im_axis, map(repr, im_axis))
+    )
     lines = ["re,im,value_re,value_im" + (",log10_abs_err" if second else "")]
     while block := list(itertools.islice(points, GRID_BLOCK)):
-        zs = [complex(re, im) for re, im in block]
+        zs = [complex(re, im) for (re, _), (im, _) in block]
         values = _block_values(first, zs, args)
         others = _block_values(second, zs, args) if second else values
-        for (re, im), v1, v2 in zip(block, values, others):
-            row = f"{re!r},{im!r},{v1.real!r},{v1.imag!r}"
+        for ((_, re_text), (_, im_text)), v1, v2 in zip(block, values, others):
+            row = f"{re_text},{im_text},{v1.real!r},{v1.imag!r}"
             if second:
-                diff = abs(v1 - v2)  # NaN where either value is NaN: log10 keeps it
+                diff = _abs_diff(v1, v2)  # NaN where either value is NaN: log10 keeps it
                 row += f",{math.log10(diff) if diff != 0.0 else -math.inf!r}"
             lines.append(row)
     _write_text(args.out, "\n".join(lines) + "\n")
@@ -196,7 +213,7 @@ def cmd_table_asymp(args: argparse.Namespace) -> int:
             log_tau = asymptotic_sigma_tau(k, args.alpha, args.beta)[1]
             tails.append(math.exp(log_tau - k * math.log(x)))
         rows.append(
-            f"{x:>8g} {res.nodes_or_terms:>6d} {scale:>14.6e} {abs(res.value - ref):>13.3e}"
+            f"{x:>8g} {res.nodes_or_terms:>6d} {scale:>14.6e} {_abs_diff(res.value, ref):>13.3e}"
             f" {tails[0]:>13.3e} {tails[1]:>13.3e}"
         )
     print("\n".join(rows))

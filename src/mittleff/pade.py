@@ -15,7 +15,7 @@ form takes its poles from the eigenvalues of the companion matrix of q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -48,15 +48,66 @@ class PadeApproximant:
     p: tuple[float, ...]  # length r+1, p[r] == 0.0
     q: tuple[float, ...]  # length r+1
     solver: PadeSolver
+    # (p_k, q_k) from k = r down to 0: pade_eval's single Horner pass
+    _pq: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_pq", tuple(zip(reversed(self.p), reversed(self.q))))
 
 
 @dataclass(frozen=True)
 class PartialFractionForm:
+    """sum_j residues[j] / (poles[j] - x), evaluated in real arithmetic.
+
+    Non-real poles come in exact conjugate pairs with exactly conjugate
+    residues (as partial_fractions gives them), or DomainError is raised.
+    At real x a pair a +- ib with residues c, conj(c) adds 2 Re[c/(a + ib
+    - x)]: evaluate_at pays one real division per real pole and per pair,
+    from float tables built once per form.
+    """
+
     poles: tuple[complex, ...]
     residues: tuple[complex, ...]
+    # (a, Re res) per real pole; (a, b, 2 Re c, 2 Im c) per pole a + ib, b > 0
+    _real: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
+    _pairs: tuple[tuple[float, float, float, float], ...] = field(init=False, repr=False, compare=False)
 
-    def evaluate_at(self, x: float) -> complex:
-        return sum(res / (pole - x) for pole, res in zip(self.poles, self.residues))
+    def __post_init__(self) -> None:
+        residue_of = dict(zip(self.poles, self.residues))
+        real, pairs = [], []
+        for pole, res in zip(self.poles, self.residues):
+            if pole.imag == 0.0:
+                real.append((pole.real, res.real))
+                continue
+            if pole.conjugate() not in residue_of:
+                raise DomainError(f"pole {pole!r} has no exact conjugate")
+            if residue_of[pole.conjugate()] != res.conjugate():
+                raise DomainError(f"the residues at {pole!r} and its conjugate are not conjugates")
+            if pole.imag > 0.0:
+                pairs.append((pole.real, pole.imag, 2.0 * res.real, 2.0 * res.imag))
+        object.__setattr__(self, "_real", tuple(real))
+        object.__setattr__(self, "_pairs", tuple(pairs))
+
+    def evaluate_at(self, x: float) -> float:
+        """The sum at a finite real x; a NaN or infinite x raises DomainError.
+
+        The real part of c/(d + ib), d = a - x, is taken in Smith form:
+        d**2 + b**2 overflows from |x| ~ 1e154 on.
+        """
+        if not -math.inf < x < math.inf:  # complex x: TypeError
+            raise DomainError(f"x={x!r} is not a finite real number")
+        s = 0.0
+        for a, res in self._real:
+            s += res / (a - x)
+        for a, b, u, v in self._pairs:
+            d = a - x
+            if abs(d) >= abs(b):
+                rat = b / d
+                s += (u + v * rat) / (d + b * rat)
+            else:
+                rat = d / b
+                s += (u * rat + v) / (b + d * rat)
+        return s
 
 
 def series_coeff_a(k: int, alpha: float, beta: float) -> float:
@@ -197,13 +248,27 @@ def _horner(coeffs: tuple[float, ...], x: complex) -> complex:
 
 
 def pade_eval(approx: PadeApproximant, x: float) -> float:
-    """p(x)/q(x) at a point of [0, inf)."""
+    """p(x)/q(x) at a point of [0, inf), both sums in one Horner pass.
+
+    Where a sum overflows (from x ~ 1e45 on at r = 8) the same quotient is
+    summed in y = 1/x with the coefficients reversed; wherever both sums
+    are finite the value is _horner(p, x) / _horner(q, x) to the bit.
+    """
     if not 0.0 <= x < math.inf:
         raise DomainError(f"x={x!r} outside [0, inf)")
-    den = _horner(approx.q, x)
+    num = den = 0.0
+    for pk, qk in approx._pq:
+        num = num * x + pk
+        den = den * x + qk
+    if not (math.isfinite(num) and math.isfinite(den)):
+        y = 1.0 / x
+        num = den = 0.0
+        for pk, qk in reversed(approx._pq):
+            num = num * y + pk
+            den = den * y + qk
     if den == 0.0:
         raise PoleError(f"q({x!r}) = 0")
-    return _horner(approx.p, x) / den
+    return num / den
 
 
 def partial_fractions(approx: PadeApproximant) -> PartialFractionForm:
@@ -214,7 +279,11 @@ def partial_fractions(approx: PadeApproximant) -> PartialFractionForm:
     (numpy.roots, backward stable; complex ones in exact conjugate pairs),
     each polished by one complex Newton step on q, which keeps pairs exact.
     The residues are those of p over the polynomial with exactly these
-    poles.  Against p/q on [0, 50] the fractions are good to 2e-11 relative
+    poles, computed for the real and upper-half poles only: a lower pole
+    takes the exact conjugate of its partner's residue, so each pair's
+    residues are conjugate bit for bit (a product over the other poles in
+    sorted order would make them so only to rounding).  Against p/q on
+    [0, 50] the fractions are good to 2e-11 relative
     for alpha >= 0.5 up to r = 12, and to 3e-10 at alpha = 0.2 for r = 10
     and 12.
     """
@@ -243,11 +312,17 @@ def partial_fractions(approx: PadeApproximant) -> PartialFractionForm:
                     f"poles {poles[i]!r} and {poles[j]!r} are too close to separate"
                 )
 
-    residues = tuple(
-        -_horner(approx.p, chi) / (q[r] * math.prod(chi - poles[j] for j in range(r) if j != i))
-        for i, chi in enumerate(poles)
-    )
-    return PartialFractionForm(poles, residues)
+    # sorted order puts a pair's upper pole after its partner: walking
+    # backwards, each lower pole finds the upper one's residue
+    residue_of: dict[complex, complex] = {}
+    for i in reversed(range(r)):
+        chi = poles[i]
+        if chi.imag < 0.0 and chi.conjugate() in residue_of:
+            residue_of[chi] = residue_of[chi.conjugate()].conjugate()
+        else:
+            others = math.prod(chi - poles[j] for j in range(r) if j != i)
+            residue_of[chi] = -_horner(approx.p, chi) / (q[r] * others)
+    return PartialFractionForm(poles, tuple(residue_of[chi] for chi in poles))
 
 
 def coefficients_csv(approx: PadeApproximant) -> str:

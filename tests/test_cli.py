@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from mittleff.cli import GRID_BLOCK, _merge_negative_values, main
+from mittleff.cli import GRID_BLOCK, _abs_diff, _merge_negative_values, main
 
 VALUE_LINE = re.compile(r"^-?\d\.\d{16}e[+-]\d{2,3} -?\d\.\d{16}e[+-]\d{2,3}$")
 
@@ -231,6 +231,27 @@ class TestGrid:
         rows = out.splitlines()[1:]
         assert rows[:2] == ["-1e+300,0.0,nan,0.0,nan"] * 2
         assert all(math.isfinite(float(row.split(",")[-1])) for row in rows[2:])
+
+    def test_nan_difference_after_overflow_is_written(self, capsys) -> None:
+        # at -1e300 + 1j a caught overflow leaves ERANGE in errno, and the
+        # complex abs of the next NaN difference raised OverflowError
+        code, out, _ = run(
+            capsys, "grid", "--alpha", "1", "--beta=-1",
+            "--re-min=-1e300", "--re-max", "1", "--im-min", "0", "--im-max", "1",
+            "--steps", "2", "--out", "-", "--compare-method", "quad-par,quad-hyp",
+        )
+        assert code == 0
+        rows = out.splitlines()[1:]
+        assert len(rows) == 4
+        assert rows[0].split(",")[-1] == "nan"
+
+    def test_abs_diff_ignores_stale_errno(self) -> None:
+        with pytest.raises(OverflowError):
+            math.exp(1000.0)  # leaves ERANGE in errno
+        nan = complex(math.nan, 0.0)
+        assert math.isnan(_abs_diff(nan, nan))
+        assert _abs_diff(complex(math.inf, 0.0), complex(0.0, 1.0)) == math.inf
+        assert _abs_diff(3 + 4j, 0j) == 5.0
 
     @pytest.mark.parametrize(
         "bounds",

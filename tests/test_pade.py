@@ -1,7 +1,10 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from mittleff.dispatch import ml_auto
 from mittleff.exceptions import (
@@ -13,6 +16,8 @@ from mittleff.exceptions import (
 from mittleff.pade import (
     PadeApproximant,
     PadeSolver,
+    PartialFractionForm,
+    _horner,
     assemble_pade_matrix,
     build_pade,
     coefficients_csv,
@@ -25,6 +30,20 @@ from mittleff.pade import (
     solve_lu_homogeneous,
     solve_svd_null,
 )
+
+# the pade_fit benchmark's fits: every (alpha, r, solver) it runs
+FITS = [
+    (alpha, r, solver)
+    for alpha in (0.2, 0.4, 0.5, 0.6, 0.8, 1.0)
+    for r in range(2, 9)
+    for solver in ("fixed", "svd", "lu")
+]
+
+
+@lru_cache(maxsize=None)
+def fitted(alpha: float, r: int, solver: str) -> tuple[PadeApproximant, PartialFractionForm]:
+    ap = build_pade(alpha, 1.0, r + 1, r, solver)
+    return ap, partial_fractions(ap)
 
 
 class TestSeriesCoefficients:
@@ -179,6 +198,34 @@ class TestEvaluation:
         with pytest.raises(PoleError):
             pade_eval(bad, 1.0)
 
+    def test_overflowing_sums_fall_back_to_reciprocal(self) -> None:
+        # both Horner sums overflow from x ~ 1e45 on, and inf/inf was NaN
+        ap = build_pade(0.5, 1.0, 9, 8)
+        r = ap.r
+        for x in (1e45, 1e100, 1e300):
+            want = ap.p[r - 1] / (ap.q[r] * x)
+            assert pade_eval(ap, x) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    @settings(
+        derandomize=True,
+        max_examples=300,
+        database=None,
+        deadline=None,
+        phases=[Phase.explicit, Phase.generate, Phase.shrink],
+    )
+    @given(fit=st.sampled_from(FITS), x=st.floats(0.0, 1e3))
+    def test_one_pass_matches_horner_quotient(self, fit: tuple[float, int, str], x: float) -> None:
+        ap, pf = fitted(*fit)
+        direct = pade_eval(ap, x)
+        assert direct == _horner(ap.p, x) / _horner(ap.q, x)
+        recon = pf.evaluate_at(x)
+        assert type(recon) is float
+        # test_reconstruction's bound, plus the rounding of the sum itself: at
+        # alpha = 1 every b_k is 0, p/q decays faster than its terms and the
+        # sum cancels (r = 7, x = 912: terms of size 1e-2 in all, a value of 2e-21)
+        terms = sum(abs(c / (p - x)) for p, c in zip(pf.poles, pf.residues))
+        assert abs(recon - direct) <= 1e-10 * abs(direct) + 1e-14 * terms
+
 
 class TestPartialFractions:
     # pole errors grow with r and as alpha falls; alpha = 0.2 reaches 3e-10 from r = 10 on
@@ -199,24 +246,51 @@ class TestPartialFractions:
         for pole in pf.poles:
             assert not (pole.imag == 0.0 and pole.real >= 0.0)
 
-    # the pade_fit benchmark's fits: LAPACK returns the complex eigenvalues of
-    # the real companion matrix in exact conjugate pairs, and the complex
-    # Newton step keeps them so, with no re-pairing pass.  A residue's product
-    # runs over the other poles in sorted order, which is not the same order of
-    # conjugates for the two members of a pair: their residues are conjugate to
-    # rounding, not bit for bit
-    @pytest.mark.parametrize("solver", ["fixed", "svd", "lu"])
-    @pytest.mark.parametrize("r", range(2, 9))
-    @pytest.mark.parametrize("alpha", [0.2, 0.4, 0.5, 0.6, 0.8, 1.0])
+    # LAPACK returns the complex eigenvalues of the real companion matrix in
+    # exact conjugate pairs, and the complex Newton step keeps them so, with
+    # no re-pairing pass.  Only the upper pole of a pair gets a residue
+    # computed; the lower one takes its exact conjugate
+    @pytest.mark.parametrize("alpha, r, solver", FITS)
     def test_conjugate_pairing_is_exact(self, alpha: float, r: int, solver: str) -> None:
-        pf = partial_fractions(build_pade(alpha, 1.0, r + 1, r, solver))
+        _, pf = fitted(alpha, r, solver)
         residue_of = dict(zip(pf.poles, pf.residues))
         assert len(residue_of) == r
         for pole, res in residue_of.items():
             if pole.imag != 0.0:
                 assert pole.conjugate() in residue_of
-                err = abs(residue_of[pole.conjugate()] - res.conjugate())
-                assert err <= 4 * r * np.finfo(float).eps * abs(res)
+                assert residue_of[pole.conjugate()] == res.conjugate()
+
+    def test_far_field_keeps_its_digits(self) -> None:
+        # |a - x|**2 overflows here: the pair terms are taken in Smith form
+        ap, pf = fitted(0.5, 7, "fixed")
+        got = pf.evaluate_at(1e200)
+        assert got != 0.0
+        assert got == pytest.approx(pade_eval(ap, 1e200), rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_x_rejected(self, x: float) -> None:
+        _, pf = fitted(0.5, 7, "fixed")
+        with pytest.raises(DomainError):
+            pf.evaluate_at(x)
+
+    def test_complex_x_rejected(self) -> None:
+        _, pf = fitted(0.5, 7, "fixed")
+        with pytest.raises(TypeError):
+            pf.evaluate_at(1.0 + 0j)
+
+    def test_unpaired_pole_rejected(self) -> None:
+        with pytest.raises(DomainError):
+            PartialFractionForm((-1.0 + 2.0j,), (1.0 + 0j,))
+        with pytest.raises(DomainError):
+            PartialFractionForm((-1.0 - 2.0j, -1.0 + 2.0j), (1.0 + 1.0j, 1.0 + 1.0j))
+
+    def test_real_poles_and_pairs_sum_as_complex_terms(self) -> None:
+        poles = (-3.0 + 0j, -1.0 - 2.0j, -1.0 + 2.0j)
+        residues = (0.5 + 0j, 0.25 - 1.5j, 0.25 + 1.5j)
+        pf = PartialFractionForm(poles, residues)
+        for x in (0.0, 0.7, 40.0):
+            want = sum(c / (p - x) for p, c in zip(poles, residues))
+            assert pf.evaluate_at(x) == pytest.approx(want.real, rel=1e-15, abs=0.0)
 
     def test_clustered_roots_reported(self) -> None:
         # double-root-like denominator: (1 + x)(1 + (1+1e-10) x)
