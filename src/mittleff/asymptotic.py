@@ -72,7 +72,6 @@ def _sigma_tau_block(alpha: float, beta: float, block: int) -> tuple[tuple[float
     return tuple(rows)
 
 
-@functools.lru_cache(maxsize=256)
 def log_r_floor(alpha: float, beta: float, tol: float) -> float:
     """A lower bound on the log|z| at which ml_asymptotic can converge.
 
@@ -97,7 +96,11 @@ def log_r_floor(alpha: float, beta: float, tol: float) -> float:
 
 
 def ml_asymptotic(z: complex, alpha: float, beta: float, tol: float) -> AsymptoticResult:
-    """Asymptotic value of E[alpha, beta](z) for large |z|, alpha in (0, 1]; real for real z."""
+    """Asymptotic value of E[alpha, beta](z) for large |z|, alpha in (0, 1]; real for real z.
+
+    A sum that overflows comes back as the signed infinity of its largest
+    term, and a NaN value is never converged.
+    """
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha={alpha!r} outside (0, 1]")
     finite_beta(beta)
@@ -106,25 +109,50 @@ def ml_asymptotic(z: complex, alpha: float, beta: float, tol: float) -> Asymptot
     z = finite_complex(z)
     if z == 0:
         raise DomainError("z = 0 is not in the asymptotic regime")
+    return AsymptoticResult(*_expansion_sum(z, alpha, beta, tol))
 
+
+def _last_term(log_n_max: float) -> float:
+    """The largest n >= 0 with n = 0 or math.log(n) <= log_n_max.
+
+    The divergence test log(n) > log_n_max is then n > this bound, with the
+    same first n: log is increasing on the integers, and up to e**30 the
+    logs of two neighbours are further apart than their rounding.  Past
+    that the bound is inf; no sum runs 1e13 terms.
+    """
+    if log_n_max > 30.0:
+        return INF
+    n = int(math.exp(log_n_max))
+    while n >= 1 and math.log(n) > log_n_max:
+        n -= 1
+    while math.log(n + 1) <= log_n_max:
+        n += 1
+    return n
+
+
+def _expansion_sum(z: complex, alpha: float, beta: float, tol: float) -> tuple[complex, int, float, bool]:
+    """ml_asymptotic's fields for checked arguments, z != 0."""
     r = abs(z)
     theta = principal_arg(z)
     ln_r = math.log(r)
     # divergence bound n > |z|**(1/alpha)/alpha, kept in logs
-    log_n_max = ln_r / alpha - math.log(alpha)
+    n_last = _last_term(ln_r / alpha - math.log(alpha))
     log_tol = math.log(tol)
 
     # a real z has theta 0 or pi, where rect(1, -n*theta) is exactly (+-1, ~0):
     # it is summed in floats, the complex loop's real part bit for bit
     real = z.imag == 0.0
     acc = 0.0 if real else 0.0j
+    # the term of largest log magnitude among those that overflow, and that log
+    big = None
+    log_big = -INF
     n = 1
     t_last = INF
     m = 1
     converged = False
     coeffs = _sigma_tau_block(alpha, beta, 0)
     while True:
-        if math.log(n) > log_n_max:
+        if n > n_last:
             m = n  # stopped before adding term n
             break
         if n % TABLE_BLOCK == 0:
@@ -133,9 +161,16 @@ def ml_asymptotic(z: complex, alpha: float, beta: float, tol: float) -> Asymptot
         log_t = log_tau - n * ln_r
         t = math.exp(log_t) if log_t < 709.0 else INF
         if real:
-            acc += sigma * t if theta == 0.0 or n % 2 == 0 else -(sigma * t)
+            term = sigma * t if theta == 0.0 or n % 2 == 0 else -(sigma * t)
         else:
-            acc += sigma * t * cmath.rect(1.0, -n * theta)
+            term = sigma * t * cmath.rect(1.0, -n * theta)
+        if t < INF:
+            acc += term
+        elif sigma != 0.0 and log_t + math.log(abs(sigma)) > log_big:
+            # an infinite term: added, it could give inf - inf; the largest
+            # is the sum's value (and a zero sigma, 0*inf = NaN, adds nothing)
+            log_big = log_t + math.log(abs(sigma))
+            big = term
         if log_size != log_tau:
             log_t = log_size - n * ln_r
             t = math.exp(log_t) if log_t < 709.0 else INF
@@ -146,7 +181,7 @@ def ml_asymptotic(z: complex, alpha: float, beta: float, tol: float) -> Asymptot
             break
         n += 1
 
-    value = complex(-acc)
+    value = complex(-(acc if big is None else big))
     if abs(theta) <= alpha * math.pi:
         lnz = cmath.log(z)
         g = cexp(lnz / alpha)  # z**(1/alpha)
@@ -158,4 +193,6 @@ def ml_asymptotic(z: complex, alpha: float, beta: float, tol: float) -> Asymptot
             value = complex(INF, INF)
         # g overflowed with Re g < 0: exp factor underflows to 0
     # on the cut (alpha = 1, z < 0) the exponential part rounds to a complex value
-    return AsymptoticResult(complex(value.real) if real else value, m, t_last, converged)
+    value = complex(value.real) if real else value
+    # a NaN value (inf - inf between the two parts) is never converged
+    return value, m, t_last, converged and not cmath.isnan(value)

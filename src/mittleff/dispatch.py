@@ -17,8 +17,10 @@ Routing order:
    quadrature of E[alpha, beta](z) itself with both poles split off
    (quadrature.two_pole_row), the paper's real-line method.
 
-Each step runs through run_method, as does a method forced in the CLI,
-so both give the same bits wherever the route picks that method.  A real
+ml_auto checks its arguments once.  The routers then read one cached plan
+per (alpha, beta, tol) and call the unchecked sums behind ml_series,
+ml_asymptotic and ml_quad, so a method forced through run_method, as in
+the CLI, gives the same bits wherever the route picks that method.  A real
 z gets an exactly real value on every route.
 """
 
@@ -28,12 +30,12 @@ import cmath
 import functools
 import math
 
-from .asymptotic import log_r_floor, ml_asymptotic
+from .asymptotic import _expansion_sum, log_r_floor, ml_asymptotic
 from .contours import HYPERBOLIC_RATE, QuadratureRule, build_hyperbolic_rule, build_parabolic_rule
 from .exceptions import DomainError
 from .kernels import cpow_principal, finite_beta, finite_complex
-from .quadrature import EvalResult, Method, ml_quad, origin_accuracy, two_pole_row
-from .series import ml_series
+from .quadrature import EvalResult, Method, _neg_axis_row, _node_factors, _two_pole_sum, ml_quad
+from .series import DEFAULT_MAX_TERMS, _n_reflect, _series_sum, ml_series
 
 DEFAULT_TOL = 1e-14
 R_SERIES = 1.0
@@ -88,41 +90,95 @@ def run_method(
     return ml_quad(z, alpha, beta, quad_rule(method, quadrature_n_for_tol(tol) if n is None else n))
 
 
-def _series_or_expansion(z: complex, alpha: float, beta: float, tol: float) -> EvalResult | None:
-    # steps 1-2 for alpha <= 1: the method's result where it is picked and
-    # converges, else None (quadrature's turn)
-    r = abs(z)
-    if r <= R_SERIES:
-        method = Method.SERIES
-    elif (
-        math.log(r) / alpha - math.log(alpha) > _LOG_ASYMP_GATE
-        # below the floor the expansion cannot meet its stopping rule; the
-        # margin covers rounding in the expansion's own tests
-        and math.log(r) >= log_r_floor(alpha, beta, tol) - 1e-9
-    ):
-        method = Method.ASYMPTOTIC
-    else:
-        return None
-    res = run_method(method, z, alpha, beta, tol)
-    return res if res.converged else None
+class _Plan:
+    """What routing needs at one (alpha, beta, tol); _plan builds it once.
+
+    rule is the hyperbolic rule of N = quadrature_n_for_tol(tol), and nodes
+    its 2N + 1.  n_reflect is the series' at alpha.  log_a and floor are the
+    expansion's gate constant log(a) and the least log|z| it is run at,
+    log_r_floor(a, beta, tol) less a 1e-9 margin for rounding in its own
+    tests, with a = alpha, or a = alpha/2 for the pair at i*sqrt(-z) of
+    1 < alpha <= 2.  quad() reads the rule's node factors at (alpha, beta)
+    on first use only: they overflow for beta far from 0, where the other
+    methods may still serve.  Threads that race on that first use store
+    the same cached tuple.
+    """
+
+    __slots__ = ("alpha", "beta", "rule", "nodes", "n_reflect", "log_a", "floor", "_quad")
+
+    def __init__(self, alpha: float, beta: float, tol: float) -> None:
+        a = alpha if alpha <= 1.0 else alpha / 2.0
+        self.alpha = alpha
+        self.beta = beta
+        self.rule = quad_rule(Method.QUAD_HYPERBOLIC, quadrature_n_for_tol(tol))
+        self.nodes = 2 * self.rule.N + 1
+        self.n_reflect = _n_reflect(alpha, beta, DEFAULT_MAX_TERMS)
+        self.log_a = math.log(a)
+        self.floor = log_r_floor(a, beta, tol) - 1e-9
+        self._quad = None
+
+    def quad(self) -> tuple[tuple, float]:
+        """The first block of the node factors as floats, and the rule's origin_accuracy."""
+        if self._quad is None:
+            self._quad = _node_factors(self.rule, self.alpha, self.beta)[4:]
+        return self._quad
+
+
+@functools.lru_cache(maxsize=128)
+def _plan(alpha: float, beta: float, tol: float) -> _Plan:
+    """The routing plan of (alpha, beta, tol), for checked arguments."""
+    return _Plan(alpha, beta, tol)
+
+
+def _expansion_pays(ln_r: float, alpha: float, plan: _Plan) -> bool:
+    # step 2's gate |z|**(1/alpha)/alpha > ASYMP_GATE, in logs; below the
+    # floor the expansion cannot meet its stopping rule
+    return ln_r / alpha - plan.log_a > _LOG_ASYMP_GATE and ln_r >= plan.floor
 
 
 def _ml_auto_low(z: complex, alpha: float, beta: float, tol: float) -> EvalResult:
-    # alpha <= 1 path; callers guarantee validated inputs
-    res = _series_or_expansion(z, alpha, beta, tol)
-    return res if res is not None else run_method(Method.QUAD_HYPERBOLIC, z, alpha, beta, tol)
+    # alpha <= 1 path; callers guarantee checked arguments
+    plan = _plan(alpha, beta, tol)
+    real = z.imag == 0.0
+    r = abs(z)
+    if r <= R_SERIES:
+        value, n, err, converged = _series_sum(
+            z.real if real else z, alpha, beta, tol, DEFAULT_MAX_TERMS, plan.n_reflect
+        )
+        if converged:
+            return EvalResult(value, Method.SERIES, n, err, True)
+    elif _expansion_pays(math.log(r), alpha, plan):
+        value, m, err, converged = _expansion_sum(z, alpha, beta, tol)
+        if converged:
+            return EvalResult(value, Method.ASYMPTOTIC, m, err, True)
+    if real and z.real < 0.0:
+        block, err = plan.quad()
+        value = complex(_neg_axis_row(-z.real, alpha, beta, block))
+        return EvalResult(value, Method.QUAD_HYPERBOLIC, plan.nodes, err, not math.isnan(value.real))
+    return ml_quad(z, alpha, beta, plan.rule)
 
 
 def _neg_axis_pair(x: float, alpha: float, beta: float, tol: float) -> EvalResult:
     # E[alpha, beta](-x), x > 0, 1 < alpha <= 2: the reduction's one sub-point
-    # i*sqrt(x) counts twice, so the value is Re E[alpha/2, beta](i*sqrt(x))
-    res = _series_or_expansion(cmath.rect(x**0.5, math.pi / 2), alpha / 2, beta, tol)
-    if res is not None:
-        return EvalResult(complex(res.value.real), Method.REDUCTION, res.nodes_or_terms, res.err_estimate, True)
-    # where the pair would go to quadrature, E(-x) is summed with both poles split off
-    rule = quad_rule(Method.QUAD_HYPERBOLIC, quadrature_n_for_tol(tol))
-    value = complex(two_pole_row(x, alpha, beta, rule))
-    return EvalResult(value, Method.REDUCTION, 2 * rule.N + 1, origin_accuracy(rule, beta), True)
+    # w = i*sqrt(x) counts twice, so the value is Re E[alpha/2, beta](w), by
+    # steps 1-2 where they converge
+    plan = _plan(alpha, beta, tol)
+    half = alpha / 2
+    w = cmath.rect(x**0.5, math.pi / 2)
+    r = abs(w)
+    if r <= R_SERIES:
+        # reached only where the series at -x missed its stopping rule
+        n_reflect = _n_reflect(half, beta, DEFAULT_MAX_TERMS)
+        value, n, err, converged = _series_sum(w, half, beta, tol, DEFAULT_MAX_TERMS, n_reflect)
+        if converged:
+            return EvalResult(complex(value.real), Method.REDUCTION, n, err, True)
+    elif _expansion_pays(math.log(r), half, plan):
+        value, m, err, converged = _expansion_sum(w, half, beta, tol)
+        if converged:
+            return EvalResult(complex(value.real), Method.REDUCTION, m, err, True)
+    # elsewhere E(-x) is summed with both poles split off
+    block, err = plan.quad()
+    return EvalResult(complex(_two_pole_sum(x, alpha, beta, block)), Method.REDUCTION, plan.nodes, err, True)
 
 
 def ml_auto(z: complex, alpha: float, beta: float, tol: float = DEFAULT_TOL) -> EvalResult:
@@ -132,9 +188,11 @@ def ml_auto(z: complex, alpha: float, beta: float, tol: float = DEFAULT_TOL) -> 
     if alpha <= 1.0:
         return _ml_auto_low(z, alpha, beta, tol)
     if abs(z) <= R_SERIES:
-        res = run_method(Method.SERIES, z, alpha, beta, tol)
-        if res.converged:
-            return res
+        value, n, err, converged = _series_sum(
+            z.real if z.imag == 0.0 else z, alpha, beta, tol, DEFAULT_MAX_TERMS, _plan(alpha, beta, tol).n_reflect
+        )
+        if converged:
+            return EvalResult(value, Method.SERIES, n, err, True)
     # E[a,b](z) = (1/m) sum_k E[a/m,b](z**(1/m) * e**(2 pi i k/m)), a/m <= 1
     m = math.ceil(alpha)
     if z.imag == 0.0 and z.real < 0.0 and m == 2:

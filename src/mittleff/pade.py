@@ -92,7 +92,13 @@ class PartialFractionForm:
         """The sum at a finite real x; a NaN or infinite x raises DomainError.
 
         The real part of c/(d + ib), d = a - x, is taken in Smith form:
-        d**2 + b**2 overflows from |x| ~ 1e154 on.
+        d**2 + b**2 overflows from |x| ~ 1e154 on.  The sum is accurate
+        relative to the sum of its terms' magnitudes, not to its value:
+        where p/q decays faster than its terms, they cancel.  At alpha = 1
+        every decay coefficient 1/Gamma(1 - k) is 0, and on x in [1, 1000]
+        the relative error against pade_eval grows with r, to 3e-8 at
+        r = 4, 1e-3 at r = 6 and 6e1 (fixed) to 2e3 (lu) at r = 7-8 for
+        build_pade(1, 1, r + 1, r).  pade_eval keeps its digits there.
         """
         if not -math.inf < x < math.inf:  # complex x: TypeError
             raise DomainError(f"x={x!r} is not a finite real number")

@@ -387,6 +387,11 @@ def two_pole_row(x: float, alpha: float, beta: float, rule: QuadratureRule) -> f
     c*(P/(w - gamma_+) + conj(P)/(w - gamma_-)), P = gamma_+**(1-beta)/alpha;
     within EPS_SWITCH*|gamma| of a pole the psi form takes over.
     """
+    return _two_pole_sum(x, alpha, beta, _node_factors(rule, alpha, beta)[4])
+
+
+def _two_pole_sum(x: float, alpha: float, beta: float, block: tuple) -> float:
+    # two_pole_row on the first block of the node factors at (alpha, beta)
     rho = x ** (1.0 / alpha)
     ang = math.pi / alpha
     gr, gi = rho * math.cos(ang), rho * math.sin(ang)
@@ -397,7 +402,7 @@ def two_pole_row(x: float, alpha: float, beta: float, rule: QuadratureRule) -> f
     pi = mag / alpha * math.sin((1.0 - beta) * ang)
     near = _EPS_SWITCH_SQ * rho * rho
     s = 0.0
-    for wr, wi, cr, ci, ar, ai, br, bi in _node_factors(rule, alpha, beta)[4]:
+    for wr, wi, cr, ci, ar, ai, br, bi in block:
         # w - gamma_+ = dr + i*di, w - gamma_- = dr + i*ei
         dr = wr - gr
         di = wi - gi

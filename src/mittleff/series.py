@@ -66,14 +66,25 @@ def ml_series(
     if max_terms < 1:
         raise DomainError(f"max_terms={max_terms!r} must be >= 1")
     z = finite_complex(z)
-    # terms n < n_reflect have x < 1/2 and are sized by the envelope
+    # summed in floats for real z: the complex loop's real part bit for bit,
+    # and an imaginary part of exactly 0
+    zs = z.real if z.imag == 0.0 else z
+    return SeriesResult(*_series_sum(zs, alpha, beta, tol, max_terms, _n_reflect(alpha, beta, max_terms)))
+
+
+def _n_reflect(alpha: float, beta: float, max_terms: int) -> int:
+    """The first n >= 1 with beta + n*alpha >= 1/2, or max_terms + 1 if none is reached:
+    the terms before it are sized by the envelope."""
     n_reflect = 1
     while n_reflect <= max_terms and beta + n_reflect * alpha < 0.5:
         n_reflect += 1
-    if z.imag == 0.0:
-        # summed in floats: the complex loop's real part bit for bit, and an
-        # imaginary part of exactly 0
-        z = z.real
+    return n_reflect
+
+
+def _series_sum(
+    z: complex | float, alpha: float, beta: float, tol: float, max_terms: int, n_reflect: int
+) -> tuple[complex, int, float, bool]:
+    """ml_series's fields for checked arguments; a real z is passed as a float."""
     acc = 0.0
     zp = 1.0  # z**n
     n = 0
@@ -86,9 +97,9 @@ def ml_series(
                 else:
                     size = abs(zp) * gamma_real(1.0 - (beta + n * alpha)) / math.pi
                 if size <= tol * abs(acc):
-                    return SeriesResult(complex(acc), n, size, True)
+                    return complex(acc), n, size, True
                 if n >= max_terms:
-                    return SeriesResult(complex(acc), n, size, False)
+                    return complex(acc), n, size, False
             acc += term
             zp *= z
             n += 1

@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 
 import mpmath as mp
 import pytest
@@ -42,6 +43,51 @@ class TestExactZeroCoefficients:
         assert res.method is Method.ASYMPTOTIC and res.converged
         assert res.value.imag == 0.0
         assert abs(res.value.real - want) <= 1e-15 * x * abs(want)
+
+
+class TestOverflow:
+    """A sum whose terms overflow is the signed infinity of its largest term, never NaN."""
+
+    @pytest.mark.parametrize("x, beta", [(500.0, -300.0), (500.0, -200.0), (200.0, -300.0), (1000.0, -300.0), (5000.0, -300.0)])
+    def test_overflowing_terms_give_inf(self, x: float, beta: float) -> None:
+        # term 1, (1/x)/Gamma(beta - 1/2), is about -1e612 at (500, -300) and
+        # far larger than the rest; the alternating infinite terms gave inf -
+        # inf = NaN, with converged True
+        first = mp.rgamma(beta - 0.5) / x
+        assert first < -sys.float_info.max
+        res = ml_asymptotic(complex(-x), 0.5, beta, 1e-14)
+        assert res.value == complex(-math.inf) and res.converged
+        routed = ml_auto(-x, 0.5, beta)
+        assert routed.method is Method.ASYMPTOTIC and routed.value == complex(-math.inf)
+
+    def test_complex_overflow_has_no_nan_part(self) -> None:
+        res = ml_asymptotic(-500j, 0.5, -300.0, 1e-14)
+        assert cmath.isinf(res.value) and not cmath.isnan(res.value)
+
+    def test_vanishing_coefficient_of_an_infinite_term_adds_zero(self) -> None:
+        # alpha = 1, integer beta: every sigma_n is 0, so E[1, -300](-5000) is
+        # the exponential part (-5000)**301 e**-5000 = -e**-2436, which
+        # underflows; 0 * inf made it NaN
+        assert mp.power(-5000, 301) * mp.exp(-5000) > -1e-320
+        res = ml_asymptotic(complex(-5000.0), 1.0, -300.0, 1e-14)
+        assert res.value == 0.0 and res.converged
+
+    def test_nan_value_is_not_converged(self) -> None:
+        # the algebraic part overflows to -inf, the exponential part to +inf
+        res = ml_asymptotic(complex(3.0), 0.01, -175.0, 1e-14)
+        assert cmath.isnan(res.value) and not res.converged
+        routed = ml_auto(3.0, 0.01, -175.0)
+        assert routed.method is Method.QUAD_HYPERBOLIC and routed.value == complex(math.inf)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 100, 1234, 10**6, 10**12])
+def test_integer_bound_stops_where_the_log_test_does(k: int) -> None:
+    # the largest n with n = 0 or log(n) <= L, at L on and next to log(k)
+    for log_n_max in (math.log(k), math.nextafter(math.log(k), -math.inf), math.nextafter(math.log(k), math.inf), -0.5):
+        n = asymptotic._last_term(log_n_max)
+        assert n == 0 or math.log(n) <= log_n_max
+        assert math.log(n + 1) > log_n_max
+    assert asymptotic._last_term(30.5) == math.inf
 
 
 class TestNegativeAxisTable:

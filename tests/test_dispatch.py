@@ -344,3 +344,56 @@ class TestInterface:
 
     def test_default_tol(self) -> None:
         assert DEFAULT_TOL == 1e-14
+
+
+def _fields(res) -> tuple:
+    return (res.value.real.hex(), res.value.imag.hex(), res.method, res.nodes_or_terms, res.err_estimate.hex(), res.converged)
+
+
+class TestPlan:
+    """ml_auto checks its arguments, then routes on one cached plan per (alpha, beta, tol)."""
+
+    @pytest.mark.parametrize(
+        "z, alpha, beta, tol",
+        [
+            (math.nan, 0.5, 1.0, 1e-14),
+            (-math.inf, 0.5, 1.0, 1e-14),
+            (complex(-2.0, math.nan), 1.5, 1.0, 1e-14),
+            (-2.0, 0.0, 1.0, 1e-14),
+            (-2.0, -0.5, 1.0, 1e-14),
+            (-2.0, math.nan, 1.0, 1e-14),
+            (-2.0, 0.5, math.nan, 1e-14),
+            (-2.0, 0.5, 1.0, 1e-16),
+            (-2.0, 0.5, 1.0, 0.1),
+            (-2.0, 1.5, 1.0, math.nan),
+        ],
+    )
+    def test_bad_arguments_are_rejected_before_the_plan(self, z: complex, alpha: float, beta: float, tol: float) -> None:
+        dispatch._plan.cache_clear()
+        with pytest.raises(DomainError):
+            ml_auto(z, alpha, beta, tol)
+        assert dispatch._plan.cache_info().currsize == 0
+
+    def test_node_factors_are_read_on_the_quadrature_route_only(self) -> None:
+        # the node factors overflow at beta = -300, yet the series serves -0.5
+        dispatch._plan.cache_clear()
+        with pytest.raises(DomainError, match="overflow"):
+            ml_auto(-5.0, 0.5, -300.0)
+        res = ml_auto(-0.5, 0.5, -300.0)
+        assert res.method is Method.SERIES and res.value == complex(-math.inf)
+        with pytest.raises(DomainError, match="overflow"):
+            ml_auto(-5.0, 0.5, -300.0)
+
+    def test_results_do_not_change_when_a_plan_is_evicted(self) -> None:
+        # quadrature, series and expansion at alpha = 0.7, the two-pole row and
+        # the pair's expansion at 1 < alpha <= 2
+        points = [(-4.0, 0.7), (-0.37, 0.7), (-100.0, 0.7), (-9.0, 1.3), (-3000.0, 2.0)]
+        dispatch._plan.cache_clear()
+        first = [_fields(ml_auto(z, alpha, 1.0)) for z, alpha in points]
+        maxsize = dispatch._plan.cache_info().maxsize
+        for k in range(maxsize):
+            ml_auto(-4.0, 0.7, 1.0 + (k + 1) / 256)
+        misses = dispatch._plan.cache_info().misses
+        assert [_fields(ml_auto(z, alpha, 1.0)) for z, alpha in points] == first
+        # each of the three plans was evicted and is built again, once
+        assert dispatch._plan.cache_info().misses == misses + 3

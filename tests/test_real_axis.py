@@ -1,7 +1,8 @@
 """Real arguments: exactly real values on every route, the float loops of the
-series and the expansion, and the expansion that routing skips where it
-could only fail."""
+series and the expansion, the expansion that routing skips where it could
+only fail, and ml_auto giving the public evaluators' bits."""
 
+import cmath
 import json
 import math
 from pathlib import Path
@@ -11,10 +12,10 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from mittleff import dispatch
-from mittleff.asymptotic import log_r_floor, ml_asymptotic
+from mittleff.asymptotic import _expansion_sum, log_r_floor, ml_asymptotic
 from mittleff.cli import main
-from mittleff.dispatch import ml_auto, run_method
-from mittleff.quadrature import Method
+from mittleff.dispatch import ml_auto, quad_rule, quadrature_n_for_tol, run_method
+from mittleff.quadrature import EvalResult, Method, origin_accuracy, two_pole_row
 from mittleff.series import ml_series
 
 BITS = json.loads((Path(__file__).parent / "real_axis_bits.json").read_text())["cases"]
@@ -92,13 +93,15 @@ def test_futile_expansion_is_not_run(monkeypatch) -> None:
     assert math.log(2.7) / alpha - math.log(alpha) > math.log(dispatch.ASYMP_GATE)
     assert not ml_asymptotic(z, alpha, beta, tol).converged
     assert math.log(2.7) < log_r_floor(alpha, beta, tol)
+    # the spy sits on the unchecked sum that the router calls
     calls = []
-    monkeypatch.setattr(dispatch, "ml_asymptotic", lambda *a: calls.append(a) or ml_asymptotic(*a))
+    monkeypatch.setattr(dispatch, "_expansion_sum", lambda *a: calls.append(a) or _expansion_sum(*a))
     res = ml_auto(z, alpha, beta, tol)
     assert res.method is Method.QUAD_HYPERBOLIC
     assert calls == []
-    # one step further out the bound lets the expansion run
+    # one step further out the bound lets the expansion run, through the spy
     assert ml_auto(-15.0, 0.7, 1.0, 1e-12).method is Method.ASYMPTOTIC
+    assert len(calls) == 1
 
 
 @st.composite
@@ -129,3 +132,54 @@ def test_floor_skips_only_expansions_that_fail(case: tuple) -> None:
     alpha, beta, tol, z = case
     if math.log(abs(z)) < log_r_floor(alpha, beta, tol) - 1e-9:
         assert not ml_asymptotic(z, alpha, beta, tol).converged
+
+
+def _fields(res: EvalResult) -> tuple:
+    # every field, the value by the bits of both parts (the sign of zero too)
+    return (res.value.real.hex(), res.value.imag.hex(), res.method, res.nodes_or_terms, res.err_estimate.hex(), res.converged)
+
+
+@st.composite
+def _real_line(draw) -> tuple:
+    alpha = draw(st.sampled_from([1.0, 0.5, 2.0, 1.5]) | st.floats(0.05, 2.0))
+    beta = draw(st.sampled_from([1.0, alpha, 0.0, -1.5, 2.5]) | st.floats(-3.0, 6.0))
+    tol = draw(st.sampled_from([dispatch.TOL_MIN, 1e-14, dispatch.TOL_MAX]) | st.floats(1e-15, 1e-2))
+    # log|z| next to R_SERIES, the size gate or the floor, or anywhere; for
+    # 1 < alpha <= 2 the gate and the floor are those of the pair at
+    # w = i*sqrt(-z), at alpha/2 and log|w| = log|z|/2
+    a, scale = (alpha, 1.0) if alpha <= 1.0 else (alpha / 2, 2.0)
+    gate = a * (math.log(dispatch.ASYMP_GATE) + math.log(a))
+    centre = draw(st.sampled_from([0.0, scale * gate, scale * log_r_floor(a, beta, tol), 2.0]))
+    width = draw(st.sampled_from([1e-9, 1e-3, 0.5, 4.0]))
+    log_r = centre + draw(st.floats(-width, width))
+    return alpha, beta, tol, draw(st.sampled_from([1.0, -1.0])) * math.exp(log_r)
+
+
+@settings(
+    derandomize=True,
+    max_examples=500,
+    database=None,
+    deadline=None,
+    phases=[Phase.explicit, Phase.generate, Phase.shrink],
+)
+@given(case=_real_line())
+@example(case=(0.7, 1.0, 1e-14, -0.37))
+@example(case=(0.3, 1.0, 1e-14, -2.7))
+@example(case=(1.3, 1.0, 1e-14, -9.0))
+@example(case=(2.0, 1.0, 1e-14, -3000.0))
+def test_auto_gives_the_bits_of_the_public_evaluators(case: tuple) -> None:
+    # ml_auto runs the same sums as ml_series, ml_asymptotic and ml_quad
+    alpha, beta, tol, z = case
+    res = ml_auto(z, alpha, beta, tol)
+    if res.method is not Method.REDUCTION:
+        assert _fields(res) == _fields(run_method(res.method, complex(z), alpha, beta, tol))
+    elif z < 0.0 and alpha <= 2.0:
+        # the pair at w = i*sqrt(-z) by the series or the expansion, or else
+        # the two-pole row on the same rule
+        rule = quad_rule(Method.QUAD_HYPERBOLIC, quadrature_n_for_tol(tol))
+        want = [EvalResult(complex(two_pole_row(-z, alpha, beta, rule)), Method.REDUCTION, 2 * rule.N + 1, origin_accuracy(rule, beta), True)]
+        w = cmath.rect((-z) ** 0.5, math.pi / 2)
+        pair = run_method(Method.SERIES if -z <= 1.0 else Method.ASYMPTOTIC, w, alpha / 2, beta, tol)
+        if pair.converged:
+            want.append(EvalResult(complex(pair.value.real), Method.REDUCTION, pair.nodes_or_terms, pair.err_estimate, True))
+        assert _fields(res) in [_fields(r) for r in want]
