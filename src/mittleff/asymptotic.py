@@ -42,13 +42,17 @@ def asymptotic_sigma_tau(n: int, alpha: float, beta: float) -> tuple[float, floa
     Where n*alpha - beta is a nonnegative integer, 1/Gamma is 0, and so is
     sigma: sin(pi*k) would round to about k*1e-16, noise that swamps a
     small value such as E[1, 1](-x) = e**-x.  tau is returned as a log to
-    dodge overflow at large n.
+    dodge overflow at large n; where even the log overflows (|beta| beyond
+    about 2.6e305) DomainError is raised.
     """
     x = beta - n * alpha
-    if x > 0.0:
-        return 1.0, -math.lgamma(x)
-    sigma = 0.0 if x == math.floor(x) else -math.sin(math.pi * (n * alpha - beta))
-    return sigma, math.lgamma(1.0 - x) - math.log(math.pi)
+    try:
+        if x > 0.0:
+            return 1.0, -math.lgamma(x)
+        sigma = 0.0 if x == math.floor(x) else -math.sin(math.pi * (n * alpha - beta))
+        return sigma, math.lgamma(1.0 - x) - math.log(math.pi)
+    except OverflowError:
+        raise DomainError(f"beta={beta!r}: the expansion's coefficients overflow") from None
 
 
 @functools.lru_cache(maxsize=256)
@@ -72,6 +76,7 @@ def _sigma_tau_block(alpha: float, beta: float, block: int) -> tuple[tuple[float
     return tuple(rows)
 
 
+@functools.lru_cache(maxsize=256)
 def log_r_floor(alpha: float, beta: float, tol: float) -> float:
     """A lower bound on the log|z| at which ml_asymptotic can converge.
 

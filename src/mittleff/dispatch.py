@@ -34,7 +34,7 @@ from .asymptotic import _expansion_sum, log_r_floor, ml_asymptotic
 from .contours import HYPERBOLIC_RATE, QuadratureRule, build_hyperbolic_rule, build_parabolic_rule
 from .exceptions import DomainError
 from .kernels import cpow_principal, finite_beta, finite_complex
-from .quadrature import EvalResult, Method, _neg_axis_row, _node_factors, _two_pole_sum, ml_quad
+from .quadrature import EvalResult, Method, _node_factors, _quad_result, _two_pole_sum, ml_quad
 from .series import DEFAULT_MAX_TERMS, _n_reflect, _series_sum, ml_series
 
 DEFAULT_TOL = 1e-14
@@ -91,36 +91,42 @@ def run_method(
 
 
 class _Plan:
-    """What routing needs at one (alpha, beta, tol); _plan builds it once.
+    """What routing needs at one (alpha, beta, tol), each part built on first use.
 
-    rule is the hyperbolic rule of N = quadrature_n_for_tol(tol), and nodes
-    its 2N + 1.  n_reflect is the series' at alpha.  log_a and floor are the
-    expansion's gate constant log(a) and the least log|z| it is run at,
-    log_r_floor(a, beta, tol) less a 1e-9 margin for rounding in its own
-    tests, with a = alpha, or a = alpha/2 for the pair at i*sqrt(-z) of
-    1 < alpha <= 2.  quad() reads the rule's node factors at (alpha, beta)
-    on first use only: they overflow for beta far from 0, where the other
-    methods may still serve.  Threads that race on that first use store
-    the same cached tuple.
+    n_reflect() is the series' envelope index.  log_alpha and floor() are
+    the expansion's gate constant and the least log|z| it is run at,
+    log_r_floor less a 1e-9 margin for rounding in its own tests.  quad()
+    is the hyperbolic rule of N = quadrature_n_for_tol(tol), the first
+    block of its node factors at (alpha, beta) and its origin_accuracy.  A
+    point pays only for the parts of the route it takes: the floor's scan
+    runs where the size gate has passed, and the node factors, which
+    overflow for beta far from 0, are read on the quadrature route alone.
+    Threads that race on a first use store equal values.
     """
 
-    __slots__ = ("alpha", "beta", "rule", "nodes", "n_reflect", "log_a", "floor", "_quad")
+    __slots__ = ("alpha", "beta", "tol", "log_alpha", "_reflect", "_floor", "_quad")
 
     def __init__(self, alpha: float, beta: float, tol: float) -> None:
-        a = alpha if alpha <= 1.0 else alpha / 2.0
         self.alpha = alpha
         self.beta = beta
-        self.rule = quad_rule(Method.QUAD_HYPERBOLIC, quadrature_n_for_tol(tol))
-        self.nodes = 2 * self.rule.N + 1
-        self.n_reflect = _n_reflect(alpha, beta, DEFAULT_MAX_TERMS)
-        self.log_a = math.log(a)
-        self.floor = log_r_floor(a, beta, tol) - 1e-9
-        self._quad = None
+        self.tol = tol
+        self.log_alpha = math.log(alpha)
+        self._reflect = self._floor = self._quad = None
 
-    def quad(self) -> tuple[tuple, float]:
-        """The first block of the node factors as floats, and the rule's origin_accuracy."""
+    def n_reflect(self) -> int:
+        if self._reflect is None:
+            self._reflect = _n_reflect(self.alpha, self.beta, DEFAULT_MAX_TERMS)
+        return self._reflect
+
+    def floor(self) -> float:
+        if self._floor is None:
+            self._floor = log_r_floor(self.alpha, self.beta, self.tol) - 1e-9
+        return self._floor
+
+    def quad(self) -> tuple[QuadratureRule, tuple, float]:
         if self._quad is None:
-            self._quad = _node_factors(self.rule, self.alpha, self.beta)[4:]
+            rule = quad_rule(Method.QUAD_HYPERBOLIC, quadrature_n_for_tol(self.tol))
+            self._quad = (rule, *_node_factors(rule, self.alpha, self.beta)[4:])
         return self._quad
 
 
@@ -130,55 +136,55 @@ def _plan(alpha: float, beta: float, tol: float) -> _Plan:
     return _Plan(alpha, beta, tol)
 
 
-def _expansion_pays(ln_r: float, alpha: float, plan: _Plan) -> bool:
-    # step 2's gate |z|**(1/alpha)/alpha > ASYMP_GATE, in logs; below the
-    # floor the expansion cannot meet its stopping rule
-    return ln_r / alpha - plan.log_a > _LOG_ASYMP_GATE and ln_r >= plan.floor
+def _steps_1_2(z: complex, alpha: float, beta: float, tol: float, plan: _Plan) -> tuple | None:
+    """(value, n, err, method) of step 1 or 2 at z for checked arguments,
+    where one is picked and meets its stopping rule, else None.
+
+    plan is _plan(alpha, beta, tol).  Step 2 is for alpha <= 1 only; a
+    caller with alpha > 1 passes |z| <= R_SERIES.
+    """
+    r = abs(z)
+    if r <= R_SERIES:
+        value, n, err, converged = _series_sum(
+            z.real if z.imag == 0.0 else z, alpha, beta, tol, DEFAULT_MAX_TERMS, plan.n_reflect()
+        )
+        method = Method.SERIES
+    else:
+        ln_r = math.log(r)
+        # the size gate |z|**(1/alpha)/alpha > ASYMP_GATE, in logs; below the
+        # floor the expansion cannot meet its stopping rule
+        if not (ln_r / alpha - plan.log_alpha > _LOG_ASYMP_GATE and ln_r >= plan.floor()):
+            return None
+        value, n, err, converged = _expansion_sum(z, alpha, beta, tol)
+        method = Method.ASYMPTOTIC
+    return (value, n, err, method) if converged else None
 
 
 def _ml_auto_low(z: complex, alpha: float, beta: float, tol: float) -> EvalResult:
     # alpha <= 1 path; callers guarantee checked arguments
     plan = _plan(alpha, beta, tol)
-    real = z.imag == 0.0
-    r = abs(z)
-    if r <= R_SERIES:
-        value, n, err, converged = _series_sum(
-            z.real if real else z, alpha, beta, tol, DEFAULT_MAX_TERMS, plan.n_reflect
-        )
-        if converged:
-            return EvalResult(value, Method.SERIES, n, err, True)
-    elif _expansion_pays(math.log(r), alpha, plan):
-        value, m, err, converged = _expansion_sum(z, alpha, beta, tol)
-        if converged:
-            return EvalResult(value, Method.ASYMPTOTIC, m, err, True)
-    if real and z.real < 0.0:
-        block, err = plan.quad()
-        value = complex(_neg_axis_row(-z.real, alpha, beta, block))
-        return EvalResult(value, Method.QUAD_HYPERBOLIC, plan.nodes, err, not math.isnan(value.real))
-    return ml_quad(z, alpha, beta, plan.rule)
+    done = _steps_1_2(z, alpha, beta, tol, plan)
+    if done is not None:
+        value, n, err, method = done
+        return EvalResult(value, method, n, err, True)
+    rule, block, err = plan.quad()
+    return _quad_result(z, alpha, beta, rule, Method.QUAD_HYPERBOLIC, block, err)
 
 
 def _neg_axis_pair(x: float, alpha: float, beta: float, tol: float) -> EvalResult:
     # E[alpha, beta](-x), x > 0, 1 < alpha <= 2: the reduction's one sub-point
     # w = i*sqrt(x) counts twice, so the value is Re E[alpha/2, beta](w), by
-    # steps 1-2 where they converge
-    plan = _plan(alpha, beta, tol)
+    # steps 1-2 where they converge (the series only where the one at -x missed
+    # its stopping rule)
     half = alpha / 2
-    w = cmath.rect(x**0.5, math.pi / 2)
-    r = abs(w)
-    if r <= R_SERIES:
-        # reached only where the series at -x missed its stopping rule
-        n_reflect = _n_reflect(half, beta, DEFAULT_MAX_TERMS)
-        value, n, err, converged = _series_sum(w, half, beta, tol, DEFAULT_MAX_TERMS, n_reflect)
-        if converged:
-            return EvalResult(complex(value.real), Method.REDUCTION, n, err, True)
-    elif _expansion_pays(math.log(r), half, plan):
-        value, m, err, converged = _expansion_sum(w, half, beta, tol)
-        if converged:
-            return EvalResult(complex(value.real), Method.REDUCTION, m, err, True)
+    done = _steps_1_2(cmath.rect(x**0.5, math.pi / 2), half, beta, tol, _plan(half, beta, tol))
+    if done is not None:
+        value, n, err, _ = done
+        return EvalResult(complex(value.real), Method.REDUCTION, n, err, True)
     # elsewhere E(-x) is summed with both poles split off
-    block, err = plan.quad()
-    return EvalResult(complex(_two_pole_sum(x, alpha, beta, block)), Method.REDUCTION, plan.nodes, err, True)
+    rule, block, err = _plan(alpha, beta, tol).quad()
+    value = complex(_two_pole_sum(x, alpha, beta, block))
+    return EvalResult(value, Method.REDUCTION, 2 * rule.N + 1, err, True)
 
 
 def ml_auto(z: complex, alpha: float, beta: float, tol: float = DEFAULT_TOL) -> EvalResult:
@@ -188,11 +194,10 @@ def ml_auto(z: complex, alpha: float, beta: float, tol: float = DEFAULT_TOL) -> 
     if alpha <= 1.0:
         return _ml_auto_low(z, alpha, beta, tol)
     if abs(z) <= R_SERIES:
-        value, n, err, converged = _series_sum(
-            z.real if z.imag == 0.0 else z, alpha, beta, tol, DEFAULT_MAX_TERMS, _plan(alpha, beta, tol).n_reflect
-        )
-        if converged:
-            return EvalResult(value, Method.SERIES, n, err, True)
+        done = _steps_1_2(z, alpha, beta, tol, _plan(alpha, beta, tol))
+        if done is not None:
+            value, n, err, method = done
+            return EvalResult(value, method, n, err, True)
     # E[a,b](z) = (1/m) sum_k E[a/m,b](z**(1/m) * e**(2 pi i k/m)), a/m <= 1
     m = math.ceil(alpha)
     if z.imag == 0.0 and z.real < 0.0 and m == 2:

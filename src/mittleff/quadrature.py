@@ -370,11 +370,19 @@ def ml_quad(z: complex, alpha: float, beta: float, rule: QuadratureRule) -> Eval
     z = finite_complex(z)
     _check_params(alpha, beta)
     _, _, _, _, block, err = _node_factors(rule, alpha, beta)
+    return _quad_result(z, alpha, beta, rule, _method_for(rule), block, err)
+
+
+def _quad_result(
+    z: complex, alpha: float, beta: float, rule: QuadratureRule, method: Method, block: tuple, err: float
+) -> EvalResult:
+    # ml_quad for checked arguments, given the first block of the rule's node
+    # factors at (alpha, beta) and its origin_accuracy
     if z.imag == 0.0 and z.real < 0.0:
         value = complex(_neg_axis_row(-z.real, alpha, beta, block))
     else:
         value = complex(ml_quad_values(z, alpha, beta, rule))
-    return EvalResult(value, _method_for(rule), 2 * rule.N + 1, err, not cmath.isnan(value))
+    return EvalResult(value, method, 2 * rule.N + 1, err, not cmath.isnan(value))
 
 
 def two_pole_row(x: float, alpha: float, beta: float, rule: QuadratureRule) -> float:

@@ -6,7 +6,7 @@ from itertools import combinations
 import mpmath as mp
 import pytest
 
-from mittleff.asymptotic import ml_asymptotic
+from mittleff.asymptotic import log_r_floor, ml_asymptotic
 from mittleff import dispatch
 from mittleff.contours import build_hyperbolic_rule, build_parabolic_rule
 from mittleff.dispatch import (
@@ -395,5 +395,31 @@ class TestPlan:
             ml_auto(-4.0, 0.7, 1.0 + (k + 1) / 256)
         misses = dispatch._plan.cache_info().misses
         assert [_fields(ml_auto(z, alpha, 1.0)) for z, alpha in points] == first
-        # each of the three plans was evicted and is built again, once
-        assert dispatch._plan.cache_info().misses == misses + 3
+        # each plan holds one alpha: 0.7; the two-pole point's pair at 0.65 and
+        # its node factors at 1.3; the pair at 1.0.  Each was evicted and is
+        # built again, once
+        assert dispatch._plan.cache_info().misses == misses + 4
+
+    @pytest.mark.parametrize(
+        "z, alpha",
+        [(-0.5, 0.5), (-0.5, 1.5), (0.5, 2.0), (-5.0, 0.5), (-5.0, 1.5), (1e6, 0.5), (-1e6, 1.5), (1000j, 0.5)],
+    )
+    def test_a_beta_whose_coefficients_overflow_raises_domain_error(self, z: complex, alpha: float) -> None:
+        # log Gamma(1 - beta) overflows for beta below about -2.6e305: the
+        # series misses its stopping rule, and the expansion's floor, the
+        # expansion and the node factors each raise DomainError
+        with pytest.raises(DomainError, match="overflow"):
+            ml_auto(z, alpha, -1e306)
+        with pytest.raises(DomainError, match="overflow"):
+            ml_asymptotic(z, min(alpha, 1.0), -1e306, 1e-14)
+
+    def test_a_series_point_does_not_build_the_floor(self, monkeypatch) -> None:
+        # the floor's scan runs only where the size gate has passed
+        calls = []
+        monkeypatch.setattr(dispatch, "log_r_floor", lambda *a: calls.append(a) or log_r_floor(*a))
+        dispatch._plan.cache_clear()
+        ml_auto(-0.37, 0.7, 1.0)
+        ml_auto(-4.0, 0.7, 1.0)
+        assert calls == []
+        ml_auto(-100.0, 0.7, 1.0)
+        assert calls == [(0.7, 1.0, DEFAULT_TOL)]
