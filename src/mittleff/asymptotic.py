@@ -3,12 +3,14 @@
 The algebraic part is the divergent expansion -sum_n sigma_n*tau_n*z**-n,
 summed with a practical stopping rule: stop once the term-size proxy
 tau_n*|z|**-n drops below tol (converged), or once n exceeds the optimal
-truncation bound |z|**(1/alpha)/alpha (not converged).  Just above the
-zero of 1/Gamma at beta - n*alpha = 0 the proxy uses the reflection
-envelope of tau_n, so a coefficient that is small there does not stop
-the sum.  When |Arg z| is within alpha*pi the exponentially growing
-contribution exp(z**(1/alpha)) * z**((1-beta)/alpha) / alpha is added
-on top.
+truncation bound |z|**(1/alpha)/alpha or MAX_TERMS (not converged).  Just
+above the zero of 1/Gamma at beta - n*alpha = 0 the proxy uses the
+reflection envelope of tau_n, so a coefficient that is small there does
+not stop the sum.  On top comes the exponential term P_k e**gamma_k of
+each pole gamma_k = exp((log z + 2*pi*i*k)/alpha) of the quadrature
+integrand on the principal sheet, P_k = gamma_k**(1-beta)/alpha: for
+alpha <= 1 the one pole z**(1/alpha) where |Arg z| <= alpha*pi, for
+alpha > 1 up to ceil(alpha) of them (kernels.pole_turns).
 """
 
 from __future__ import annotations
@@ -19,11 +21,15 @@ import math
 from typing import NamedTuple
 
 from .exceptions import DomainError
-from .kernels import cexp, finite_beta, finite_complex, principal_arg
+from .kernels import cexp, finite_beta, finite_complex, on_sheet, pole_turns, principal_arg
 
 INF = math.inf
 TABLE_BLOCK = 32
 FLOOR_TERMS = 8 * TABLE_BLOCK  # log_r_floor scans at most eight coefficient blocks
+# the expansion stops unconverged past this many terms: far above every
+# converged m seen, 111 on the acceptance grids, 101 on the relaxation curves
+# of the benchmark, 690 for E[1, -300](-5000), whose coefficients all vanish
+MAX_TERMS = 1000
 
 
 class AsymptoticResult(NamedTuple):
@@ -101,13 +107,13 @@ def log_r_floor(alpha: float, beta: float, tol: float) -> float:
 
 
 def ml_asymptotic(z: complex, alpha: float, beta: float, tol: float) -> AsymptoticResult:
-    """Asymptotic value of E[alpha, beta](z) for large |z|, alpha in (0, 1]; real for real z.
+    """Asymptotic value of E[alpha, beta](z) for large |z|, alpha > 0; real for real z.
 
     A sum that overflows comes back as the signed infinity of its largest
     term, and a NaN value is never converged.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"alpha={alpha!r} outside (0, 1]")
+    if not 0.0 < alpha < INF:
+        raise DomainError(f"alpha={alpha!r} must be positive and finite")
     finite_beta(beta)
     if not tol > 0.0:
         raise DomainError(f"tol={tol!r} must be positive")
@@ -141,7 +147,7 @@ def _expansion_sum(z: complex, alpha: float, beta: float, tol: float) -> tuple[c
     theta = principal_arg(z)
     ln_r = math.log(r)
     # divergence bound n > |z|**(1/alpha)/alpha, kept in logs
-    n_last = _last_term(ln_r / alpha - math.log(alpha))
+    n_last = min(_last_term(ln_r / alpha - math.log(alpha)), MAX_TERMS)
     log_tol = math.log(tol)
 
     # a real z has theta 0 or pi, where rect(1, -n*theta) is exactly (+-1, ~0):
@@ -188,15 +194,31 @@ def _expansion_sum(z: complex, alpha: float, beta: float, tol: float) -> tuple[c
 
     value = complex(-(acc if big is None else big))
     if abs(theta) <= alpha * math.pi:
-        lnz = cmath.log(z)
-        g = cexp(lnz / alpha)  # z**(1/alpha)
-        if cmath.isfinite(g):
-            e = cexp(((1.0 - beta) / alpha) * lnz + g)
-            # part by part: a complex quotient inf/alpha would put NaN in a zero part
-            value += complex(e.real / alpha, e.imag / alpha)
-        elif g.real > 0.0:
-            value = complex(INF, INF)
-        # g overflowed with Re g < 0: exp factor underflows to 0
+        # each pole gamma_k on the principal sheet adds P_k e**gamma_k =
+        # e**((1-beta)/alpha * l + gamma_k)/alpha, l = log z + 2*pi*i*k (a
+        # real z read from above, as theta is); of those that overflow only
+        # the largest is added, as inf - inf is NaN
+        lnz = cmath.log(complex(z.real) if real else z)
+        big_e = None
+        log_big_e = -INF
+        for k in (0, *pole_turns(alpha)):
+            if k and not on_sheet(theta / math.pi, k, alpha):
+                continue
+            lz = lnz + 2j * math.pi * k if k else lnz
+            g = cexp(lz / alpha)  # gamma_k
+            if cmath.isfinite(g):
+                log_e = ((1.0 - beta) / alpha) * lz + g
+                e = cexp(log_e)
+                if not cmath.isinf(e):
+                    # part by part: a complex quotient inf/alpha would put NaN in a zero part
+                    value += complex(e.real / alpha, e.imag / alpha)
+                elif log_e.real > log_big_e:
+                    big_e, log_big_e = e, log_e.real
+            elif g.real > 0.0:
+                value = complex(INF, INF)
+            # g overflowed with Re g < 0: exp factor underflows to 0
+        if big_e is not None:
+            value += complex(big_e.real / alpha, big_e.imag / alpha)
     # on the cut (alpha = 1, z < 0) the exponential part rounds to a complex value
     value = complex(value.real) if real else value
     # a NaN value (inf - inf between the two parts) is never converged

@@ -31,7 +31,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-_METHODS = ("auto", *(m.value for m in Method if m is not Method.REDUCTION))
+_METHODS = ("auto", *(m.value for m in Method))
 _QUAD_METHODS = (Method.QUAD_PARABOLIC, Method.QUAD_HYPERBOLIC)
 # grid points per quadrature call; bounds the (points x nodes) work arrays
 GRID_BLOCK = 256

@@ -1,24 +1,20 @@
 """Top-level evaluation: route each (z, alpha, beta) to the best method.
 
-Routing order:
+Routing order, the same for every alpha > 0:
 
-1. |z| <= 1: power series (any alpha).
-2. alpha <= 1 and |z|**(1/alpha)/alpha > 40: asymptotic expansion, unless
-   log|z| lies below the least value at which its stopping rule can be met
+1. |z| <= 1: power series.
+2. |z|**(1/alpha)/alpha > 40: asymptotic expansion, with the exponential
+   term of every pole on the principal sheet, unless log|z| lies below the
+   least value at which its stopping rule can be met
    (asymptotic.log_r_floor): there it could only fail, so it is not run.
-3. alpha <= 1 otherwise, or where step 1 or 2 misses its stopping
-   rule: hyperbolic contour quadrature with N picked from tol.
-4. alpha > 1 otherwise: split into m = ceil(alpha) rotated evaluations
-   with alpha/m <= 1 each, recursing exactly one level into steps 1-3.
-   For real z the sub-points come in conjugate pairs, so one evaluation
-   serves each pair and the value is exactly real.
-5. Real z < 0 with 1 < alpha <= 2 has one such pair, at i*sqrt(-z).  Where
-   steps 1-2 do not serve it, the pair's quadrature is replaced by the
-   quadrature of E[alpha, beta](z) itself with both poles split off
-   (quadrature.two_pole_row), the paper's real-line method.
+3. Otherwise, or where step 1 or 2 misses its stopping rule: hyperbolic
+   contour quadrature with N picked from tol and every pole split off at z
+   itself.  A real z < 0 takes one float row: the plain or edge row for
+   alpha <= 1, and for 1 < alpha <= 2 the row of E(z) with both poles
+   split off (quadrature.two_pole_row), the paper's real-line method.
 
-ml_auto checks its arguments once.  The routers then read one cached plan
-per (alpha, beta, tol) and call the unchecked sums behind ml_series,
+ml_auto checks its arguments once.  The router then reads one cached plan
+per (alpha, beta, tol) and calls the unchecked sums behind ml_series,
 ml_asymptotic and ml_quad, so a method forced through run_method, as in
 the CLI, gives the same bits wherever the route picks that method.  A real
 z gets an exactly real value on every route.
@@ -26,15 +22,14 @@ z gets an exactly real value on every route.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 
 from .asymptotic import _expansion_sum, log_r_floor, ml_asymptotic
 from .contours import HYPERBOLIC_RATE, QuadratureRule, build_hyperbolic_rule, build_parabolic_rule
 from .exceptions import DomainError
-from .kernels import cpow_principal, finite_beta, finite_complex
-from .quadrature import EvalResult, Method, _node_factors, _quad_result, _two_pole_sum, ml_quad
+from .kernels import cpow_principal, finite_beta, finite_complex  # noqa: F401  cpow_principal: bench/tracing.py rebinds it here
+from .quadrature import EvalResult, Method, _node_factors, _quad_result, ml_quad
 from .series import DEFAULT_MAX_TERMS, _n_reflect, _series_sum, ml_series
 
 DEFAULT_TOL = 1e-14
@@ -74,7 +69,7 @@ def validate_params(alpha: float, beta: float, tol: float, z: complex = 0.0) -> 
 def run_method(
     method: Method, z: complex, alpha: float, beta: float, tol: float, n: int | None = None
 ) -> EvalResult:
-    """E[alpha, beta](z) by one method other than REDUCTION, unvalidated.
+    """E[alpha, beta](z) by one method, unvalidated.
 
     converged says whether the series or the expansion met its stopping
     rule; quadrature has none and sets it wherever its value is not NaN.  n
@@ -136,98 +131,33 @@ def _plan(alpha: float, beta: float, tol: float) -> _Plan:
     return _Plan(alpha, beta, tol)
 
 
-def _steps_1_2(z: complex, alpha: float, beta: float, tol: float, plan: _Plan) -> tuple | None:
-    """(value, n, err, method) of step 1 or 2 at z for checked arguments,
-    where one is picked and meets its stopping rule, else None.
-
-    plan is _plan(alpha, beta, tol).  Step 2 is for alpha <= 1 only; a
-    caller with alpha > 1 passes |z| <= R_SERIES.
-    """
+def _ml_auto_low(z: complex, alpha: float, beta: float, tol: float) -> EvalResult:
+    # ml_auto for checked arguments: steps 1-2 where one is picked and meets
+    # its stopping rule, else step 3
+    plan = _plan(alpha, beta, tol)
     r = abs(z)
     if r <= R_SERIES:
-        value, n, err, converged = _series_sum(
-            z.real if z.imag == 0.0 else z, alpha, beta, tol, DEFAULT_MAX_TERMS, plan.n_reflect()
-        )
-        method = Method.SERIES
+        zs = z.real if z.imag == 0.0 else z
+        value, n, err, converged = _series_sum(zs, alpha, beta, tol, DEFAULT_MAX_TERMS, plan.n_reflect())
+        if converged:
+            return EvalResult(value, Method.SERIES, n, err, True)
     else:
         ln_r = math.log(r)
         # the size gate |z|**(1/alpha)/alpha > ASYMP_GATE, in logs; below the
         # floor the expansion cannot meet its stopping rule
-        if not (ln_r / alpha - plan.log_alpha > _LOG_ASYMP_GATE and ln_r >= plan.floor()):
-            return None
-        value, n, err, converged = _expansion_sum(z, alpha, beta, tol)
-        method = Method.ASYMPTOTIC
-    return (value, n, err, method) if converged else None
-
-
-def _ml_auto_low(z: complex, alpha: float, beta: float, tol: float) -> EvalResult:
-    # alpha <= 1 path; callers guarantee checked arguments
-    plan = _plan(alpha, beta, tol)
-    done = _steps_1_2(z, alpha, beta, tol, plan)
-    if done is not None:
-        value, n, err, method = done
-        return EvalResult(value, method, n, err, True)
+        if ln_r / alpha - plan.log_alpha > _LOG_ASYMP_GATE and ln_r >= plan.floor():
+            value, n, err, converged = _expansion_sum(z, alpha, beta, tol)
+            if converged:
+                return EvalResult(value, Method.ASYMPTOTIC, n, err, True)
     rule, block, err = plan.quad()
     return _quad_result(z, alpha, beta, rule, Method.QUAD_HYPERBOLIC, block, err)
-
-
-def _neg_axis_pair(x: float, alpha: float, beta: float, tol: float) -> EvalResult:
-    # E[alpha, beta](-x), x > 0, 1 < alpha <= 2: the reduction's one sub-point
-    # w = i*sqrt(x) counts twice, so the value is Re E[alpha/2, beta](w), by
-    # steps 1-2 where they converge (the series only where the one at -x missed
-    # its stopping rule)
-    half = alpha / 2
-    done = _steps_1_2(cmath.rect(x**0.5, math.pi / 2), half, beta, tol, _plan(half, beta, tol))
-    if done is not None:
-        value, n, err, _ = done
-        return EvalResult(complex(value.real), Method.REDUCTION, n, err, True)
-    # elsewhere E(-x) is summed with both poles split off
-    rule, block, err = _plan(alpha, beta, tol).quad()
-    value = complex(_two_pole_sum(x, alpha, beta, block))
-    return EvalResult(value, Method.REDUCTION, 2 * rule.N + 1, err, True)
 
 
 def ml_auto(z: complex, alpha: float, beta: float, tol: float = DEFAULT_TOL) -> EvalResult:
     """Evaluate E[alpha, beta](z) with automatic method selection."""
     z = complex(z)
     validate_params(alpha, beta, tol, z)
-    if alpha <= 1.0:
-        return _ml_auto_low(z, alpha, beta, tol)
-    if abs(z) <= R_SERIES:
-        done = _steps_1_2(z, alpha, beta, tol, _plan(alpha, beta, tol))
-        if done is not None:
-            value, n, err, method = done
-            return EvalResult(value, method, n, err, True)
-    # E[a,b](z) = (1/m) sum_k E[a/m,b](z**(1/m) * e**(2 pi i k/m)), a/m <= 1
-    m = math.ceil(alpha)
-    if z.imag == 0.0 and z.real < 0.0 and m == 2:
-        return _neg_axis_pair(-z.real, alpha, beta, tol)
-    alpha_m = alpha / m
-    if z.imag == 0.0:
-        # real z: the sub-points sit at angles j*pi/m, j even for z >= 0 and
-        # odd for z < 0.  Points j and 2m - j are conjugates, and E(conj w) =
-        # conj E(w), so a point with 0 < j < m adds 2 Re E(w) for its pair;
-        # j = 0 and j = m are real points and add Re E(w)
-        r = abs(z.real) ** (1.0 / m)
-        subs = [
-            (cmath.rect(r, j * math.pi / m), 2.0) if 0 < j < m else (complex(r if j == 0 else -r), 1.0)
-            for j in range(0 if z.real >= 0.0 else 1, m + 1, 2)
-        ]
-    else:
-        root = cpow_principal(z, 1.0 / m)
-        subs = [(root * cmath.rect(1.0, 2.0 * math.pi * k / m), None) for k in range(m)]
-    acc = 0.0j
-    worst = 0.0
-    count = 0
-    converged = True
-    for w, weight in subs:
-        sub = _ml_auto_low(w, alpha_m, beta, tol)
-        acc += sub.value if weight is None else weight * sub.value.real
-        worst = max(worst, sub.err_estimate)
-        count += sub.nodes_or_terms
-        converged = converged and sub.converged
-    # divided part by part: inf/m as a complex quotient would put NaN in a zero part
-    return EvalResult(complex(acc.real / m, acc.imag / m), Method.REDUCTION, count, worst, converged)
+    return _ml_auto_low(z, alpha, beta, tol)
 
 
 def mittag_leffler(z: complex, alpha: float, beta: float = 1.0, tol: float = DEFAULT_TOL) -> complex:

@@ -10,7 +10,9 @@ power-difference kernels
 
 which stay accurate where the raw formulas cancel catastrophically: each
 is one binomial series on |eps| <= 1/2, a disk that holds every offset
-quadrature passes (|eps| < EPS_SWITCH = 0.1 near a pole).
+quadrature passes (|eps| < EPS_SWITCH = 0.1 near a pole).  pole_turns and
+on_sheet pick the roots of w**alpha = z on the principal sheet, the poles
+that quadrature splits off and whose exponential terms the expansion adds.
 All functions here are pure and safe to call from multiple threads.
 """
 
@@ -42,8 +44,9 @@ def reciprocal_gamma(x: float) -> float:
     """1/Gamma(x), entire in x: returns exactly 0.0 at x = 0, -1, -2, ...
 
     Where Gamma overflows (x > 171.6) the value is exp(-lgamma(x)), which
-    runs through the subnormals down to 0 near x = 178.  Left of about
-    x = -171 the value is infinite, with the sign of Gamma.
+    runs through the subnormals down to 0 near x = 178; past x ~ 2.6e305,
+    where lgamma overflows too, it is 0.0.  Left of about x = -171 the
+    value is infinite, with the sign of Gamma.
     """
     x = float(x)
     if x <= 0.0 and x == math.floor(x):
@@ -52,7 +55,10 @@ def reciprocal_gamma(x: float) -> float:
         g = math.gamma(x)
     except OverflowError:
         # x > 171.6 or |x| < ~1e-308: lgamma is log|Gamma|, and Gamma has the sign of x
-        return math.copysign(math.exp(-math.lgamma(x)), x)
+        try:
+            return math.copysign(math.exp(-math.lgamma(x)), x)
+        except OverflowError:  # x > ~2.6e305
+            return 0.0
     return 1.0 / g if g != 0.0 else math.copysign(math.inf, g)
 
 
@@ -112,6 +118,27 @@ def cpow_principal(w: complex, a: float) -> complex:
     if w.imag == 0.0:
         w = complex(w.real, 0.0)
     return cmath.exp(a * cmath.log(w))
+
+
+def pole_turns(alpha: float) -> list[int]:
+    """The k != 0 of the roots gamma_k = exp((log z + 2*pi*i*k)/alpha) of
+    w**alpha = z that can lie on the principal sheet: 0 < |k| <= (alpha+1)/2,
+    none for alpha <= 1.  gamma_0 lies on it where |Arg z| <= alpha*pi, so
+    always for alpha > 1.
+    """
+    top = int((alpha + 1.0) / 2.0) if alpha > 1.0 else 0
+    return [*range(-top, 0), *range(1, top + 1)]
+
+
+def on_sheet(turns, k: int, alpha: float):
+    """Whether gamma_k, k != 0, lies on the principal sheet, for Arg z = turns*pi.
+
+    Its argument is (turns + 2k)*pi/alpha, which must lie in (-pi, pi]: a
+    pole on the cut counts once, from above.  For a real z turns is 0 or 1,
+    and the test is exact.  turns may be a float or a numpy array.
+    """
+    t = turns + 2 * k
+    return (-alpha < t) & (t <= alpha)
 
 
 def _binomial_tail(eps: complex, a: float, k0: int, coeff: float) -> complex:

@@ -1,21 +1,26 @@
 """Contour-quadrature evaluation of the Mittag-Leffler function.
 
-The function is recovered from a Hankel-type integral of e**w times a
-rational-like integrand in w.  Depending on where z sits relative to the
-sector |Arg z| <= alpha*pi, the integrand is either used as-is (f_plain)
-or has the simple pole at gamma = z**(1/alpha) split off analytically
-(f_one), with the pole's residue alpha**-1 * gamma**(1-beta) * e**gamma
-added back in closed form.  The node factors of the integrand do not
-depend on z, so they are cached per (rule, alpha, beta): ml_quad_values
-sums many z at once in numpy.  A real z < 0 has a conjugate-symmetric
-summand, and _neg_axis_row sums one block of the factors as floats: the
-plain row for alpha < 1, and the edge row at alpha = 1, where the pole
-gamma = z lies on the branch cut.  ml_quad and ml_quad_values both call
-it; ml_quad passes any other z to the engine as a batch of one.  On the
-negative real axis with 1 < alpha <= 2 a conjugate pair of poles must be
-split off (two-pole integrand f_2): two_pole_row sums it as floats over
-the cached factors, and ml_quad_neg_axis_wide_alpha, through q_sum, is
-its reference.
+The function is recovered from a Hankel-type integral of e**w times the
+integrand f(w) = w**(alpha-beta) / (w**alpha - z).  Its poles are the
+roots gamma_k = exp((log z + 2*pi*i*k)/alpha) of w**alpha = z that lie on
+the principal sheet, |Arg gamma_k| <= pi: gamma_0 = z**(1/alpha) where
+|Arg z| <= alpha*pi, and for alpha > 1 up to ceil(alpha) in all
+(kernels.pole_turns).  Each one is split off: P_k/(w - gamma_k) is taken
+from the integrand, with P_k = gamma_k**(1-beta)/alpha, and its residue
+P_k e**gamma_k is added back in closed form.  Near a pole the difference
+would cancel, so f_one's psi-kernel form takes over for that pole.  The
+node factors of the integrand do not depend on z, so they are cached per
+(rule, alpha, beta): ml_quad_values sums many z at once in numpy.
+
+A real z < 0 with alpha <= 2 has a conjugate-symmetric summand, and
+_neg_axis_row sums one block of the factors as floats: the plain row for
+alpha < 1, the edge row at alpha = 1, where the pole gamma = z lies on the
+branch cut, and for 1 < alpha <= 2 the two-pole row, with the conjugate
+pair gamma = (-z)**(1/alpha) e**(+-i*pi/alpha) split off (two_pole_row;
+ml_quad_neg_axis_wide_alpha, the engine's column at z, is its
+reference).  ml_quad and ml_quad_values both call it; ml_quad passes any
+other z to the engine as a batch of one.  A real z gets an exactly real
+value.
 """
 
 from __future__ import annotations
@@ -36,6 +41,8 @@ from .kernels import (  # noqa: F401  cexp, principal_arg: bench/tracing.py rebi
     cpow_principal as _cpow,
     finite_beta,
     finite_complex,
+    on_sheet,
+    pole_turns,
     principal_arg,
     psi1,
     psi2,
@@ -56,7 +63,6 @@ class Method(str, Enum):
     ASYMPTOTIC = "asymp"
     QUAD_PARABOLIC = "quad-par"
     QUAD_HYPERBOLIC = "quad-hyp"
-    REDUCTION = "reduction"
 
 
 class EvalResult(NamedTuple):
@@ -64,7 +70,7 @@ class EvalResult(NamedTuple):
     method: Method
     nodes_or_terms: int
     err_estimate: float
-    converged: bool  # series/expansion: stopping rule met; reduction: every step did; quadrature: value not NaN
+    converged: bool  # series/expansion: stopping rule met; quadrature: value not NaN
 
 
 def _method_for(rule: QuadratureRule) -> Method:
@@ -114,34 +120,6 @@ def f_one(w: complex, z: complex, alpha: float, beta: float, gamma: complex) -> 
         num = psi1(eps, alpha - beta) - psi2(eps, alpha) / alpha
         return num / (_cpow(gamma, beta) * psi1(eps, alpha))
     return f_plain(w, z, alpha, beta) - _cpow(gamma, 1.0 - beta) / (alpha * (w - gamma))
-
-
-def _f_pair_near(
-    w: complex, alpha: float, beta: float, g_near: complex, g_far: complex, eps: complex
-) -> complex:
-    # two-pole integrand via psi kernels around g_near; exact for |eps| <= 1/2
-    p1 = psi1(eps, alpha)
-    den_shared = w - g_far + eps * g_near
-    near = (
-        (w - g_far) * (psi1(eps, alpha - beta) - psi2(eps, alpha) / alpha)
-        - g_near * p1 / alpha
-    ) / (_cpow(g_near, beta) * p1 * den_shared)
-    far = _cpow(g_near, 1.0 - beta) * _cpow(1.0 + eps, alpha - beta) / (p1 * den_shared) - _cpow(
-        g_far, 1.0 - beta
-    ) / (alpha * (w - g_far))
-    return near + far
-
-
-def _f_two(w: complex, x: float, alpha: float, beta: float, gp: complex, gm: complex) -> complex:
-    ep = (w - gp) / gp
-    if abs(ep) < EPS_SWITCH:
-        return _f_pair_near(w, alpha, beta, gp, gm, ep)
-    em = (w - gm) / gm
-    if abs(em) < EPS_SWITCH:
-        return _f_pair_near(w, alpha, beta, gm, gp, em)
-    return f_plain(w, -x + 0.0j, alpha, beta) - (
-        _cpow(gp, 1.0 - beta) / (w - gp) + _cpow(gm, 1.0 - beta) / (w - gm)
-    ) / alpha
 
 
 @functools.lru_cache(maxsize=128)
@@ -211,51 +189,82 @@ def _sum_rows(terms: np.ndarray, n: int) -> np.ndarray:
 
 
 def _pole_split_values(z: np.ndarray, alpha: float, beta: float, rule: QuadratureRule) -> np.ndarray:
+    # every z has gamma_0 on the principal sheet; for alpha > 1 the other
+    # poles gamma_k are split off where on_sheet holds, and get P = 0 elsewhere
     w, c, c_wab, wa, _, _ = _node_factors(rule, alpha, beta)
-    log_gamma = np.log(z) / alpha
-    gamma = np.exp(log_gamma)
-    log_pole = (1.0 - beta) * log_gamma - math.log(alpha)  # log(gamma**(1-beta)/alpha)
-    dw = w - gamma
+    log_z = np.log(z)
     terms = c_wab / (wa - z)
-    # c * (pole/dw) in real arithmetic: whether numpy fuses its complex
-    # product (FMA) depends on the CPU and the loop it picks; written out,
-    # the bits do not
-    q = np.exp(log_pole) / dw
-    terms.real -= c.real * q.real - c.imag * q.imag
-    terms.imag -= c.real * q.imag + c.imag * q.real
-    # near the pole the difference cancels: f_one's psi form takes over
-    near = dw.real * dw.real + dw.imag * dw.imag < _EPS_SWITCH_SQ * (
-        gamma.real * gamma.real + gamma.imag * gamma.imag
-    )
-    for j, i in zip(*np.nonzero(near)):
-        f = f_one(complex(w[j, 0]), complex(z[i]), alpha, beta, complex(gamma[i]))
-        terms[j, i] = complex(c[j, 0]) * f
-    residue = np.exp(log_pole + gamma)
-    # an overflowing residue is the value: the node sum could only add inf - inf
-    return np.where(np.isinf(residue), residue, residue + _sum_rows(terms, rule.N))
+    poles = []  # (gamma, P, where it is on the sheet: None for everywhere, near)
+    residue = largest = log_largest = None
+    for k in (0, *pole_turns(alpha)):
+        on = None if k == 0 else on_sheet(log_z.imag / math.pi, k, alpha)
+        if on is not None and not on.any():
+            continue
+        log_gamma = (log_z if k == 0 else log_z + 2j * math.pi * k) / alpha
+        gamma = np.exp(log_gamma)
+        log_pole = (1.0 - beta) * log_gamma - math.log(alpha)  # log(gamma**(1-beta)/alpha)
+        if on is not None:
+            log_pole[~on] = -np.inf  # P = 0: no split term and no residue
+        pole = np.exp(log_pole)
+        dw = w - gamma
+        q = pole / dw
+        log_res = log_pole + gamma
+        res = np.exp(log_res)
+        # near the pole the difference cancels: f_one's psi form takes over
+        near = dw.real * dw.real + dw.imag * dw.imag < _EPS_SWITCH_SQ * (
+            gamma.real * gamma.real + gamma.imag * gamma.imag
+        )
+        if on is None:
+            residue, largest, log_largest = res, res, log_res.real
+        else:
+            near &= on
+            residue = residue + res
+            top = log_res.real > log_largest
+            largest = np.where(top, res, largest)
+            log_largest = np.where(top, log_res.real, log_largest)
+        # c * (pole/dw) in real arithmetic: whether numpy fuses its complex
+        # product (FMA) depends on the CPU and the loop it picks; written out,
+        # the bits do not
+        terms.real -= c.real * q.real - c.imag * q.imag
+        terms.imag -= c.real * q.imag + c.imag * q.real
+        poles.append((gamma, pole, on, near))
+    for gamma, _, _, near in poles:
+        others = [(g, p, on) for g, p, on, _ in poles if g is not gamma]
+        for j, i in zip(*np.nonzero(near)):
+            wj = complex(w[j, 0])
+            f = f_one(wj, complex(z[i]), alpha, beta, complex(gamma[i]))
+            # less the plain terms of the other poles on the sheet at z
+            for g, p, on in others:
+                if on is None or on[i]:
+                    f -= complex(p[i]) / (wj - complex(g[i]))
+            terms[j, i] = complex(c[j, 0]) * f
+    # an overflowing residue is the value, the largest where several
+    # overflow: the node sum could only add inf - inf
+    return np.where(np.isinf(largest), largest, residue + _sum_rows(terms, rule.N))
 
 
 def _check_params(alpha: float, beta: float) -> None:
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"alpha={alpha!r} outside (0, 1]")
+    if not 0.0 < alpha < math.inf:
+        raise DomainError(f"alpha={alpha!r} must be positive and finite")
     finite_beta(beta)
 
 
 def ml_quad_values(z: ArrayLike, alpha: float, beta: float, rule: QuadratureRule) -> np.ndarray:
     """E[alpha, beta] at every entry of the array z by contour quadrature.
 
-    alpha in (0, 1].  Returns a complex array of z's shape, equal to
-    ml_quad's values bit for bit.  A real z < 0 takes _neg_axis_row; every
-    other column of the (nodes x points) integrand is summed on its own,
-    with the pole at gamma = z**(1/alpha) split off inside the sector
-    |Arg z| <= alpha*pi, so a value does not depend on the batch.  Where
-    beta > 1 and |gamma| < _SPLIT_GAMMA_MIN the pole stays in the plain
-    column instead.  z = 0 has no pole (w**alpha = 0 has no root on the
-    contour): its plain column sums w**-beta, so its value approximates
-    1/Gamma(beta) with the error origin_accuracy.  A real z >= 0 gets a
-    real value through the conjugate node blocks.  A NaN or infinite
-    entry, or a beta that is not finite or whose node factors overflow,
-    raises DomainError; an overflowing value gives inf parts and no warning.
+    alpha > 0.  Returns a complex array of z's shape, equal to ml_quad's
+    values bit for bit.  A real z < 0 with alpha <= 2 takes _neg_axis_row;
+    every other column of the (nodes x points) integrand is summed on its
+    own, with the poles on the principal sheet split off, so a value does
+    not depend on the batch.  Where beta > 1 and |gamma| < _SPLIT_GAMMA_MIN
+    the poles stay in the plain column instead.  z = 0 has no pole
+    (w**alpha = 0 has no root on the contour): its plain column sums
+    w**-beta, so its value approximates 1/Gamma(beta) with the error
+    origin_accuracy.  A real z gets a real value: for alpha <= 1 and z >= 0
+    through the conjugate node blocks, whose sums are exact conjugates.  A
+    NaN or infinite entry, or a beta that is not finite or whose node
+    factors overflow, raises DomainError; an overflowing value gives inf
+    parts and no warning.
     """
     _check_params(alpha, beta)
     # + 0.0 copies z and turns a -0.0 imaginary part into +0.0: the negative
@@ -269,8 +278,10 @@ def ml_quad_values(z: ArrayLike, alpha: float, beta: float, rule: QuadratureRule
     # complex product left to fuse, so a column's bits do not depend on the
     # batch
     with np.errstate(all="ignore"):
-        axis = (flat.imag == 0.0) & (flat.real < 0.0)
-        # at alpha = 1 the negative axis is inside the sector; z = 0 has no pole
+        real = flat.imag == 0.0
+        axis = real & (flat.real < 0.0) & (alpha <= 2.0)
+        # gamma_0 is on the sheet (for alpha > 1 always; at alpha = 1 the
+        # negative axis too); z = 0 has no pole
         sector = np.abs(np.arctan2(flat.imag, flat.real)) <= alpha * math.pi
         split = sector & ~axis & (flat != 0.0)
         if beta > 1.0:
@@ -285,6 +296,10 @@ def ml_quad_values(z: ArrayLike, alpha: float, beta: float, rule: QuadratureRule
             out[split] = _pole_split_values(flat[split], alpha, beta, rule)
         if plain.any():
             out[plain] = _sum_rows(c_wab / (wa - flat[plain]), rule.N)
+        if alpha > 1.0:
+            # poles off the real axis make the summand of a real z asymmetric;
+            # the imaginary part is rounding
+            out.imag[real] = 0.0
     return out.reshape(z.shape)
 
 
@@ -350,19 +365,22 @@ def _edge_row(x: float, beta: float, block: tuple) -> float:
 
 
 def _neg_axis_row(x: float, alpha: float, beta: float, block: tuple) -> float:
-    # E[alpha, beta](-x), x > 0: the one sum of each regime of the negative axis;
-    # at alpha = 1 a pole gamma = -x that the engine would keep in the integrand
-    # (beta > 1, |gamma| < _SPLIT_GAMMA_MIN) stays in it here too
+    # E[alpha, beta](-x), x > 0, alpha <= 2: the one sum of each regime of the
+    # negative axis; at alpha = 1 a pole gamma = -x that the engine would keep
+    # in the integrand (beta > 1, |gamma| < _SPLIT_GAMMA_MIN) stays in it here too
+    if alpha > 1.0:
+        return _two_pole_sum(x, alpha, beta, block)
     if alpha == 1.0 and (beta <= 1.0 or x >= _SPLIT_GAMMA_MIN):
         return _edge_row(x, beta, block)
     return _plain_row(x, block)
 
 
 def ml_quad(z: complex, alpha: float, beta: float, rule: QuadratureRule) -> EvalResult:
-    """E[alpha, beta](z) by contour quadrature, alpha in (0, 1].
+    """E[alpha, beta](z) by contour quadrature, alpha > 0.
 
     ml_quad_values's value at z; the rule is reusable across z.  A real
-    z < 0 takes _neg_axis_row, every other z the engine as a batch of one.
+    z < 0 with alpha <= 2 takes _neg_axis_row, every other z the engine as
+    a batch of one.
     Quadrature has no stopping rule: converged says that the value is not
     NaN.  A NaN or infinite part of z, a beta that is not finite, or a beta
     whose node factors overflow raises DomainError.
@@ -378,7 +396,7 @@ def _quad_result(
 ) -> EvalResult:
     # ml_quad for checked arguments, given the first block of the rule's node
     # factors at (alpha, beta) and its origin_accuracy
-    if z.imag == 0.0 and z.real < 0.0:
+    if z.imag == 0.0 and z.real < 0.0 and alpha <= 2.0:
         value = complex(_neg_axis_row(-z.real, alpha, beta, block))
     else:
         value = complex(ml_quad_values(z, alpha, beta, rule))
@@ -388,12 +406,13 @@ def _quad_result(
 def two_pole_row(x: float, alpha: float, beta: float, rule: QuadratureRule) -> float:
     """E[alpha, beta](-x) for x > 0 and 1 < alpha <= 2, as a loop over floats.
 
-    ml_quad_neg_axis_wide_alpha's sum over the cached node factors: the
-    first block holds node 0 at half weight, so the value is the residue
-    pair plus twice the real part of the block's sum of C_n f_2(w_n).  Off
-    the poles the term is Re[c_wab/(wa + x)] minus the real part of
-    c*(P/(w - gamma_+) + conj(P)/(w - gamma_-)), P = gamma_+**(1-beta)/alpha;
-    within EPS_SWITCH*|gamma| of a pole the psi form takes over.
+    The first block of the cached node factors holds node 0 at half
+    weight, so the value is the residue pair plus twice the real part of
+    the block's sum of C_n f_2(w_n), f_2 the integrand less both pole
+    terms.  Off the poles the term is Re[c_wab/(wa + x)] minus the real
+    part of c*(P/(w - gamma_+) + conj(P)/(w - gamma_-)), P =
+    gamma_+**(1-beta)/alpha; within EPS_SWITCH*|gamma| of a pole f_one's
+    psi form takes over.
     """
     return _two_pole_sum(x, alpha, beta, _node_factors(rule, alpha, beta)[4])
 
@@ -418,12 +437,13 @@ def _two_pole_sum(x: float, alpha: float, beta: float, block: tuple) -> float:
         d2 = dr * dr + di * di
         e2 = dr * dr + ei * ei
         if d2 < near or e2 < near:
-            gp, gm = complex(gr, gi), complex(gr, -gi)
+            # f_one for the near pole, less the other's plain term, as in the engine
             w = complex(wr, wi)
+            gp, gm, p = complex(gr, gi), complex(gr, -gi), complex(pr, pi)
             if d2 < near:
-                f = _f_pair_near(w, alpha, beta, gp, gm, (w - gp) / gp)
+                f = f_one(w, complex(-x), alpha, beta, gp) - p.conjugate() / (w - gm)
             else:
-                f = _f_pair_near(w, alpha, beta, gm, gp, (w - gm) / gm)
+                f = f_one(w, complex(-x), alpha, beta, gm) - p / (w - gp)
             s += cr * f.real - ci * f.imag
             continue
         br += x
@@ -437,32 +457,17 @@ def _two_pole_sum(x: float, alpha: float, beta: float, block: tuple) -> float:
 def ml_quad_neg_axis_wide_alpha(
     x: float, alpha: float, beta: float, rule: QuadratureRule
 ) -> EvalResult:
-    """E[alpha, beta](-x) for x > 0 and 1 < alpha < 2.
+    """E[alpha, beta](-x) for x > 0 and 1 < alpha < 2, two_pole_row's reference.
 
-    The conjugate pole pair gamma_pm = x**(1/alpha) e**(+-i pi/alpha) is
-    split off; its combined residue reduces to the real cosine form, and
-    the remaining analytic integrand f_2 is summed with the halved
-    symmetric rule.
+    The engine's column at z = -x: the conjugate pole pair
+    gamma_pm = x**(1/alpha) e**(+-i pi/alpha) split off, and both node
+    blocks summed in complex numpy, not one block in floats.
     """
     if not 1.0 < alpha < 2.0:
         raise DomainError(f"alpha={alpha!r} outside (1, 2)")
     if not x > 0.0:
         raise DomainError(f"x={x!r} must be positive")
-    rho = x ** (1.0 / alpha)
-    ang = math.pi / alpha
-    gp = complex(rho * math.cos(ang), rho * math.sin(ang))
-    gm = gp.conjugate()
-    try:
-        # cos(pi/alpha) < 0 for alpha < 2, so the exponential never overflows
-        residue_pair = (
-            (2.0 / alpha)
-            * x ** ((1.0 - beta) / alpha)
-            * math.exp(rho * math.cos(ang))
-            * math.cos((1.0 - beta) * ang + rho * math.sin(ang))
-        )
-        integral = q_sum(rule, lambda w: _f_two(w, x, alpha, beta, gp, gm), True)
-        err = origin_accuracy(rule, beta)
-    except OverflowError:  # beta far from 0: a power of w or x leaves the float range
-        raise DomainError(f"beta={beta!r}: the two-pole sum overflows") from None
-    value = complex(residue_pair + integral.real)
-    return EvalResult(value, _method_for(rule), 2 * rule.N + 1, err, True)
+    err = _node_factors(rule, alpha, beta)[5]
+    with np.errstate(all="ignore"):
+        value = _pole_split_values(np.array([complex(-x)]), alpha, beta, rule)[0]
+    return EvalResult(complex(value.real), _method_for(rule), 2 * rule.N + 1, err, True)

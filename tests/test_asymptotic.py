@@ -164,6 +164,38 @@ class TestExponentialTerm:
         assert res.value.real == pytest.approx(math.exp(5.0), rel=1e-12)
 
 
+class TestWideAlpha:
+    """alpha > 1 adds the exponential term of every pole on the principal sheet."""
+
+    @pytest.mark.parametrize("z", [1e4, -1e4, cmath.rect(1e4, 2.5), cmath.rect(1e4, -3.0)])
+    def test_alpha_two_is_cosh_sqrt(self, z: complex) -> None:
+        # poles +-sqrt(z); every algebraic coefficient 1/Gamma(1 - 2n) is 0
+        res = ml_asymptotic(complex(z), 2.0, 1.0, 1e-14)
+        want = cmath.cosh(cmath.sqrt(complex(z)))
+        assert res.converged
+        assert abs(res.value - want) <= 1e-13 * abs(want)
+
+    def test_three_poles_against_series(self) -> None:
+        # alpha = 3, z < 0: a conjugate pair and a pole on the cut, 40-digit
+        # series reference
+        z, alpha, beta = -2e6, 3.0, 1.3
+        rho = abs(z) ** (1.0 / alpha)
+        with mp.workdps(40 + int(rho / 1.15)):
+            terms = (mp.mpf(z) ** n * mp.rgamma(beta + n * mp.mpf(alpha)) for n in range(int(2 * rho) + 60))
+            want = float(mp.fsum(terms))
+        res = ml_asymptotic(complex(z), alpha, beta, 1e-14)
+        assert res.converged and res.value.imag == 0.0
+        assert abs(res.value.real - want) <= 1e-13 * abs(want)
+
+
+class TestTermCap:
+    def test_a_sum_that_cannot_converge_stops_at_the_cap(self) -> None:
+        # every term overflows and the divergence bound is e**114 terms away:
+        # the sum never returned
+        res = ml_asymptotic(complex(3.0), 0.01, -1e300, 1e-14)
+        assert res.m == asymptotic.MAX_TERMS + 1 and not res.converged
+
+
 def test_leading_term_far_out() -> None:
     res = ml_asymptotic(complex(-1e6), 0.5, 1.0, 1e-10)
     one_term = 1e-6 / math.gamma(0.5)
@@ -232,7 +264,7 @@ class TestValidation:
         with pytest.raises(DomainError):
             ml_asymptotic(0j, 0.7, 1.0, 1e-12)
 
-    @pytest.mark.parametrize("alpha", [1.2, 0.0, -0.3])
+    @pytest.mark.parametrize("alpha", [math.inf, 0.0, -0.3])
     def test_alpha_out_of_range(self, alpha: float) -> None:
         with pytest.raises(DomainError):
             ml_asymptotic(complex(-30.0), alpha, 1.0, 1e-12)

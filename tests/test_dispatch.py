@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 import warnings
 from itertools import combinations
 
@@ -7,7 +8,7 @@ import mpmath as mp
 import pytest
 
 from mittleff.asymptotic import log_r_floor, ml_asymptotic
-from mittleff import dispatch
+from mittleff import dispatch, quadrature
 from mittleff.contours import build_hyperbolic_rule, build_parabolic_rule
 from mittleff.dispatch import (
     DEFAULT_TOL,
@@ -18,11 +19,21 @@ from mittleff.dispatch import (
     run_method,
 )
 from mittleff.exceptions import DomainError
-from mittleff.kernels import reciprocal_gamma
+from mittleff.kernels import cpow_principal, reciprocal_gamma
 from mittleff.quadrature import Method, ml_quad, ml_quad_neg_axis_wide_alpha, origin_accuracy
 from mittleff.series import ml_series
 
 HYP14 = build_hyperbolic_rule(14)
+
+
+def _reduction(z: complex, alpha: float, beta: float, tol: float = DEFAULT_TOL) -> complex:
+    # E[a,b](z) = (1/m) sum_k E[a/m,b](z**(1/m) e**(2 pi i k/m)), m = ceil(a),
+    # each term evaluated through the router at a/m <= 1: the reference for
+    # alpha > 1, whose poles the router splits off at z itself
+    m = math.ceil(alpha)
+    root = cpow_principal(complex(z), 1.0 / m)
+    subs = [dispatch._ml_auto_low(root * cmath.rect(1.0, 2.0 * math.pi * k / m), alpha / m, beta, tol) for k in range(m)]
+    return sum(sub.value for sub in subs) / m
 
 
 class TestRouting:
@@ -62,8 +73,13 @@ class TestRouting:
         assert abs(res.value.real - want) <= 1e-12 * want
 
     def test_wide_alpha_uses_reduction(self) -> None:
+        # alpha > 1 takes the routes of alpha <= 1: here quadrature, with both
+        # poles on the principal sheet split off
         res = ml_auto(complex(4.0, 3.0), 1.8, 0.9)
-        assert res.method is Method.REDUCTION
+        assert res.method is Method.QUAD_HYPERBOLIC
+        assert res.nodes_or_terms == 29
+        want = _reduction(complex(4.0, 3.0), 1.8, 0.9)
+        assert abs(res.value - want) <= 1e-13 * max(1.0, abs(want))
 
     def test_tol_controls_node_count(self) -> None:
         res = ml_auto(complex(-3.0), 0.5, 1.0, tol=1e-2)
@@ -123,7 +139,7 @@ class TestConverged:
             (0.9, 0.5, 1.0, DEFAULT_TOL, Method.SERIES),
             (-15.0, 0.7, 1.0, 1e-12, Method.ASYMPTOTIC),
             (3.0, 0.5, 1.0, DEFAULT_TOL, Method.QUAD_HYPERBOLIC),
-            (4.0 + 3.0j, 1.8, 0.9, DEFAULT_TOL, Method.REDUCTION),
+            (4.0 + 3.0j, 1.8, 0.9, DEFAULT_TOL, Method.QUAD_HYPERBOLIC),
         ],
         ids=["series", "asymp", "quad-hyp", "reduction"],
     )
@@ -158,40 +174,38 @@ class TestConverged:
         assert math.isnan(res.value.real) and res.converged is False
 
     def test_reduction_with_an_unconverged_step(self, monkeypatch) -> None:
-        # every routed step converges, so mark one sub-evaluation as missed
+        # alpha > 1 is one evaluation at z, whose flag ml_auto passes on: mark
+        # it as missed
         want = ml_auto(complex(4.0, 3.0), 1.8, 0.9)
         low = dispatch._ml_auto_low
         calls = []
 
-        def first_unconverged(*args):
+        def unconverged(*args):
             res = low(*args)
-            calls.append(res)
-            return res._replace(converged=len(calls) > 1)
+            calls.append(args)
+            return res._replace(converged=False)
 
-        monkeypatch.setattr(dispatch, "_ml_auto_low", first_unconverged)
+        monkeypatch.setattr(dispatch, "_ml_auto_low", unconverged)
         res = ml_auto(complex(4.0, 3.0), 1.8, 0.9)
-        assert res.method is Method.REDUCTION
-        assert len(calls) == 2
+        assert res.method is Method.QUAD_HYPERBOLIC
+        assert calls == [(complex(4.0, 3.0), 1.8, 0.9, DEFAULT_TOL)]
         assert res.converged is False
         assert res.value == want.value and want.converged is True
 
 
 class TestConjugatePairs:
-    """For real z the reduction evaluates one sub-point per conjugate pair."""
+    """For alpha > 1 the poles off the real axis come in conjugate pairs; a
+    real z still gets an exactly real value, and the reduction identity, with
+    its conjugate sub-points, is the reference."""
 
     @pytest.mark.parametrize("alpha", [1.3, 1.7, 2.0, 2.5, 3.7])
     @pytest.mark.parametrize("x", [-37.5, -4.2, 4.2, 37.5])
     def test_real_argument_gives_real_value(self, x: float, alpha: float) -> None:
         res = ml_auto(x, alpha, 1.0)
-        assert res.method is Method.REDUCTION
+        assert res.method is Method.QUAD_HYPERBOLIC
         assert res.value.imag == 0.0
-        # the reference sums all m rotated sub-points, as a complex z does
-        m = math.ceil(alpha)
-        root = cmath.rect(abs(x) ** (1.0 / m), 0.0 if x > 0 else math.pi / m)
-        want = sum(
-            dispatch._ml_auto_low(root * cmath.rect(1.0, 2.0 * math.pi * k / m), alpha / m, 1.0, DEFAULT_TOL).value
-            for k in range(m)
-        ) / m
+        # the reference sums all m rotated sub-points, as for a complex z
+        want = _reduction(x, alpha, 1.0)
         assert abs(res.value - want) <= 1e-13 * max(1.0, abs(want))
 
     @pytest.mark.parametrize(
@@ -207,33 +221,48 @@ class TestConjugatePairs:
     def test_one_evaluation_per_conjugate_pair(
         self, monkeypatch, z: complex, alpha: float, calls: int, real_points: int | None
     ) -> None:
+        # the reduction evaluated `calls` sub-points, one per conjugate pair,
+        # `real_points` of them real; the router now makes one evaluation, at z
+        want = _reduction(z, alpha, 1.0)
         low = dispatch._ml_auto_low
         made = []
 
         def counted(*args):
-            made.append((args[0], low(*args)))
-            return made[-1][1]
+            made.append(args)
+            return low(*args)
 
         monkeypatch.setattr(dispatch, "_ml_auto_low", counted)
         res = ml_auto(z, alpha, 1.0)
-        assert res.method is Method.REDUCTION
-        assert len(made) == calls
-        assert res.nodes_or_terms == sum(sub.nodes_or_terms for _, sub in made)
+        assert made == [(complex(z), alpha, 1.0, DEFAULT_TOL)]
+        assert res.method is Method.QUAD_HYPERBOLIC
+        assert res.nodes_or_terms == 29
+        assert abs(res.value - want) <= 1e-13 * max(1.0, abs(want))
+        # the reduction's sub-points: conjugate pairs with conjugate values, and
+        # for a real z the self-conjugate ones +-|z|**(1/m)
+        m = math.ceil(alpha)
+        root = cpow_principal(complex(z), 1.0 / m)
+        subs = [root * cmath.rect(1.0, 2.0 * math.pi * k / m) for k in range(m)]
         if real_points is not None:
-            # the self-conjugate sub-points +-|z|**(1/m) are built exactly real
-            assert sum(w.imag == 0.0 for w, _ in made) == real_points
+            assert res.value.imag == 0.0
+            real = [w for w in subs if abs(w.imag) <= 1e-12 * abs(w)]
+            upper = [w for w in subs if w.imag > 1e-12 * abs(w)]
+            assert (len(real), len(real) + len(upper)) == (real_points, calls)
+        else:
+            assert len(subs) == calls
 
     def test_negative_axis_pair_takes_the_two_pole_row(self, monkeypatch) -> None:
-        # 1 < alpha <= 2, z < 0: the one pair at i*sqrt(4.2) would go to
-        # quadrature, so E(-4.2) is summed with both poles split off instead
+        # 1 < alpha <= 2, z < 0, past the series and short of the expansion:
+        # E(-4.2) is summed with both poles split off, where the reduction
+        # summed its one pair at i*sqrt(4.2) by quadrature
         low = dispatch._ml_auto_low
         pair = low(cmath.rect(4.2**0.5, math.pi / 2), 0.75, 1.0, DEFAULT_TOL)
         assert pair.method is Method.QUAD_HYPERBOLIC
+        two_pole_sum = quadrature._two_pole_sum
         made = []
-        monkeypatch.setattr(dispatch, "_ml_auto_low", lambda *args: made.append(args) or low(*args))
+        monkeypatch.setattr(quadrature, "_two_pole_sum", lambda *args: made.append(args) or two_pole_sum(*args))
         res = ml_auto(-4.2, 1.5, 1.0)
-        assert made == []
-        assert res.method is Method.REDUCTION
+        assert [args[:3] for args in made] == [(4.2, 1.5, 1.0)]
+        assert res.method is Method.QUAD_HYPERBOLIC
         assert res.nodes_or_terms == 29
         assert res.err_estimate == origin_accuracy(HYP14, 1.0)
         assert res.value.imag == 0.0
@@ -257,13 +286,17 @@ class TestClosedForms:
             assert abs(got - want) <= 1e-10 * abs(want)
 
     def test_reduction_is_single_level(self) -> None:
-        # ceil(alpha) rotations always land in the alpha <= 1 range
+        # ceil(alpha) rotations always land in the alpha <= 1 range, so the
+        # reference is one level deep; the router splits the four poles of
+        # alpha = 3.7 at z itself
         for alpha in (1.2, 1.8, 2.0, 3.7, 6.5):
             m = math.ceil(alpha)
             assert alpha / m <= 1.0
         res = ml_auto(complex(8.0, 1.0), 3.7, 1.0)
-        assert res.method is Method.REDUCTION
+        assert res.method is Method.QUAD_HYPERBOLIC
         assert cmath.isfinite(res.value)
+        want = _reduction(complex(8.0, 1.0), 3.7, 1.0)
+        assert abs(res.value - want) <= 1e-13 * max(1.0, abs(want))
 
 
 class TestOverflow:
@@ -272,11 +305,20 @@ class TestOverflow:
         assert res.method is Method.ASYMPTOTIC
         assert res.value == complex(math.inf, 0.0)
 
+    @pytest.mark.parametrize("z", [cmath.rect(3e10, math.pi - 0.1), -3e10, cmath.rect(3e10, 0.5)])
+    def test_several_overflowing_poles_give_inf_not_nan(self, z: complex) -> None:
+        # two poles of alpha = 3.4 have Re gamma > 709: the larger term is the
+        # value, where inf - inf would be NaN
+        res = ml_auto(z, 3.4, 1.0)
+        assert res.method is Method.ASYMPTOTIC and res.converged
+        assert cmath.isinf(res.value) and not cmath.isnan(res.value)
+
     @pytest.mark.parametrize("alpha", [1.5, 2.0])
     def test_reduction_overflow_is_inf_not_nan(self, alpha: float) -> None:
+        # the expansion's pole term e**(1e6**(1/alpha)) overflows
         res = ml_auto(1e6, alpha, 1.0)
-        assert res.method is Method.REDUCTION
-        assert res.value.real == math.inf and math.isfinite(res.value.imag)
+        assert res.method is Method.ASYMPTOTIC
+        assert res.value == complex(math.inf, 0.0)
 
     def test_tiny_value_keeps_relative_accuracy(self) -> None:
         # E[1/2, 150](1/2) = 2.7e-261: every series term is below tol, so a
@@ -303,6 +345,21 @@ class TestOverflow:
         assert res.method is Method.QUAD_HYPERBOLIC
         assert res.value == complex(5.89021459847562e275)
         assert res.err_estimate == 1.6899345924157823e276
+
+
+class TestWideAlphaNegativeAxis:
+    """E[alpha, alpha](-x) for 1 < alpha <= 2 cancels in Re E[alpha/2, alpha](i*sqrt(x)):
+    the reduction lost up to 3e-9 relative there, with converged=True."""
+
+    @pytest.mark.parametrize("x, alpha", [(112.0, 1.3), (1000.0, 1.7), (300.0, 1.3)])
+    def test_against_series(self, x: float, alpha: float) -> None:
+        rho = x ** (1.0 / alpha)
+        with mp.workdps(40 + int(rho / 1.15)):
+            a = mp.mpf(alpha)
+            want = float(mp.fsum((-mp.mpf(x)) ** n * mp.rgamma(a + n * a) for n in range(int(4 * rho) + 60)))
+        res = ml_auto(-x, alpha, alpha)
+        assert res.converged and res.value.imag == 0.0
+        assert abs(res.value.real - want) <= 1e-10 * abs(want)
 
 
 class TestInterface:
@@ -385,9 +442,9 @@ class TestPlan:
             ml_auto(-5.0, 0.5, -300.0)
 
     def test_results_do_not_change_when_a_plan_is_evicted(self) -> None:
-        # quadrature, series and expansion at alpha = 0.7, the two-pole row and
-        # the pair's expansion at 1 < alpha <= 2
-        points = [(-4.0, 0.7), (-0.37, 0.7), (-100.0, 0.7), (-9.0, 1.3), (-3000.0, 2.0)]
+        # quadrature, series and expansion at alpha = 0.7, the two-pole row at
+        # 1 < alpha <= 2, and the expansion with the pole pair
+        points = [(-4.0, 0.7), (-0.37, 0.7), (-100.0, 0.7), (-9.0, 1.3), (-1e4, 2.0)]
         dispatch._plan.cache_clear()
         first = [_fields(ml_auto(z, alpha, 1.0)) for z, alpha in points]
         maxsize = dispatch._plan.cache_info().maxsize
@@ -395,10 +452,9 @@ class TestPlan:
             ml_auto(-4.0, 0.7, 1.0 + (k + 1) / 256)
         misses = dispatch._plan.cache_info().misses
         assert [_fields(ml_auto(z, alpha, 1.0)) for z, alpha in points] == first
-        # each plan holds one alpha: 0.7; the two-pole point's pair at 0.65 and
-        # its node factors at 1.3; the pair at 1.0.  Each was evicted and is
-        # built again, once
-        assert dispatch._plan.cache_info().misses == misses + 4
+        # one plan per alpha: 0.7, 1.3 and 2.0.  Each was evicted and is built
+        # again, once
+        assert dispatch._plan.cache_info().misses == misses + 3
 
     @pytest.mark.parametrize(
         "z, alpha",
@@ -412,6 +468,23 @@ class TestPlan:
             ml_auto(z, alpha, -1e306)
         with pytest.raises(DomainError, match="overflow"):
             ml_asymptotic(z, min(alpha, 1.0), -1e306, 1e-14)
+
+    @pytest.mark.parametrize("beta", [1e306, 1.7976931348623157e308])
+    def test_a_beta_past_the_overflow_of_lgamma_gives_zero(self, beta: float) -> None:
+        # every 1/Gamma(beta + n/2) is 0.0: this raised a bare OverflowError
+        res = ml_auto(-0.5, 0.5, beta)
+        assert res.method is Method.SERIES and res.value == 0.0 and res.converged
+
+    @pytest.mark.parametrize("z, alpha", [(3.0, 0.01), (-1000.0, 0.5)])
+    def test_an_expansion_that_cannot_converge_stops(self, z: float, alpha: float) -> None:
+        # every term overflows, and the divergence bound is e**114 or 2e6
+        # terms away: the first ran on for good, the second for seconds.
+        # Past MAX_TERMS the expansion gives up, and quadrature's node factors
+        # overflow
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError, match="overflow"):
+            ml_auto(z, alpha, -1e300)
+        assert time.perf_counter() - t0 < 1.0
 
     def test_a_series_point_does_not_build_the_floor(self, monkeypatch) -> None:
         # the floor's scan runs only where the size gate has passed

@@ -2,6 +2,7 @@ import cmath
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,8 @@ from mittleff.kernels import (
     cexp,
     cpow_principal,
     gamma_real,
+    on_sheet,
+    pole_turns,
     principal_arg,
     psi1,
     psi2,
@@ -69,6 +72,12 @@ class TestReciprocalGamma:
             assert reciprocal_gamma(150.0) == pytest.approx(float(mp.rgamma(150)), rel=1e-14, abs=0.0)
             # past Gamma's overflow at 171.6 the value is subnormal, not 0
             assert reciprocal_gamma(175.0) == pytest.approx(float(mp.rgamma(175)), rel=1e-6, abs=0.0)
+
+    @pytest.mark.parametrize("x", [2.6e305, 1e306, 1.7976931348623157e308])
+    def test_past_the_overflow_of_lgamma_is_zero(self, x: float) -> None:
+        # math.lgamma overflows from x ~ 2.6e305 on, where 1/Gamma is 0.0: this
+        # raised a bare OverflowError
+        assert reciprocal_gamma(x) == 0.0
 
     def test_product_identity(self) -> None:
         xs = [0.5 + 0.3 * i for i in range(40)] + [-0.25 - 0.5 * i for i in range(20)]
@@ -200,3 +209,40 @@ def test_psi_kernels_against_mpmath(eps: complex, a: float) -> None:
         refs = tuple(complex(r) for r in refs)
     for got, ref in zip((psi1(eps, a), psi2(eps, a)), refs):
         assert abs(got - ref) <= 4e-15 * max(1.0, abs(ref)), (eps, a)
+
+
+class TestPrincipalSheetPoles:
+    """gamma_k = exp((log z + 2 pi i k)/alpha), k != 0, on the sheet where
+    -alpha < Arg(z)/pi + 2k <= alpha."""
+
+    @staticmethod
+    def poles(z: complex, alpha: float) -> list[int]:
+        turns = principal_arg(z) / math.pi
+        first = [0] if abs(principal_arg(z)) <= alpha * math.pi else []
+        return first + [k for k in pole_turns(alpha) if on_sheet(turns, k, alpha)]
+
+    @pytest.mark.parametrize(
+        "z, alpha, want",
+        [
+            (3.0, 0.7, [0]),
+            (-3.0, 0.7, []),
+            (-3.0, 1.0, [0]),
+            (-3.0 - 1e-300j, 1.0, [0]),
+            (-3.0, 1.5, [0, -1]),
+            (3.0, 1.5, [0]),
+            (3.0, 2.0, [0, 1]),
+            (-3.0, 2.0, [0, -1]),
+            (-3.0, 3.0, [0, -1, 1]),
+            (3.0, 3.0, [0, -1, 1]),
+            (3.0, 4.0, [0, -1, 1, 2]),
+            (3.0j, 3.7, [0, -2, -1, 1]),
+        ],
+    )
+    def test_pole_sets(self, z: complex, alpha: float, want: list) -> None:
+        # integer alpha: w**alpha = z has alpha roots, one on the cut counted once
+        assert self.poles(complex(z), alpha) == want
+
+    def test_arrays(self) -> None:
+        turns = np.array([0.0, 1.0, 0.5, -0.5])
+        assert on_sheet(turns, -1, 1.5).tolist() == [False, True, False, False]
+        assert on_sheet(turns, 1, 1.5).tolist() == [False, False, False, True]

@@ -17,7 +17,6 @@ from mittleff.quadrature import (
     EPS_SWITCH,
     EvalResult,
     Method,
-    _f_two,
     f_one,
     f_plain,
     ml_quad,
@@ -148,8 +147,10 @@ class TestMlQuad:
         assert math.isnan(res.value.real) and res.converged is False
 
     def test_alpha_validation(self) -> None:
-        with pytest.raises(DomainError):
-            ml_quad(complex(-1.0), 1.5, 1.0, HYP14)
+        # any finite alpha > 0 is served; alpha > 1 splits each pole on the sheet
+        for alpha in (0.0, -1.5, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                ml_quad(complex(-1.0), alpha, 1.0, HYP14)
 
     @pytest.mark.parametrize("beta", [math.inf, math.nan, -math.inf])
     @pytest.mark.parametrize("z", [-3.0, 2.0 + 1.0j])
@@ -243,11 +244,13 @@ _RULES = [build(n) for build in (build_hyperbolic_rule, build_parabolic_rule) fo
 
 
 @st.composite
-def _quad_cases(draw) -> tuple:
+def _quad_cases(draw, alphas=None) -> tuple:
     rule = draw(st.sampled_from(_RULES))
     # hypothesis favours tiny floats, where most values are NaN: half the
     # draws keep to alphas in use
-    alpha = draw(st.floats(0.05, 1.0) | st.floats(0.0, 1.0, exclude_min=True))
+    if alphas is None:
+        alphas = st.floats(0.05, 1.0) | st.floats(0.0, 1.0, exclude_min=True)
+    alpha = draw(alphas)
     beta = draw(st.floats(-1.0, 6.0))
     kind = draw(st.sampled_from(["edge", "axis", "near", "zero", "plane"]))
     if kind == "edge":
@@ -304,6 +307,29 @@ def test_scalar_loop_matches_engine_bitwise(case: tuple) -> None:
         lone = complex(ml_quad_values(z, alpha, beta, rule))
         wide = complex(ml_quad_values([z, z], alpha, beta, rule)[0])
     assert _bits(one) == _bits(lone) == _bits(wide)
+
+
+@settings(
+    derandomize=True,
+    max_examples=300,
+    database=None,
+    deadline=None,
+    phases=[Phase.explicit, Phase.generate, Phase.shrink],
+)
+@given(case=_quad_cases(st.sampled_from([2.0, 3.0]) | st.floats(1.0, 4.0, exclude_min=True)))
+def test_scalar_loop_matches_engine_bitwise_past_alpha_one(case: tuple) -> None:
+    # the same for alpha > 1: the edges Arg z + 2*pi*k = +-alpha*pi, where a
+    # pole meets the cut, the real axis, and poles near a node; a real z gets
+    # a real value
+    rule, alpha, beta, z = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        one = ml_quad(z, alpha, beta, rule).value
+        lone = complex(ml_quad_values(z, alpha, beta, rule))
+        wide = complex(ml_quad_values([z, z], alpha, beta, rule)[0])
+    assert _bits(one) == _bits(lone) == _bits(wide)
+    if z.imag == 0.0:
+        assert _bits(one)[1] == (0.0, 1.0)
 
 
 def _same_bits(a: complex, b: complex) -> bool:
@@ -564,7 +590,10 @@ class TestTwoPole:
             / (alpha * math.sin(math.pi / alpha))
         )
         want = at_pole + partner
-        got = _f_two(gp * (1.0 + 1e-12), x, alpha, beta, gp, gm)
+        # the near-pole term of two_pole_row and the engine: f_one for the
+        # near pole, less the plain term of the other
+        w = gp * (1.0 + 1e-12)
+        got = f_one(w, complex(-x), alpha, beta, gp) - cpow_principal(gm, 1.0 - beta) / (alpha * (w - gm))
         assert abs(got - want) <= 1e-10 * abs(want)
 
     @settings(
@@ -580,7 +609,8 @@ class TestTwoPole:
         beta=st.floats(0.2, 2.0),
     )
     def test_float_row_matches_reference(self, x: float, alpha: float, beta: float) -> None:
-        # the q_sum version is the independent reference for the float loop
+        # the engine's column at -x, both node blocks in complex numpy, is the
+        # reference for the float loop over one block
         ref = ml_quad_neg_axis_wide_alpha(x, alpha, beta, HYP14).value
         assert ref.imag == 0.0
         assert abs(two_pole_row(x, alpha, beta, HYP14) - ref.real) <= 1e-13 * max(1.0, abs(ref))
@@ -625,7 +655,7 @@ class TestTwoPole:
             ml_quad_neg_axis_wide_alpha(-1.0, 1.5, 1.0, HYP14)
 
     def test_overflow_is_domain_error(self) -> None:
-        # w**(alpha - beta) overflows inside q_sum: this was a bare OverflowError
+        # w**(alpha - beta) overflows in the node factors: this was a bare OverflowError
         for row in (two_pole_row, ml_quad_neg_axis_wide_alpha):
             with pytest.raises(DomainError, match="overflow"):
                 row(5.0, 1.5, -300.0, HYP14)
@@ -644,3 +674,64 @@ def test_result_type() -> None:
     assert hash(res) == hash(ml_quad(complex(-1.0), 0.5, 1.0, PAR14))
     with pytest.raises(AttributeError):
         res.value = 0j  # type: ignore[misc]
+
+
+def _mp_series(z: complex, alpha: float, beta: float) -> complex:
+    # sum z**n / Gamma(beta + n*alpha) with digits for its largest term,
+    # about e**(|z|**(1/alpha)), and 30 more
+    rho = abs(z) ** (1.0 / alpha)
+    with mp.workdps(30 + int(rho / 2.3)):
+        zz, acc, n = mp.mpc(z), mp.mpc(0), 0
+        while True:
+            term = zz**n * mp.rgamma(beta + n * mp.mpf(alpha))
+            acc += term
+            n += 1
+            if n * alpha > 2.0 * rho + 20.0 and abs(term) < mp.mpf(10) ** (-mp.mp.dps):
+                return complex(acc)
+
+
+class TestWideAlpha:
+    """alpha > 1: every pole on the principal sheet is split off at z itself."""
+
+    @pytest.mark.parametrize(
+        "z, alpha, beta",
+        [
+            (3.0 + 4.0j, 1.5, 1.0),
+            (-9.0 + 0.5j, 3.5, 1.0),
+            (20.0j, 2.5, 0.7),
+            (-6.0 - 6.0j, 1.9, 2.2),
+            (cmath.rect(60.0, 3.0), 1.05, 1.0),
+            # Arg z + 2 pi = alpha*pi: a pole on the cut, and either side of it
+            (cmath.rect(25.0, -0.5 * math.pi), 1.5, 1.0),
+            (cmath.rect(25.0, -0.5 * math.pi + 1e-9), 1.5, 0.4),
+            (cmath.rect(25.0, -0.5 * math.pi - 1e-9), 1.5, 0.4),
+            # real z: a pole on the cut (alpha = 2, z > 0), a pair and one on
+            # the cut (alpha = 3, z < 0), real and paired poles
+            (4.0, 2.0, 0.6),
+            (-30.0, 3.0, 1.3),
+            (40.0, 3.7, 1.0),
+            (-40.0, 2.5, 2.0),
+        ],
+    )
+    @pytest.mark.parametrize("rule", [HYP14, PAR14], ids=["hyp", "par"])
+    def test_against_series(self, rule, z: complex, alpha: float, beta: float) -> None:
+        want = _mp_series(complex(z), alpha, beta)
+        got = ml_quad(z, alpha, beta, rule).value
+        assert abs(got - want) <= 5e-14 * max(1.0, abs(want))
+        if isinstance(z, float):
+            assert got.imag == 0.0 and math.copysign(1.0, got.imag) == 1.0
+
+    def test_batch_gives_the_scalar_bits(self) -> None:
+        # the real axis on both sides and the cut, z = 0, poles near nodes
+        zs = [-30.0, 4.0, -0.0, 1e-3j, 3.0 + 4.0j, -9.0 + 0.5j]
+        zs += [cpow_principal(w * 1.02, 2.5) for w in HYP14.nodes[3:8]]
+        for alpha in (1.5, 2.0, 2.5, 3.7):
+            batch = ml_quad_values(zs, alpha, 1.3, HYP14)
+            for z, got in zip(zs, batch.tolist()):
+                assert _same_bits(got, ml_quad(z, alpha, 1.3, HYP14).value), (z, alpha)
+
+    @pytest.mark.parametrize("z", [cmath.rect(3e10, math.pi - 0.1), -3e10, cmath.rect(3e10, 0.5)])
+    def test_overflowing_poles_give_inf_not_nan(self, z: complex) -> None:
+        # two poles of alpha = 3.4 have Re gamma > 709: the larger residue is the value
+        value = ml_quad(z, 3.4, 1.0, HYP14).value
+        assert cmath.isinf(value) and not cmath.isnan(value)

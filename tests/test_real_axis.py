@@ -2,7 +2,6 @@
 series and the expansion, the expansion that routing skips where it could
 only fail, and ml_auto giving the public evaluators' bits."""
 
-import cmath
 import json
 import math
 from pathlib import Path
@@ -14,8 +13,8 @@ from hypothesis import strategies as st
 from mittleff import dispatch
 from mittleff.asymptotic import _expansion_sum, log_r_floor, ml_asymptotic
 from mittleff.cli import main
-from mittleff.dispatch import ml_auto, quad_rule, quadrature_n_for_tol, run_method
-from mittleff.quadrature import EvalResult, Method, origin_accuracy, two_pole_row
+from mittleff.dispatch import ml_auto, run_method
+from mittleff.quadrature import EvalResult, Method
 from mittleff.series import ml_series
 
 BITS = json.loads((Path(__file__).parent / "real_axis_bits.json").read_text())["cases"]
@@ -57,10 +56,17 @@ ROUTES = [
     (-3.0, 0.5, 1.0, 1e-14, Method.QUAD_HYPERBOLIC, "quadrature, plain"),
     (-5.0, 1.0, 1.0, 1e-14, Method.QUAD_HYPERBOLIC, "quadrature on the cut"),
     (-5.0, 1.0, 0.6, 1e-14, Method.QUAD_HYPERBOLIC, "quadrature on the cut, beta 0.6"),
-    (-4.2, 1.5, 1.0, 1e-14, Method.REDUCTION, "two-pole row"),
-    (-3000.0, 2.0, 1.0, 1e-14, Method.REDUCTION, "pair by expansion"),
-    (4.2, 1.5, 1.0, 1e-14, Method.REDUCTION, "real sub-points"),
-    (-37.5, 2.5, 1.0, 1e-14, Method.REDUCTION, "pair and real sub-point"),
+    (-4.2, 1.5, 1.0, 1e-14, Method.QUAD_HYPERBOLIC, "two-pole row"),
+    (-3000.0, 2.0, 1.0, 1e-14, Method.QUAD_HYPERBOLIC, "two-pole row, alpha 2"),
+    (-1e4, 2.0, 1.0, 1e-14, Method.ASYMPTOTIC, "pair by expansion"),
+    (-1e4, 1.3, 1.3, 1e-14, Method.ASYMPTOTIC, "pair by expansion, beta = alpha"),
+    # the names of the last two are those of the reduction's sub-points; the
+    # engine now splits every pole at z: a real one and a pair, and a pair and
+    # one on the cut
+    (4.2, 1.5, 1.0, 1e-14, Method.QUAD_HYPERBOLIC, "real sub-points"),
+    (-37.5, 2.5, 1.0, 1e-14, Method.QUAD_HYPERBOLIC, "pair and real sub-point"),
+    (37.5, 2.0, 0.6, 1e-14, Method.QUAD_HYPERBOLIC, "engine, a pole on the cut"),
+    (1e4, 1.7, 1.7, 1e-14, Method.ASYMPTOTIC, "expansion, z > 0"),
 ]
 
 
@@ -141,15 +147,12 @@ def _fields(res: EvalResult) -> tuple:
 
 @st.composite
 def _real_line(draw) -> tuple:
-    alpha = draw(st.sampled_from([1.0, 0.5, 2.0, 1.5]) | st.floats(0.05, 2.0))
+    alpha = draw(st.sampled_from([1.0, 0.5, 2.0, 1.5, 3.0]) | st.floats(0.05, 3.5))
     beta = draw(st.sampled_from([1.0, alpha, 0.0, -1.5, 2.5]) | st.floats(-3.0, 6.0))
     tol = draw(st.sampled_from([dispatch.TOL_MIN, 1e-14, dispatch.TOL_MAX]) | st.floats(1e-15, 1e-2))
-    # log|z| next to R_SERIES, the size gate or the floor, or anywhere; for
-    # 1 < alpha <= 2 the gate and the floor are those of the pair at
-    # w = i*sqrt(-z), at alpha/2 and log|w| = log|z|/2
-    a, scale = (alpha, 1.0) if alpha <= 1.0 else (alpha / 2, 2.0)
-    gate = a * (math.log(dispatch.ASYMP_GATE) + math.log(a))
-    centre = draw(st.sampled_from([0.0, scale * gate, scale * log_r_floor(a, beta, tol), 2.0]))
+    # log|z| next to R_SERIES, the size gate or the floor, or anywhere
+    gate = alpha * (math.log(dispatch.ASYMP_GATE) + math.log(alpha))
+    centre = draw(st.sampled_from([0.0, gate, log_r_floor(alpha, beta, tol), 2.0]))
     width = draw(st.sampled_from([1e-9, 1e-3, 0.5, 4.0]))
     log_r = centre + draw(st.floats(-width, width))
     return alpha, beta, tol, draw(st.sampled_from([1.0, -1.0])) * math.exp(log_r)
@@ -167,19 +170,9 @@ def _real_line(draw) -> tuple:
 @example(case=(0.3, 1.0, 1e-14, -2.7))
 @example(case=(1.3, 1.0, 1e-14, -9.0))
 @example(case=(2.0, 1.0, 1e-14, -3000.0))
+@example(case=(1.3, 1.3, 1e-14, -112.0))
 def test_auto_gives_the_bits_of_the_public_evaluators(case: tuple) -> None:
     # ml_auto runs the same sums as ml_series, ml_asymptotic and ml_quad
     alpha, beta, tol, z = case
     res = ml_auto(z, alpha, beta, tol)
-    if res.method is not Method.REDUCTION:
-        assert _fields(res) == _fields(run_method(res.method, complex(z), alpha, beta, tol))
-    elif z < 0.0 and alpha <= 2.0:
-        # the pair at w = i*sqrt(-z) by the series or the expansion, or else
-        # the two-pole row on the same rule
-        rule = quad_rule(Method.QUAD_HYPERBOLIC, quadrature_n_for_tol(tol))
-        want = [EvalResult(complex(two_pole_row(-z, alpha, beta, rule)), Method.REDUCTION, 2 * rule.N + 1, origin_accuracy(rule, beta), True)]
-        w = cmath.rect((-z) ** 0.5, math.pi / 2)
-        pair = run_method(Method.SERIES if -z <= 1.0 else Method.ASYMPTOTIC, w, alpha / 2, beta, tol)
-        if pair.converged:
-            want.append(EvalResult(complex(pair.value.real), Method.REDUCTION, pair.nodes_or_terms, pair.err_estimate, True))
-        assert _fields(res) in [_fields(r) for r in want]
+    assert _fields(res) == _fields(run_method(res.method, complex(z), alpha, beta, tol))
