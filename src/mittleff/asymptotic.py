@@ -21,7 +21,7 @@ import math
 from typing import NamedTuple
 
 from .exceptions import DomainError
-from .kernels import cexp, finite_beta, finite_complex, on_sheet, pole_turns, principal_arg
+from .kernels import cexp, check_alpha_beta, finite_complex, on_sheet, pole_turns, principal_arg
 
 INF = math.inf
 TABLE_BLOCK = 32
@@ -112,9 +112,7 @@ def ml_asymptotic(z: complex, alpha: float, beta: float, tol: float) -> Asymptot
     A sum that overflows comes back as the signed infinity of its largest
     term, and a NaN value is never converged.
     """
-    if not 0.0 < alpha < INF:
-        raise DomainError(f"alpha={alpha!r} must be positive and finite")
-    finite_beta(beta)
+    check_alpha_beta(alpha, beta)
     if not tol > 0.0:
         raise DomainError(f"tol={tol!r} must be positive")
     z = finite_complex(z)

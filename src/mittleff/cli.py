@@ -91,6 +91,13 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return values
 
 
+def _check_n_is_read(n: int | None, *methods: str) -> None:
+    # --N is the contour parameter of a quadrature method: reject it where no
+    # selected method would read it, rather than ignore it
+    if n is not None and not any(m in _QUAD_METHODS for m in methods):
+        raise DomainError(f"--N {n} is read by the quadrature methods only, not by {' or '.join(methods)}")
+
+
 def _evaluate(method: str, z: complex, args: argparse.Namespace) -> EvalResult:
     if method == "auto":
         return ml_auto(z, args.alpha, args.beta, args.tol)
@@ -107,6 +114,7 @@ def _block_values(method: str, zs: list[complex], args: argparse.Namespace) -> l
 
 def cmd_eval(args: argparse.Namespace) -> int:
     validate_params(args.alpha, args.beta, args.tol, args.z)
+    _check_n_is_read(args.N, args.method)
     res = _evaluate(args.method, args.z, args)
     v = res.value
     print(f"{v.real:.16e} {v.imag:.16e}")
@@ -156,6 +164,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
     if args.steps < 1:
         raise DomainError(f"steps={args.steps!r} must be >= 1")
     first, second = args.compare_method if args.compare_method is not None else ("auto", None)
+    _check_n_is_read(args.N, *filter(None, (first, second)))
     re_axis = _linspace(args.re_min, args.re_max, args.steps)
     im_axis = _linspace(args.im_min, args.im_max, args.steps)
     if not all(math.isfinite(v) for v in (*re_axis, *im_axis)):
@@ -229,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--beta", type=float, required=True)
     p_eval.add_argument("--z", type=_parse_complex, required=True, metavar="RE[,IM]")
     p_eval.add_argument("--method", choices=_METHODS, default="auto")
-    p_eval.add_argument("--N", type=int, default=None, help="contour node parameter")
+    p_eval.add_argument("--N", type=int, default=None, help="contour node parameter of a quadrature method")
     p_eval.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_eval.set_defaults(func=cmd_eval)
 

@@ -11,12 +11,14 @@ Routing order, the same for every alpha > 0:
    contour quadrature with N picked from tol and every pole split off at z
    itself.  A real z < 0 takes one float row: the plain or edge row for
    alpha <= 1, and for 1 < alpha <= 2 the row of E(z) with both poles
-   split off (quadrature.two_pole_row), the paper's real-line method.
+   split off (quadrature._two_pole_sum), the paper's real-line method.
 
-ml_auto checks its arguments once.  The router then reads one cached plan
-per (alpha, beta, tol) and calls the unchecked sums behind ml_series,
-ml_asymptotic and ml_quad, so a method forced through run_method, as in
-the CLI, gives the same bits wherever the route picks that method.  A real
+ml_auto checks its arguments once.  The router then calls the unchecked
+sums behind ml_series, ml_asymptotic and ml_quad, so a method forced
+through run_method, as in the CLI, gives the same bits wherever the route
+picks that method.  Each route reads only its own cached tables: the
+series' coefficients, the expansion's coefficients and floor
+(asymptotic.log_r_floor), or the quadrature block (_quad_block).  A real
 z gets an exactly real value on every route.
 """
 
@@ -28,7 +30,7 @@ import math
 from .asymptotic import _expansion_sum, log_r_floor, ml_asymptotic
 from .contours import HYPERBOLIC_RATE, QuadratureRule, build_hyperbolic_rule, build_parabolic_rule
 from .exceptions import DomainError
-from .kernels import cpow_principal, finite_beta, finite_complex  # noqa: F401  cpow_principal: bench/tracing.py rebinds it here
+from .kernels import check_alpha_beta, cpow_principal, finite_complex  # noqa: F401  cpow_principal: bench/tracing.py rebinds it here
 from .quadrature import EvalResult, Method, _node_factors, _quad_result, ml_quad
 from .series import DEFAULT_MAX_TERMS, _n_reflect, _series_sum, ml_series
 
@@ -40,7 +42,6 @@ TOL_MAX = 1e-2
 _LOG_ASYMP_GATE = math.log(ASYMP_GATE)
 
 
-@functools.lru_cache(maxsize=32)
 def quadrature_n_for_tol(tol: float) -> int:
     """Node count giving ~tol accuracy on the hyperbolic contour, capped at 14."""
     return min(14, math.ceil(math.log(1.0 / tol) / math.log(HYPERBOLIC_RATE)) + 1)
@@ -59,9 +60,7 @@ def validate_params(alpha: float, beta: float, tol: float, z: complex = 0.0) -> 
     """Reject z with a NaN or infinite part, alpha that is not a positive
     finite number, beta that is not finite, and tol outside [TOL_MIN, TOL_MAX]."""
     finite_complex(z)
-    if not 0.0 < alpha < math.inf:
-        raise DomainError(f"alpha={alpha!r} must be positive and finite")
-    finite_beta(beta)
+    check_alpha_beta(alpha, beta)
     if not TOL_MIN <= tol <= TOL_MAX:
         raise DomainError(f"tol={tol!r} outside [{TOL_MIN}, {TOL_MAX}]")
 
@@ -85,71 +84,37 @@ def run_method(
     return ml_quad(z, alpha, beta, quad_rule(method, quadrature_n_for_tol(tol) if n is None else n))
 
 
-class _Plan:
-    """What routing needs at one (alpha, beta, tol), each part built on first use.
-
-    n_reflect() is the series' envelope index.  log_alpha and floor() are
-    the expansion's gate constant and the least log|z| it is run at,
-    log_r_floor less a 1e-9 margin for rounding in its own tests.  quad()
-    is the hyperbolic rule of N = quadrature_n_for_tol(tol), the first
-    block of its node factors at (alpha, beta) and its origin_accuracy.  A
-    point pays only for the parts of the route it takes: the floor's scan
-    runs where the size gate has passed, and the node factors, which
-    overflow for beta far from 0, are read on the quadrature route alone.
-    Threads that race on a first use store equal values.
-    """
-
-    __slots__ = ("alpha", "beta", "tol", "log_alpha", "_reflect", "_floor", "_quad")
-
-    def __init__(self, alpha: float, beta: float, tol: float) -> None:
-        self.alpha = alpha
-        self.beta = beta
-        self.tol = tol
-        self.log_alpha = math.log(alpha)
-        self._reflect = self._floor = self._quad = None
-
-    def n_reflect(self) -> int:
-        if self._reflect is None:
-            self._reflect = _n_reflect(self.alpha, self.beta, DEFAULT_MAX_TERMS)
-        return self._reflect
-
-    def floor(self) -> float:
-        if self._floor is None:
-            self._floor = log_r_floor(self.alpha, self.beta, self.tol) - 1e-9
-        return self._floor
-
-    def quad(self) -> tuple[QuadratureRule, tuple, float]:
-        if self._quad is None:
-            rule = quad_rule(Method.QUAD_HYPERBOLIC, quadrature_n_for_tol(self.tol))
-            self._quad = (rule, *_node_factors(rule, self.alpha, self.beta)[4:])
-        return self._quad
-
-
 @functools.lru_cache(maxsize=128)
-def _plan(alpha: float, beta: float, tol: float) -> _Plan:
-    """The routing plan of (alpha, beta, tol), for checked arguments."""
-    return _Plan(alpha, beta, tol)
+def _quad_block(alpha: float, beta: float, tol: float) -> tuple[QuadratureRule, tuple, float]:
+    """The hyperbolic rule of N = quadrature_n_for_tol(tol), the first block
+    of its node factors at (alpha, beta) and its origin_accuracy, for checked
+    arguments.  Read on the quadrature route alone: the node factors
+    overflow for beta far from 0, where the series or the expansion may
+    still serve."""
+    rule = quad_rule(Method.QUAD_HYPERBOLIC, quadrature_n_for_tol(tol))
+    return (rule, *_node_factors(rule, alpha, beta)[4:])
 
 
 def _ml_auto_low(z: complex, alpha: float, beta: float, tol: float) -> EvalResult:
     # ml_auto for checked arguments: steps 1-2 where one is picked and meets
     # its stopping rule, else step 3
-    plan = _plan(alpha, beta, tol)
     r = abs(z)
     if r <= R_SERIES:
         zs = z.real if z.imag == 0.0 else z
-        value, n, err, converged = _series_sum(zs, alpha, beta, tol, DEFAULT_MAX_TERMS, plan.n_reflect())
+        n_reflect = _n_reflect(alpha, beta, DEFAULT_MAX_TERMS)
+        value, n, err, converged = _series_sum(zs, alpha, beta, tol, DEFAULT_MAX_TERMS, n_reflect)
         if converged:
             return EvalResult(value, Method.SERIES, n, err, True)
     else:
         ln_r = math.log(r)
         # the size gate |z|**(1/alpha)/alpha > ASYMP_GATE, in logs; below the
-        # floor the expansion cannot meet its stopping rule
-        if ln_r / alpha - plan.log_alpha > _LOG_ASYMP_GATE and ln_r >= plan.floor():
+        # floor the expansion cannot meet its stopping rule (less a 1e-9
+        # margin for rounding in the floor's own tests)
+        if ln_r / alpha - math.log(alpha) > _LOG_ASYMP_GATE and ln_r >= log_r_floor(alpha, beta, tol) - 1e-9:
             value, n, err, converged = _expansion_sum(z, alpha, beta, tol)
             if converged:
                 return EvalResult(value, Method.ASYMPTOTIC, n, err, True)
-    rule, block, err = plan.quad()
+    rule, block, err = _quad_block(alpha, beta, tol)
     return _quad_result(z, alpha, beta, rule, Method.QUAD_HYPERBOLIC, block, err)
 
 

@@ -78,6 +78,13 @@ def finite_beta(beta: float) -> None:
         raise DomainError(f"beta={beta!r} must be finite")
 
 
+def check_alpha_beta(alpha: float, beta: float) -> None:
+    """DomainError unless alpha is positive and finite and beta is finite."""
+    if not 0.0 < alpha < math.inf:
+        raise DomainError(f"alpha={alpha!r} must be positive and finite")
+    finite_beta(beta)
+
+
 def cexp(w: complex) -> complex:
     """exp(w) that saturates to inf components instead of raising on overflow.
 

@@ -16,7 +16,7 @@ A real z < 0 with alpha <= 2 has a conjugate-symmetric summand, and
 _neg_axis_row sums one block of the factors as floats: the plain row for
 alpha < 1, the edge row at alpha = 1, where the pole gamma = z lies on the
 branch cut, and for 1 < alpha <= 2 the two-pole row, with the conjugate
-pair gamma = (-z)**(1/alpha) e**(+-i*pi/alpha) split off (two_pole_row;
+pair gamma = (-z)**(1/alpha) e**(+-i*pi/alpha) split off (_two_pole_sum;
 ml_quad_neg_axis_wide_alpha, the engine's column at z, is its
 reference).  ml_quad and ml_quad_values both call it; ml_quad passes any
 other z to the engine as a batch of one.  A real z gets an exactly real
@@ -38,8 +38,8 @@ from .contours import ContourKind, QuadratureRule
 from .exceptions import DomainError
 from .kernels import (  # noqa: F401  cexp, principal_arg: bench/tracing.py rebinds them here
     cexp,
+    check_alpha_beta,
     cpow_principal as _cpow,
-    finite_beta,
     finite_complex,
     on_sheet,
     pole_turns,
@@ -122,7 +122,6 @@ def f_one(w: complex, z: complex, alpha: float, beta: float, gamma: complex) -> 
     return f_plain(w, z, alpha, beta) - _cpow(gamma, 1.0 - beta) / (alpha * (w - gamma))
 
 
-@functools.lru_cache(maxsize=128)
 def origin_accuracy(rule: QuadratureRule, beta: float) -> float:
     """Observable error proxy: |Q(w**-beta) - 1/Gamma(beta)|.
 
@@ -243,12 +242,6 @@ def _pole_split_values(z: np.ndarray, alpha: float, beta: float, rule: Quadratur
     return np.where(np.isinf(largest), largest, residue + _sum_rows(terms, rule.N))
 
 
-def _check_params(alpha: float, beta: float) -> None:
-    if not 0.0 < alpha < math.inf:
-        raise DomainError(f"alpha={alpha!r} must be positive and finite")
-    finite_beta(beta)
-
-
 def ml_quad_values(z: ArrayLike, alpha: float, beta: float, rule: QuadratureRule) -> np.ndarray:
     """E[alpha, beta] at every entry of the array z by contour quadrature.
 
@@ -266,7 +259,7 @@ def ml_quad_values(z: ArrayLike, alpha: float, beta: float, rule: QuadratureRule
     factors overflow, raises DomainError; an overflowing value gives inf
     parts and no warning.
     """
-    _check_params(alpha, beta)
+    check_alpha_beta(alpha, beta)
     # + 0.0 copies z and turns a -0.0 imaginary part into +0.0: the negative
     # real axis is read from above, as in principal_arg
     z = np.asarray(z, dtype=np.complex128) + 0.0
@@ -386,7 +379,7 @@ def ml_quad(z: complex, alpha: float, beta: float, rule: QuadratureRule) -> Eval
     whose node factors overflow raises DomainError.
     """
     z = finite_complex(z)
-    _check_params(alpha, beta)
+    check_alpha_beta(alpha, beta)
     _, _, _, _, block, err = _node_factors(rule, alpha, beta)
     return _quad_result(z, alpha, beta, rule, _method_for(rule), block, err)
 
@@ -403,22 +396,17 @@ def _quad_result(
     return EvalResult(value, method, 2 * rule.N + 1, err, not cmath.isnan(value))
 
 
-def two_pole_row(x: float, alpha: float, beta: float, rule: QuadratureRule) -> float:
+def _two_pole_sum(x: float, alpha: float, beta: float, block: tuple) -> float:
     """E[alpha, beta](-x) for x > 0 and 1 < alpha <= 2, as a loop over floats.
 
-    The first block of the cached node factors holds node 0 at half
-    weight, so the value is the residue pair plus twice the real part of
-    the block's sum of C_n f_2(w_n), f_2 the integrand less both pole
-    terms.  Off the poles the term is Re[c_wab/(wa + x)] minus the real
-    part of c*(P/(w - gamma_+) + conj(P)/(w - gamma_-)), P =
-    gamma_+**(1-beta)/alpha; within EPS_SWITCH*|gamma| of a pole f_one's
-    psi form takes over.
+    block is the first block of the node factors at (alpha, beta), which
+    holds node 0 at half weight, so the value is the residue pair plus
+    twice the real part of the block's sum of C_n f_2(w_n), f_2 the
+    integrand less both pole terms.  Off the poles the term is
+    Re[c_wab/(wa + x)] minus the real part of c*(P/(w - gamma_+) +
+    conj(P)/(w - gamma_-)), P = gamma_+**(1-beta)/alpha; within
+    EPS_SWITCH*|gamma| of a pole f_one's psi form takes over.
     """
-    return _two_pole_sum(x, alpha, beta, _node_factors(rule, alpha, beta)[4])
-
-
-def _two_pole_sum(x: float, alpha: float, beta: float, block: tuple) -> float:
-    # two_pole_row on the first block of the node factors at (alpha, beta)
     rho = x ** (1.0 / alpha)
     ang = math.pi / alpha
     gr, gi = rho * math.cos(ang), rho * math.sin(ang)
@@ -457,7 +445,7 @@ def _two_pole_sum(x: float, alpha: float, beta: float, block: tuple) -> float:
 def ml_quad_neg_axis_wide_alpha(
     x: float, alpha: float, beta: float, rule: QuadratureRule
 ) -> EvalResult:
-    """E[alpha, beta](-x) for x > 0 and 1 < alpha < 2, two_pole_row's reference.
+    """E[alpha, beta](-x) for x > 0 and 1 < alpha < 2, _two_pole_sum's reference.
 
     The engine's column at z = -x: the conjugate pole pair
     gamma_pm = x**(1/alpha) e**(+-i pi/alpha) split off, and both node

@@ -13,7 +13,7 @@ import math
 from typing import NamedTuple
 
 from .exceptions import DomainError
-from .kernels import finite_beta, finite_complex, gamma_real, reciprocal_gamma
+from .kernels import check_alpha_beta, finite_complex, gamma_real, reciprocal_gamma
 
 DEFAULT_MAX_TERMS = 250
 TABLE_BLOCK = 32
@@ -58,9 +58,7 @@ def ml_series(
     coefficients 1/Gamma(beta + n*alpha) come from a table cached per
     (alpha, beta).
     """
-    if not 0.0 < alpha < math.inf:
-        raise DomainError(f"alpha={alpha!r} must be positive and finite")
-    finite_beta(beta)
+    check_alpha_beta(alpha, beta)
     if not tol > 0.0:
         raise DomainError(f"tol={tol!r} must be positive")
     if max_terms < 1:

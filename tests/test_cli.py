@@ -81,6 +81,16 @@ class TestEval:
         assert "method: quad-par" in out
         assert "nodes: 17" in out
 
+    @pytest.mark.parametrize("method", ["auto", "series", "asymp"])
+    def test_node_override_without_quadrature_is_usage_error(self, capsys, method: str) -> None:
+        # --N was ignored here: the value printed, and the exit code was 0
+        code, out, err = run(
+            capsys, "eval", "--alpha", "0.5", "--beta", "1", "--z", "3",
+            "--method", method, "--N", "3",
+        )
+        assert (code, out) == (2, "")
+        assert "--N" in err
+
     def test_complex_argument(self, capsys) -> None:
         code, out, _ = run(capsys, "eval", "--alpha", "1", "--beta", "1", "--z", "0,1")
         re_v, im_v = (float(f) for f in out.splitlines()[0].split())
@@ -300,6 +310,20 @@ class TestGrid:
             "--steps", "2", "--out", "-", "--compare-method", "auto,nope",
         )
         assert code == 2
+
+    def test_node_override_without_quadrature_is_usage_error(self, capsys) -> None:
+        grid = (
+            "grid", "--alpha", "0.5", "--beta", "1",
+            "--re-min", "-3", "--re-max", "-2", "--im-min", "1", "--im-max", "2",
+            "--steps", "2", "--out", "-", "--N", "6",
+        )
+        for pair in (None, "auto,series", "series,asymp"):
+            code, out, err = run(capsys, *grid, *(("--compare-method", pair) if pair else ()))
+            assert (code, out) == (2, ""), pair
+            assert "--N" in err
+        # one quadrature method of the two reads it
+        code, out, _ = run(capsys, *grid, "--compare-method", "auto,quad-hyp")
+        assert code == 0 and len(out.splitlines()) == 5
 
 
 class TestPade:

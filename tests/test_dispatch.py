@@ -408,7 +408,9 @@ def _fields(res) -> tuple:
 
 
 class TestPlan:
-    """ml_auto checks its arguments, then routes on one cached plan per (alpha, beta, tol)."""
+    """ml_auto checks its arguments, then routes on the tables its route reads:
+    the expansion's floor (log_r_floor) and the quadrature block (_quad_block),
+    each cached per (alpha, beta, tol)."""
 
     @pytest.mark.parametrize(
         "z, alpha, beta, tol",
@@ -426,18 +428,21 @@ class TestPlan:
         ],
     )
     def test_bad_arguments_are_rejected_before_the_plan(self, z: complex, alpha: float, beta: float, tol: float) -> None:
-        dispatch._plan.cache_clear()
+        dispatch._quad_block.cache_clear()
+        log_r_floor.cache_clear()
         with pytest.raises(DomainError):
             ml_auto(z, alpha, beta, tol)
-        assert dispatch._plan.cache_info().currsize == 0
+        assert dispatch._quad_block.cache_info().currsize == 0
+        assert log_r_floor.cache_info().currsize == 0
 
     def test_node_factors_are_read_on_the_quadrature_route_only(self) -> None:
         # the node factors overflow at beta = -300, yet the series serves -0.5
-        dispatch._plan.cache_clear()
+        dispatch._quad_block.cache_clear()
         with pytest.raises(DomainError, match="overflow"):
             ml_auto(-5.0, 0.5, -300.0)
         res = ml_auto(-0.5, 0.5, -300.0)
         assert res.method is Method.SERIES and res.value == complex(-math.inf)
+        assert dispatch._quad_block.cache_info().currsize == 0
         with pytest.raises(DomainError, match="overflow"):
             ml_auto(-5.0, 0.5, -300.0)
 
@@ -445,16 +450,16 @@ class TestPlan:
         # quadrature, series and expansion at alpha = 0.7, the two-pole row at
         # 1 < alpha <= 2, and the expansion with the pole pair
         points = [(-4.0, 0.7), (-0.37, 0.7), (-100.0, 0.7), (-9.0, 1.3), (-1e4, 2.0)]
-        dispatch._plan.cache_clear()
+        dispatch._quad_block.cache_clear()
         first = [_fields(ml_auto(z, alpha, 1.0)) for z, alpha in points]
-        maxsize = dispatch._plan.cache_info().maxsize
+        maxsize = dispatch._quad_block.cache_info().maxsize
         for k in range(maxsize):
             ml_auto(-4.0, 0.7, 1.0 + (k + 1) / 256)
-        misses = dispatch._plan.cache_info().misses
+        misses = dispatch._quad_block.cache_info().misses
         assert [_fields(ml_auto(z, alpha, 1.0)) for z, alpha in points] == first
-        # one plan per alpha: 0.7, 1.3 and 2.0.  Each was evicted and is built
-        # again, once
-        assert dispatch._plan.cache_info().misses == misses + 3
+        # the quadrature points at alpha 0.7 and 1.3 find their blocks evicted
+        # and build them again, once; the alpha = 2 point takes the expansion
+        assert dispatch._quad_block.cache_info().misses == misses + 2
 
     @pytest.mark.parametrize(
         "z, alpha",
@@ -490,7 +495,6 @@ class TestPlan:
         # the floor's scan runs only where the size gate has passed
         calls = []
         monkeypatch.setattr(dispatch, "log_r_floor", lambda *a: calls.append(a) or log_r_floor(*a))
-        dispatch._plan.cache_clear()
         ml_auto(-0.37, 0.7, 1.0)
         ml_auto(-4.0, 0.7, 1.0)
         assert calls == []
