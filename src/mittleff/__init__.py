@@ -11,7 +11,7 @@ E[alpha, beta](-x) on the nonnegative real axis.
 (2.718281828459043+0j)
 """
 
-from .asymptotic import AsymptoticResult, ml_asymptotic
+from .asymptotic import ml_asymptotic
 from .contours import QuadratureRule, build_hyperbolic_rule, build_parabolic_rule
 from .dispatch import DEFAULT_TOL, ml_auto, mittag_leffler
 from .exceptions import (
@@ -31,13 +31,12 @@ from .pade import (
     partial_fractions,
 )
 from .quadrature import EvalResult, Method, ml_quad, ml_quad_values
-from .series import SeriesResult, ml_series
+from .series import ml_series
 
 __version__ = "0.1.0"
 
 # the API the README documents; everything else lives in the submodules
 __all__ = [
-    "AsymptoticResult",
     "ClusteredRootsError",
     "ConvergenceError",
     "DEFAULT_TOL",
@@ -50,7 +49,6 @@ __all__ = [
     "PartialFractionForm",
     "PoleError",
     "QuadratureRule",
-    "SeriesResult",
     "SingularSystemError",
     "build_hyperbolic_rule",
     "build_pade",

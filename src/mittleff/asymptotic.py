@@ -18,10 +18,10 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from typing import NamedTuple
 
 from .exceptions import DomainError
 from .kernels import cexp, check_alpha_beta, finite_complex, on_sheet, pole_turns, principal_arg
+from .quadrature import EvalResult, Method
 
 INF = math.inf
 TABLE_BLOCK = 32
@@ -30,13 +30,6 @@ FLOOR_TERMS = 8 * TABLE_BLOCK  # log_r_floor scans at most eight coefficient blo
 # converged m seen, 111 on the acceptance grids, 101 on the relaxation curves
 # of the benchmark, 690 for E[1, -300](-5000), whose coefficients all vanish
 MAX_TERMS = 1000
-
-
-class AsymptoticResult(NamedTuple):
-    value: complex
-    m: int  # sum ran over n = 1 .. m-1
-    err_estimate: float  # tau_[m-1] * |z|**-(m-1), size proxy of the last term
-    converged: bool
 
 
 def asymptotic_sigma_tau(n: int, alpha: float, beta: float) -> tuple[float, float]:
@@ -106,7 +99,7 @@ def log_r_floor(alpha: float, beta: float, tol: float) -> float:
     return floor
 
 
-def ml_asymptotic(z: complex, alpha: float, beta: float, tol: float) -> AsymptoticResult:
+def ml_asymptotic(z: complex, alpha: float, beta: float, tol: float) -> EvalResult:
     """Asymptotic value of E[alpha, beta](z) for large |z|, alpha > 0; real for real z.
 
     A sum that overflows comes back as the signed infinity of its largest
@@ -118,7 +111,7 @@ def ml_asymptotic(z: complex, alpha: float, beta: float, tol: float) -> Asymptot
     z = finite_complex(z)
     if z == 0:
         raise DomainError("z = 0 is not in the asymptotic regime")
-    return AsymptoticResult(*_expansion_sum(z, alpha, beta, tol))
+    return _expansion_sum(z, alpha, beta, tol)
 
 
 def _last_term(log_n_max: float) -> float:
@@ -139,8 +132,8 @@ def _last_term(log_n_max: float) -> float:
     return n
 
 
-def _expansion_sum(z: complex, alpha: float, beta: float, tol: float) -> tuple[complex, int, float, bool]:
-    """ml_asymptotic's fields for checked arguments, z != 0."""
+def _expansion_sum(z: complex, alpha: float, beta: float, tol: float) -> EvalResult:
+    """ml_asymptotic for checked arguments, z != 0."""
     r = abs(z)
     theta = principal_arg(z)
     ln_r = math.log(r)
@@ -220,4 +213,4 @@ def _expansion_sum(z: complex, alpha: float, beta: float, tol: float) -> tuple[c
     # on the cut (alpha = 1, z < 0) the exponential part rounds to a complex value
     value = complex(value.real) if real else value
     # a NaN value (inf - inf between the two parts) is never converged
-    return value, m, t_last, converged and not cmath.isnan(value)
+    return EvalResult(value, Method.ASYMPTOTIC, m, t_last, converged and not cmath.isnan(value))

@@ -32,7 +32,7 @@ from .contours import HYPERBOLIC_RATE, QuadratureRule, build_hyperbolic_rule, bu
 from .exceptions import DomainError
 from .kernels import check_alpha_beta, cpow_principal, finite_complex  # noqa: F401  cpow_principal: bench/tracing.py rebinds it here
 from .quadrature import EvalResult, Method, _node_factors, _quad_result, ml_quad
-from .series import DEFAULT_MAX_TERMS, _n_reflect, _series_sum, ml_series
+from .series import DEFAULT_MAX_TERMS, _series_sum, ml_series
 
 DEFAULT_TOL = 1e-14
 R_SERIES = 1.0
@@ -76,11 +76,9 @@ def run_method(
     None.
     """
     if method is Method.SERIES:
-        s = ml_series(z, alpha, beta, tol)
-        return EvalResult(s.value, method, s.terms_used, s.err_estimate, s.converged)
+        return ml_series(z, alpha, beta, tol)
     if method is Method.ASYMPTOTIC:
-        a = ml_asymptotic(z, alpha, beta, tol)
-        return EvalResult(a.value, method, a.m, a.err_estimate, a.converged)
+        return ml_asymptotic(z, alpha, beta, tol)
     return ml_quad(z, alpha, beta, quad_rule(method, quadrature_n_for_tol(tol) if n is None else n))
 
 
@@ -100,20 +98,18 @@ def _ml_auto_low(z: complex, alpha: float, beta: float, tol: float) -> EvalResul
     # its stopping rule, else step 3
     r = abs(z)
     if r <= R_SERIES:
-        zs = z.real if z.imag == 0.0 else z
-        n_reflect = _n_reflect(alpha, beta, DEFAULT_MAX_TERMS)
-        value, n, err, converged = _series_sum(zs, alpha, beta, tol, DEFAULT_MAX_TERMS, n_reflect)
-        if converged:
-            return EvalResult(value, Method.SERIES, n, err, True)
+        res = _series_sum(z, alpha, beta, tol, DEFAULT_MAX_TERMS)
+        if res.converged:
+            return res
     else:
         ln_r = math.log(r)
         # the size gate |z|**(1/alpha)/alpha > ASYMP_GATE, in logs; below the
         # floor the expansion cannot meet its stopping rule (less a 1e-9
         # margin for rounding in the floor's own tests)
         if ln_r / alpha - math.log(alpha) > _LOG_ASYMP_GATE and ln_r >= log_r_floor(alpha, beta, tol) - 1e-9:
-            value, n, err, converged = _expansion_sum(z, alpha, beta, tol)
-            if converged:
-                return EvalResult(value, Method.ASYMPTOTIC, n, err, True)
+            res = _expansion_sum(z, alpha, beta, tol)
+            if res.converged:
+                return res
     rule, block, err = _quad_block(alpha, beta, tol)
     return _quad_result(z, alpha, beta, rule, Method.QUAD_HYPERBOLIC, block, err)
 

@@ -72,17 +72,12 @@ def finite_complex(z: complex) -> complex:
     return z
 
 
-def finite_beta(beta: float) -> None:
-    """DomainError if beta is NaN or infinite."""
-    if not math.isfinite(beta):
-        raise DomainError(f"beta={beta!r} must be finite")
-
-
 def check_alpha_beta(alpha: float, beta: float) -> None:
     """DomainError unless alpha is positive and finite and beta is finite."""
     if not 0.0 < alpha < math.inf:
         raise DomainError(f"alpha={alpha!r} must be positive and finite")
-    finite_beta(beta)
+    if not math.isfinite(beta):
+        raise DomainError(f"beta={beta!r} must be finite")
 
 
 def cexp(w: complex) -> complex:

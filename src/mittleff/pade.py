@@ -27,7 +27,7 @@ from .exceptions import (
     PoleError,
     SingularSystemError,
 )
-from .kernels import finite_beta, gamma_real, reciprocal_gamma
+from .kernels import check_alpha_beta, gamma_real, reciprocal_gamma
 
 _EPS = float(np.finfo(float).eps)
 
@@ -89,7 +89,8 @@ class PartialFractionForm:
         object.__setattr__(self, "_pairs", tuple(pairs))
 
     def evaluate_at(self, x: float) -> float:
-        """The sum at a finite real x; a NaN or infinite x raises DomainError.
+        """The sum at a finite real x; a NaN or infinite x raises DomainError,
+        and a real pole PoleError.
 
         The real part of c/(d + ib), d = a - x, is taken in Smith form:
         d**2 + b**2 overflows from |x| ~ 1e154 on.  The sum is accurate
@@ -103,8 +104,11 @@ class PartialFractionForm:
         if not -math.inf < x < math.inf:  # complex x: TypeError
             raise DomainError(f"x={x!r} is not a finite real number")
         s = 0.0
-        for a, res in self._real:
-            s += res / (a - x)
+        try:  # a pair's denominator has b > 0 and cannot vanish
+            for a, res in self._real:
+                s += res / (a - x)
+        except ZeroDivisionError:
+            raise PoleError(f"x={x!r} is a pole") from None
         for a, b, u, v in self._pairs:
             d = a - x
             if abs(d) >= abs(b):
@@ -135,7 +139,8 @@ def series_coeff_b(k: int, alpha: float, beta: float) -> float:
     y = beta - k * alpha
     if y > 0.5:
         return (-1.0) ** (k - 1) * reciprocal_gamma(y)
-    return (-1.0) ** k / math.pi * math.sin(math.pi * (k * alpha - beta)) * gamma_real(1.0 - y)
+    t = math.pi * (k * alpha - beta)  # inf past 5.7e307, where Gamma(1 - y) is inf too
+    return (-1.0) ** k / math.pi * (math.sin(t) if t < math.inf else math.nan) * gamma_real(1.0 - y)
 
 
 def assemble_pade_matrix(alpha: float, beta: float, m: int, n: int) -> np.ndarray:
@@ -145,7 +150,8 @@ def assemble_pade_matrix(alpha: float, beta: float, m: int, n: int) -> np.ndarra
     the series coefficients of p - a*q vanish at orders 0..m-1 (rows
     with k >= r carry no p term); the remaining n-1 rows do the same for
     the decay series at orders k = r-n+1..r-1 (negative k rows, present
-    when m <= r, also carry no p term).
+    when m <= r, also carry no p term).  A coefficient that is not finite
+    (Gamma overflows for beta below about -170) raises DomainError.
     """
     if m < 1 or n < 1:
         raise DomainError(f"orders m={m!r}, n={n!r} must be >= 1")
@@ -166,6 +172,8 @@ def assemble_pade_matrix(alpha: float, beta: float, m: int, n: int) -> np.ndarra
         for j in range(max(k + 1, 0), r + 1):
             C[row, r + j] = -series_coeff_b(j - k, alpha, beta)
         row += 1
+    if not np.isfinite(C).all():
+        raise DomainError(f"beta={beta!r}: the coefficients of the matching conditions are not finite")
     return C
 
 
@@ -236,7 +244,7 @@ def build_pade(
     """Assemble and solve in one step."""
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha={alpha!r} outside (0, 1]")
-    finite_beta(beta)
+    check_alpha_beta(alpha, beta)
     solver = PadeSolver(solver)
     C = assemble_pade_matrix(alpha, beta, m, n)
     if solver is PadeSolver.FIXED_Q0:

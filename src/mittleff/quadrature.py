@@ -66,6 +66,12 @@ class Method(str, Enum):
 
 
 class EvalResult(NamedTuple):
+    """The record every evaluator returns.  nodes_or_terms: the series' terms
+    summed, the expansion's m (it summed n = 1..m-1), quadrature's 2N+1 nodes.
+    err_estimate: the series' first omitted term, enveloped left of
+    beta + n*alpha = 1/2; the expansion's size proxy of term m-1; quadrature's
+    origin_accuracy."""
+
     value: complex
     method: Method
     nodes_or_terms: int

@@ -10,20 +10,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import NamedTuple
 
 from .exceptions import DomainError
 from .kernels import check_alpha_beta, finite_complex, gamma_real, reciprocal_gamma
+from .quadrature import EvalResult, Method
 
 DEFAULT_MAX_TERMS = 250
 TABLE_BLOCK = 32
-
-
-class SeriesResult(NamedTuple):
-    value: complex
-    terms_used: int
-    err_estimate: float  # magnitude of the first omitted term, enveloped left of x = 1/2
-    converged: bool
 
 
 @functools.lru_cache(maxsize=256)
@@ -44,7 +37,7 @@ def ml_series(
     beta: float,
     tol: float = 1e-15,
     max_terms: int = DEFAULT_MAX_TERMS,
-) -> SeriesResult:
+) -> EvalResult:
     """Partial sum with a relative stopping rule.
 
     Terms are added until the next one satisfies |term| <= tol*|sum|,
@@ -63,26 +56,20 @@ def ml_series(
         raise DomainError(f"tol={tol!r} must be positive")
     if max_terms < 1:
         raise DomainError(f"max_terms={max_terms!r} must be >= 1")
-    z = finite_complex(z)
-    # summed in floats for real z: the complex loop's real part bit for bit,
-    # and an imaginary part of exactly 0
-    zs = z.real if z.imag == 0.0 else z
-    return SeriesResult(*_series_sum(zs, alpha, beta, tol, max_terms, _n_reflect(alpha, beta, max_terms)))
+    return _series_sum(finite_complex(z), alpha, beta, tol, max_terms)
 
 
-def _n_reflect(alpha: float, beta: float, max_terms: int) -> int:
-    """The first n >= 1 with beta + n*alpha >= 1/2, or max_terms + 1 if none is reached:
-    the terms before it are sized by the envelope."""
+def _series_sum(z: complex, alpha: float, beta: float, tol: float, max_terms: int) -> EvalResult:
+    """ml_series for checked arguments."""
+    # the terms before the first n >= 1 with beta + n*alpha >= 1/2 are sized
+    # by the envelope
     n_reflect = 1
     while n_reflect <= max_terms and beta + n_reflect * alpha < 0.5:
         n_reflect += 1
-    return n_reflect
-
-
-def _series_sum(
-    z: complex | float, alpha: float, beta: float, tol: float, max_terms: int, n_reflect: int
-) -> tuple[complex, int, float, bool]:
-    """ml_series's fields for checked arguments; a real z is passed as a float."""
+    # summed in floats for real z: the complex loop's real part bit for bit,
+    # and an imaginary part of exactly 0
+    if z.imag == 0.0:
+        z = z.real
     acc = 0.0
     zp = 1.0  # z**n
     n = 0
@@ -95,9 +82,9 @@ def _series_sum(
                 else:
                     size = abs(zp) * gamma_real(1.0 - (beta + n * alpha)) / math.pi
                 if size <= tol * abs(acc):
-                    return complex(acc), n, size, True
+                    return EvalResult(complex(acc), Method.SERIES, n, size, True)
                 if n >= max_terms:
-                    return complex(acc), n, size, False
+                    return EvalResult(complex(acc), Method.SERIES, n, size, False)
             acc += term
             zp *= z
             n += 1

@@ -6,10 +6,10 @@ import mpmath as mp
 import pytest
 
 from mittleff import asymptotic
-from mittleff.asymptotic import TABLE_BLOCK, AsymptoticResult, asymptotic_sigma_tau, ml_asymptotic
+from mittleff.asymptotic import TABLE_BLOCK, asymptotic_sigma_tau, ml_asymptotic
 from mittleff.dispatch import ml_auto
 from mittleff.exceptions import DomainError
-from mittleff.quadrature import Method
+from mittleff.quadrature import EvalResult, Method
 
 # sign/magnitude factors of the large-|z| expansion terms, alpha=0.7, beta=1
 def test_sigma_tau_small_index() -> None:
@@ -107,7 +107,7 @@ class TestNegativeAxisTable:
     )
     def test_stopping_rule(self, x: float, m: int, est: float, converged: bool) -> None:
         res = ml_asymptotic(complex(-x), 0.7, 1.0, 1e-12)
-        assert res.m == m
+        assert res.nodes_or_terms == m
         assert res.err_estimate == pytest.approx(est, rel=1e-9)
         assert res.converged is converged
 
@@ -132,7 +132,7 @@ class TestNearGammaZero:
     def test_exact_zero(self) -> None:
         # at beta - alpha = 0 the reflection form gives sigma = 0, tau = 1/pi
         res = ml_asymptotic(complex(-5.0), 0.3, 0.3, 1e-14)
-        assert res.converged and res.m == 26
+        assert res.converged and res.nodes_or_terms == 26
         assert abs(res.value - self.WANT) <= res.err_estimate
 
     @pytest.mark.parametrize("beta", [0.1 * 3, 0.3 + 1e-15])
@@ -141,7 +141,7 @@ class TestNearGammaZero:
         # the first term tiny and the second is not; a proxy sized by 1/Gamma
         # stopped there, converged, with 1.1e-17 for 7.3e-3
         res = ml_asymptotic(complex(-5.0), 0.3, beta, 1e-14)
-        assert res.converged and res.m == 26
+        assert res.converged and res.nodes_or_terms == 26
         assert abs(res.value - self.WANT) <= res.err_estimate
 
 
@@ -193,7 +193,7 @@ class TestTermCap:
         # every term overflows and the divergence bound is e**114 terms away:
         # the sum never returned
         res = ml_asymptotic(complex(3.0), 0.01, -1e300, 1e-14)
-        assert res.m == asymptotic.MAX_TERMS + 1 and not res.converged
+        assert res.nodes_or_terms == asymptotic.MAX_TERMS + 1 and not res.converged
 
 
 def test_leading_term_far_out() -> None:
@@ -214,9 +214,10 @@ def test_conjugate_symmetry() -> None:
 
 def test_result_fields() -> None:
     res = ml_asymptotic(complex(-30.0), 0.5, 1.0, 1e-12)
-    assert isinstance(res, AsymptoticResult)
-    assert res._fields == ("value", "m", "err_estimate", "converged")
-    assert res.m >= 1
+    assert isinstance(res, EvalResult)
+    assert res._fields == ("value", "method", "nodes_or_terms", "err_estimate", "converged")
+    assert res.method is Method.ASYMPTOTIC
+    assert res.nodes_or_terms >= 1
     assert res.err_estimate >= 0.0
     assert hash(res) == hash(ml_asymptotic(complex(-30.0), 0.5, 1.0, 1e-12))
     with pytest.raises(AttributeError):
@@ -242,7 +243,7 @@ class TestCoefficientTable:
     def test_cold_and_warm_calls_agree(self) -> None:
         asymptotic._sigma_tau_block.cache_clear()
         cold = self.evaluate(0.3, 1.0, 1e-14)
-        assert max(r.m for r in cold) > TABLE_BLOCK
+        assert max(r.nodes_or_terms for r in cold) > TABLE_BLOCK
         assert cold == self.evaluate(0.3, 1.0, 1e-14)
 
     def test_call_order_does_not_matter(self) -> None:

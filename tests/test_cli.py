@@ -156,6 +156,17 @@ class TestExitCodes:
         code, _, _ = run(capsys, "pade", "--alpha", "0.5", "--beta", "1", "--m", "4", "--n", "4")
         assert code == 2
 
+    @pytest.mark.parametrize("beta", ["-170", "-400", "-1.7e308"])
+    def test_overflowing_pade_coefficients_are_usage_error(self, capsys, beta: str) -> None:
+        # rows of NaN with exit 0 before, and a traceback at -1.7e308
+        for emit in ("coeffs", "pf", "errgrid"):
+            code, out, err = run(
+                capsys, "pade", "--alpha", "0.5", f"--beta={beta}", "--m", "6", "--n", "5", "--emit", emit
+            )
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:") and "beta" in err
+
     def test_unconverged_expansion_is_numerical_failure(self, capsys) -> None:
         code, out, err = run(
             capsys, "eval", "--alpha", "0.7", "--beta", "1", "--z", "-5",

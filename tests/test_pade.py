@@ -140,6 +140,25 @@ class TestSolvers:
         with pytest.raises(DomainError):
             build_pade(0.5, beta, 6, 5, solver)
 
+    @pytest.mark.parametrize("solver", ["fixed", "svd", "lu"])
+    @pytest.mark.parametrize("beta", [-170.0, -400.0, -1.7e308])
+    @pytest.mark.parametrize("alpha", [0.2, 0.5])
+    def test_overflowing_coefficients_are_domain_error(self, alpha: float, beta: float, solver: str) -> None:
+        # Gamma overflows in the matching conditions: p and q were NaN, and
+        # at -1.7e308 the reflection's sin raised a bare ValueError
+        with pytest.raises(DomainError, match="not finite"):
+            build_pade(alpha, beta, 6, 5, solver)
+
+    def test_large_negative_beta_keeps_its_value(self) -> None:
+        # E[0.5, -150](-2) = -2.89001961478e261 from the series at 400 digits
+        assert pade_eval(build_pade(0.5, -150.0, 6, 5), 2.0) == pytest.approx(-2.89001961478e261, rel=1e-7)
+        assert all(math.isfinite(c) for c in build_pade(0.5, -165.0, 6, 5).q)
+
+    def test_alpha_one_stays_singular(self) -> None:
+        # finite coefficients: the solver, not the assembly, reports the system
+        with pytest.raises(SingularSystemError):
+            build_pade(1.0, -150.0, 6, 5)
+
 
 class TestApproximationQuality:
     def test_matches_function_at_one(self) -> None:
@@ -277,6 +296,15 @@ class TestPartialFractions:
         _, pf = fitted(0.5, 7, "fixed")
         with pytest.raises(TypeError):
             pf.evaluate_at(1.0 + 0j)
+
+    def test_real_pole_is_pole_error(self) -> None:
+        # a bare ZeroDivisionError before; pade_eval raises PoleError where q = 0
+        with pytest.raises(PoleError):
+            PartialFractionForm((-2.0 + 0j,), (1.0 + 0j,)).evaluate_at(-2.0)
+        pf = partial_fractions(build_pade(0.5, 1.0, 6, 5))
+        (pole,) = [p.real for p in pf.poles if p.imag == 0.0]
+        with pytest.raises(PoleError):
+            pf.evaluate_at(pole)
 
     def test_unpaired_pole_rejected(self) -> None:
         with pytest.raises(DomainError):

@@ -32,10 +32,10 @@ def test_series_and_expansion_keep_their_real_part_bits() -> None:
         z = complex(float.fromhex(z_hex))
         if method == "series":
             res = ml_series(z, alpha, beta, tol)
-            got = (res.value, res.terms_used, res.converged)
+            got = (res.value, res.nodes_or_terms, res.converged)
         else:
             res = ml_asymptotic(z, alpha, beta, tol)
-            got = (res.value, res.m, res.converged)
+            got = (res.value, res.nodes_or_terms, res.converged)
         assert (got[0].real.hex(), got[1], got[2]) == (want, count, converged), (method, z, alpha, beta, tol)
         # every value is exactly real, the expansion's on the cut (alpha = 1,
         # z < 0) included, whose exponential part rounds to a complex value;

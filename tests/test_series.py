@@ -8,14 +8,15 @@ from mittleff import series
 from mittleff.dispatch import ml_auto
 from mittleff.exceptions import DomainError
 from mittleff.kernels import reciprocal_gamma
-from mittleff.series import TABLE_BLOCK, SeriesResult, ml_series
+from mittleff.quadrature import EvalResult, Method
+from mittleff.series import TABLE_BLOCK, ml_series
 
 
 class TestKnownValues:
     def test_zero_argument_one_term(self) -> None:
         res = ml_series(0.0, 0.7, 1.3, tol=1e-15)
         assert res.value == complex(reciprocal_gamma(1.3))
-        assert res.terms_used == 1
+        assert res.nodes_or_terms == 1
         assert res.converged
 
     def test_exponential(self) -> None:
@@ -98,13 +99,14 @@ class TestProperties:
     def test_unconverged_flag(self) -> None:
         res = ml_series(5.0, 0.2, 1.0, tol=1e-15, max_terms=10)
         assert not res.converged
-        assert res.terms_used == 10
+        assert res.nodes_or_terms == 10
         assert res.err_estimate >= 1e-15
 
     def test_result_is_frozen(self) -> None:
         res = ml_series(0.5, 0.5, 1.0)
-        assert isinstance(res, SeriesResult)
-        assert res._fields == ("value", "terms_used", "err_estimate", "converged")
+        assert isinstance(res, EvalResult)
+        assert res._fields == ("value", "method", "nodes_or_terms", "err_estimate", "converged")
+        assert res.method is Method.SERIES
         assert hash(res) == hash(ml_series(0.5, 0.5, 1.0))
         with pytest.raises(AttributeError):
             res.value = 0.0  # type: ignore[misc]
@@ -125,7 +127,7 @@ class TestCoefficientTable:
     def test_cold_and_warm_calls_agree(self) -> None:
         series._rgamma_block.cache_clear()
         cold = self.evaluate(0.3, 1.1, tol=1e-15)
-        assert max(r.terms_used for r in cold) > TABLE_BLOCK
+        assert max(r.nodes_or_terms for r in cold) > TABLE_BLOCK
         assert cold == self.evaluate(0.3, 1.1, tol=1e-15)
 
     def test_call_order_does_not_matter(self) -> None:
