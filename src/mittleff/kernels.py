@@ -9,8 +9,10 @@ power-difference kernels
     psi2(eps, a) = ((1 + eps)**a - (1 + a*eps)) / eps**2
 
 which stay accurate where the raw formulas cancel catastrophically: each
-is one binomial series on |eps| <= 1/2, a disk that holds every offset
-quadrature passes (|eps| < EPS_SWITCH = 0.1 near a pole).  pole_turns and
+is one adaptive binomial series on |eps| <= 1/2.  They are the reference
+for quadrature's psi form, which sums the same series near a pole
+(|eps| < EPS_SWITCH = 0.1) from coefficient rows cached per (alpha, beta)
+and cut for that disk, not term by term.  pole_turns and
 on_sheet pick the roots of w**alpha = z on the principal sheet, the poles
 that quadrature splits off and whose exponential terms the expansion adds.
 All functions here are pure and safe to call from multiple threads.

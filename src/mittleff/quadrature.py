@@ -8,9 +8,13 @@ the principal sheet, |Arg gamma_k| <= pi: gamma_0 = z**(1/alpha) where
 (kernels.pole_turns).  Each one is split off: P_k/(w - gamma_k) is taken
 from the integrand, with P_k = gamma_k**(1-beta)/alpha, and its residue
 P_k e**gamma_k is added back in closed form.  Near a pole the difference
-would cancel, so f_one's psi-kernel form takes over for that pole.  The
-node factors of the integrand do not depend on z, so they are cached per
-(rule, alpha, beta): ml_quad_values sums many z at once in numpy.
+would cancel, so the psi-kernel form takes over for that pole: two rows of
+power-series coefficients in the offset eps = (w - gamma)/gamma, cached
+per (alpha, beta) (_psi_rows).  The engine sums them for every near
+(node, point) pair of a block in one numpy pass (_psi_form); f_one sums
+them by Horner in floats for the real-axis rows.  The node factors of the
+integrand do not depend on z, so they are cached per (rule, alpha, beta):
+ml_quad_values sums many z at once in numpy.
 
 A real z < 0 with alpha <= 2 has a conjugate-symmetric summand, and
 _neg_axis_row sums one block of the factors as floats: the plain row for
@@ -36,7 +40,7 @@ from numpy.typing import ArrayLike
 
 from .contours import ContourKind, QuadratureRule
 from .exceptions import DomainError
-from .kernels import (  # noqa: F401  cexp, principal_arg: bench/tracing.py rebinds them here
+from .kernels import (  # noqa: F401  cexp, principal_arg, psi1, psi2: bench/tracing.py rebinds them here
     cexp,
     check_alpha_beta,
     cpow_principal as _cpow,
@@ -52,6 +56,8 @@ from .kernels import (  # noqa: F401  cexp, principal_arg: bench/tracing.py rebi
 # below this relative distance to a pole the psi-form integrands take over
 EPS_SWITCH = 0.1
 _EPS_SWITCH_SQ = EPS_SWITCH * EPS_SWITCH
+# _psi_rows drops the terms below this share of the largest at |eps| = EPS_SWITCH
+_ROW_TOL = 2.0**-60
 # for beta > 1 a pole gamma = z**(1/alpha) nearer the origin than this stays in
 # the integrand: on the hyperbolic and parabolic rules with N = 8..14 the split
 # column loses to the plain one below |gamma| ~ 0.01-0.06 for beta in [1.5, 3]
@@ -119,13 +125,73 @@ def f_one(w: complex, z: complex, alpha: float, beta: float, gamma: complex) -> 
     """f_plain with the simple pole at gamma = z**(1/alpha) removed.
 
     Near the pole (relative offset eps below EPS_SWITCH) the difference
-    would cancel, so an equivalent psi-kernel form is used instead.
+    would cancel, so an equivalent psi-kernel form is used instead: the
+    rows of _psi_rows, summed by Horner in floats.
     """
     eps = (w - gamma) / gamma
     if abs(eps) < EPS_SWITCH:
-        num = psi1(eps, alpha - beta) - psi2(eps, alpha) / alpha
-        return num / (_cpow(gamma, beta) * psi1(eps, alpha))
+        num_row, psi1_row = _psi_rows(alpha, beta).tolist()
+        num = psi1_alpha = 0j
+        for coeff in reversed(num_row):
+            num = num * eps + coeff
+        for coeff in reversed(psi1_row):
+            psi1_alpha = psi1_alpha * eps + coeff
+        return num / (_cpow(gamma, beta) * psi1_alpha)
     return f_plain(w, z, alpha, beta) - _cpow(gamma, 1.0 - beta) / (alpha * (w - gamma))
+
+
+@functools.lru_cache(maxsize=64)
+def _psi_rows(alpha: float, beta: float) -> np.ndarray:
+    """f_one's psi form as two rows of power-series coefficients in eps.
+
+    Row 0 sums to the numerator psi1(eps, alpha-beta) - psi2(eps, alpha)/alpha,
+    row 1 to psi1(eps, alpha) = alpha + eps*psi2(eps, alpha); f_one is their
+    quotient over gamma**beta.  The binomial series behind them are cut at
+    the first term past which every term at |eps| = EPS_SWITCH is below
+    _ROW_TOL of the series' largest, and stop at 400 terms, as kernels.psi1
+    and psi2 do.  The array is read-only: every caller shares it.
+    """
+    a = alpha - beta
+    b, d = a, 0.5 * (alpha - 1.0)  # binom(a, m+1), binom(alpha, m+2)/alpha
+    top_b = top_d = 0.0
+    scale = 1.0  # EPS_SWITCH**m
+    num, psi1_alpha = [], [alpha]
+    for m in range(400):
+        num.append(b - d)
+        psi1_alpha.append(alpha * d)
+        tb, td = abs(b) * scale, abs(d) * scale
+        top_b, top_d = max(top_b, tb), max(top_d, td)
+        rb, rd = (a - m - 1.0) / (m + 2.0), (alpha - m - 2.0) / (m + 3.0)
+        # once the next term at the radius is at most half this one, so is
+        # every later one: the rest of the series sums below this term
+        settled = max(abs(rb), abs(rd)) * EPS_SWITCH <= 0.5
+        if settled and tb <= _ROW_TOL * top_b and td <= _ROW_TOL * top_d:
+            break
+        b *= rb
+        d *= rd
+        scale *= EPS_SWITCH
+    rows = np.array([[*num, 0.0], psi1_alpha])
+    rows.flags.writeable = False
+    return rows
+
+
+def _psi_form(eps: np.ndarray, log_gamma: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+    """f_one's psi form at every entry of eps, given log gamma at each.
+
+    The powers 1, eps, eps**2, ... are a cumulative product down axis 0,
+    which numpy runs entry by entry.  Their products with the coefficients
+    are real, and numpy sums them down axis 0 power after power, for every
+    (row, part, entry) column at once: there are at least four columns,
+    never the lone one it would sum pairwise (see _sum_rows).  The rest is
+    quotients, so an entry's bits do not depend on the batch.
+    """
+    rows = _psi_rows(alpha, beta)
+    factors = np.repeat(eps[None, :], rows.shape[1], axis=0)
+    factors[0] = 1.0
+    powers = np.multiply.accumulate(factors, axis=0).view(np.float64)
+    # (power, row, real and imaginary part of each entry) summed over the powers
+    sums = np.add.reduce(powers[:, None, :] * rows.T[:, :, None], axis=0).view(np.complex128)
+    return sums[0] / sums[1] / np.exp(beta * log_gamma)
 
 
 def origin_accuracy(rule: QuadratureRule, beta: float) -> float:
@@ -199,7 +265,7 @@ def _pole_split_values(z: np.ndarray, alpha: float, beta: float, rule: Quadratur
     w, c, c_wab, wa, _, _ = _node_factors(rule, alpha, beta)
     log_z = np.log(z)
     terms = c_wab / (wa - z)
-    poles = []  # (gamma, P, where it is on the sheet: None for everywhere, near)
+    poles = []  # (gamma, log gamma, P, where it is on the sheet: None for everywhere, near)
     residue = largest = log_largest = None
     for k in (0, *pole_turns(alpha)):
         on = None if k == 0 else on_sheet(log_z.imag / math.pi, k, alpha)
@@ -215,7 +281,7 @@ def _pole_split_values(z: np.ndarray, alpha: float, beta: float, rule: Quadratur
         q = pole / dw
         log_res = log_pole + gamma
         res = np.exp(log_res)
-        # near the pole the difference cancels: f_one's psi form takes over
+        # near the pole the difference cancels: the psi form takes over
         near = dw.real * dw.real + dw.imag * dw.imag < _EPS_SWITCH_SQ * (
             gamma.real * gamma.real + gamma.imag * gamma.imag
         )
@@ -232,17 +298,21 @@ def _pole_split_values(z: np.ndarray, alpha: float, beta: float, rule: Quadratur
         # the bits do not
         terms.real -= c.real * q.real - c.imag * q.imag
         terms.imag -= c.real * q.imag + c.imag * q.real
-        poles.append((gamma, pole, on, near))
-    for gamma, _, _, near in poles:
-        others = [(g, p, on) for g, p, on, _ in poles if g is not gamma]
-        for j, i in zip(*np.nonzero(near)):
-            wj = complex(w[j, 0])
-            f = f_one(wj, complex(z[i]), alpha, beta, complex(gamma[i]))
-            # less the plain terms of the other poles on the sheet at z
-            for g, p, on in others:
-                if on is None or on[i]:
-                    f -= complex(p[i]) / (wj - complex(g[i]))
-            terms[j, i] = complex(c[j, 0]) * f
+        poles.append((gamma, log_gamma, pole, on, near))
+    for gamma, log_gamma, _, _, near in poles:
+        if not np.count_nonzero(near):
+            continue
+        j, i = np.divmod(np.flatnonzero(near), near.shape[1])  # 2-d np.nonzero is slower
+        wj, gi = w[j, 0], gamma[i]
+        f = _psi_form((wj - gi) / gi, log_gamma[i], alpha, beta)
+        # less the plain terms of the other poles on the sheet at z
+        for g, _, p, on, _ in poles:
+            if g is not gamma:
+                q = p[i] / (wj - g[i])
+                f -= q if on is None else np.where(on[i], q, 0.0)
+        cj = c[j, 0]
+        terms.real[j, i] = cj.real * f.real - cj.imag * f.imag
+        terms.imag[j, i] = cj.real * f.imag + cj.imag * f.real
     # an overflowing residue is the value, the largest where several
     # overflow: the node sum could only add inf - inf
     return np.where(np.isinf(largest), largest, residue + _sum_rows(terms, rule.N))
@@ -255,7 +325,9 @@ def ml_quad_values(z: ArrayLike, alpha: float, beta: float, rule: QuadratureRule
     values bit for bit.  A real z < 0 with alpha <= 2 takes _neg_axis_row;
     every other column of the (nodes x points) integrand is summed on its
     own, with the poles on the principal sheet split off, so a value does
-    not depend on the batch.  Where beta > 1 and |gamma| < _SPLIT_GAMMA_MIN
+    not depend on the batch.  Within EPS_SWITCH of a split pole the psi
+    form takes over: _psi_form sums it for all of the block's near (node,
+    point) pairs at once, with no Python call per pair.  Where beta > 1 and |gamma| < _SPLIT_GAMMA_MIN
     the poles stay in the plain column instead.  z = 0 has no pole
     (w**alpha = 0 has no root on the contour): its plain column sums
     w**-beta, so its value approximates 1/Gamma(beta) with the error

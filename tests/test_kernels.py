@@ -7,6 +7,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from mittleff.contours import build_parabolic_rule
 from mittleff.exceptions import DomainError
 from mittleff.kernels import (
     cexp,
@@ -19,6 +20,7 @@ from mittleff.kernels import (
     psi2,
     reciprocal_gamma,
 )
+from mittleff.quadrature import EPS_SWITCH, _node_factors, _psi_form, _psi_rows, f_one
 
 
 class TestGammaReal:
@@ -209,6 +211,94 @@ def test_psi_kernels_against_mpmath(eps: complex, a: float) -> None:
         refs = tuple(complex(r) for r in refs)
     for got, ref in zip((psi1(eps, a), psi2(eps, a)), refs):
         assert abs(got - ref) <= 4e-15 * max(1.0, abs(ref)), (eps, a)
+
+
+_U = 2.0**-53
+# the node factors carry w**(alpha - beta); on the parabolic rule with N = 4,
+# the smallest the quadrature tests sum with, they overflow past
+# alpha - beta = 302.25
+_WIDEST_A = 302.0
+_PAR4 = build_parabolic_rule(4)
+
+_SWITCH_DISK = st.one_of(
+    st.builds(cmath.rect, st.floats(0.0, EPS_SWITCH), st.floats(-math.pi, math.pi)),
+    st.floats(-EPS_SWITCH, EPS_SWITCH).map(complex),
+)
+
+
+def _horner(row: list, eps: complex) -> complex:
+    acc = 0j
+    for coeff in reversed(row):
+        acc = acc * eps + coeff
+    return acc
+
+
+def _abs_terms(a: float, k0: int, r: float) -> float:
+    # sum_m |binom(a, m + k0)| r**m over the first 400 terms
+    coeff = 1.0
+    for k in range(k0):
+        coeff *= (a - k) / (k + 1.0)
+    total, rm = 0.0, 1.0
+    for m in range(400):
+        total += abs(coeff) * rm
+        coeff *= (a - m - k0) / (m + k0 + 1.0)
+        rm *= r
+    return total
+
+
+def test_widest_beta_of_the_node_factors() -> None:
+    # the sweep below reaches the widest beta that _node_factors accepts
+    alpha = 4.0
+    _node_factors(_PAR4, alpha, alpha - _WIDEST_A)
+    with pytest.raises(DomainError):
+        _node_factors(_PAR4, alpha, alpha - _WIDEST_A - 0.5)
+
+
+@settings(
+    derandomize=True,
+    max_examples=300,
+    database=None,
+    deadline=None,
+    phases=[Phase.explicit, Phase.generate, Phase.shrink],
+)
+@given(
+    eps=_SWITCH_DISK,
+    # below about 1e-300 psi2(eps, alpha) is subnormal, and the reference
+    # psi2/alpha has lost its digits
+    alpha=st.floats(1e-300, 4.0),
+    beta=st.floats(-3.0, 6.0) | st.floats(-_WIDEST_A, -3.0),
+    gamma=st.builds(cmath.rect, st.floats(0.1, 10.0), st.floats(-3.0, 3.0)),
+)
+def test_psi_rows_against_kernels(eps: complex, alpha: float, beta: float, gamma: complex) -> None:
+    # quadrature's psi form sums two cached rows; the adaptive psi1 and psi2
+    # are their reference on the switch disk |eps| < EPS_SWITCH, to a few
+    # ulps of the sum of |terms| of the binomial series behind them
+    if abs(eps) >= EPS_SWITCH:  # rect rounds |eps| up at the rim
+        eps *= 1.0 - 1e-15
+    beta = max(beta, alpha - _WIDEST_A)
+    a = alpha - beta
+    rows = _psi_rows(alpha, beta)
+    assert rows.shape[1] <= 400  # the loop stopped before its 400-term cap
+    num_row, psi1_row = rows.tolist()
+    psi2_scale = _abs_terms(alpha, 2, abs(eps))
+    num_scale = _abs_terms(a, 1, abs(eps)) + psi2_scale / alpha
+    num = psi1(eps, a) - psi2(eps, alpha) / alpha
+    psi1_alpha = psi1(eps, alpha)
+    assert abs(_horner(num_row, eps) - num) <= 16 * _U * num_scale, (eps, alpha, beta)
+    assert abs(_horner(psi1_row, eps) - psi1_alpha) <= 16 * _U * (alpha + abs(eps) * psi2_scale)
+    # the engine sums the same rows in numpy; gamma**beta adds |beta log gamma|
+    # ulps.  f_one divides by gamma**beta * psi1 ~ alpha, which may underflow
+    # for tiny alpha, and takes its offset from w = gamma*(1 + eps), which may
+    # round out of the disk at the rim
+    w = gamma * (1.0 + eps)
+    eps_w = (w - gamma) / gamma
+    if alpha < 0.01 or abs(eps_w) >= EPS_SWITCH:
+        return
+    log_gamma = cmath.log(gamma)
+    engine = _psi_form(np.array([eps_w]), np.array([log_gamma]), alpha, beta)[0]
+    floats = f_one(w, cmath.exp(alpha * log_gamma), alpha, beta, gamma)
+    den = abs(cmath.exp(beta * log_gamma) * psi1_alpha)
+    assert abs(engine - floats) <= 16 * _U * num_scale / den * (1.0 + abs(beta * log_gamma))
 
 
 class TestPrincipalSheetPoles:

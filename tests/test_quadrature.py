@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from mittleff import quadrature
 from mittleff.contours import build_hyperbolic_rule, build_parabolic_rule
 from mittleff.exceptions import DomainError
-from mittleff.kernels import cpow_principal, reciprocal_gamma
+from mittleff.kernels import cpow_principal, on_sheet, pole_turns, reciprocal_gamma
 from mittleff.quadrature import (
     EPS_SWITCH,
     EvalResult,
@@ -335,18 +335,38 @@ def _same_bits(a: complex, b: complex) -> bool:
     return a == b and math.copysign(1.0, a.imag) == math.copysign(1.0, b.imag)
 
 
+def _near_columns(z: complex, alpha: float, rule) -> tuple[int, int, int]:
+    # for one column: its (node, pole) pairs within EPS_SWITCH, its poles on
+    # the principal sheet, and the poles k != 0 of pole_turns off it
+    turns = cmath.phase(z) / math.pi
+    ks = [k for k in pole_turns(alpha) if on_sheet(turns, k, alpha)]
+    poles = [cmath.exp((cmath.log(z) + 2j * math.pi * k) / alpha) for k in [0, *ks]]
+    nodes = [*rule.nodes, *(w.conjugate() for w in rule.nodes)]
+    near = sum(abs((w - g) / g) < EPS_SWITCH for w in nodes for g in poles)
+    return near, len(poles), len(pole_turns(alpha)) - len(ks)
+
+
 class TestEngine:
     @pytest.mark.parametrize("rule", [HYP14, PAR14], ids=["hyp", "par"])
-    @pytest.mark.parametrize("alpha,beta", [(0.5, 1.0), (0.8, 1.3), (1.0, 1.0)])
+    @pytest.mark.parametrize(
+        "alpha,beta", [(0.5, 1.0), (0.8, 1.3), (1.0, 1.0), (1.5, 1.0), (2.5, 0.7), (3.5, 1.3)]
+    )
     def test_batch_matches_batch_of_one_bitwise(self, rule, alpha: float, beta: float) -> None:
         # both sides of the sector edge, the real axis (inside the sector for
-        # z > 0; z < 0 takes the float row), z = 0, which has no pole, and
-        # points whose pole gamma = z**(1/alpha) sits within EPS_SWITCH of a node
+        # z > 0; z < 0 takes the float row up to alpha = 2), z = 0, which has
+        # no pole, and points with a pole within EPS_SWITCH of a node or a
+        # reflected node: of node 0, which both node blocks hold, and halfway
+        # between two outer nodes, where the column has two near pairs
         grid = [complex(re, im) for re in np.linspace(-5, 3, 19) for im in np.linspace(-4, 4, 17)]
-        near = [cpow_principal(w * (1.0 + 0.03j), alpha) for w in rule.nodes[:4]]
-        for w, z in zip(rule.nodes, near):
-            gamma = cpow_principal(z, 1.0 / alpha)
-            assert abs((w - gamma) / gamma) < EPS_SWITCH
+        poles = [w * (1.0 + 0.03j) for w in rule.nodes[:4]]
+        poles += [w.conjugate() * 1.02 for w in rule.nodes[4::3]]
+        poles += [0.5 * (v + w) for v, w in zip(rule.nodes[12:], rule.nodes[13:])]
+        near = [cpow_principal(g, alpha) for g in poles]
+        columns = [_near_columns(z, alpha, rule) for z in near]
+        assert min(n for n, _, _ in columns) >= 1 and max(n for n, _, _ in columns) >= 2
+        if alpha > 1.0:
+            # a near column with a second pole on the sheet, and one with a pole off it
+            assert any(on >= 2 for _, on, _ in columns) and any(off >= 1 for _, _, off in columns)
         z = np.array(grid + near + [0j, 2.5, -2.5]).reshape(2, -1)
         batch = ml_quad_values(z, alpha, beta, rule)
         assert batch.shape == z.shape
@@ -356,6 +376,21 @@ class TestEngine:
             if zk.imag == 0.0:
                 assert got.imag == 0.0
         assert abs(batch.ravel()[-3] - reciprocal_gamma(beta)) <= 2.0 * origin_accuracy(rule, beta)
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.5])
+    def test_near_pairs_make_no_per_pair_call(self, monkeypatch, alpha: float) -> None:
+        # the engine sums every near (node, point) pair of a block in one
+        # numpy pass: f_one, the float form, is never called
+        near = [cpow_principal(w * (1.0 + 0.03j), alpha) for w in HYP14.nodes[:6]]
+        assert all(_near_columns(z, alpha, HYP14)[0] for z in near)
+        want = ml_quad_values(near, alpha, 1.3, HYP14)
+
+        def per_pair(*args):
+            raise AssertionError("f_one called for a near pair")
+
+        monkeypatch.setattr(quadrature, "f_one", per_pair)
+        assert ml_quad_values(near, alpha, 1.3, HYP14).tolist() == want.tolist()
+        assert ml_quad(near[0], alpha, 1.3, HYP14).value == want[0]
 
     def test_negative_zero_imaginary_part_reads_from_above(self) -> None:
         # on the cut with alpha = 1 the pole split takes gamma = z from Arg z = +pi
