@@ -11,6 +11,11 @@ each pole gamma_k = exp((log z + 2*pi*i*k)/alpha) of the quadrature
 integrand on the principal sheet, P_k = gamma_k**(1-beta)/alpha: for
 alpha <= 1 the one pole z**(1/alpha) where |Arg z| <= alpha*pi, for
 alpha > 1 up to ceil(alpha) of them (kernels.pole_turns).
+
+The coefficients are cached per (alpha, beta) in blocks of TABLE_BLOCK
+rows (_sigma_tau_block).  A row also holds the signed coefficient
+(-1)**n sigma_n of a real z < 0, so a real z sums its terms in a float
+loop over one column (_real_head) up to its first overflowing term.
 """
 
 from __future__ import annotations
@@ -55,13 +60,14 @@ def asymptotic_sigma_tau(n: int, alpha: float, beta: float) -> tuple[float, floa
 
 
 @functools.lru_cache(maxsize=256)
-def _sigma_tau_block(alpha: float, beta: float, block: int) -> tuple[tuple[float, float, float], ...]:
-    """(sigma_n, log tau_n, log size_n) for the TABLE_BLOCK indices n of one block.
+def _sigma_tau_block(alpha: float, beta: float, block: int) -> tuple[tuple[float, float, float, float], ...]:
+    """(sigma_n, log tau_n, log size_n, (-1)**n sigma_n) for the TABLE_BLOCK indices n of one block.
 
     size_n is the magnitude the stopping rule reads.  It is tau_n except
     where 0 < beta - n*alpha < 1/2: there 1/Gamma vanishes towards its zero
     at 0 while the next coefficient does not, so the term is sized by the
     reflection envelope Gamma(1 - x)/pi that the terms past the zero use.
+    The last column is the coefficient of |z|**-n at a real z < 0.
 
     Cached per (alpha, beta) like the series coefficients; a block is
     immutable once cached, so concurrent callers never see part of one.
@@ -71,7 +77,7 @@ def _sigma_tau_block(alpha: float, beta: float, block: int) -> tuple[tuple[float
         sigma, log_tau = asymptotic_sigma_tau(n, alpha, beta)
         x = beta - n * alpha
         log_size = math.lgamma(1.0 - x) - math.log(math.pi) if 0.0 < x < 0.5 else log_tau
-        rows.append((sigma, log_tau, log_size))
+        rows.append((sigma, log_tau, log_size, -sigma if n % 2 else sigma))
     return tuple(rows)
 
 
@@ -132,56 +138,100 @@ def _last_term(log_n_max: float) -> float:
     return n
 
 
+def _real_head(
+    ln_r: float, alpha: float, beta: float, log_tol: float, n_last: int, col: int
+) -> tuple[float, int, float, bool]:
+    """_expansion_sum's terms at a real z, |z| = e**ln_r, summed as floats.
+
+    Term n is column col of the rows (sigma_n for z > 0, (-1)**n sigma_n
+    for z < 0) times e**(log tau_n - n*ln_r): (-sigma)*t == -(sigma*t), so
+    the sum has the general loop's bits.  Returns (sum, first n not summed,
+    log size of the last term summed or inf, converged).  It stops after a
+    term that meets the stopping rule, past n_last, or before a term with
+    log t_n >= 709, which the general loop then takes.
+    """
+    exp = math.exp
+    acc = 0.0
+    log_s = INF
+    lo = 1
+    block = 0
+    while True:
+        base = block * TABLE_BLOCK
+        hi = min(n_last + 1, base + TABLE_BLOCK)
+        n = float(lo)  # a float n gives n*ln_r the product of an int n
+        for row in _sigma_tau_block(alpha, beta, block)[lo - base : hi - base]:
+            n_ln_r = n * ln_r
+            log_t = row[1] - n_ln_r
+            if log_t >= 709.0:
+                return acc, int(n), log_s, False
+            acc += row[col] * exp(log_t)
+            log_s = row[2] - n_ln_r
+            if log_s < log_tol:
+                return acc, int(n) + 1, log_s, True
+            n += 1.0
+        block += 1
+        lo = block * TABLE_BLOCK
+        if lo > n_last:
+            return acc, n_last + 1, log_s, False
+
+
 def _expansion_sum(z: complex, alpha: float, beta: float, tol: float) -> EvalResult:
-    """ml_asymptotic for checked arguments, z != 0."""
+    """ml_asymptotic for checked arguments, z != 0.
+
+    A real z sums its terms in _real_head's float loop; the general loop
+    below sums a complex z, and a real one from a term that overflows.
+    """
     r = abs(z)
-    theta = principal_arg(z)
+    real = z.imag == 0.0
+    # principal_arg's value: atan2(+0.0, x) is 0 or pi
+    theta = (0.0 if z.real > 0.0 else math.pi) if real else principal_arg(z)
     ln_r = math.log(r)
     # divergence bound n > |z|**(1/alpha)/alpha, kept in logs
     n_last = min(_last_term(ln_r / alpha - math.log(alpha)), MAX_TERMS)
     log_tol = math.log(tol)
 
-    # a real z has theta 0 or pi, where rect(1, -n*theta) is exactly (+-1, ~0):
-    # it is summed in floats, the complex loop's real part bit for bit
-    real = z.imag == 0.0
-    acc = 0.0 if real else 0.0j
     # the term of largest log magnitude among those that overflow, and that log
     big = None
     log_big = -INF
-    n = 1
-    t_last = INF
-    m = 1
-    converged = False
-    coeffs = _sigma_tau_block(alpha, beta, 0)
-    while True:
-        if n > n_last:
-            m = n  # stopped before adding term n
-            break
-        if n % TABLE_BLOCK == 0:
-            coeffs = _sigma_tau_block(alpha, beta, n // TABLE_BLOCK)
-        sigma, log_tau, log_size = coeffs[n % TABLE_BLOCK]
-        log_t = log_tau - n * ln_r
-        t = math.exp(log_t) if log_t < 709.0 else INF
-        if real:
-            term = sigma * t if theta == 0.0 or n % 2 == 0 else -(sigma * t)
-        else:
-            term = sigma * t * cmath.rect(1.0, -n * theta)
-        if t < INF:
-            acc += term
-        elif sigma != 0.0 and log_t + math.log(abs(sigma)) > log_big:
-            # an infinite term: added, it could give inf - inf; the largest
-            # is the sum's value (and a zero sigma, 0*inf = NaN, adds nothing)
-            log_big = log_t + math.log(abs(sigma))
-            big = term
-        if log_size != log_tau:
-            log_t = log_size - n * ln_r
+    if real:
+        # z**-n = (+-1)**n |z|**-n: column 0 of the rows for z > 0, 3 for z < 0
+        acc, n, log_s, converged = _real_head(ln_r, alpha, beta, log_tol, n_last, 0 if theta == 0.0 else 3)
+        m = n
+        t_last = math.exp(log_s) if log_s < 709.0 else INF
+    else:
+        acc, n, m, t_last, converged = 0.0j, 1, 1, INF, False
+    if not converged and n <= n_last:
+        coeffs = _sigma_tau_block(alpha, beta, n // TABLE_BLOCK)
+        while True:
+            if n > n_last:
+                m = n  # stopped before adding term n
+                break
+            if n % TABLE_BLOCK == 0:
+                coeffs = _sigma_tau_block(alpha, beta, n // TABLE_BLOCK)
+            sigma, log_tau, log_size, _ = coeffs[n % TABLE_BLOCK]
+            log_t = log_tau - n * ln_r
             t = math.exp(log_t) if log_t < 709.0 else INF
-        t_last = t
-        if log_t < log_tol:
-            m = n + 1
-            converged = True
-            break
-        n += 1
+            if real:
+                # rect(1, -n*theta) is exactly (+-1, ~0): the complex loop's real part
+                term = sigma * t if theta == 0.0 or n % 2 == 0 else -(sigma * t)
+            else:
+                term = sigma * t * cmath.rect(1.0, -n * theta)
+            if t < INF:
+                acc += term
+            elif sigma != 0.0 and log_t + math.log(abs(sigma)) > log_big:
+                # an infinite term: added, it could give inf - inf; the largest
+                # is the sum's value (and a zero sigma, 0*inf = NaN, adds nothing)
+                log_big = log_t + math.log(abs(sigma))
+                big = term
+            if log_size != log_tau:
+                log_t = log_size - n * ln_r
+                t = math.exp(log_t) if log_t < 709.0 else INF
+            t_last = t
+            if log_t < log_tol:
+                m = n + 1
+                converged = True
+                break
+            n += 1
 
     value = complex(-(acc if big is None else big))
     if abs(theta) <= alpha * math.pi:
@@ -190,10 +240,11 @@ def _expansion_sum(z: complex, alpha: float, beta: float, tol: float) -> EvalRes
         # real z read from above, as theta is); of those that overflow only
         # the largest is added, as inf - inf is NaN
         lnz = cmath.log(complex(z.real) if real else z)
+        turns = theta / math.pi
         big_e = None
         log_big_e = -INF
         for k in (0, *pole_turns(alpha)):
-            if k and not on_sheet(theta / math.pi, k, alpha):
+            if k and not on_sheet(turns, k, alpha):
                 continue
             lz = lnz + 2j * math.pi * k if k else lnz
             g = cexp(lz / alpha)  # gamma_k

@@ -21,6 +21,7 @@ All functions here are pure and safe to call from multiple threads.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 from .exceptions import DomainError
@@ -124,14 +125,15 @@ def cpow_principal(w: complex, a: float) -> complex:
     return cmath.exp(a * cmath.log(w))
 
 
-def pole_turns(alpha: float) -> list[int]:
+@functools.lru_cache(maxsize=64)
+def pole_turns(alpha: float) -> tuple[int, ...]:
     """The k != 0 of the roots gamma_k = exp((log z + 2*pi*i*k)/alpha) of
     w**alpha = z that can lie on the principal sheet: 0 < |k| <= (alpha+1)/2,
     none for alpha <= 1.  gamma_0 lies on it where |Arg z| <= alpha*pi, so
-    always for alpha > 1.
+    always for alpha > 1.  Cached per alpha.
     """
     top = int((alpha + 1.0) / 2.0) if alpha > 1.0 else 0
-    return [*range(-top, 0), *range(1, top + 1)]
+    return (*range(-top, 0), *range(1, top + 1))
 
 
 def on_sheet(turns, k: int, alpha: float):

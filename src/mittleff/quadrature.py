@@ -12,7 +12,8 @@ would cancel, so the psi-kernel form takes over for that pole: two rows of
 power-series coefficients in the offset eps = (w - gamma)/gamma, cached
 per (alpha, beta) (_psi_rows).  The engine sums them for every near
 (node, point) pair of a block in one numpy pass (_psi_form); f_one sums
-them by Horner in floats for the real-axis rows.  The node factors of the
+them by Horner in floats for the real-axis rows, from the same rows cached
+as float pairs (_psi_pairs).  The node factors of the
 integrand do not depend on z, so they are cached per (rule, alpha, beta):
 ml_quad_values sums many z at once in numpy.
 
@@ -20,7 +21,8 @@ A real z < 0 with alpha <= 2 has a conjugate-symmetric summand, and
 _neg_axis_row sums one block of the factors as floats: the plain row for
 alpha < 1, the edge row at alpha = 1, where the pole gamma = z lies on the
 branch cut, and for 1 < alpha <= 2 the two-pole row, with the conjugate
-pair gamma = (-z)**(1/alpha) e**(+-i*pi/alpha) split off (_two_pole_sum;
+pair gamma = (-z)**(1/alpha) e**(+-i*pi/alpha) split off (_two_pole_sum,
+with its trigonometric constants cached per (alpha, beta);
 ml_quad_neg_axis_wide_alpha, the engine's column at z, is its
 reference).  ml_quad and ml_quad_values both call it; ml_quad passes any
 other z to the engine as a batch of one.  A real z gets an exactly real
@@ -126,16 +128,15 @@ def f_one(w: complex, z: complex, alpha: float, beta: float, gamma: complex) -> 
 
     Near the pole (relative offset eps below EPS_SWITCH) the difference
     would cancel, so an equivalent psi-kernel form is used instead: the
-    rows of _psi_rows, summed by Horner in floats.
+    rows of _psi_rows, read as the cached float pairs of _psi_pairs and
+    summed by one Horner loop in floats.
     """
     eps = (w - gamma) / gamma
     if abs(eps) < EPS_SWITCH:
-        num_row, psi1_row = _psi_rows(alpha, beta).tolist()
         num = psi1_alpha = 0j
-        for coeff in reversed(num_row):
-            num = num * eps + coeff
-        for coeff in reversed(psi1_row):
-            psi1_alpha = psi1_alpha * eps + coeff
+        for a, b in _psi_pairs(alpha, beta):
+            num = num * eps + a
+            psi1_alpha = psi1_alpha * eps + b
         return num / (_cpow(gamma, beta) * psi1_alpha)
     return f_plain(w, z, alpha, beta) - _cpow(gamma, 1.0 - beta) / (alpha * (w - gamma))
 
@@ -173,6 +174,13 @@ def _psi_rows(alpha: float, beta: float) -> np.ndarray:
     rows = np.array([[*num, 0.0], psi1_alpha])
     rows.flags.writeable = False
     return rows
+
+
+@functools.lru_cache(maxsize=64)
+def _psi_pairs(alpha: float, beta: float) -> tuple[tuple[float, float], ...]:
+    """The two rows of _psi_rows as (row 0, row 1) float pairs, highest power first: f_one's Horner order."""
+    num, psi1_alpha = _psi_rows(alpha, beta).tolist()
+    return tuple(zip(reversed(num), reversed(psi1_alpha)))
 
 
 def _psi_form(eps: np.ndarray, log_gamma: np.ndarray, alpha: float, beta: float) -> np.ndarray:
@@ -474,6 +482,15 @@ def _quad_result(
     return EvalResult(value, method, 2 * rule.N + 1, err, not cmath.isnan(value))
 
 
+@functools.lru_cache(maxsize=64)
+def _two_pole_constants(alpha: float, beta: float) -> tuple[float, ...]:
+    """_two_pole_sum's constants of (alpha, beta): 1/alpha, (1-beta)/alpha,
+    cos and sin of pi/alpha, (1-beta)*pi/alpha and its cos and sin."""
+    ang = math.pi / alpha
+    phase = (1.0 - beta) * ang
+    return 1.0 / alpha, (1.0 - beta) / alpha, math.cos(ang), math.sin(ang), phase, math.cos(phase), math.sin(phase)
+
+
 def _two_pole_sum(x: float, alpha: float, beta: float, block: tuple) -> float:
     """E[alpha, beta](-x) for x > 0 and 1 < alpha <= 2, as a loop over floats.
 
@@ -483,16 +500,18 @@ def _two_pole_sum(x: float, alpha: float, beta: float, block: tuple) -> float:
     integrand less both pole terms.  Off the poles the term is
     Re[c_wab/(wa + x)] minus the real part of c*(P/(w - gamma_+) +
     conj(P)/(w - gamma_-)), P = gamma_+**(1-beta)/alpha; within
-    EPS_SWITCH*|gamma| of a pole f_one's psi form takes over.
+    EPS_SWITCH*|gamma| of a pole f_one's psi form takes over.  The
+    trigonometric constants of (alpha, beta) are cached
+    (_two_pole_constants); a call computes only what depends on x.
     """
-    rho = x ** (1.0 / alpha)
-    ang = math.pi / alpha
-    gr, gi = rho * math.cos(ang), rho * math.sin(ang)
+    inv_alpha, expo, cos_a, sin_a, phase, cos_p, sin_p = _two_pole_constants(alpha, beta)
+    rho = x**inv_alpha
+    gr, gi = rho * cos_a, rho * sin_a
     # x**((1-beta)/alpha) = |gamma**(1-beta)|; cos(pi/alpha) <= 0, so exp never overflows
-    mag = x ** ((1.0 - beta) / alpha)
-    residue_pair = (2.0 / alpha) * mag * math.exp(gr) * math.cos((1.0 - beta) * ang + gi)
-    pr = mag / alpha * math.cos((1.0 - beta) * ang)
-    pi = mag / alpha * math.sin((1.0 - beta) * ang)
+    mag = x**expo
+    residue_pair = (2.0 / alpha) * mag * math.exp(gr) * math.cos(phase + gi)
+    pr = mag / alpha * cos_p
+    pi = mag / alpha * sin_p
     near = _EPS_SWITCH_SQ * rho * rho
     s = 0.0
     for wr, wi, cr, ci, ar, ai, br, bi in block:
@@ -500,8 +519,9 @@ def _two_pole_sum(x: float, alpha: float, beta: float, block: tuple) -> float:
         dr = wr - gr
         di = wi - gi
         ei = wi + gi
-        d2 = dr * dr + di * di
-        e2 = dr * dr + ei * ei
+        dr2 = dr * dr
+        d2 = dr2 + di * di
+        e2 = dr2 + ei * ei
         if d2 < near or e2 < near:
             # f_one for the near pole, less the other's plain term, as in the engine
             w = complex(wr, wi)
@@ -514,8 +534,10 @@ def _two_pole_sum(x: float, alpha: float, beta: float, block: tuple) -> float:
             continue
         br += x
         # P/(w - gamma_+) + conj(P)/(w - gamma_-)
-        qr = (pr * dr + pi * di) / d2 + (pr * dr - pi * ei) / e2
-        qi = (pi * dr - pr * di) / d2 - (pi * dr + pr * ei) / e2
+        prd = pr * dr
+        pid = pi * dr
+        qr = (prd + pi * di) / d2 + (prd - pi * ei) / e2
+        qi = (pid - pr * di) / d2 - (pid + pr * ei) / e2
         s += (ar * br + ai * bi) / (br * br + bi * bi) - (cr * qr - ci * qi)
     return residue_pair + 2.0 * s
 

@@ -1,0 +1,186 @@
+"""Reference copies of the real-axis float loops as they stood before their
+per-(alpha, beta) float tables: the expansion with its three-column
+coefficient blocks, f_one reading _psi_rows through .tolist() on every call,
+and _two_pole_sum computing its trigonometric constants on every call.  The
+code below is kept verbatim, renamed only; the tests assert that the table
+versions in the package give the same bits."""
+
+from __future__ import annotations
+
+import cmath
+import functools
+import math
+
+from mittleff.asymptotic import INF, MAX_TERMS, TABLE_BLOCK, _last_term, asymptotic_sigma_tau
+from mittleff.kernels import cexp, cpow_principal as _cpow, on_sheet, pole_turns, principal_arg
+from mittleff.quadrature import _EPS_SWITCH_SQ, EPS_SWITCH, EvalResult, Method, _psi_rows, f_plain
+
+
+@functools.lru_cache(maxsize=256)
+def ref_sigma_tau_block(alpha: float, beta: float, block: int) -> tuple[tuple[float, float, float], ...]:
+    """(sigma_n, log tau_n, log size_n) for the TABLE_BLOCK indices n of one block.
+
+    size_n is the magnitude the stopping rule reads.  It is tau_n except
+    where 0 < beta - n*alpha < 1/2: there 1/Gamma vanishes towards its zero
+    at 0 while the next coefficient does not, so the term is sized by the
+    reflection envelope Gamma(1 - x)/pi that the terms past the zero use.
+
+    Cached per (alpha, beta) like the series coefficients; a block is
+    immutable once cached, so concurrent callers never see part of one.
+    """
+    rows = []
+    for n in range(block * TABLE_BLOCK, (block + 1) * TABLE_BLOCK):
+        sigma, log_tau = asymptotic_sigma_tau(n, alpha, beta)
+        x = beta - n * alpha
+        log_size = math.lgamma(1.0 - x) - math.log(math.pi) if 0.0 < x < 0.5 else log_tau
+        rows.append((sigma, log_tau, log_size))
+    return tuple(rows)
+
+
+def ref_expansion_sum(z: complex, alpha: float, beta: float, tol: float) -> EvalResult:
+    """ml_asymptotic for checked arguments, z != 0."""
+    r = abs(z)
+    theta = principal_arg(z)
+    ln_r = math.log(r)
+    # divergence bound n > |z|**(1/alpha)/alpha, kept in logs
+    n_last = min(_last_term(ln_r / alpha - math.log(alpha)), MAX_TERMS)
+    log_tol = math.log(tol)
+
+    # a real z has theta 0 or pi, where rect(1, -n*theta) is exactly (+-1, ~0):
+    # it is summed in floats, the complex loop's real part bit for bit
+    real = z.imag == 0.0
+    acc = 0.0 if real else 0.0j
+    # the term of largest log magnitude among those that overflow, and that log
+    big = None
+    log_big = -INF
+    n = 1
+    t_last = INF
+    m = 1
+    converged = False
+    coeffs = ref_sigma_tau_block(alpha, beta, 0)
+    while True:
+        if n > n_last:
+            m = n  # stopped before adding term n
+            break
+        if n % TABLE_BLOCK == 0:
+            coeffs = ref_sigma_tau_block(alpha, beta, n // TABLE_BLOCK)
+        sigma, log_tau, log_size = coeffs[n % TABLE_BLOCK]
+        log_t = log_tau - n * ln_r
+        t = math.exp(log_t) if log_t < 709.0 else INF
+        if real:
+            term = sigma * t if theta == 0.0 or n % 2 == 0 else -(sigma * t)
+        else:
+            term = sigma * t * cmath.rect(1.0, -n * theta)
+        if t < INF:
+            acc += term
+        elif sigma != 0.0 and log_t + math.log(abs(sigma)) > log_big:
+            # an infinite term: added, it could give inf - inf; the largest
+            # is the sum's value (and a zero sigma, 0*inf = NaN, adds nothing)
+            log_big = log_t + math.log(abs(sigma))
+            big = term
+        if log_size != log_tau:
+            log_t = log_size - n * ln_r
+            t = math.exp(log_t) if log_t < 709.0 else INF
+        t_last = t
+        if log_t < log_tol:
+            m = n + 1
+            converged = True
+            break
+        n += 1
+
+    value = complex(-(acc if big is None else big))
+    if abs(theta) <= alpha * math.pi:
+        # each pole gamma_k on the principal sheet adds P_k e**gamma_k =
+        # e**((1-beta)/alpha * l + gamma_k)/alpha, l = log z + 2*pi*i*k (a
+        # real z read from above, as theta is); of those that overflow only
+        # the largest is added, as inf - inf is NaN
+        lnz = cmath.log(complex(z.real) if real else z)
+        big_e = None
+        log_big_e = -INF
+        for k in (0, *pole_turns(alpha)):
+            if k and not on_sheet(theta / math.pi, k, alpha):
+                continue
+            lz = lnz + 2j * math.pi * k if k else lnz
+            g = cexp(lz / alpha)  # gamma_k
+            if cmath.isfinite(g):
+                log_e = ((1.0 - beta) / alpha) * lz + g
+                e = cexp(log_e)
+                if not cmath.isinf(e):
+                    # part by part: a complex quotient inf/alpha would put NaN in a zero part
+                    value += complex(e.real / alpha, e.imag / alpha)
+                elif log_e.real > log_big_e:
+                    big_e, log_big_e = e, log_e.real
+            elif g.real > 0.0:
+                value = complex(INF, INF)
+            # g overflowed with Re g < 0: exp factor underflows to 0
+        if big_e is not None:
+            value += complex(big_e.real / alpha, big_e.imag / alpha)
+    # on the cut (alpha = 1, z < 0) the exponential part rounds to a complex value
+    value = complex(value.real) if real else value
+    # a NaN value (inf - inf between the two parts) is never converged
+    return EvalResult(value, Method.ASYMPTOTIC, m, t_last, converged and not cmath.isnan(value))
+
+
+def ref_f_one(w: complex, z: complex, alpha: float, beta: float, gamma: complex) -> complex:
+    """f_plain with the simple pole at gamma = z**(1/alpha) removed.
+
+    Near the pole (relative offset eps below EPS_SWITCH) the difference
+    would cancel, so an equivalent psi-kernel form is used instead: the
+    rows of _psi_rows, summed by Horner in floats.
+    """
+    eps = (w - gamma) / gamma
+    if abs(eps) < EPS_SWITCH:
+        num_row, psi1_row = _psi_rows(alpha, beta).tolist()
+        num = psi1_alpha = 0j
+        for coeff in reversed(num_row):
+            num = num * eps + coeff
+        for coeff in reversed(psi1_row):
+            psi1_alpha = psi1_alpha * eps + coeff
+        return num / (_cpow(gamma, beta) * psi1_alpha)
+    return f_plain(w, z, alpha, beta) - _cpow(gamma, 1.0 - beta) / (alpha * (w - gamma))
+
+
+def ref_two_pole_sum(x: float, alpha: float, beta: float, block: tuple) -> float:
+    """E[alpha, beta](-x) for x > 0 and 1 < alpha <= 2, as a loop over floats.
+
+    block is the first block of the node factors at (alpha, beta), which
+    holds node 0 at half weight, so the value is the residue pair plus
+    twice the real part of the block's sum of C_n f_2(w_n), f_2 the
+    integrand less both pole terms.  Off the poles the term is
+    Re[c_wab/(wa + x)] minus the real part of c*(P/(w - gamma_+) +
+    conj(P)/(w - gamma_-)), P = gamma_+**(1-beta)/alpha; within
+    EPS_SWITCH*|gamma| of a pole f_one's psi form takes over.
+    """
+    rho = x ** (1.0 / alpha)
+    ang = math.pi / alpha
+    gr, gi = rho * math.cos(ang), rho * math.sin(ang)
+    # x**((1-beta)/alpha) = |gamma**(1-beta)|; cos(pi/alpha) <= 0, so exp never overflows
+    mag = x ** ((1.0 - beta) / alpha)
+    residue_pair = (2.0 / alpha) * mag * math.exp(gr) * math.cos((1.0 - beta) * ang + gi)
+    pr = mag / alpha * math.cos((1.0 - beta) * ang)
+    pi = mag / alpha * math.sin((1.0 - beta) * ang)
+    near = _EPS_SWITCH_SQ * rho * rho
+    s = 0.0
+    for wr, wi, cr, ci, ar, ai, br, bi in block:
+        # w - gamma_+ = dr + i*di, w - gamma_- = dr + i*ei
+        dr = wr - gr
+        di = wi - gi
+        ei = wi + gi
+        d2 = dr * dr + di * di
+        e2 = dr * dr + ei * ei
+        if d2 < near or e2 < near:
+            # f_one for the near pole, less the other's plain term, as in the engine
+            w = complex(wr, wi)
+            gp, gm, p = complex(gr, gi), complex(gr, -gi), complex(pr, pi)
+            if d2 < near:
+                f = ref_f_one(w, complex(-x), alpha, beta, gp) - p.conjugate() / (w - gm)
+            else:
+                f = ref_f_one(w, complex(-x), alpha, beta, gm) - p / (w - gp)
+            s += cr * f.real - ci * f.imag
+            continue
+        br += x
+        # P/(w - gamma_+) + conj(P)/(w - gamma_-)
+        qr = (pr * dr + pi * di) / d2 + (pr * dr - pi * ei) / e2
+        qi = (pi * dr - pr * di) / d2 - (pi * dr + pr * ei) / e2
+        s += (ar * br + ai * bi) / (br * br + bi * bi) - (cr * qr - ci * qi)
+    return residue_pair + 2.0 * s

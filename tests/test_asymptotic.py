@@ -5,7 +5,7 @@ import sys
 import mpmath as mp
 import pytest
 
-from mittleff import asymptotic
+from mittleff import asymptotic, dispatch, quadrature
 from mittleff.asymptotic import TABLE_BLOCK, asymptotic_sigma_tau, ml_asymptotic
 from mittleff.dispatch import ml_auto
 from mittleff.exceptions import DomainError
@@ -235,16 +235,46 @@ class TestCoefficientTable:
         for block in (0, 1):
             rows = asymptotic._sigma_tau_block(0.3, 1.1, block)
             assert len(rows) == TABLE_BLOCK
-            for n, (sigma, log_tau, log_size) in enumerate(rows, block * TABLE_BLOCK):
+            for n, (sigma, log_tau, log_size, signed) in enumerate(rows, block * TABLE_BLOCK):
                 assert (sigma, log_tau) == asymptotic_sigma_tau(n, 0.3, 1.1)
                 x = 1.1 - n * 0.3
                 assert log_size == (math.lgamma(1.0 - x) - math.log(math.pi) if 0.0 < x < 0.5 else log_tau)
+                # the coefficient of a real z < 0, whose z**-n has the sign (-1)**n
+                assert signed.hex() == (-sigma if n % 2 else sigma).hex()
+
+    @staticmethod
+    def bits(results: list) -> list:
+        return [
+            (r.value.real.hex(), r.value.imag.hex(), r.nodes_or_terms, r.err_estimate.hex(), r.converged) for r in results
+        ]
+
+    @staticmethod
+    def assert_immutable_rows(table: tuple) -> None:
+        assert type(table) is tuple
+        for row in table:
+            assert type(row) is tuple and all(type(v) is float for v in row)
 
     def test_cold_and_warm_calls_agree(self) -> None:
+        # the expansion's blocks, their signed column read by the float loop of a real z
         asymptotic._sigma_tau_block.cache_clear()
         cold = self.evaluate(0.3, 1.0, 1e-14)
         assert max(r.nodes_or_terms for r in cold) > TABLE_BLOCK
-        assert cold == self.evaluate(0.3, 1.0, 1e-14)
+        assert self.bits(cold) == self.bits(self.evaluate(0.3, 1.0, 1e-14))
+        for block in range(max(r.nodes_or_terms for r in cold) // TABLE_BLOCK + 1):
+            self.assert_immutable_rows(asymptotic._sigma_tau_block(0.3, 1.0, block))
+        # the two-pole row's constants and f_one's coefficient pairs: at alpha
+        # 1.3, x = 140 a node of the N = 14 rule lies within EPS_SWITCH of a pole
+        rule = dispatch.quad_rule(Method.QUAD_HYPERBOLIC, 14)
+        block = quadrature._node_factors(rule, 1.3, 1.0)[4]
+        quadrature._two_pole_constants.cache_clear()
+        quadrature._psi_pairs.cache_clear()
+        cold = quadrature._two_pole_sum(140.0, 1.3, 1.0, block)
+        assert quadrature._psi_pairs.cache_info().currsize == 1
+        assert cold.hex() == quadrature._two_pole_sum(140.0, 1.3, 1.0, block).hex()
+        assert quadrature._two_pole_constants.cache_info().hits == 1
+        constants = quadrature._two_pole_constants(1.3, 1.0)
+        assert type(constants) is tuple and all(type(v) is float for v in constants)
+        self.assert_immutable_rows(quadrature._psi_pairs(1.3, 1.0))
 
     def test_call_order_does_not_matter(self) -> None:
         asymptotic._sigma_tau_block.cache_clear()

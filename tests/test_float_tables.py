@@ -1,0 +1,191 @@
+"""The real-axis float loops read per-(alpha, beta) tables: the expansion's
+signed coefficient column, f_one's cached coefficient pairs and
+_two_pole_sum's trigonometric constants.  Each must give the bits of the
+loop it replaced, kept verbatim in real_axis_reference.py."""
+
+import cmath
+import math
+
+import pytest
+from hypothesis import Phase, example, given, settings
+from hypothesis import strategies as st
+from real_axis_reference import ref_expansion_sum, ref_f_one, ref_sigma_tau_block, ref_two_pole_sum
+
+from mittleff import asymptotic
+from mittleff.asymptotic import MAX_TERMS, TABLE_BLOCK, _expansion_sum
+from mittleff.contours import build_hyperbolic_rule, build_parabolic_rule
+from mittleff.quadrature import EPS_SWITCH, EvalResult, _node_factors, _two_pole_sum, f_one
+
+RULES = [build_hyperbolic_rule(8), build_hyperbolic_rule(14), build_parabolic_rule(10)]
+
+BITS = settings(
+    derandomize=True,
+    max_examples=300,
+    database=None,
+    deadline=None,
+    phases=[Phase.explicit, Phase.generate, Phase.shrink],
+)
+
+
+def _fields(res: EvalResult) -> tuple:
+    # every field, the value by the bits of both parts (the sign of zero too)
+    return (res.value.real.hex(), res.value.imag.hex(), res.method, res.nodes_or_terms, res.err_estimate.hex(), res.converged)
+
+
+def _same_as_reference(z: float, alpha: float, beta: float, tol: float) -> EvalResult:
+    got = _expansion_sum(complex(z), alpha, beta, tol)
+    assert _fields(got) == _fields(ref_expansion_sum(complex(z), alpha, beta, tol)), (z, alpha, beta, tol)
+    return got
+
+
+@st.composite
+def _expansion_case(draw) -> tuple:
+    alpha = draw(st.sampled_from([1.0, 0.5, 0.3, 2.0, 3.5]) | st.floats(0.05, 3.5))
+    # integer beta at alpha = 1 (sigma_n = 0), beta just above a multiple of
+    # alpha (the 0 < beta - n*alpha < 1/2 envelope rows), far negative beta
+    # (terms whose log reaches 709)
+    k = draw(st.integers(0, 8))
+    beta = draw(
+        st.sampled_from([1.0, alpha, -300.0, -2000.5])
+        | st.floats(-10.0, 10.0)
+        | st.integers(-10, 10).map(float)
+        | st.floats(0.0, 0.5).map(lambda d: k * alpha + d)
+    )
+    tol = draw(st.sampled_from([1e-14, 1e-6]) | st.floats(1e-14, 1e-6))
+    log_r = draw(st.floats(0.0, 20.0) | st.sampled_from([math.log(1e300), math.log(5000.0)]))
+    return alpha, beta, tol, draw(st.sampled_from([1.0, -1.0])) * math.exp(log_r)
+
+
+@BITS
+@given(case=_expansion_case())
+@example(case=(0.7, 1.0, 1e-14, -100.0))
+@example(case=(0.7, 1.0, 1e-14, 100.0))
+@example(case=(1.0, 1.0, 1e-14, -100.0))
+@example(case=(0.3, 1.0, 1e-14, -2.7))
+@example(case=(1.0, -300.0, 1e-14, -5000.0))
+@example(case=(1.0, -300.0, 1e-14, 5000.0))
+@example(case=(0.5, 1.0, 1e-14, 1e300))
+@example(case=(0.5, 1.0, 1e-14, -1e300))
+def test_expansion_keeps_its_bits(case: tuple) -> None:
+    alpha, beta, tol, z = case
+    _same_as_reference(z, alpha, beta, tol)
+
+
+def _log_terms(z: float, alpha: float, beta: float, m: int) -> list[float]:
+    # log t_n = log tau_n - n log|z| of the terms n = 1..m-1 the sum added
+    return [asymptotic.asymptotic_sigma_tau(n, alpha, beta)[1] - n * math.log(abs(z)) for n in range(1, m)]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["z>0", "z<0"])
+class TestExpansionSeams:
+    def test_zero_coefficients(self, sign: float) -> None:
+        # alpha = 1, integer beta: sigma_n = 0 wherever n - beta >= 0
+        got = _same_as_reference(sign * 60.0, 1.0, 2.0, 1e-14)
+        assert got.converged
+        assert any(ref_sigma_tau_block(1.0, 2.0, 0)[n][0] == 0.0 for n in range(2, got.nodes_or_terms))
+
+    def test_envelope_rows(self, sign: float) -> None:
+        # beta - n*alpha in (0, 1/2) for n = 2: the stopping rule reads the envelope
+        alpha, beta = 0.5, 1.2
+        got = _same_as_reference(sign * 1e4, alpha, beta, 1e-14)
+        rows = asymptotic._sigma_tau_block(alpha, beta, 0)
+        assert got.nodes_or_terms > 2 and rows[2][2] != rows[2][1]
+
+    def test_overflowing_term(self, sign: float) -> None:
+        # beta = -300: log tau_1 = lgamma(301 + alpha) - log(pi) > 709 at |z| = 5000
+        z, alpha, beta = sign * 5000.0, 1.0, -300.5
+        got = _same_as_reference(z, alpha, beta, 1e-14)
+        assert max(_log_terms(z, alpha, beta, got.nodes_or_terms)) >= 709.0
+
+    def test_overflow_mid_sum(self, sign: float) -> None:
+        # the terms grow, |z| < (-beta)**alpha, and pass e**709 at n = 8: the
+        # float loop hands the rest of the sum to the general one
+        z, alpha, beta = sign * 5.0, 0.5, -169.3
+        got = _same_as_reference(z, alpha, beta, 1e-14)
+        logs = _log_terms(z, alpha, beta, got.nodes_or_terms)
+        assert logs[0] < 709.0 <= max(logs)
+
+    def test_overflow_from_the_first_term(self, sign: float) -> None:
+        got = _same_as_reference(sign * 3.0, 0.5, -400.5, 1e-14)
+        assert _log_terms(sign * 3.0, 0.5, -400.5, 2)[0] >= 709.0
+        assert not got.converged
+
+    def test_term_cap(self, sign: float) -> None:
+        # the divergence bound |z|**2/0.5 is far past MAX_TERMS, and the terms grow
+        got = _same_as_reference(sign * 1e4, 0.5, -2000.5, 1e-14)
+        assert got.nodes_or_terms == MAX_TERMS + 1 and not got.converged
+
+    def test_divergence_bound(self, sign: float) -> None:
+        got = _same_as_reference(sign * 2.7, 0.3, 1.0, 1e-14)
+        assert not got.converged and got.nodes_or_terms > TABLE_BLOCK
+
+
+@st.composite
+def _near_pole(draw) -> tuple:
+    alpha = draw(st.floats(1.0, 2.0, exclude_min=True))
+    beta = draw(st.sampled_from([1.0, alpha]) | st.floats(-3.0, 3.0))
+    x = 10.0 ** draw(st.floats(-2.0, 2.0))
+    gamma = cmath.exp(cmath.log(complex(-x)) / alpha)
+    if draw(st.booleans()):
+        gamma = gamma.conjugate()
+    eps = cmath.rect(draw(st.floats(0.0, 1.5 * EPS_SWITCH)), draw(st.floats(-math.pi, math.pi)))
+    return gamma * (1.0 + eps), complex(-x), alpha, beta, gamma
+
+
+@BITS
+@given(case=_near_pole())
+@example(case=(complex(1.0 + 1e-7), complex(1.0), 0.5, 1.0, complex(1.0)))
+def test_f_one_keeps_its_bits(case: tuple) -> None:
+    got, want = f_one(*case), ref_f_one(*case)
+    assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+@st.composite
+def _two_pole_row(draw) -> tuple:
+    rule = draw(st.sampled_from(RULES))
+    beta = draw(st.sampled_from([1.0, 0.5, 1.7]) | st.floats(-3.0, 3.0))
+    if draw(st.booleans()):
+        # alpha and x put gamma_+ within EPS_SWITCH of an upper-half node
+        w = draw(st.sampled_from([w for w in rule.nodes if math.pi / 2 < cmath.phase(w) < math.pi]))
+        eps = cmath.rect(draw(st.floats(0.0, 0.09)), draw(st.floats(-math.pi, math.pi)))
+        gamma = w * (1.0 + eps)
+        alpha = math.pi / cmath.phase(gamma)
+        if not 1.0 < alpha <= 2.0:
+            alpha = 1.5
+        x = abs(gamma) ** alpha
+    else:
+        alpha = draw(st.sampled_from([2.0, 1.3]) | st.floats(1.0, 2.0, exclude_min=True))
+        x = 10.0 ** draw(st.floats(-3.0, 4.0))
+    return rule, x, alpha, beta
+
+
+def _near_nodes(x: float, alpha: float, block: tuple) -> int:
+    rho = x ** (1.0 / alpha)
+    gp = rho * cmath.exp(1j * math.pi / alpha)
+    return sum(
+        min(abs(complex(wr, wi) - gp), abs(complex(wr, wi) - gp.conjugate())) ** 2 < (EPS_SWITCH * rho) ** 2
+        for wr, wi, *_ in block
+    )
+
+
+@BITS
+@given(case=_two_pole_row())
+def test_two_pole_row_keeps_its_bits(case: tuple) -> None:
+    rule, x, alpha, beta = case
+    block = _node_factors(rule, alpha, beta)[4]
+    assert _two_pole_sum(x, alpha, beta, block).hex() == ref_two_pole_sum(x, alpha, beta, block).hex()
+
+
+def test_two_pole_rows_with_near_nodes() -> None:
+    # the node-derived cases of the strategy above do reach the psi form
+    rule = RULES[1]
+    seen = 0
+    for w in rule.nodes:
+        if math.pi / 2 < cmath.phase(w) < math.pi:
+            gamma = w * (1.0 + 0.01j)
+            alpha, beta = math.pi / cmath.phase(gamma), 0.8
+            x = abs(gamma) ** alpha
+            block = _node_factors(rule, alpha, beta)[4]
+            seen += _near_nodes(x, alpha, block) > 0
+            assert _two_pole_sum(x, alpha, beta, block).hex() == ref_two_pole_sum(x, alpha, beta, block).hex()
+    assert seen >= 3
