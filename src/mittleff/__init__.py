@@ -6,6 +6,12 @@ power series, the large-|z| asymptotic expansion, and optimized contour
 quadrature, plus rational (two-point Pade) approximation of
 E[alpha, beta](-x) on the nonnegative real axis.
 
+Importing the package does not import numpy, nor does the series, the
+expansion or quadrature at a real z < 0 with alpha <= 2.  numpy is loaded
+on first use of the array engine (ml_quad_values, and quadrature at any
+other z) or of the Pade names, which come from mittleff.pade on first
+access (PEP 562).
+
 >>> from mittleff import mittag_leffler
 >>> mittag_leffler(1.0, 1.0, 1.0)  # e
 (2.718281828459043+0j)
@@ -21,14 +27,6 @@ from .exceptions import (
     MittleffError,
     PoleError,
     SingularSystemError,
-)
-from .pade import (
-    PadeApproximant,
-    PadeSolver,
-    PartialFractionForm,
-    build_pade,
-    pade_eval,
-    partial_fractions,
 )
 from .quadrature import EvalResult, Method, ml_quad, ml_quad_values
 from .series import ml_series
@@ -63,3 +61,16 @@ __all__ = [
     "partial_fractions",
     "__version__",
 ]
+
+_PADE_NAMES = frozenset(
+    ("PadeApproximant", "PadeSolver", "PartialFractionForm", "build_pade", "pade_eval", "partial_fractions")
+)
+
+
+def __getattr__(name: str):
+    # the Pade names import pade, and with it numpy, on first access
+    if name in _PADE_NAMES:
+        from . import pade
+
+        return getattr(pade, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

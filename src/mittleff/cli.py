@@ -12,19 +12,10 @@ import math
 import sys
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .asymptotic import asymptotic_sigma_tau
 from .contours import build_hyperbolic_rule, build_parabolic_rule  # noqa: F401  rebound by bench/tracing.py
 from .dispatch import DEFAULT_TOL, ml_auto, quad_rule, quadrature_n_for_tol, run_method, validate_params
 from .exceptions import DomainError, MittleffError
-from .pade import (
-    build_pade,
-    coefficients_csv,
-    pade_eval,
-    partial_fractions,
-    partial_fractions_csv,
-)
 from .quadrature import EvalResult, Method, ml_quad, ml_quad_values  # noqa: F401  ml_quad: as above
 
 EXIT_OK = 0
@@ -108,7 +99,7 @@ def _block_values(method: str, zs: list[complex], args: argparse.Namespace) -> l
     """Values at one block of grid points: one engine call for a quadrature method."""
     if method in _QUAD_METHODS:
         rule = quad_rule(Method(method), quadrature_n_for_tol(args.tol) if args.N is None else args.N)
-        return ml_quad_values(np.array(zs), args.alpha, args.beta, rule).tolist()
+        return ml_quad_values(zs, args.alpha, args.beta, rule).tolist()
     return [_evaluate(method, z, args).value for z in zs]
 
 
@@ -189,6 +180,9 @@ def cmd_grid(args: argparse.Namespace) -> int:
 
 
 def cmd_pade(args: argparse.Namespace) -> int:
+    # pade, and with it numpy, is imported by the command that needs it
+    from .pade import build_pade, coefficients_csv, pade_eval, partial_fractions, partial_fractions_csv
+
     approx = build_pade(args.alpha, args.beta, args.m, args.n, args.solver)
     if args.emit == "coeffs":
         text = coefficients_csv(approx)

@@ -90,7 +90,7 @@ def _quad_block(alpha: float, beta: float, tol: float) -> tuple[QuadratureRule, 
     overflow for beta far from 0, where the series or the expansion may
     still serve."""
     rule = quad_rule(Method.QUAD_HYPERBOLIC, quadrature_n_for_tol(tol))
-    return (rule, *_node_factors(rule, alpha, beta)[4:])
+    return (rule, *_node_factors(rule, alpha, beta))
 
 
 def _ml_auto_low(z: complex, alpha: float, beta: float, tol: float) -> EvalResult:

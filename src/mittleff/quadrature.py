@@ -14,19 +14,19 @@ per (alpha, beta) (_psi_rows).  The engine sums them for every near
 (node, point) pair of a block in one numpy pass (_psi_form); f_one sums
 them by Horner in floats for the real-axis rows, from the same rows cached
 as float pairs (_psi_pairs).  The node factors of the
-integrand do not depend on z, so they are cached per (rule, alpha, beta):
-ml_quad_values sums many z at once in numpy.
+integrand do not depend on z: one pure-Python table per (rule, alpha,
+beta) holds them (_node_factors), and the engine, ml_quad_values, reads it
+as numpy columns (_engine_factors) to sum many z at once.  numpy is
+imported on the engine's first call, not with the module.
 
 A real z < 0 with alpha <= 2 has a conjugate-symmetric summand, and
 _neg_axis_row sums one block of the factors as floats: the plain row for
 alpha < 1, the edge row at alpha = 1, where the pole gamma = z lies on the
 branch cut, and for 1 < alpha <= 2 the two-pole row, with the conjugate
 pair gamma = (-z)**(1/alpha) e**(+-i*pi/alpha) split off (_two_pole_sum,
-with its trigonometric constants cached per (alpha, beta);
-ml_quad_neg_axis_wide_alpha, the engine's column at z, is its
-reference).  ml_quad and ml_quad_values both call it; ml_quad passes any
-other z to the engine as a batch of one.  A real z gets an exactly real
-value.
+with its trigonometric constants cached per (alpha, beta)).  ml_quad and
+ml_quad_values both call it; ml_quad passes any other z to the engine as
+a batch of one.  A real z gets an exactly real value.
 """
 
 from __future__ import annotations
@@ -35,10 +35,7 @@ import cmath
 import functools
 import math
 from enum import Enum
-from typing import Callable, NamedTuple
-
-import numpy as np
-from numpy.typing import ArrayLike
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .contours import ContourKind, QuadratureRule
 from .exceptions import DomainError
@@ -54,6 +51,10 @@ from .kernels import (  # noqa: F401  cexp, principal_arg, psi1, psi2: bench/tra
     psi2,
     reciprocal_gamma,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
+    from numpy.typing import ArrayLike
 
 # below this relative distance to a pole the psi-form integrands take over
 EPS_SWITCH = 0.1
@@ -142,7 +143,7 @@ def f_one(w: complex, z: complex, alpha: float, beta: float, gamma: complex) -> 
 
 
 @functools.lru_cache(maxsize=64)
-def _psi_rows(alpha: float, beta: float) -> np.ndarray:
+def _psi_rows(alpha: float, beta: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """f_one's psi form as two rows of power-series coefficients in eps.
 
     Row 0 sums to the numerator psi1(eps, alpha-beta) - psi2(eps, alpha)/alpha,
@@ -150,7 +151,7 @@ def _psi_rows(alpha: float, beta: float) -> np.ndarray:
     quotient over gamma**beta.  The binomial series behind them are cut at
     the first term past which every term at |eps| = EPS_SWITCH is below
     _ROW_TOL of the series' largest, and stop at 400 terms, as kernels.psi1
-    and psi2 do.  The array is read-only: every caller shares it.
+    and psi2 do.  The rows are tuples of floats: every caller shares them.
     """
     a = alpha - beta
     b, d = a, 0.5 * (alpha - 1.0)  # binom(a, m+1), binom(alpha, m+2)/alpha
@@ -171,15 +172,13 @@ def _psi_rows(alpha: float, beta: float) -> np.ndarray:
         b *= rb
         d *= rd
         scale *= EPS_SWITCH
-    rows = np.array([[*num, 0.0], psi1_alpha])
-    rows.flags.writeable = False
-    return rows
+    return (*num, 0.0), tuple(psi1_alpha)
 
 
 @functools.lru_cache(maxsize=64)
 def _psi_pairs(alpha: float, beta: float) -> tuple[tuple[float, float], ...]:
     """The two rows of _psi_rows as (row 0, row 1) float pairs, highest power first: f_one's Horner order."""
-    num, psi1_alpha = _psi_rows(alpha, beta).tolist()
+    num, psi1_alpha = _psi_rows(alpha, beta)
     return tuple(zip(reversed(num), reversed(psi1_alpha)))
 
 
@@ -193,7 +192,9 @@ def _psi_form(eps: np.ndarray, log_gamma: np.ndarray, alpha: float, beta: float)
     never the lone one it would sum pairwise (see _sum_rows).  The rest is
     quotients, so an entry's bits do not depend on the batch.
     """
-    rows = _psi_rows(alpha, beta)
+    import numpy as np
+
+    rows = np.array(_psi_rows(alpha, beta))
     factors = np.repeat(eps[None, :], rows.shape[1], axis=0)
     factors[0] = 1.0
     powers = np.multiply.accumulate(factors, axis=0).view(np.float64)
@@ -213,41 +214,50 @@ def origin_accuracy(rule: QuadratureRule, beta: float) -> float:
 
 
 @functools.lru_cache(maxsize=64)
-def _node_factors(
-    rule: QuadratureRule, alpha: float, beta: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple, float]:
-    """The z-independent factors w_n, A*C_n, A*C_n*w_n**(alpha-beta), w_n**alpha.
+def _node_factors(rule: QuadratureRule, alpha: float, beta: float) -> tuple[tuple, float]:
+    """The z-independent factors w_n, A*C_n, A*C_n*w_n**(alpha-beta), w_n**alpha
+    of the nodes n = 0..N, and the rule's origin_accuracy at beta.
 
-    Each is a column of 2N+2 nodes in two blocks of N+1: the nodes
-    n = 0..N, then their reflections conj(w_n).  w_0 and C_0 are real, so
-    both blocks hold node 0, each with half its weight: the first block's
-    sum is then half the sum over n = -N..N of a conjugate-symmetric
-    integrand.  Powers are principal-branch exp(a*log w), as in
-    cpow_principal, except w_n**1 = w_n: exp(log w) rounds.  The fifth
-    item holds the first block's factors as floats for the real-axis
-    loops: one tuple (re, im of each factor) per node.  The last is the
-    rule's origin_accuracy at beta.  A factor that is not finite, or an
+    The block holds one tuple of floats per node, (re, im) of each factor;
+    the float rows read it, and the engine reads it with its conjugates
+    (_engine_factors).  w_0 and C_0 are real, and node 0 has half its
+    weight: the block's sum is then half the sum over n = -N..N of a
+    conjugate-symmetric integrand.  Powers are principal-branch
+    exp(a*log w), as in cpow_principal, except w_n**1 = w_n: exp(log w)
+    rounds.  The product C_n*w_n**(alpha-beta) is written out in real
+    arithmetic, so no CPU fuses it (FMA).  A factor that overflows, or an
     origin_accuracy that overflows (beta far from 0), raises DomainError.
     """
-    nodes = np.array(rule.nodes)
-    weights = rule.A * np.array(rule.weights)
-    weights[0] *= 0.5
-    w = np.concatenate([nodes, nodes.conj()])[:, None]
-    c = np.concatenate([weights, weights.conj()])[:, None]
-    with np.errstate(all="ignore"):
-        log_w = np.log(w)
-        c_wab = c * np.exp((alpha - beta) * log_w)
-        wa = w if alpha == 1.0 else np.exp(alpha * log_w)
-    factors = np.concatenate([w, c, c_wab, wa], axis=1)
     overflow = DomainError(f"beta={beta!r}: the node factors of this rule overflow")
-    if not np.isfinite(factors).all():
-        raise overflow
+    block = []
     try:
+        for n, (w, c) in enumerate(zip(rule.nodes, rule.weights)):
+            half = 0.5 if n == 0 else 1.0
+            cr, ci = half * (rule.A * c.real), half * (rule.A * c.imag)
+            log_w = cmath.log(w)
+            e = cmath.exp((alpha - beta) * log_w)
+            c_wab = complex(cr * e.real - ci * e.imag, cr * e.imag + ci * e.real)
+            wa = w if alpha == 1.0 else cmath.exp(alpha * log_w)
+            if not cmath.isfinite(c_wab):
+                raise overflow
+            block.append((w.real, w.imag, cr, ci, c_wab.real, c_wab.imag, wa.real, wa.imag))
         err = origin_accuracy(rule, beta)
-    except OverflowError:
+    except OverflowError:  # cmath.exp, or origin_accuracy's powers
         raise overflow from None
-    block = tuple(map(tuple, factors[: rule.N + 1].view(np.float64).tolist()))
-    return w, c, c_wab, wa, block, err
+    return tuple(block), err
+
+
+@functools.lru_cache(maxsize=64)
+def _engine_factors(rule: QuadratureRule, alpha: float, beta: float) -> tuple[np.ndarray, ...]:
+    """_node_factors' block as the engine's columns w, A*C, A*C*w**(alpha-beta),
+    w**alpha, each of 2N+2 rows: the block's nodes, then their reflections,
+    whose factors are its exact conjugates.  Read-only: every caller shares them."""
+    import numpy as np
+
+    first = np.array(_node_factors(rule, alpha, beta)[0]).view(np.complex128)
+    columns = np.concatenate([first, first.conj()]).T[:, :, None].copy()
+    columns.flags.writeable = False
+    return tuple(columns)
 
 
 def _sum_rows(terms: np.ndarray, n: int) -> np.ndarray:
@@ -259,6 +269,8 @@ def _sum_rows(terms: np.ndarray, n: int) -> np.ndarray:
     batch.  For real z > 0 the second block's sum is the exact conjugate of
     the first's, so the column is real, with imaginary part +0.0.
     """
+    import numpy as np
+
     blocks = terms.reshape(2, n + 1, -1)
     if blocks.shape[2] > 1:
         sums = blocks.sum(axis=1)
@@ -270,7 +282,9 @@ def _sum_rows(terms: np.ndarray, n: int) -> np.ndarray:
 def _pole_split_values(z: np.ndarray, alpha: float, beta: float, rule: QuadratureRule) -> np.ndarray:
     # every z has gamma_0 on the principal sheet; for alpha > 1 the other
     # poles gamma_k are split off where on_sheet holds, and get P = 0 elsewhere
-    w, c, c_wab, wa, _, _ = _node_factors(rule, alpha, beta)
+    import numpy as np
+
+    w, c, c_wab, wa = _engine_factors(rule, alpha, beta)
     log_z = np.log(z)
     terms = c_wab / (wa - z)
     poles = []  # (gamma, log gamma, P, where it is on the sheet: None for everywhere, near)
@@ -345,6 +359,8 @@ def ml_quad_values(z: ArrayLike, alpha: float, beta: float, rule: QuadratureRule
     factors overflow, raises DomainError; an overflowing value gives inf
     parts and no warning.
     """
+    import numpy as np
+
     check_alpha_beta(alpha, beta)
     # + 0.0 copies z and turns a -0.0 imaginary part into +0.0: the negative
     # real axis is read from above, as in principal_arg
@@ -352,7 +368,8 @@ def ml_quad_values(z: ArrayLike, alpha: float, beta: float, rule: QuadratureRule
     flat = z.reshape(-1)
     if not np.isfinite(flat).all():
         raise DomainError("z has an entry with a NaN or infinite part")
-    _, _, c_wab, wa, block, _ = _node_factors(rule, alpha, beta)
+    block, _ = _node_factors(rule, alpha, beta)
+    _, _, c_wab, wa = _engine_factors(rule, alpha, beta)
     # every product and quotient in the helpers is elementwise and has no
     # complex product left to fuse, so a column's bits do not depend on the
     # batch
@@ -466,7 +483,7 @@ def ml_quad(z: complex, alpha: float, beta: float, rule: QuadratureRule) -> Eval
     """
     z = finite_complex(z)
     check_alpha_beta(alpha, beta)
-    _, _, _, _, block, err = _node_factors(rule, alpha, beta)
+    block, err = _node_factors(rule, alpha, beta)
     return _quad_result(z, alpha, beta, rule, _method_for(rule), block, err)
 
 
@@ -541,21 +558,3 @@ def _two_pole_sum(x: float, alpha: float, beta: float, block: tuple) -> float:
         s += (ar * br + ai * bi) / (br * br + bi * bi) - (cr * qr - ci * qi)
     return residue_pair + 2.0 * s
 
-
-def ml_quad_neg_axis_wide_alpha(
-    x: float, alpha: float, beta: float, rule: QuadratureRule
-) -> EvalResult:
-    """E[alpha, beta](-x) for x > 0 and 1 < alpha < 2, _two_pole_sum's reference.
-
-    The engine's column at z = -x: the conjugate pole pair
-    gamma_pm = x**(1/alpha) e**(+-i pi/alpha) split off, and both node
-    blocks summed in complex numpy, not one block in floats.
-    """
-    if not 1.0 < alpha < 2.0:
-        raise DomainError(f"alpha={alpha!r} outside (1, 2)")
-    if not x > 0.0:
-        raise DomainError(f"x={x!r} must be positive")
-    err = _node_factors(rule, alpha, beta)[5]
-    with np.errstate(all="ignore"):
-        value = _pole_split_values(np.array([complex(-x)]), alpha, beta, rule)[0]
-    return EvalResult(complex(value.real), _method_for(rule), 2 * rule.N + 1, err, True)

@@ -3,7 +3,12 @@ per-(alpha, beta) float tables: the expansion with its three-column
 coefficient blocks, f_one reading _psi_rows through .tolist() on every call,
 and _two_pole_sum computing its trigonometric constants on every call.  The
 code below is kept verbatim, renamed only; the tests assert that the table
-versions in the package give the same bits."""
+versions in the package give the same bits.
+
+ml_quad_neg_axis_wide_alpha, the engine's column at z = -x for 1 < alpha < 2,
+is the reference the two-pole row is checked against.  It left the package,
+whose code never called it, unchanged but for the index of origin_accuracy in
+_node_factors' record."""
 
 from __future__ import annotations
 
@@ -11,9 +16,23 @@ import cmath
 import functools
 import math
 
+import numpy as np
+
 from mittleff.asymptotic import INF, MAX_TERMS, TABLE_BLOCK, _last_term, asymptotic_sigma_tau
 from mittleff.kernels import cexp, cpow_principal as _cpow, on_sheet, pole_turns, principal_arg
-from mittleff.quadrature import _EPS_SWITCH_SQ, EPS_SWITCH, EvalResult, Method, _psi_rows, f_plain
+from mittleff.contours import QuadratureRule
+from mittleff.exceptions import DomainError
+from mittleff.quadrature import (
+    _EPS_SWITCH_SQ,
+    EPS_SWITCH,
+    EvalResult,
+    Method,
+    _method_for,
+    _node_factors,
+    _pole_split_values,
+    _psi_rows,
+    f_plain,
+)
 
 
 @functools.lru_cache(maxsize=256)
@@ -130,7 +149,7 @@ def ref_f_one(w: complex, z: complex, alpha: float, beta: float, gamma: complex)
     """
     eps = (w - gamma) / gamma
     if abs(eps) < EPS_SWITCH:
-        num_row, psi1_row = _psi_rows(alpha, beta).tolist()
+        num_row, psi1_row = _psi_rows(alpha, beta)
         num = psi1_alpha = 0j
         for coeff in reversed(num_row):
             num = num * eps + coeff
@@ -184,3 +203,22 @@ def ref_two_pole_sum(x: float, alpha: float, beta: float, block: tuple) -> float
         qi = (pi * dr - pr * di) / d2 - (pi * dr + pr * ei) / e2
         s += (ar * br + ai * bi) / (br * br + bi * bi) - (cr * qr - ci * qi)
     return residue_pair + 2.0 * s
+
+
+def ml_quad_neg_axis_wide_alpha(
+    x: float, alpha: float, beta: float, rule: QuadratureRule
+) -> EvalResult:
+    """E[alpha, beta](-x) for x > 0 and 1 < alpha < 2, _two_pole_sum's reference.
+
+    The engine's column at z = -x: the conjugate pole pair
+    gamma_pm = x**(1/alpha) e**(+-i pi/alpha) split off, and both node
+    blocks summed in complex numpy, not one block in floats.
+    """
+    if not 1.0 < alpha < 2.0:
+        raise DomainError(f"alpha={alpha!r} outside (1, 2)")
+    if not x > 0.0:
+        raise DomainError(f"x={x!r} must be positive")
+    err = _node_factors(rule, alpha, beta)[1]
+    with np.errstate(all="ignore"):
+        value = _pole_split_values(np.array([complex(-x)]), alpha, beta, rule)[0]
+    return EvalResult(complex(value.real), _method_for(rule), 2 * rule.N + 1, err, True)

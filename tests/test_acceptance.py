@@ -12,6 +12,8 @@ import time
 import mpmath as mp
 import numpy as np
 
+from real_axis_reference import ml_quad_neg_axis_wide_alpha
+
 from mittleff.asymptotic import ml_asymptotic
 from mittleff.contours import build_hyperbolic_rule, build_parabolic_rule
 from mittleff.dispatch import ml_auto
@@ -22,7 +24,7 @@ from mittleff.pade import (
     pade_eval,
     partial_fractions,
 )
-from mittleff.quadrature import f_one, f_plain, ml_quad, ml_quad_neg_axis_wide_alpha, q_sum
+from mittleff.quadrature import f_one, f_plain, ml_quad, q_sum
 
 HYP14 = build_hyperbolic_rule(14)
 

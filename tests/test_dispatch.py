@@ -7,6 +7,8 @@ from itertools import combinations
 import mpmath as mp
 import pytest
 
+from real_axis_reference import ml_quad_neg_axis_wide_alpha
+
 from mittleff.asymptotic import log_r_floor, ml_asymptotic
 from mittleff import dispatch, quadrature
 from mittleff.contours import build_hyperbolic_rule, build_parabolic_rule
@@ -20,7 +22,7 @@ from mittleff.dispatch import (
 )
 from mittleff.exceptions import DomainError
 from mittleff.kernels import cpow_principal, reciprocal_gamma
-from mittleff.quadrature import Method, ml_quad, ml_quad_neg_axis_wide_alpha, origin_accuracy
+from mittleff.quadrature import Method, ml_quad, origin_accuracy
 from mittleff.series import ml_series
 
 HYP14 = build_hyperbolic_rule(14)

@@ -278,8 +278,8 @@ def test_psi_rows_against_kernels(eps: complex, alpha: float, beta: float, gamma
     beta = max(beta, alpha - _WIDEST_A)
     a = alpha - beta
     rows = _psi_rows(alpha, beta)
-    assert rows.shape[1] <= 400  # the loop stopped before its 400-term cap
-    num_row, psi1_row = rows.tolist()
+    assert len(rows[1]) <= 400  # the loop stopped before its 400-term cap
+    num_row, psi1_row = rows
     psi2_scale = _abs_terms(alpha, 2, abs(eps))
     num_scale = _abs_terms(a, 1, abs(eps)) + psi2_scale / alpha
     num = psi1(eps, a) - psi2(eps, alpha) / alpha

@@ -13,6 +13,8 @@ from mittleff import quadrature
 from mittleff.contours import build_hyperbolic_rule, build_parabolic_rule
 from mittleff.exceptions import DomainError
 from mittleff.kernels import cpow_principal, on_sheet, pole_turns, reciprocal_gamma
+from real_axis_reference import ml_quad_neg_axis_wide_alpha
+
 from mittleff.quadrature import (
     EPS_SWITCH,
     EvalResult,
@@ -20,7 +22,6 @@ from mittleff.quadrature import (
     f_one,
     f_plain,
     ml_quad,
-    ml_quad_neg_axis_wide_alpha,
     ml_quad_values,
     origin_accuracy,
     q_sum,
@@ -391,6 +392,35 @@ class TestEngine:
         monkeypatch.setattr(quadrature, "f_one", per_pair)
         assert ml_quad_values(near, alpha, 1.3, HYP14).tolist() == want.tolist()
         assert ml_quad(near[0], alpha, 1.3, HYP14).value == want[0]
+
+    @pytest.mark.parametrize("alpha,beta", [(0.5, 1.0), (1.0, 0.6), (1.3, 1.0), (2.5, 0.7)])
+    def test_node_table_cold_and_warm_calls_agree(self, alpha: float, beta: float) -> None:
+        # one pure-Python table of node factors per (rule, alpha, beta), read
+        # by the float rows; the engine's columns are built from it, the
+        # reflected nodes' rows as its exact conjugates
+        z = [-3.0, -140.0, 2.5, complex(-3.0, 0.5), 5 + 5j]
+
+        def values() -> list:
+            scalar = [_bits(ml_quad(zk, alpha, beta, HYP14).value) for zk in z]
+            return scalar + [_bits(v) for v in ml_quad_values(z, alpha, beta, HYP14).tolist()]
+
+        quadrature._node_factors.cache_clear()
+        quadrature._engine_factors.cache_clear()
+        cold = values()
+        block, err = quadrature._node_factors(HYP14, alpha, beta)
+        assert quadrature._node_factors.cache_info().currsize == 1
+        assert values() == cold
+        assert quadrature._node_factors.cache_info().misses == 1
+        assert type(block) is tuple and len(block) == HYP14.N + 1 and type(err) is float
+        for row in block:
+            assert type(row) is tuple and len(row) == 8 and all(type(v) is float for v in row)
+        columns = quadrature._engine_factors(HYP14, alpha, beta)
+        assert len(columns) == 4
+        for k, col in enumerate(columns):
+            assert col.shape == (2 * HYP14.N + 2, 1) and not col.flags.writeable
+            first = [complex(row[2 * k], row[2 * k + 1]) for row in block]
+            assert [_bits(v) for v in col[: HYP14.N + 1, 0].tolist()] == [_bits(v) for v in first]
+            assert [_bits(v) for v in col[HYP14.N + 1 :, 0].tolist()] == [_bits(v.conjugate()) for v in first]
 
     def test_negative_zero_imaginary_part_reads_from_above(self) -> None:
         # on the cut with alpha = 1 the pole split takes gamma = z from Arg z = +pi
