@@ -6,8 +6,9 @@ power series, the large-|z| asymptotic expansion, and optimized contour
 quadrature, plus rational (two-point Pade) approximation of
 E[alpha, beta](-x) on the nonnegative real axis.
 
-Importing the package does not import numpy, nor does the series, the
-expansion or quadrature at a real z < 0 with alpha <= 2.  numpy is loaded
+Neither importing the package nor the series, the expansion or
+quadrature at a real z < 0 with alpha <= 2 loads numpy or dataclasses
+(QuadratureRule and EvalResult are NamedTuples).  numpy is loaded
 on first use of the array engine (ml_quad_values, and quadrature at any
 other z) or of the Pade names, which come from mittleff.pade on first
 access (PEP 562).

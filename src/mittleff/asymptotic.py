@@ -35,6 +35,7 @@ FLOOR_TERMS = 8 * TABLE_BLOCK  # log_r_floor scans at most eight coefficient blo
 # converged m seen, 111 on the acceptance grids, 101 on the relaxation curves
 # of the benchmark, 690 for E[1, -300](-5000), whose coefficients all vanish
 MAX_TERMS = 1000
+_ASYMPTOTIC = Method.ASYMPTOTIC
 
 
 def asymptotic_sigma_tau(n: int, alpha: float, beta: float) -> tuple[float, float]:
@@ -264,4 +265,4 @@ def _expansion_sum(z: complex, alpha: float, beta: float, tol: float) -> EvalRes
     # on the cut (alpha = 1, z < 0) the exponential part rounds to a complex value
     value = complex(value.real) if real else value
     # a NaN value (inf - inf between the two parts) is never converged
-    return EvalResult(value, Method.ASYMPTOTIC, m, t_last, converged and not cmath.isnan(value))
+    return tuple.__new__(EvalResult, (value, _ASYMPTOTIC, m, t_last, converged and not cmath.isnan(value)))

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .exceptions import DomainError
 
@@ -36,8 +36,7 @@ class ContourKind(str, Enum):
     HYPERBOLIC = "hyperbolic"
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
+class QuadratureRule(NamedTuple):
     """Nodes w(n*h) and weights C_n for n = 0..N, plus the prefactor A.
 
     Only the nonnegative half is stored; n < 0 follows from the
@@ -50,13 +49,16 @@ class QuadratureRule:
 
     kind: ContourKind
     N: int
-    nodes: tuple[complex, ...] = field(hash=False)
-    weights: tuple[complex, ...] = field(hash=False)
+    nodes: tuple[complex, ...]
+    weights: tuple[complex, ...]
     A: float
     h: float
     mu: float
     predicted_rate: float
     phi: float | None = None
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.N, self.A, self.h, self.mu, self.predicted_rate, self.phi))
 
 
 def _check_node_count(n: int) -> None:

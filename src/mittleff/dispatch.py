@@ -24,6 +24,7 @@ z gets an exactly real value on every route.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 
@@ -40,6 +41,7 @@ ASYMP_GATE = 40.0
 TOL_MIN = 1e-15
 TOL_MAX = 1e-2
 _LOG_ASYMP_GATE = math.log(ASYMP_GATE)
+_QUAD_HYPERBOLIC = Method.QUAD_HYPERBOLIC
 
 
 def quadrature_n_for_tol(tol: float) -> int:
@@ -89,7 +91,7 @@ def _quad_block(alpha: float, beta: float, tol: float) -> tuple[QuadratureRule, 
     arguments.  Read on the quadrature route alone: the node factors
     overflow for beta far from 0, where the series or the expansion may
     still serve."""
-    rule = quad_rule(Method.QUAD_HYPERBOLIC, quadrature_n_for_tol(tol))
+    rule = quad_rule(_QUAD_HYPERBOLIC, quadrature_n_for_tol(tol))
     return (rule, *_node_factors(rule, alpha, beta))
 
 
@@ -111,13 +113,15 @@ def _ml_auto_low(z: complex, alpha: float, beta: float, tol: float) -> EvalResul
             if res.converged:
                 return res
     rule, block, err = _quad_block(alpha, beta, tol)
-    return _quad_result(z, alpha, beta, rule, Method.QUAD_HYPERBOLIC, block, err)
+    return _quad_result(z, alpha, beta, rule, _QUAD_HYPERBOLIC, block, err)
 
 
 def ml_auto(z: complex, alpha: float, beta: float, tol: float = DEFAULT_TOL) -> EvalResult:
     """Evaluate E[alpha, beta](z) with automatic method selection."""
     z = complex(z)
-    validate_params(alpha, beta, tol, z)
+    # validate_params' tests, in its order; it runs only to name the bad argument
+    if not (cmath.isfinite(z) and 0.0 < alpha < math.inf and math.isfinite(beta) and TOL_MIN <= tol <= TOL_MAX):
+        validate_params(alpha, beta, tol, z)
     return _ml_auto_low(z, alpha, beta, tol)
 
 

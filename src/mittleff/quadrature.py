@@ -79,7 +79,8 @@ class EvalResult(NamedTuple):
     summed, the expansion's m (it summed n = 1..m-1), quadrature's 2N+1 nodes.
     err_estimate: the series' first omitted term, enveloped left of
     beta + n*alpha = 1/2; the expansion's size proxy of term m-1; quadrature's
-    origin_accuracy."""
+    origin_accuracy.  The evaluators build it with tuple.__new__, which skips
+    the Python frame of the generated __new__."""
 
     value: complex
     method: Method
@@ -496,7 +497,7 @@ def _quad_result(
         value = complex(_neg_axis_row(-z.real, alpha, beta, block))
     else:
         value = complex(ml_quad_values(z, alpha, beta, rule))
-    return EvalResult(value, method, 2 * rule.N + 1, err, not cmath.isnan(value))
+    return tuple.__new__(EvalResult, (value, method, 2 * rule.N + 1, err, not cmath.isnan(value)))
 
 
 @functools.lru_cache(maxsize=64)
@@ -524,9 +525,13 @@ def _two_pole_sum(x: float, alpha: float, beta: float, block: tuple) -> float:
     inv_alpha, expo, cos_a, sin_a, phase, cos_p, sin_p = _two_pole_constants(alpha, beta)
     rho = x**inv_alpha
     gr, gi = rho * cos_a, rho * sin_a
-    # x**((1-beta)/alpha) = |gamma**(1-beta)|; cos(pi/alpha) <= 0, so exp never overflows
-    mag = x**expo
-    residue_pair = (2.0 / alpha) * mag * math.exp(gr) * math.cos(phase + gi)
+    try:
+        # x**((1-beta)/alpha) = |gamma**(1-beta)|; exp overflows only at
+        # alpha = 2, where cos(pi/alpha) rounds to 6e-17
+        mag = x**expo
+        residue_pair = (2.0 / alpha) * mag * math.exp(gr) * math.cos(phase + gi)
+    except OverflowError:  # the pole terms would give inf - inf
+        return math.nan
     pr = mag / alpha * cos_p
     pi = mag / alpha * sin_p
     near = _EPS_SWITCH_SQ * rho * rho

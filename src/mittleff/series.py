@@ -17,6 +17,7 @@ from .quadrature import EvalResult, Method
 
 DEFAULT_MAX_TERMS = 250
 TABLE_BLOCK = 32
+_SERIES = Method.SERIES
 
 
 @functools.lru_cache(maxsize=256)
@@ -74,7 +75,19 @@ def _series_sum(z: complex, alpha: float, beta: float, tol: float, max_terms: in
     zp = 1.0  # z**n
     n = 0
     for block in itertools.count():
-        for rg in _rgamma_block(alpha, beta, block):
+        coeffs = _rgamma_block(alpha, beta, block)
+        if n_reflect <= n and n + TABLE_BLOCK <= max_terms:
+            # every term of the block is sized by itself and none reaches max_terms
+            for rg in coeffs:
+                term = zp * rg
+                size = abs(term)
+                if size <= tol * abs(acc):
+                    return tuple.__new__(EvalResult, (complex(acc), _SERIES, n, size, True))
+                acc += term
+                zp *= z
+                n += 1
+            continue
+        for rg in coeffs:
             term = zp * rg
             if n >= 1:
                 if n >= n_reflect:
@@ -82,9 +95,9 @@ def _series_sum(z: complex, alpha: float, beta: float, tol: float, max_terms: in
                 else:
                     size = abs(zp) * gamma_real(1.0 - (beta + n * alpha)) / math.pi
                 if size <= tol * abs(acc):
-                    return EvalResult(complex(acc), Method.SERIES, n, size, True)
+                    return tuple.__new__(EvalResult, (complex(acc), _SERIES, n, size, True))
                 if n >= max_terms:
-                    return EvalResult(complex(acc), Method.SERIES, n, size, False)
+                    return tuple.__new__(EvalResult, (complex(acc), _SERIES, n, size, False))
             acc += term
             zp *= z
             n += 1

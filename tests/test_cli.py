@@ -30,6 +30,24 @@ class TestArgvPreprocessing:
         assert got == ["eval", "--re-min=-5", "--steps", "3"]
 
 
+def test_one_parser_serves_consecutive_commands(capsys) -> None:
+    # main builds its parser once; each command, good or bad, parses as on
+    # a fresh one, and no argument or default carries over to the next
+    good = ("eval", "--alpha", "0.5", "--beta", "1", "--z", "-2")
+    first = run(capsys, *good)
+    assert first[0] == 0
+    assert run(capsys, "eval", "--alpha", "0.5", "--beta", "1")[0] == 2  # --z missing
+    code, out, _ = run(capsys, "table-asymp", "--x", "5")
+    assert code == 0 and len(out.splitlines()) == 2
+    assert run(capsys, "grid", "--alpha", "1", "--beta", "1", "--steps", "2")[0] == 2
+    assert run(capsys, "eval", "--alpha", "0.5", "--beta", "1", "--z", "-2", "--method", "nope")[0] == 2
+    assert run(capsys, "pade", "--alpha", "0.5", "--beta", "1", "--m", "4", "--n", "4", "--solver", "x")[0] == 2
+    code, out, _ = run(capsys, "table-asymp")
+    assert code == 0 and len(out.splitlines()) == 7  # the default abscissas, not --x 5
+    assert run(capsys, *good, "--method", "quad-hyp", "--N", "10")[0] == 0
+    assert run(capsys, *good) == first  # --method and --N back at their defaults
+
+
 class TestEval:
     def test_exponential_point(self, capsys) -> None:
         code, out, _ = run(capsys, "eval", "--alpha", "1", "--beta", "1", "--z", "1")
@@ -193,11 +211,14 @@ class TestExitCodes:
         assert abs(float(out.split()[0]) - 1.0) <= 1e-13
 
     def test_nan_value_is_numerical_failure(self, capsys) -> None:
-        code, _, err = run(
-            capsys, "eval", "--alpha", "1", "--beta=-1", "--z=-1e300", "--method", "quad-hyp",
-        )
-        assert code == 3
-        assert "NaN" in err
+        # at alpha = 1.5 x**((1-beta)/alpha) overflowed in the two-pole row:
+        # a traceback and exit 1
+        for alpha in ("1", "1.5"):
+            code, out, err = run(
+                capsys, "eval", "--alpha", alpha, "--beta=-1", "--z=-1e300", "--method", "quad-hyp",
+            )
+            assert code == 3
+            assert out.split()[0] == "nan" and "NaN" in err
 
 
 class TestGrid:
@@ -241,17 +262,19 @@ class TestGrid:
             assert tail == "-inf" or float(tail) <= -12.0
 
     def test_nan_difference_is_not_agreement(self, capsys) -> None:
-        # both quadratures give NaN at E[1,-1](-1e300), and finite values at
+        # both quadratures give NaN at E[1,-1](-1e300) and E[1.5,-1](-1e300)
+        # (the two-pole row's overflow, which exited 1), and finite values at
         # z = 0; a NaN difference used to read -inf
-        code, out, _ = run(
-            capsys, "grid", "--alpha", "1", "--beta=-1",
-            "--re-min=-1e300", "--re-max", "0", "--im-min", "0", "--im-max", "0",
-            "--steps", "2", "--out", "-", "--compare-method", "quad-par,quad-hyp",
-        )
-        assert code == 0
-        rows = out.splitlines()[1:]
-        assert rows[:2] == ["-1e+300,0.0,nan,0.0,nan"] * 2
-        assert all(math.isfinite(float(row.split(",")[-1])) for row in rows[2:])
+        for alpha in ("1", "1.5"):
+            code, out, _ = run(
+                capsys, "grid", "--alpha", alpha, "--beta=-1",
+                "--re-min=-1e300", "--re-max", "0", "--im-min", "0", "--im-max", "0",
+                "--steps", "2", "--out", "-", "--compare-method", "quad-par,quad-hyp",
+            )
+            assert code == 0
+            rows = out.splitlines()[1:]
+            assert rows[:2] == ["-1e+300,0.0,nan,0.0,nan"] * 2
+            assert all(math.isfinite(float(row.split(",")[-1])) for row in rows[2:])
 
     def test_nan_difference_after_overflow_is_written(self, capsys) -> None:
         # at -1e300 + 1j a caught overflow leaves ERANGE in errno, and the

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -127,10 +126,20 @@ class TestSharedInvariants:
 
     def test_rule_is_immutable(self, build) -> None:
         r = build(3)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             r.mu = 1.0  # type: ignore[misc]
         assert isinstance(r.nodes, tuple)
         assert isinstance(r.weights, tuple)
+
+    def test_hash_skips_the_node_tuples(self, build) -> None:
+        # equal rules hash equal; the hash reads the fields other than nodes
+        # and weights, so a cache keyed on a rule does not hash 2N + 2 complexes
+        r = build(8)
+        assert build(8) == r and hash(build(8)) == hash(r)
+        moved = r._replace(nodes=tuple(w + 1.0 for w in r.nodes), weights=r.weights[::-1])
+        assert moved != r and hash(moved) == hash(r)
+        assert hash(r) == hash((r.kind, r.N, r.A, r.h, r.mu, r.predicted_rate, r.phi))
+        assert build(9) != r
 
     def test_all_nodes_change_with_n(self, build) -> None:
         small = build(8)

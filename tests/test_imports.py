@@ -1,7 +1,8 @@
 """numpy stays out of the scalar path: importing mittleff, every scalar
 real-axis route and the eval and table-asymp commands run without it, and
 the array engine, the Pade pipeline and the grid command load it on first
-use.  Each check runs in a fresh interpreter, whose sys.modules starts
+use.  Nor do importing mittleff and a scalar call load dataclasses or
+inspect.  Each check runs in a fresh interpreter, whose sys.modules starts
 without numpy."""
 
 import cmath
@@ -75,6 +76,22 @@ print(json.dumps({{
         assert res.method is method
         want.append([res.value.real.hex(), res.value.imag.hex(), method.value])
     assert got["values"] == want
+
+
+def test_scalar_path_loads_no_dataclasses_or_inspect() -> None:
+    # together a third of the package's import time before QuadratureRule
+    # became a NamedTuple; the set before the import holds what site loaded
+    got = _run(
+        """
+import json, sys
+before = set(sys.modules)
+import mittleff
+mittleff.ml_auto(-2.0, 0.7, 1.0)
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+    )
+    assert "mittleff.contours" in got
+    assert not {"dataclasses", "inspect", "numpy"} & set(got)
 
 
 def _e_half(z: complex) -> complex:

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 import warnings
 
@@ -604,7 +603,7 @@ class TestEdgeRow:
         # same rule sums the direct difference instead of the psi form
         x, k = 20.0, 12
         nodes = tuple(complex(-x, 0.05 * x) if i == k else w for i, w in enumerate(HYP14.nodes))
-        rule = dataclasses.replace(HYP14, nodes=nodes)
+        rule = HYP14._replace(nodes=nodes)
         calls = []
         monkeypatch.setattr(quadrature, "f_one", lambda *a: calls.append(a) or f_one(*a))
         near = ml_quad(-x, 1.0, beta, rule).value
@@ -700,7 +699,7 @@ class TestTwoPole:
         def flip(seq: tuple) -> tuple:
             return tuple(v.conjugate() if i == k else v for i, v in enumerate(seq))
 
-        mirrored = dataclasses.replace(HYP14, nodes=flip(HYP14.nodes), weights=flip(HYP14.weights))
+        mirrored = HYP14._replace(nodes=flip(HYP14.nodes), weights=flip(HYP14.weights))
         assert abs(ml_quad(complex(-x), alpha, 1.3, mirrored).value.real - got) <= 1e-13 * max(1.0, abs(got))
 
     def test_partner_pole_term_vanishes_at_beta_one(self) -> None:
@@ -725,6 +724,19 @@ class TestTwoPole:
             ml_quad(-5.0, 1.5, -300.0, HYP14)
         with pytest.raises(DomainError, match="overflow"):
             ml_quad_neg_axis_wide_alpha(5.0, 1.5, -300.0, HYP14)
+
+    @pytest.mark.parametrize("rule", [HYP14, PAR14], ids=["hyp", "par"])
+    @pytest.mark.parametrize(
+        "x, alpha, beta",
+        # x**((1-beta)/alpha) overflows; at alpha = 2 exp(Re gamma) does,
+        # cos(pi/2) rounding to 6e-17.  Each raised a bare OverflowError
+        [(1e232, 1.5, -1.0), (1e300, 1.5, -1.0), (1e40, 2.0, 1.0), (1e300, 2.0, 1.0)],
+    )
+    def test_overflowing_residue_is_nan(self, rule, x: float, alpha: float, beta: float) -> None:
+        res = ml_quad(-x, alpha, beta, rule)
+        assert math.isnan(res.value.real) and res.value.imag == 0.0
+        assert not res.converged
+        assert math.isnan(ml_quad_values([-x], alpha, beta, rule)[0].real)
 
 
 def test_origin_accuracy_frozen() -> None:
