@@ -7,7 +7,6 @@ failure (non-convergence, poles, singular systems, NaN results).
 from __future__ import annotations
 
 import argparse
-import functools
 import itertools
 import math
 import sys
@@ -224,9 +223,7 @@ def cmd_table_asymp(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    # built once per process: parse_args leaves the parser as it found it
     parser = argparse.ArgumentParser(prog="mittleff", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

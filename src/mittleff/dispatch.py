@@ -61,6 +61,9 @@ def quad_rule(method: Method, n: int) -> QuadratureRule:
 def validate_params(alpha: float, beta: float, tol: float, z: complex = 0.0) -> None:
     """Reject z with a NaN or infinite part, alpha that is not a positive
     finite number, beta that is not finite, and tol outside [TOL_MIN, TOL_MAX]."""
+    # every test in one expression; the checks below run only to name the bad argument
+    if cmath.isfinite(z) and 0.0 < alpha < math.inf and math.isfinite(beta) and TOL_MIN <= tol <= TOL_MAX:
+        return
     finite_complex(z)
     check_alpha_beta(alpha, beta)
     if not TOL_MIN <= tol <= TOL_MAX:
@@ -119,9 +122,7 @@ def _ml_auto_low(z: complex, alpha: float, beta: float, tol: float) -> EvalResul
 def ml_auto(z: complex, alpha: float, beta: float, tol: float = DEFAULT_TOL) -> EvalResult:
     """Evaluate E[alpha, beta](z) with automatic method selection."""
     z = complex(z)
-    # validate_params' tests, in its order; it runs only to name the bad argument
-    if not (cmath.isfinite(z) and 0.0 < alpha < math.inf and math.isfinite(beta) and TOL_MIN <= tol <= TOL_MAX):
-        validate_params(alpha, beta, tol, z)
+    validate_params(alpha, beta, tol, z)
     return _ml_auto_low(z, alpha, beta, tol)
 
 

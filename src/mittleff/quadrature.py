@@ -526,8 +526,9 @@ def _two_pole_sum(x: float, alpha: float, beta: float, block: tuple) -> float:
     rho = x**inv_alpha
     gr, gi = rho * cos_a, rho * sin_a
     try:
-        # x**((1-beta)/alpha) = |gamma**(1-beta)|; exp overflows only at
-        # alpha = 2, where cos(pi/alpha) rounds to 6e-17
+        # x**((1-beta)/alpha) = |gamma**(1-beta)|.  At alpha = 2 cos(pi/alpha)
+        # rounds to 6e-17, not 0: exp(gr) drifts above 1 for x past ~1e32
+        # (the row is then wrong, see CHANGES.md) and overflows past ~1e39
         mag = x**expo
         residue_pair = (2.0 / alpha) * mag * math.exp(gr) * math.cos(phase + gi)
     except OverflowError:  # the pole terms would give inf - inf

@@ -75,19 +75,7 @@ def _series_sum(z: complex, alpha: float, beta: float, tol: float, max_terms: in
     zp = 1.0  # z**n
     n = 0
     for block in itertools.count():
-        coeffs = _rgamma_block(alpha, beta, block)
-        if n_reflect <= n and n + TABLE_BLOCK <= max_terms:
-            # every term of the block is sized by itself and none reaches max_terms
-            for rg in coeffs:
-                term = zp * rg
-                size = abs(term)
-                if size <= tol * abs(acc):
-                    return tuple.__new__(EvalResult, (complex(acc), _SERIES, n, size, True))
-                acc += term
-                zp *= z
-                n += 1
-            continue
-        for rg in coeffs:
+        for rg in _rgamma_block(alpha, beta, block):
             term = zp * rg
             if n >= 1:
                 if n >= n_reflect:

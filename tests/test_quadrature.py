@@ -729,7 +729,8 @@ class TestTwoPole:
     @pytest.mark.parametrize(
         "x, alpha, beta",
         # x**((1-beta)/alpha) overflows; at alpha = 2 exp(Re gamma) does,
-        # cos(pi/2) rounding to 6e-17.  Each raised a bare OverflowError
+        # cos(pi/2) rounding to 6e-17 (for x below ~1e39 that drift leaves a
+        # wrong finite value instead).  Each raised a bare OverflowError
         [(1e232, 1.5, -1.0), (1e300, 1.5, -1.0), (1e40, 2.0, 1.0), (1e300, 2.0, 1.0)],
     )
     def test_overflowing_residue_is_nan(self, rule, x: float, alpha: float, beta: float) -> None:
