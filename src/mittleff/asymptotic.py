@@ -249,6 +249,10 @@ def _expansion_sum(z: complex, alpha: float, beta: float, tol: float) -> EvalRes
                 continue
             lz = lnz + 2j * math.pi * k if k else lnz
             g = cexp(lz / alpha)  # gamma_k
+            if alpha == 2.0 and real and theta:
+                # z < 0: gamma_k = +-i*sqrt(-z), but cos(pi/2) rounds to 6e-17,
+                # and e**Re(gamma) would drift off 1 as |z| grows
+                g = complex(0.0, g.imag)
             if cmath.isfinite(g):
                 log_e = ((1.0 - beta) / alpha) * lz + g
                 e = cexp(log_e)

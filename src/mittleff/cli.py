@@ -24,8 +24,6 @@ EXIT_NUMERICAL = 3
 
 _METHODS = ("auto", *(m.value for m in Method))
 _QUAD_METHODS = (Method.QUAD_PARABOLIC, Method.QUAD_HYPERBOLIC)
-# grid points per quadrature call; bounds the (points x nodes) work arrays
-GRID_BLOCK = 256
 
 
 def _merge_negative_values(argv: Sequence[str]) -> list[str]:
@@ -95,14 +93,6 @@ def _evaluate(method: str, z: complex, args: argparse.Namespace) -> EvalResult:
     return run_method(Method(method), z, args.alpha, args.beta, args.tol, args.N)
 
 
-def _block_values(method: str, zs: list[complex], args: argparse.Namespace) -> list[complex]:
-    """Values at one block of grid points: one engine call for a quadrature method."""
-    if method in _QUAD_METHODS:
-        rule = quad_rule(Method(method), quadrature_n_for_tol(args.tol) if args.N is None else args.N)
-        return ml_quad_values(zs, args.alpha, args.beta, rule).tolist()
-    return [_evaluate(method, z, args).value for z in zs]
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     validate_params(args.alpha, args.beta, args.tol, args.z)
     _check_n_is_read(args.N, args.method)
@@ -160,21 +150,33 @@ def cmd_grid(args: argparse.Namespace) -> int:
     im_axis = _linspace(args.im_min, args.im_max, args.steps)
     if not all(math.isfinite(v) for v in (*re_axis, *im_axis)):
         raise DomainError("grid bounds must be finite, and so must the points between them")
-    # outer loop over re, inner over im; each axis value is formatted once
-    points = itertools.product(
-        zip(re_axis, map(repr, re_axis)), zip(im_axis, map(repr, im_axis))
-    )
+    import numpy as np
+
+    # outer loop over re, inner over im, each part copied exactly
+    n = args.steps
+    z = np.empty(n * n, dtype=complex)
+    z.real = np.repeat(re_axis, n)
+    z.imag = np.tile(im_axis, n)
+    grids = []  # each method's values: one engine call for a quadrature method
+    for method in filter(None, (first, second)):
+        if method in _QUAD_METHODS:
+            rule = quad_rule(Method(method), quadrature_n_for_tol(args.tol) if args.N is None else args.N)
+            v = ml_quad_values(z, args.alpha, args.beta, rule)
+        else:
+            v = np.array([_evaluate(method, p, args).value for p in z.tolist()], dtype=complex)
+        grids.append(v.reshape(n, n))
+    values, others = grids[0], grids[-1]
+    # written by column, one grid row at a time; each axis value is formatted once
+    im_texts = list(map(repr, im_axis))
     lines = ["re,im,value_re,value_im" + (",log10_abs_err" if second else "")]
-    while block := list(itertools.islice(points, GRID_BLOCK)):
-        zs = [complex(re, im) for (re, _), (im, _) in block]
-        values = _block_values(first, zs, args)
-        others = _block_values(second, zs, args) if second else values
-        for ((_, re_text), (_, im_text)), v1, v2 in zip(block, values, others):
-            row = f"{re_text},{im_text},{v1.real!r},{v1.imag!r}"
-            if second:
-                diff = _abs_diff(v1, v2)  # NaN where either value is NaN: log10 keeps it
-                row += f",{math.log10(diff) if diff != 0.0 else -math.inf!r}"
-            lines.append(row)
+    for re_text, row, other in zip(map(repr, re_axis), values, others):
+        columns = [itertools.repeat(re_text), im_texts, map(repr, row.real.tolist()), map(repr, row.imag.tolist())]
+        if second:
+            # Python's complex abs, not np.abs, which differs in the last bit;
+            # NaN where either value is NaN: log10 keeps it
+            diffs = map(_abs_diff, row.tolist(), other.tolist())
+            columns.append([repr(math.log10(d) if d != 0.0 else -math.inf) for d in diffs])
+        lines += map(",".join, zip(*columns))
     _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -11,12 +11,12 @@ P_k e**gamma_k is added back in closed form.  Near a pole the difference
 would cancel, so the psi-kernel form takes over for that pole: two rows of
 power-series coefficients in the offset eps = (w - gamma)/gamma, cached
 per (alpha, beta) (_psi_rows).  The engine sums them for every near
-(node, point) pair of a block in one numpy pass (_psi_form); f_one sums
+(node, point) pair of a chunk in one numpy pass (_psi_form); f_one sums
 them by Horner in floats for the real-axis rows, from the same rows cached
 as float pairs (_psi_pairs).  The node factors of the
 integrand do not depend on z: one pure-Python table per (rule, alpha,
 beta) holds them (_node_factors), and the engine, ml_quad_values, reads it
-as numpy columns (_engine_factors) to sum many z at once.  numpy is
+as numpy columns (_engine_factors) to sum chunks of z at once.  numpy is
 imported on the engine's first call, not with the module.
 
 A real z < 0 with alpha <= 2 has a conjugate-symmetric summand, and
@@ -65,6 +65,8 @@ _ROW_TOL = 2.0**-60
 # the integrand: on the hyperbolic and parabolic rules with N = 8..14 the split
 # column loses to the plain one below |gamma| ~ 0.01-0.06 for beta in [1.5, 3]
 _SPLIT_GAMMA_MIN = 0.03
+# points per engine pass: bounds its (nodes x points) work arrays
+ENGINE_CHUNK = 256
 
 
 class Method(str, Enum):
@@ -280,6 +282,12 @@ def _sum_rows(terms: np.ndarray, n: int) -> np.ndarray:
     return sums[0] + sums[1]
 
 
+def _plain_values(z: np.ndarray, alpha: float, beta: float, rule: QuadratureRule) -> np.ndarray:
+    # no pole split off: z = 0, outside the sector, or a pole too near the origin
+    _, _, c_wab, wa = _engine_factors(rule, alpha, beta)
+    return _sum_rows(c_wab / (wa - z), rule.N)
+
+
 def _pole_split_values(z: np.ndarray, alpha: float, beta: float, rule: QuadratureRule) -> np.ndarray:
     # every z has gamma_0 on the principal sheet; for alpha > 1 the other
     # poles gamma_k are split off where on_sheet holds, and get P = 0 elsewhere
@@ -344,13 +352,15 @@ def _pole_split_values(z: np.ndarray, alpha: float, beta: float, rule: Quadratur
 def ml_quad_values(z: ArrayLike, alpha: float, beta: float, rule: QuadratureRule) -> np.ndarray:
     """E[alpha, beta] at every entry of the array z by contour quadrature.
 
-    alpha > 0.  Returns a complex array of z's shape, equal to ml_quad's
-    values bit for bit.  A real z < 0 with alpha <= 2 takes _neg_axis_row;
-    every other column of the (nodes x points) integrand is summed on its
-    own, with the poles on the principal sheet split off, so a value does
-    not depend on the batch.  Within EPS_SWITCH of a split pole the psi
-    form takes over: _psi_form sums it for all of the block's near (node,
-    point) pairs at once, with no Python call per pair.  Where beta > 1 and |gamma| < _SPLIT_GAMMA_MIN
+    alpha > 0, z of any size.  Returns a complex array of z's shape, equal
+    to ml_quad's values bit for bit.  A real z < 0 with alpha <= 2 takes
+    _neg_axis_row; the other points are summed in chunks of at most
+    ENGINE_CHUNK points of one kind, split or plain, and every column of a
+    chunk's (nodes x points) integrand on its own, with the poles on the
+    principal sheet split off, so a value does not depend on the batch.
+    Within EPS_SWITCH of a split pole the psi form takes over: _psi_form
+    sums it for all of the chunk's near (node, point) pairs at once, with
+    no Python call per pair.  Where beta > 1 and |gamma| < _SPLIT_GAMMA_MIN
     the poles stay in the plain column instead.  z = 0 has no pole
     (w**alpha = 0 has no root on the contour): its plain column sums
     w**-beta, so its value approximates 1/Gamma(beta) with the error
@@ -370,7 +380,6 @@ def ml_quad_values(z: ArrayLike, alpha: float, beta: float, rule: QuadratureRule
     if not np.isfinite(flat).all():
         raise DomainError("z has an entry with a NaN or infinite part")
     block, _ = _node_factors(rule, alpha, beta)
-    _, _, c_wab, wa = _engine_factors(rule, alpha, beta)
     # every product and quotient in the helpers is elementwise and has no
     # complex product left to fuse, so a column's bits do not depend on the
     # batch
@@ -389,10 +398,12 @@ def ml_quad_values(z: ArrayLike, alpha: float, beta: float, rule: QuadratureRule
         out = np.empty_like(flat)
         if axis.any():
             out[axis] = [_neg_axis_row(-zr, alpha, beta, block) for zr in flat[axis].real.tolist()]
-        if split.any():
-            out[split] = _pole_split_values(flat[split], alpha, beta, rule)
-        if plain.any():
-            out[plain] = _sum_rows(c_wab / (wa - flat[plain]), rule.N)
+        # one kind per chunk: the split points, 8x the cost of plain ones, come full
+        for kind, values in ((split, _pole_split_values), (plain, _plain_values)):
+            at = kind.nonzero()[0]
+            for i in range(0, at.size, ENGINE_CHUNK):
+                chunk = at[i : i + ENGINE_CHUNK]
+                out[chunk] = values(flat[chunk], alpha, beta, rule)
         if alpha > 1.0:
             # poles off the real axis make the summand of a real z asymmetric;
             # the imaginary part is rounding
@@ -503,10 +514,13 @@ def _quad_result(
 @functools.lru_cache(maxsize=64)
 def _two_pole_constants(alpha: float, beta: float) -> tuple[float, ...]:
     """_two_pole_sum's constants of (alpha, beta): 1/alpha, (1-beta)/alpha,
-    cos and sin of pi/alpha, (1-beta)*pi/alpha and its cos and sin."""
+    cos and sin of pi/alpha, (1-beta)*pi/alpha and its cos and sin.  At
+    alpha = 2 the cosine is 0.0, not cos(pi/2) = 6e-17: the poles +-i*sqrt(x)
+    lie on the imaginary axis, where e**Re(gamma) is exactly 1 for every x."""
     ang = math.pi / alpha
     phase = (1.0 - beta) * ang
-    return 1.0 / alpha, (1.0 - beta) / alpha, math.cos(ang), math.sin(ang), phase, math.cos(phase), math.sin(phase)
+    cos_a = 0.0 if alpha == 2.0 else math.cos(ang)
+    return 1.0 / alpha, (1.0 - beta) / alpha, cos_a, math.sin(ang), phase, math.cos(phase), math.sin(phase)
 
 
 def _two_pole_sum(x: float, alpha: float, beta: float, block: tuple) -> float:
@@ -526,9 +540,8 @@ def _two_pole_sum(x: float, alpha: float, beta: float, block: tuple) -> float:
     rho = x**inv_alpha
     gr, gi = rho * cos_a, rho * sin_a
     try:
-        # x**((1-beta)/alpha) = |gamma**(1-beta)|.  At alpha = 2 cos(pi/alpha)
-        # rounds to 6e-17, not 0: exp(gr) drifts above 1 for x past ~1e32
-        # (the row is then wrong, see CHANGES.md) and overflows past ~1e39
+        # x**((1-beta)/alpha) = |gamma**(1-beta)| overflows for beta < 1 and
+        # x large; Re gamma <= 0, so exp(gr) does not
         mag = x**expo
         residue_pair = (2.0 / alpha) * mag * math.exp(gr) * math.cos(phase + gi)
     except OverflowError:  # the pole terms would give inf - inf

@@ -2,8 +2,10 @@
 per-(alpha, beta) float tables: the expansion with its three-column
 coefficient blocks, f_one reading _psi_rows through .tolist() on every call,
 and _two_pole_sum computing its trigonometric constants on every call.  The
-code below is kept verbatim, renamed only; the tests assert that the table
-versions in the package give the same bits.
+code below is kept verbatim, renamed only, but for the real part of the
+poles +-i*sqrt(x) at alpha = 2, which both loops now take as exactly 0.0
+(cos(pi/2) rounds to 6e-17); the tests assert that the table versions in
+the package give the same bits.
 
 ml_quad_neg_axis_wide_alpha, the engine's column at z = -x for 1 < alpha < 2,
 is the reference the two-pole row is checked against.  It left the package,
@@ -121,6 +123,8 @@ def ref_expansion_sum(z: complex, alpha: float, beta: float, tol: float) -> Eval
                 continue
             lz = lnz + 2j * math.pi * k if k else lnz
             g = cexp(lz / alpha)  # gamma_k
+            if alpha == 2.0 and real and theta:
+                g = complex(0.0, g.imag)  # the alpha = 2 poles +-i*sqrt(-z)
             if cmath.isfinite(g):
                 log_e = ((1.0 - beta) / alpha) * lz + g
                 e = cexp(log_e)
@@ -172,7 +176,7 @@ def ref_two_pole_sum(x: float, alpha: float, beta: float, block: tuple) -> float
     """
     rho = x ** (1.0 / alpha)
     ang = math.pi / alpha
-    gr, gi = rho * math.cos(ang), rho * math.sin(ang)
+    gr, gi = rho * (0.0 if alpha == 2.0 else math.cos(ang)), rho * math.sin(ang)  # the alpha = 2 poles +-i*sqrt(x)
     # x**((1-beta)/alpha) = |gamma**(1-beta)|; cos(pi/alpha) <= 0, so exp never overflows
     mag = x ** ((1.0 - beta) / alpha)
     residue_pair = (2.0 / alpha) * mag * math.exp(gr) * math.cos((1.0 - beta) * ang + gi)

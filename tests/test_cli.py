@@ -4,8 +4,13 @@ from pathlib import Path
 
 import pytest
 
-from mittleff.cli import GRID_BLOCK, _abs_diff, _merge_negative_values, main
+import grid_reference
+from mittleff import cli
+from mittleff.cli import _abs_diff, _merge_negative_values, main
+from mittleff.quadrature import ENGINE_CHUNK
 
+# a rectangle through z = 0, with the negative real axis on its grid rows
+_RECT = ("--alpha", "0.5", "--beta", "1", "--re-min=-5", "--re-max", "3", "--im-min=-4", "--im-max", "4")
 VALUE_LINE = re.compile(r"^-?\d\.\d{16}e[+-]\d{2,3} -?\d\.\d{16}e[+-]\d{2,3}$")
 
 
@@ -298,9 +303,9 @@ class TestGrid:
         assert out == ""
 
     def test_quadrature_rows_match_eval_bitwise(self, capsys) -> None:
-        # more points than one block, and not a multiple of it
+        # more points than one engine chunk, and not a multiple of it
         steps = 17
-        assert steps * steps > GRID_BLOCK and (steps * steps) % GRID_BLOCK
+        assert steps * steps > ENGINE_CHUNK and (steps * steps) % ENGINE_CHUNK
         code, out, _ = run(
             capsys, "grid", "--alpha", "0.5", "--beta", "1",
             "--re-min", "-5", "--re-max", "3", "--im-min", "-4", "--im-max", "0",
@@ -318,6 +323,49 @@ class TestGrid:
             # repr compares the sign of zero too (z = 0 is on the grid)
             want = [repr(float(f)) for f in single.splitlines()[0].split()]
             assert [repr(float(v_re)), repr(float(v_im))] == want, row
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            # through z = 0 and along the negative real axis
+            (*_RECT, "--steps", "17", "--compare-method", "quad-par,quad-hyp"),
+            (*_RECT, "--steps", "17", "--compare-method", "auto,quad-hyp"),
+            (*_RECT, "--steps", "17"),
+            (*_RECT, "--steps", "2", "--compare-method", "series,asymp"),
+            (*_RECT, "--steps", "17", "--compare-method", "series,asymp"),  # asymp rejects z = 0
+            (*_RECT, "--steps", "1", "--compare-method", "quad-par,quad-hyp"),
+            ("--alpha", "2.5", *_RECT[4:], "--steps", "17", "--compare-method", "quad-par,quad-hyp"),
+            # poles near the origin, which stay in the plain column for beta > 1
+            (
+                "--alpha", "0.7", "--beta", "2.5", "--re-min=-0.02", "--re-max", "0.02",
+                "--im-min=-0.02", "--im-max", "0.02", "--steps", "17", "--compare-method", "quad-par,auto",
+            ),
+            # a NaN difference after an overflow
+            (
+                "--alpha", "1", "--beta=-1", "--re-min=-1e300", "--re-max", "1",
+                "--im-min", "0", "--im-max", "1", "--steps", "2", "--compare-method", "quad-par,quad-hyp",
+            ),
+        ],
+    )
+    def test_bytes_match_row_writer(self, capsys, monkeypatch, tmp_path: Path, case: tuple[str, ...]) -> None:
+        # the column writer against the row-by-row writer it replaced, to
+        # stdout and to a file, with the same exit code and error message
+        def both(out: str, ref_out: str) -> tuple:
+            got = run(capsys, "grid", *case, "--out", out)
+            with monkeypatch.context() as m:
+                m.setattr(cli, "cmd_grid", grid_reference.cmd_grid)
+                want = run(capsys, "grid", *case, "--out", ref_out)
+            return got, want
+
+        got, want = both("-", "-")
+        assert got == want
+        new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        got, want = both(str(new), str(ref))
+        assert got == want
+        if got[0] == 0:
+            assert new.read_bytes() == ref.read_bytes()
+        else:
+            assert not new.exists() and not ref.exists()
 
     def test_bad_compare_pair(self, capsys) -> None:
         code, _, _ = run(

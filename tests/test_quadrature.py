@@ -377,6 +377,34 @@ class TestEngine:
                 assert got.imag == 0.0
         assert abs(batch.ravel()[-3] - reciprocal_gamma(beta)) <= 2.0 * origin_accuracy(rule, beta)
 
+    @pytest.mark.parametrize("beta", [1.0, 2.5])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 3.5])
+    def test_chunked_batch_gives_the_scalar_bits(self, monkeypatch, alpha: float, beta: float) -> None:
+        # a batch of several chunks, its kinds shuffled together: the negative
+        # axis, split and plain points (outside the sector, and poles nearer
+        # the origin than _SPLIT_GAMMA_MIN at beta > 1), z = 0, and -0.0
+        # imaginary parts on both halves of the real axis
+        rng = np.random.default_rng(23)
+        z = list(rng.uniform(-5.0, 3.0, 700) + 1j * rng.uniform(-4.0, 4.0, 700))
+        z += list(-(10.0 ** rng.uniform(-2.0, 2.0, 40))) + list(1e-4 * (rng.uniform(-1.0, 1.0, 40) + 1j))
+        z += [0j, complex(0.0, -0.0), complex(-3.0, -0.0), complex(2.0, -0.0)] * 5
+        rng.shuffle(z)
+        sizes = []
+
+        def counted(values):
+            def chunk(zs, *args):
+                sizes.append(zs.size)
+                return values(zs, *args)
+
+            return chunk
+
+        for name in ("_pole_split_values", "_plain_values"):
+            monkeypatch.setattr(quadrature, name, counted(getattr(quadrature, name)))
+        batch = ml_quad_values(z, alpha, beta, HYP14)
+        assert len(sizes) >= 3 and max(sizes) == quadrature.ENGINE_CHUNK
+        for zk, got in zip(z, batch.tolist()):
+            assert _same_bits(got, ml_quad(zk, alpha, beta, HYP14).value), zk
+
     @pytest.mark.parametrize("alpha", [0.5, 2.5])
     def test_near_pairs_make_no_per_pair_call(self, monkeypatch, alpha: float) -> None:
         # the engine sums every near (node, point) pair of a block in one
@@ -728,16 +756,33 @@ class TestTwoPole:
     @pytest.mark.parametrize("rule", [HYP14, PAR14], ids=["hyp", "par"])
     @pytest.mark.parametrize(
         "x, alpha, beta",
-        # x**((1-beta)/alpha) overflows; at alpha = 2 exp(Re gamma) does,
-        # cos(pi/2) rounding to 6e-17 (for x below ~1e39 that drift leaves a
-        # wrong finite value instead).  Each raised a bare OverflowError
-        [(1e232, 1.5, -1.0), (1e300, 1.5, -1.0), (1e40, 2.0, 1.0), (1e300, 2.0, 1.0)],
+        # x**((1-beta)/alpha) overflows: this raised a bare OverflowError
+        [(1e232, 1.5, -1.0), (1e300, 1.5, -1.0)],
     )
     def test_overflowing_residue_is_nan(self, rule, x: float, alpha: float, beta: float) -> None:
         res = ml_quad(-x, alpha, beta, rule)
         assert math.isnan(res.value.real) and res.value.imag == 0.0
         assert not res.converged
         assert math.isnan(ml_quad_values([-x], alpha, beta, rule)[0].real)
+
+    @pytest.mark.parametrize("rule", [HYP14, PAR14], ids=["hyp", "par"])
+    @pytest.mark.parametrize("x", [1e30, 1e34, 1e36, 1e38, 1e40, 1e300])
+    def test_alpha_two_value_is_bounded(self, rule, x: float) -> None:
+        # E[2,1](-x) = cos(sqrt(x)) and E[2,2](-x) = sin(sqrt(x))/sqrt(x).  The
+        # poles +-i*sqrt(x) got the real part sqrt(x)*cos(pi/2) = 6e-17*sqrt(x),
+        # so e**Re(gamma) drifted off 1: ml_auto(-1e34, 2, 1) read 281.4 and
+        # ml_quad(-1e34, 2, 1, HYP14) -404, both converged, and past x ~ 1e39
+        # the row overflowed to NaN
+        from mittleff.dispatch import ml_auto
+
+        for beta, bound in ((1.0, 1.0), (2.0, 1.0 / math.sqrt(x))):
+            values = [
+                ml_quad(-x, 2.0, beta, rule).value,
+                complex(ml_quad_values([-x], 2.0, beta, rule)[0]),
+                ml_auto(-x, 2.0, beta).value,
+            ]
+            for value in values:
+                assert value.imag == 0.0 and abs(value.real) <= bound, (beta, values)
 
 
 def test_origin_accuracy_frozen() -> None:
