@@ -202,6 +202,13 @@ def cmd_pade(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _inf_on_overflow(f: Callable[..., float], *args: float) -> float:
+    try:
+        return f(*args)
+    except OverflowError:
+        return math.inf
+
+
 def cmd_table_asymp(args: argparse.Namespace) -> int:
     validate_params(args.alpha, args.beta, args.tol)
     header = f"{'x':>8} {'terms':>6} {'exp_scale':>14} {'err_vs_quad':>13} {'tail_prev':>13} {'tail_last':>13}"
@@ -212,11 +219,11 @@ def cmd_table_asymp(args: argparse.Namespace) -> int:
         z = complex(-x)
         res = run_method(Method.ASYMPTOTIC, z, args.alpha, args.beta, args.tol)
         ref = run_method(Method.QUAD_HYPERBOLIC, z, args.alpha, args.beta, args.tol, 14).value
-        scale = x ** (1.0 / args.alpha) / args.alpha
+        scale = _inf_on_overflow(pow, x, 1.0 / args.alpha) / args.alpha
         tails = []
         for k in (res.nodes_or_terms - 1, res.nodes_or_terms):
             log_tau = asymptotic_sigma_tau(k, args.alpha, args.beta)[1]
-            tails.append(math.exp(log_tau - k * math.log(x)))
+            tails.append(_inf_on_overflow(math.exp, log_tau - k * math.log(x)))
         rows.append(
             f"{x:>8g} {res.nodes_or_terms:>6d} {scale:>14.6e} {_abs_diff(res.value, ref):>13.3e}"
             f" {tails[0]:>13.3e} {tails[1]:>13.3e}"

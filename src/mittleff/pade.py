@@ -111,7 +111,7 @@ class PartialFractionForm:
             raise PoleError(f"x={x!r} is a pole") from None
         for a, b, u, v in self._pairs:
             d = a - x
-            if abs(d) >= abs(b):
+            if d >= b or -d >= b:  # abs(d) >= abs(b), as b > 0
                 rat = b / d
                 s += (u + v * rat) / (d + b * rat)
             else:
@@ -158,20 +158,19 @@ def assemble_pade_matrix(alpha: float, beta: float, m: int, n: int) -> np.ndarra
     if (m + n) % 2 == 0 or m + n < 3:
         raise DomainError(f"m+n={m + n!r} must be odd and >= 3")
     r = (m + n - 1) // 2
+    neg_a = [-series_coeff_a(k, alpha, beta) for k in range(m)]
+    neg_b = [-series_coeff_b(k, alpha, beta) for k in range(1, n)]
     C = np.zeros((2 * r, 2 * r + 1))
-    row = 0
-    for k in range(m):
-        if k <= r - 1:
-            C[row, k] = 1.0
-        for j in range(0, min(k, r) + 1):
-            C[row, r + j] = -series_coeff_a(k - j, alpha, beta)
-        row += 1
-    for k in range(r - n + 1, r):
+    for k in range(m):  # q_j takes -a_{k-j}, j = 0..min(k, r)
+        if k < r:
+            C[k, k] = 1.0
+        j = min(k, r)
+        C[k, r : r + j + 1] = neg_a[k - j : k + 1][::-1]
+    for row, k in enumerate(range(r - n + 1, r), m):  # q_j takes -b_{j-k}, j = max(k+1, 0)..r
         if k >= 0:
             C[row, k] = 1.0
-        for j in range(max(k + 1, 0), r + 1):
-            C[row, r + j] = -series_coeff_b(j - k, alpha, beta)
-        row += 1
+        j = max(k + 1, 0)
+        C[row, r + j :] = neg_b[j - k - 1 : r - k]
     if not np.isfinite(C).all():
         raise DomainError(f"beta={beta!r}: the coefficients of the matching conditions are not finite")
     return C
@@ -210,27 +209,35 @@ def solve_svd_null(C: np.ndarray, alpha: float, beta: float, m: int, n: int) -> 
 
 
 def solve_lu_homogeneous(C: np.ndarray, alpha: float, beta: float, m: int, n: int) -> PadeApproximant:
-    """Row-pivoted elimination of C, then back substitution with q_r = 1."""
+    """Row-pivoted elimination of C, then back substitution with q_r = 1.
+
+    Outer-product Gaussian elimination with partial pivoting (Golub & Van
+    Loan, Matrix Computations, 3.4): step i swaps the row of the largest
+    |U[k, i]|, k >= i, into row i, then subtracts (U[k, i] / U[i, i]) U[i, i:]
+    from every row k > i in one broadcast update.  A pivot |U[i, i]| at or
+    below 2r * eps * sigma1(C), sigma1 the largest singular value, raises
+    SingularSystemError for the bottom-most such row.
+    """
     r = (m + n - 1) // 2
     U = np.array(C, dtype=float, copy=True)
     rows = 2 * r
     for i in range(rows):
-        piv = i + int(np.argmax(np.abs(U[i:, i])))
+        piv = i + int(abs(U[i:, i]).argmax())
         if piv != i:
-            U[[i, piv]] = U[[piv, i]]
-        if U[i, i] != 0.0:
-            factors = U[i + 1 :, i] / U[i, i]
-            U[i + 1 :, i:] -= np.outer(factors, U[i, i:])
-    sigma1 = np.linalg.norm(C, 2)
-    pivot_tol = rows * _EPS * sigma1
+            U[i], U[piv] = U[piv], U[i].copy()
+        d = U[i, i]
+        if d != 0.0:
+            U[i + 1 :, i:] -= (U[i + 1 :, i] / d)[:, None] * U[i, i:]
+    pivot_tol = rows * _EPS * np.linalg.svd(C, compute_uv=False)[0]
+    pivots = abs(U.diagonal())
+    small = (pivots <= pivot_tol).nonzero()[0]
+    if small.size:
+        i = int(small[-1])
+        raise SingularSystemError(f"pivot {pivots[i]:.3e} at row {i} below tolerance {pivot_tol:.3e}")
     x = np.zeros(2 * r + 1)
     x[2 * r] = 1.0
     for i in range(rows - 1, -1, -1):
-        if abs(U[i, i]) <= pivot_tol:
-            raise SingularSystemError(
-                f"pivot {abs(U[i, i]):.3e} at row {i} below tolerance {pivot_tol:.3e}"
-            )
-        x[i] = -float(np.dot(U[i, i + 1 :], x[i + 1 :])) / U[i, i]
+        x[i] = -float(U[i, i + 1 :].dot(x[i + 1 :])) / U[i, i]
     return _pack(x, alpha, beta, m, n, PadeSolver.LU_HOMOGENEOUS)
 
 
@@ -245,7 +252,10 @@ def build_pade(
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha={alpha!r} outside (0, 1]")
     check_alpha_beta(alpha, beta)
-    solver = PadeSolver(solver)
+    try:
+        solver = PadeSolver(solver)
+    except ValueError:
+        raise DomainError(f"solver={solver!r} is not one of 'fixed', 'svd', 'lu'") from None
     C = assemble_pade_matrix(alpha, beta, m, n)
     if solver is PadeSolver.FIXED_Q0:
         return solve_fixed_q0(C, alpha, beta, m, n)

@@ -454,3 +454,21 @@ class TestAsymptoticTable:
         # --x nan hung: the expansion's loop exits compared against NaN
         code, _, _ = run(capsys, "table-asymp", "--x", x)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, inf_columns",
+        [
+            (("--alpha", "0.5", "--x", "1e200"), {2}),
+            (("--alpha", "0.2", "--x", "1e100"), {2}),
+            (("--alpha", "0.001"), {2}),
+            (("--alpha", "0.9", "--beta=-168", "--x", "1e-5"), {5}),
+        ],
+    )
+    def test_overflowing_column_prints_inf(self, capsys, argv: tuple, inf_columns: set) -> None:
+        # x ** (1/alpha) and the tails' exp overflowed: an uncaught OverflowError, exit 1
+        code, out, err = run(capsys, "table-asymp", *argv)
+        assert code == 0 and err == ""
+        for row in out.splitlines()[1:]:
+            cells = row.split()
+            assert {i for i, cell in enumerate(cells) if cell == "inf"} == inf_columns
+            assert all(math.isfinite(float(cell)) for i, cell in enumerate(cells) if i not in inf_columns)

@@ -130,9 +130,22 @@ class TestSolvers:
         with pytest.raises(SingularSystemError):
             solve_lu_homogeneous(dead, 0.5, 1.0, 1, 2)
 
+    def test_lu_reports_the_bottom_most_small_pivot(self) -> None:
+        # both pivots vanish; sigma1 = 1, so the tolerance is 2 * eps
+        C = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(SingularSystemError) as exc:
+            solve_lu_homogeneous(C, 0.5, 1.0, 1, 2)
+        assert str(exc.value) == "pivot 0.000e+00 at row 1 below tolerance 4.441e-16"
+
     def test_alpha_validation(self) -> None:
         with pytest.raises(DomainError):
             build_pade(1.5, 1.0, 4, 3)
+
+    @pytest.mark.parametrize("solver", ["qr", "", "LU", None])
+    def test_unknown_solver_is_domain_error(self, solver: object) -> None:
+        # the Enum's bare ValueError escaped `except MittleffError`
+        with pytest.raises(DomainError, match="not one of 'fixed', 'svd', 'lu'"):
+            build_pade(0.5, 1.0, 4, 3, solver)
 
     @pytest.mark.parametrize("solver", ["fixed", "svd", "lu"])
     @pytest.mark.parametrize("beta", [math.nan, math.inf])
