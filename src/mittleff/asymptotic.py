@@ -14,8 +14,9 @@ alpha > 1 up to ceil(alpha) of them (kernels.pole_turns).
 
 The coefficients are cached per (alpha, beta) in blocks of TABLE_BLOCK
 rows (_sigma_tau_block).  A row also holds the signed coefficient
-(-1)**n sigma_n of a real z < 0, so a real z sums its terms in a float
-loop over one column (_real_head) up to its first overflowing term.
+(-1)**n sigma_n of a real z < 0, so one loop over the rows serves every
+z: a real z adds float terms read from one column, a complex z complex
+ones, and a term that overflows is set aside in the same loop.
 """
 
 from __future__ import annotations
@@ -139,48 +140,15 @@ def _last_term(log_n_max: float) -> float:
     return n
 
 
-def _real_head(
-    ln_r: float, alpha: float, beta: float, log_tol: float, n_last: int, col: int
-) -> tuple[float, int, float, bool]:
-    """_expansion_sum's terms at a real z, |z| = e**ln_r, summed as floats.
-
-    Term n is column col of the rows (sigma_n for z > 0, (-1)**n sigma_n
-    for z < 0) times e**(log tau_n - n*ln_r): (-sigma)*t == -(sigma*t), so
-    the sum has the general loop's bits.  Returns (sum, first n not summed,
-    log size of the last term summed or inf, converged).  It stops after a
-    term that meets the stopping rule, past n_last, or before a term with
-    log t_n >= 709, which the general loop then takes.
-    """
-    exp = math.exp
-    acc = 0.0
-    log_s = INF
-    lo = 1
-    block = 0
-    while True:
-        base = block * TABLE_BLOCK
-        hi = min(n_last + 1, base + TABLE_BLOCK)
-        n = float(lo)  # a float n gives n*ln_r the product of an int n
-        for row in _sigma_tau_block(alpha, beta, block)[lo - base : hi - base]:
-            n_ln_r = n * ln_r
-            log_t = row[1] - n_ln_r
-            if log_t >= 709.0:
-                return acc, int(n), log_s, False
-            acc += row[col] * exp(log_t)
-            log_s = row[2] - n_ln_r
-            if log_s < log_tol:
-                return acc, int(n) + 1, log_s, True
-            n += 1.0
-        block += 1
-        lo = block * TABLE_BLOCK
-        if lo > n_last:
-            return acc, n_last + 1, log_s, False
-
-
 def _expansion_sum(z: complex, alpha: float, beta: float, tol: float) -> EvalResult:
     """ml_asymptotic for checked arguments, z != 0.
 
-    A real z sums its terms in _real_head's float loop; the general loop
-    below sums a complex z, and a real one from a term that overflows.
+    One loop sums the terms sigma_n*t_n*e**(-i*n*theta), t_n = e**(log
+    tau_n - n*ln|z|), over the rows of _sigma_tau_block.  A real z adds
+    floats: e**(-i*n*theta) is (+-1)**n, so the term is column 0 of the row
+    (z > 0) or column 3 (z < 0) times t_n, and (-sigma)*t == -(sigma*t).
+    A term with log t_n >= 709 counts as infinite and is not added; the
+    largest of those, if any, is the sum's value.
     """
     r = abs(z)
     real = z.imag == 0.0
@@ -191,48 +159,37 @@ def _expansion_sum(z: complex, alpha: float, beta: float, tol: float) -> EvalRes
     n_last = min(_last_term(ln_r / alpha - math.log(alpha)), MAX_TERMS)
     log_tol = math.log(tol)
 
+    exp = math.exp
+    col = 3 if theta else 0
+    acc = 0.0 if real else 0.0j
     # the term of largest log magnitude among those that overflow, and that log
     big = None
     log_big = -INF
-    if real:
-        # z**-n = (+-1)**n |z|**-n: column 0 of the rows for z > 0, 3 for z < 0
-        acc, n, log_s, converged = _real_head(ln_r, alpha, beta, log_tol, n_last, 0 if theta == 0.0 else 3)
-        m = n
-        t_last = math.exp(log_s) if log_s < 709.0 else INF
-    else:
-        acc, n, m, t_last, converged = 0.0j, 1, 1, INF, False
-    if not converged and n <= n_last:
-        coeffs = _sigma_tau_block(alpha, beta, n // TABLE_BLOCK)
-        while True:
-            if n > n_last:
-                m = n  # stopped before adding term n
+    log_s = INF  # log size of the last term summed
+    n = 1.0  # a float n gives n*ln_r and -n*theta the products of an int n
+    for block in range(n_last // TABLE_BLOCK + 1):
+        # the rows n <= n_last of the block, less row n = 0 of block 0
+        for row in _sigma_tau_block(alpha, beta, block)[not block : n_last + 1 - block * TABLE_BLOCK]:
+            n_ln_r = n * ln_r
+            log_t = row[1] - n_ln_r
+            if log_t < 709.0:
+                acc += row[col] * exp(log_t) if real else row[0] * exp(log_t) * cmath.rect(1.0, -n * theta)
+            elif row[0] != 0.0 and log_t + math.log(abs(row[0])) > log_big:
+                # an infinite term, the product above with inf for e**log_t:
+                # added, it could give inf - inf; the largest is the sum's value
+                # (and a zero sigma, 0*inf = NaN, adds nothing)
+                log_big = log_t + math.log(abs(row[0]))
+                big = row[col] * INF if real else row[0] * INF * cmath.rect(1.0, -n * theta)
+            log_s = row[2] - n_ln_r
+            if log_s < log_tol:
                 break
-            if n % TABLE_BLOCK == 0:
-                coeffs = _sigma_tau_block(alpha, beta, n // TABLE_BLOCK)
-            sigma, log_tau, log_size, _ = coeffs[n % TABLE_BLOCK]
-            log_t = log_tau - n * ln_r
-            t = math.exp(log_t) if log_t < 709.0 else INF
-            if real:
-                # rect(1, -n*theta) is exactly (+-1, ~0): the complex loop's real part
-                term = sigma * t if theta == 0.0 or n % 2 == 0 else -(sigma * t)
-            else:
-                term = sigma * t * cmath.rect(1.0, -n * theta)
-            if t < INF:
-                acc += term
-            elif sigma != 0.0 and log_t + math.log(abs(sigma)) > log_big:
-                # an infinite term: added, it could give inf - inf; the largest
-                # is the sum's value (and a zero sigma, 0*inf = NaN, adds nothing)
-                log_big = log_t + math.log(abs(sigma))
-                big = term
-            if log_size != log_tau:
-                log_t = log_size - n * ln_r
-                t = math.exp(log_t) if log_t < 709.0 else INF
-            t_last = t
-            if log_t < log_tol:
-                m = n + 1
-                converged = True
-                break
-            n += 1
+            n += 1.0
+        if log_s < log_tol:
+            break
+    converged = log_s < log_tol
+    # n is the first term not summed, or the term that met the stopping rule
+    m = int(n) + converged
+    t_last = exp(log_s) if log_s < 709.0 else INF
 
     value = complex(-(acc if big is None else big))
     if abs(theta) <= alpha * math.pi:

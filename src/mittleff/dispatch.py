@@ -101,7 +101,10 @@ def _quad_block(alpha: float, beta: float, tol: float) -> tuple[QuadratureRule, 
 def _ml_auto_low(z: complex, alpha: float, beta: float, tol: float) -> EvalResult:
     # ml_auto for checked arguments: steps 1-2 where one is picked and meets
     # its stopping rule, else step 3
-    r = abs(z)
+    try:
+        r = abs(z)
+    except OverflowError:
+        raise DomainError(f"z={z!r}: |z| overflows") from None
     if r <= R_SERIES:
         res = _series_sum(z, alpha, beta, tol, DEFAULT_MAX_TERMS)
         if res.converged:

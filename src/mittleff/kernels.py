@@ -66,12 +66,16 @@ def reciprocal_gamma(x: float) -> float:
 
 
 def finite_complex(z: complex) -> complex:
-    """complex(z), or DomainError if a part of z is NaN or infinite."""
+    """complex(z), or DomainError if a part of z is NaN or infinite or |z| overflows."""
     z = complex(z)
     if cmath.isnan(z):
         raise DomainError(f"z={z!r} has a NaN part")
     if cmath.isinf(z):
         raise DomainError(f"z={z!r} must be finite")
+    try:
+        abs(z)
+    except OverflowError:
+        raise DomainError(f"z={z!r}: |z| overflows") from None
     return z
 
 

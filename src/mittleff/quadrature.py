@@ -366,9 +366,9 @@ def ml_quad_values(z: ArrayLike, alpha: float, beta: float, rule: QuadratureRule
     w**-beta, so its value approximates 1/Gamma(beta) with the error
     origin_accuracy.  A real z gets a real value: for alpha <= 1 and z >= 0
     through the conjugate node blocks, whose sums are exact conjugates.  A
-    NaN or infinite entry, or a beta that is not finite or whose node
-    factors overflow, raises DomainError; an overflowing value gives inf
-    parts and no warning.
+    NaN or infinite entry, one whose modulus overflows, or a beta that is
+    not finite or whose node factors overflow, raises DomainError; an
+    overflowing value gives inf parts and no warning.
     """
     import numpy as np
 
@@ -377,13 +377,14 @@ def ml_quad_values(z: ArrayLike, alpha: float, beta: float, rule: QuadratureRule
     # real axis is read from above, as in principal_arg
     z = np.asarray(z, dtype=np.complex128) + 0.0
     flat = z.reshape(-1)
-    if not np.isfinite(flat).all():
-        raise DomainError("z has an entry with a NaN or infinite part")
-    block, _ = _node_factors(rule, alpha, beta)
     # every product and quotient in the helpers is elementwise and has no
     # complex product left to fuse, so a column's bits do not depend on the
     # batch
     with np.errstate(all="ignore"):
+        # |z| is inf for an infinite part or a modulus that overflows, NaN for a NaN part
+        if not np.isfinite(np.abs(flat)).all():
+            raise DomainError("z has an entry with a NaN or infinite part or an overflowing modulus")
+        block, _ = _node_factors(rule, alpha, beta)
         real = flat.imag == 0.0
         axis = real & (flat.real < 0.0) & (alpha <= 2.0)
         # gamma_0 is on the sheet (for alpha > 1 always; at alpha = 1 the
@@ -490,8 +491,9 @@ def ml_quad(z: complex, alpha: float, beta: float, rule: QuadratureRule) -> Eval
     z < 0 with alpha <= 2 takes _neg_axis_row, every other z the engine as
     a batch of one.
     Quadrature has no stopping rule: converged says that the value is not
-    NaN.  A NaN or infinite part of z, a beta that is not finite, or a beta
-    whose node factors overflow raises DomainError.
+    NaN.  A NaN or infinite part of z, a z whose modulus overflows, a beta
+    that is not finite, or a beta whose node factors overflow raises
+    DomainError.
     """
     z = finite_complex(z)
     check_alpha_beta(alpha, beta)

@@ -181,6 +181,17 @@ class TestExitCodes:
         assert "not converged" in err
         assert VALUE_LINE.match(out.splitlines()[0])
 
+    @pytest.mark.parametrize("method", ["auto", "series", "asymp", "quad-hyp"])
+    def test_z_whose_modulus_overflows_is_usage_error(self, capsys, method: str) -> None:
+        # a traceback and exit 1 under auto; inf+nanj under quad-hyp
+        argv = ("--alpha", "0.5", "--beta", "1", "--method", method)
+        code, out, err = run(capsys, "eval", *argv, "--z", "1.5e308,1.5e308")
+        assert (code, out) == (2, "") and err.startswith("error:") and "overflows" in err
+        grid = ("--re-min", "1.5e308", "--re-max", "1.5e308", "--im-min", "1.5e308", "--im-max", "1.5e308")
+        argv = ("--alpha", "0.5", "--beta", "1", "--compare-method", f"{method},auto")
+        code, out, err = run(capsys, "grid", *argv, *grid, "--steps", "1", "--out", "-")
+        assert (code, out) == (2, "") and err.startswith("error:")
+
     def test_node_factor_overflow_is_usage_error(self, capsys) -> None:
         code, out, err = run(capsys, "eval", "--alpha", "0.5", "--beta", "-200", "--z", "-5")
         assert code == 2

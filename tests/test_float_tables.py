@@ -1,7 +1,8 @@
-"""The real-axis float loops read per-(alpha, beta) tables: the expansion's
-signed coefficient column, f_one's cached coefficient pairs and
-_two_pole_sum's trigonometric constants.  Each must give the bits of the
-loop it replaced, kept verbatim in real_axis_reference.py."""
+"""The float loops read per-(alpha, beta) tables: the expansion's
+coefficient rows with their signed column, f_one's cached coefficient
+pairs and _two_pole_sum's trigonometric constants.  Each must give the bits
+of the loop it replaced, kept verbatim in real_axis_reference.py: the
+expansion at a real z and at a complex one."""
 
 import cmath
 import math
@@ -32,7 +33,7 @@ def _fields(res: EvalResult) -> tuple:
     return (res.value.real.hex(), res.value.imag.hex(), res.method, res.nodes_or_terms, res.err_estimate.hex(), res.converged)
 
 
-def _same_as_reference(z: float, alpha: float, beta: float, tol: float) -> EvalResult:
+def _same_as_reference(z: complex, alpha: float, beta: float, tol: float) -> EvalResult:
     got = _expansion_sum(complex(z), alpha, beta, tol)
     assert _fields(got) == _fields(ref_expansion_sum(complex(z), alpha, beta, tol)), (z, alpha, beta, tol)
     return got
@@ -53,7 +54,9 @@ def _expansion_case(draw) -> tuple:
     )
     tol = draw(st.sampled_from([1e-14, 1e-6]) | st.floats(1e-14, 1e-6))
     log_r = draw(st.floats(0.0, 20.0) | st.sampled_from([math.log(1e300), math.log(5000.0)]))
-    return alpha, beta, tol, draw(st.sampled_from([1.0, -1.0])) * math.exp(log_r)
+    # z > 0, z < 0 or a complex direction
+    direction = draw(st.sampled_from([1.0, -1.0]) | st.floats(-math.pi, math.pi).map(lambda phi: cmath.rect(1.0, phi)))
+    return alpha, beta, tol, direction * math.exp(log_r)
 
 
 @BITS
@@ -66,56 +69,58 @@ def _expansion_case(draw) -> tuple:
 @example(case=(1.0, -300.0, 1e-14, 5000.0))
 @example(case=(0.5, 1.0, 1e-14, 1e300))
 @example(case=(0.5, 1.0, 1e-14, -1e300))
+@example(case=(0.7, 1.0, 1e-14, cmath.rect(100.0, 2.0)))
+@example(case=(1.0, -300.0, 1e-14, cmath.rect(5000.0, -0.5)))
 def test_expansion_keeps_its_bits(case: tuple) -> None:
     alpha, beta, tol, z = case
     _same_as_reference(z, alpha, beta, tol)
 
 
-def _log_terms(z: float, alpha: float, beta: float, m: int) -> list[float]:
+def _log_terms(z: complex, alpha: float, beta: float, m: int) -> list[float]:
     # log t_n = log tau_n - n log|z| of the terms n = 1..m-1 the sum added
     return [asymptotic.asymptotic_sigma_tau(n, alpha, beta)[1] - n * math.log(abs(z)) for n in range(1, m)]
 
 
-@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["z>0", "z<0"])
+@pytest.mark.parametrize("sign", [1.0, -1.0, cmath.rect(1.0, 2.0)], ids=["z>0", "z<0", "z complex"])
 class TestExpansionSeams:
-    def test_zero_coefficients(self, sign: float) -> None:
+    def test_zero_coefficients(self, sign: complex) -> None:
         # alpha = 1, integer beta: sigma_n = 0 wherever n - beta >= 0
         got = _same_as_reference(sign * 60.0, 1.0, 2.0, 1e-14)
         assert got.converged
         assert any(ref_sigma_tau_block(1.0, 2.0, 0)[n][0] == 0.0 for n in range(2, got.nodes_or_terms))
 
-    def test_envelope_rows(self, sign: float) -> None:
+    def test_envelope_rows(self, sign: complex) -> None:
         # beta - n*alpha in (0, 1/2) for n = 2: the stopping rule reads the envelope
         alpha, beta = 0.5, 1.2
         got = _same_as_reference(sign * 1e4, alpha, beta, 1e-14)
         rows = asymptotic._sigma_tau_block(alpha, beta, 0)
         assert got.nodes_or_terms > 2 and rows[2][2] != rows[2][1]
 
-    def test_overflowing_term(self, sign: float) -> None:
+    def test_overflowing_term(self, sign: complex) -> None:
         # beta = -300: log tau_1 = lgamma(301 + alpha) - log(pi) > 709 at |z| = 5000
         z, alpha, beta = sign * 5000.0, 1.0, -300.5
         got = _same_as_reference(z, alpha, beta, 1e-14)
         assert max(_log_terms(z, alpha, beta, got.nodes_or_terms)) >= 709.0
 
-    def test_overflow_mid_sum(self, sign: float) -> None:
+    def test_overflow_mid_sum(self, sign: complex) -> None:
         # the terms grow, |z| < (-beta)**alpha, and pass e**709 at n = 8: the
-        # float loop hands the rest of the sum to the general one
+        # same loop sets the infinite terms aside, and the largest is the sum's value
         z, alpha, beta = sign * 5.0, 0.5, -169.3
         got = _same_as_reference(z, alpha, beta, 1e-14)
         logs = _log_terms(z, alpha, beta, got.nodes_or_terms)
         assert logs[0] < 709.0 <= max(logs)
 
-    def test_overflow_from_the_first_term(self, sign: float) -> None:
+    def test_overflow_from_the_first_term(self, sign: complex) -> None:
         got = _same_as_reference(sign * 3.0, 0.5, -400.5, 1e-14)
         assert _log_terms(sign * 3.0, 0.5, -400.5, 2)[0] >= 709.0
         assert not got.converged
 
-    def test_term_cap(self, sign: float) -> None:
+    def test_term_cap(self, sign: complex) -> None:
         # the divergence bound |z|**2/0.5 is far past MAX_TERMS, and the terms grow
         got = _same_as_reference(sign * 1e4, 0.5, -2000.5, 1e-14)
         assert got.nodes_or_terms == MAX_TERMS + 1 and not got.converged
 
-    def test_divergence_bound(self, sign: float) -> None:
+    def test_divergence_bound(self, sign: complex) -> None:
         got = _same_as_reference(sign * 2.7, 0.3, 1.0, 1e-14)
         assert not got.converged and got.nodes_or_terms > TABLE_BLOCK
 

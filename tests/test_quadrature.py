@@ -164,7 +164,9 @@ class TestMlQuad:
             ml_quad(z, math.nan, 1.0, HYP14)
 
     @pytest.mark.parametrize(
-        "z", [complex("nan"), complex(1.0, math.nan), complex(-math.inf), complex(0.0, math.inf)]
+        "z",
+        # the last is finite, but |z| overflows: the value was inf+nanj
+        [complex("nan"), complex(1.0, math.nan), complex(-math.inf), complex(0.0, math.inf), complex(1.5e308, 1.5e308)],
     )
     def test_nonfinite_z(self, z: complex) -> None:
         # a NaN z gave a NaN value with converged True
@@ -457,10 +459,10 @@ class TestEngine:
 
     def test_nonfinite_entries_rejected(self) -> None:
         # NaN, -inf and an infinite imaginary part came back as nan, 0 and nan
-        # with no error
+        # with no error, and a finite entry whose modulus overflows as inf+nanj
         with pytest.raises(DomainError):
-            ml_quad_values([math.nan, -math.inf, complex(0.0, math.inf)], 0.5, 1.0, HYP14)
-        for bad in (math.nan, -math.inf, complex(0.0, math.inf)):
+            ml_quad_values([math.nan, -math.inf, complex(0.0, math.inf), complex(1.5e308, 1.5e308)], 0.5, 1.0, HYP14)
+        for bad in (math.nan, -math.inf, complex(0.0, math.inf), complex(1.5e308, 1.5e308)):
             with pytest.raises(DomainError):
                 ml_quad_values([1.0, bad], 0.5, 1.0, HYP14)
 

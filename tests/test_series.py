@@ -166,7 +166,9 @@ class TestValidation:
             ml_series(1.0, 1.0, 1.0, tol=math.nan)
 
     @pytest.mark.parametrize(
-        "z", [complex("nan"), complex(1.0, math.nan), complex(-math.inf), complex(0.0, math.inf)]
+        "z",
+        # the last is finite, but |z| overflows: abs(z) raised a bare OverflowError
+        [complex("nan"), complex(1.0, math.nan), complex(-math.inf), complex(0.0, math.inf), complex(1.5e308, 1.5e308)],
     )
     def test_nonfinite_z(self, z: complex) -> None:
         with pytest.raises(DomainError):
