@@ -147,8 +147,9 @@ def _expansion_sum(z: complex, alpha: float, beta: float, tol: float) -> EvalRes
     tau_n - n*ln|z|), over the rows of _sigma_tau_block.  A real z adds
     floats: e**(-i*n*theta) is (+-1)**n, so the term is column 0 of the row
     (z > 0) or column 3 (z < 0) times t_n, and (-sigma)*t == -(sigma*t).
-    A term with log t_n >= 709 counts as infinite and is not added; the
-    largest of those, if any, is the sum's value.
+    A part that overflows is not added, as inf - inf is NaN: a term with
+    log t_n >= 709, a pole's exponential term, or a pole gamma that
+    overflows with Re gamma > 0.  The largest of those, if any, is the value.
     """
     r = abs(z)
     real = z.imag == 0.0
@@ -162,7 +163,7 @@ def _expansion_sum(z: complex, alpha: float, beta: float, tol: float) -> EvalRes
     exp = math.exp
     col = 3 if theta else 0
     acc = 0.0 if real else 0.0j
-    # the term of largest log magnitude among those that overflow, and that log
+    # the largest of the parts that overflow, and its log magnitude
     big = None
     log_big = -INF
     log_s = INF  # log size of the last term summed
@@ -175,11 +176,10 @@ def _expansion_sum(z: complex, alpha: float, beta: float, tol: float) -> EvalRes
             if log_t < 709.0:
                 acc += row[col] * exp(log_t) if real else row[0] * exp(log_t) * cmath.rect(1.0, -n * theta)
             elif row[0] != 0.0 and log_t + math.log(abs(row[0])) > log_big:
-                # an infinite term, the product above with inf for e**log_t:
-                # added, it could give inf - inf; the largest is the sum's value
-                # (and a zero sigma, 0*inf = NaN, adds nothing)
+                # an infinite term: -(the product above), inf for e**log_t
+                # (a zero sigma, 0*inf = NaN, adds nothing)
                 log_big = log_t + math.log(abs(row[0]))
-                big = row[col] * INF if real else row[0] * INF * cmath.rect(1.0, -n * theta)
+                big = -(row[col] * INF if real else row[0] * INF * cmath.rect(1.0, -n * theta))
             log_s = row[2] - n_ln_r
             if log_s < log_tol:
                 break
@@ -191,16 +191,13 @@ def _expansion_sum(z: complex, alpha: float, beta: float, tol: float) -> EvalRes
     m = int(n) + converged
     t_last = exp(log_s) if log_s < 709.0 else INF
 
-    value = complex(-(acc if big is None else big))
+    value = complex(-acc)
     if abs(theta) <= alpha * math.pi:
         # each pole gamma_k on the principal sheet adds P_k e**gamma_k =
         # e**((1-beta)/alpha * l + gamma_k)/alpha, l = log z + 2*pi*i*k (a
-        # real z read from above, as theta is); of those that overflow only
-        # the largest is added, as inf - inf is NaN
+        # real z read from above, as theta is)
         lnz = cmath.log(complex(z.real) if real else z)
         turns = theta / math.pi
-        big_e = None
-        log_big_e = -INF
         for k in (0, *pole_turns(alpha)):
             if k and not on_sheet(turns, k, alpha):
                 continue
@@ -213,17 +210,17 @@ def _expansion_sum(z: complex, alpha: float, beta: float, tol: float) -> EvalRes
             if cmath.isfinite(g):
                 log_e = ((1.0 - beta) / alpha) * lz + g
                 e = cexp(log_e)
+                # part by part: a complex quotient inf/alpha would put NaN in a zero part
                 if not cmath.isinf(e):
-                    # part by part: a complex quotient inf/alpha would put NaN in a zero part
                     value += complex(e.real / alpha, e.imag / alpha)
-                elif log_e.real > log_big_e:
-                    big_e, log_big_e = e, log_e.real
+                elif log_e.real - math.log(alpha) > log_big:
+                    big, log_big = complex(e.real / alpha, e.imag / alpha), log_e.real - math.log(alpha)
             elif g.real > 0.0:
-                value = complex(INF, INF)
+                big, log_big = complex(INF, INF), INF
             # g overflowed with Re g < 0: exp factor underflows to 0
-        if big_e is not None:
-            value += complex(big_e.real / alpha, big_e.imag / alpha)
+    if big is not None:
+        value = complex(big)
     # on the cut (alpha = 1, z < 0) the exponential part rounds to a complex value
     value = complex(value.real) if real else value
-    # a NaN value (inf - inf between the two parts) is never converged
+    # a NaN value is never converged
     return tuple.__new__(EvalResult, (value, _ASYMPTOTIC, m, t_last, converged and not cmath.isnan(value)))

@@ -73,7 +73,7 @@ def validate_params(alpha: float, beta: float, tol: float, z: complex = 0.0) -> 
 def run_method(
     method: Method, z: complex, alpha: float, beta: float, tol: float, n: int | None = None
 ) -> EvalResult:
-    """E[alpha, beta](z) by one method, unvalidated.
+    """E[alpha, beta](z) by one method, z, alpha and beta checked, tol not held to [TOL_MIN, TOL_MAX].
 
     converged says whether the series or the expansion met its stopping
     rule; quadrature has none and sets it wherever its value is not NaN.  n

@@ -6,7 +6,7 @@ and its algebraic decay series to order n at x = infinity, with
 m + n = 2r + 1.  The matching conditions form a homogeneous linear
 system C x = 0 for x = [p_0..p_{r-1}, q_0..q_r] (the leading
 coefficient p_r is forced to zero by the decay at infinity).  Three
-interchangeable solvers are provided; their coefficient vectors differ
+interchangeable solvers return x from C alone; their coefficient vectors differ
 noticeably in ill-conditioned cases, but the rational function values
 they produce agree to near machine precision.  The partial-fraction
 form takes its poles from the eigenvalues of the companion matrix of q.
@@ -176,40 +176,28 @@ def assemble_pade_matrix(alpha: float, beta: float, m: int, n: int) -> np.ndarra
     return C
 
 
-def _pack(x: np.ndarray, alpha: float, beta: float, m: int, n: int, solver: PadeSolver) -> PadeApproximant:
-    # scaled to q_0 = 1 unless q_0 is numerically zero
-    r = (m + n - 1) // 2
-    if abs(x[r]) > 1e-13:
-        x = x / x[r]
-    p = tuple(float(v) for v in x[:r]) + (0.0,)
-    q = tuple(float(v) for v in x[r:])
-    return PadeApproximant(alpha, beta, m, n, r, p, q, solver)
-
-
-def solve_fixed_q0(C: np.ndarray, alpha: float, beta: float, m: int, n: int) -> PadeApproximant:
-    """Pin q_0 = 1 and solve the square system for the rest."""
-    r = (m + n - 1) // 2
+def solve_fixed_q0(C: np.ndarray) -> np.ndarray:
+    """C's null vector x, r = len(C) // 2: pin q_0 = 1 and solve the square system for the rest."""
+    r = len(C) // 2
     reduced = np.delete(C, r, axis=1)
     rhs = -C[:, r]
     try:
         sol = np.linalg.solve(reduced, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"pinned system is singular: {exc}") from exc
-    x = np.concatenate([sol[:r], [1.0], sol[r:]])
-    return _pack(x, alpha, beta, m, n, PadeSolver.FIXED_Q0)
+    return np.concatenate([sol[:r], [1.0], sol[r:]])
 
 
-def solve_svd_null(C: np.ndarray, alpha: float, beta: float, m: int, n: int) -> PadeApproximant:
-    """Coefficients from the right singular vector of the smallest singular value."""
-    r = (m + n - 1) // 2
+def solve_svd_null(C: np.ndarray) -> np.ndarray:
+    """C's null vector x: the right singular vector of the smallest singular value."""
     _, s, vt = np.linalg.svd(C)
-    if s[-1] <= (2 * r + 1) * _EPS * s[0]:
+    if s[-1] <= (len(C) + 1) * _EPS * s[0]:
         raise SingularSystemError("null space is not one-dimensional at working precision")
-    return _pack(vt[-1], alpha, beta, m, n, PadeSolver.SVD_NULL)
+    return vt[-1]
 
 
-def solve_lu_homogeneous(C: np.ndarray, alpha: float, beta: float, m: int, n: int) -> PadeApproximant:
-    """Row-pivoted elimination of C, then back substitution with q_r = 1.
+def solve_lu_homogeneous(C: np.ndarray) -> np.ndarray:
+    """C's null vector x with q_r = 1: row-pivoted elimination of C, then back substitution.
 
     Outer-product Gaussian elimination with partial pivoting (Golub & Van
     Loan, Matrix Computations, 3.4): step i swaps the row of the largest
@@ -218,9 +206,8 @@ def solve_lu_homogeneous(C: np.ndarray, alpha: float, beta: float, m: int, n: in
     below 2r * eps * sigma1(C), sigma1 the largest singular value, raises
     SingularSystemError for the bottom-most such row.
     """
-    r = (m + n - 1) // 2
     U = np.array(C, dtype=float, copy=True)
-    rows = 2 * r
+    rows = len(C)
     for i in range(rows):
         piv = i + int(abs(U[i:, i]).argmax())
         if piv != i:
@@ -234,11 +221,11 @@ def solve_lu_homogeneous(C: np.ndarray, alpha: float, beta: float, m: int, n: in
     if small.size:
         i = int(small[-1])
         raise SingularSystemError(f"pivot {pivots[i]:.3e} at row {i} below tolerance {pivot_tol:.3e}")
-    x = np.zeros(2 * r + 1)
-    x[2 * r] = 1.0
+    x = np.zeros(rows + 1)
+    x[rows] = 1.0
     for i in range(rows - 1, -1, -1):
         x[i] = -float(U[i, i + 1 :].dot(x[i + 1 :])) / U[i, i]
-    return _pack(x, alpha, beta, m, n, PadeSolver.LU_HOMOGENEOUS)
+    return x
 
 
 def build_pade(
@@ -248,7 +235,7 @@ def build_pade(
     n: int,
     solver: PadeSolver | str = PadeSolver.FIXED_Q0,
 ) -> PadeApproximant:
-    """Assemble and solve in one step."""
+    """Assemble C and take its null vector x, scaled to q_0 = 1 unless q_0 is numerically zero."""
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha={alpha!r} outside (0, 1]")
     check_alpha_beta(alpha, beta)
@@ -258,10 +245,17 @@ def build_pade(
         raise DomainError(f"solver={solver!r} is not one of 'fixed', 'svd', 'lu'") from None
     C = assemble_pade_matrix(alpha, beta, m, n)
     if solver is PadeSolver.FIXED_Q0:
-        return solve_fixed_q0(C, alpha, beta, m, n)
-    if solver is PadeSolver.SVD_NULL:
-        return solve_svd_null(C, alpha, beta, m, n)
-    return solve_lu_homogeneous(C, alpha, beta, m, n)
+        x = solve_fixed_q0(C)
+    elif solver is PadeSolver.SVD_NULL:
+        x = solve_svd_null(C)
+    else:
+        x = solve_lu_homogeneous(C)
+    r = len(C) // 2
+    if abs(x[r]) > 1e-13:
+        x = x / x[r]
+    p = tuple(float(v) for v in x[:r]) + (0.0,)
+    q = tuple(float(v) for v in x[r:])
+    return PadeApproximant(alpha, beta, m, n, r, p, q, solver)
 
 
 def _horner(coeffs: tuple[float, ...], x: complex) -> complex:

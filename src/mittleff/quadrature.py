@@ -10,14 +10,14 @@ from the integrand, with P_k = gamma_k**(1-beta)/alpha, and its residue
 P_k e**gamma_k is added back in closed form.  Near a pole the difference
 would cancel, so the psi-kernel form takes over for that pole: two rows of
 power-series coefficients in the offset eps = (w - gamma)/gamma, cached
-per (alpha, beta) (_psi_rows).  The engine sums them for every near
-(node, point) pair of a chunk in one numpy pass (_psi_form); f_one sums
-them by Horner in floats for the real-axis rows, from the same rows cached
-as float pairs (_psi_pairs).  The node factors of the
-integrand do not depend on z: one pure-Python table per (rule, alpha,
-beta) holds them (_node_factors), and the engine, ml_quad_values, reads it
-as numpy columns (_engine_factors) to sum chunks of z at once.  numpy is
-imported on the engine's first call, not with the module.
+per (alpha, beta) as one table of float pairs (_psi_rows).  The engine
+sums them for every near (node, point) pair of a chunk in one numpy pass
+(_psi_form); f_one sums them by Horner in floats for the real-axis rows.
+The node factors of the integrand do not depend on z: one pure-Python
+table per (rule, alpha, beta) holds them (_node_factors), and the engine,
+ml_quad_values, reads it as numpy columns (_engine_factors) to sum chunks
+of z at once.  numpy is imported on the engine's first call, not with the
+module.
 
 A real z < 0 with alpha <= 2 has a conjugate-symmetric summand, and
 _neg_axis_row sums one block of the factors as floats: the plain row for
@@ -34,6 +34,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -132,13 +133,12 @@ def f_one(w: complex, z: complex, alpha: float, beta: float, gamma: complex) -> 
 
     Near the pole (relative offset eps below EPS_SWITCH) the difference
     would cancel, so an equivalent psi-kernel form is used instead: the
-    rows of _psi_rows, read as the cached float pairs of _psi_pairs and
-    summed by one Horner loop in floats.
+    two rows of _psi_rows, summed by one Horner loop in floats.
     """
     eps = (w - gamma) / gamma
     if abs(eps) < EPS_SWITCH:
         num = psi1_alpha = 0j
-        for a, b in _psi_pairs(alpha, beta):
+        for a, b in _psi_rows(alpha, beta):
             num = num * eps + a
             psi1_alpha = psi1_alpha * eps + b
         return num / (_cpow(gamma, beta) * psi1_alpha)
@@ -146,15 +146,16 @@ def f_one(w: complex, z: complex, alpha: float, beta: float, gamma: complex) -> 
 
 
 @functools.lru_cache(maxsize=64)
-def _psi_rows(alpha: float, beta: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """f_one's psi form as two rows of power-series coefficients in eps.
+def _psi_rows(alpha: float, beta: float) -> tuple[tuple[float, float], ...]:
+    """f_one's psi form as two rows of power-series coefficients in eps, as
+    (row 0, row 1) pairs from the highest power down: f_one's Horner order.
 
     Row 0 sums to the numerator psi1(eps, alpha-beta) - psi2(eps, alpha)/alpha,
     row 1 to psi1(eps, alpha) = alpha + eps*psi2(eps, alpha); f_one is their
     quotient over gamma**beta.  The binomial series behind them are cut at
     the first term past which every term at |eps| = EPS_SWITCH is below
     _ROW_TOL of the series' largest, and stop at 400 terms, as kernels.psi1
-    and psi2 do.  The rows are tuples of floats: every caller shares them.
+    and psi2 do.  The pairs are tuples of floats: every caller shares them.
     """
     a = alpha - beta
     b, d = a, 0.5 * (alpha - 1.0)  # binom(a, m+1), binom(alpha, m+2)/alpha
@@ -175,13 +176,7 @@ def _psi_rows(alpha: float, beta: float) -> tuple[tuple[float, ...], tuple[float
         b *= rb
         d *= rd
         scale *= EPS_SWITCH
-    return (*num, 0.0), tuple(psi1_alpha)
-
-
-@functools.lru_cache(maxsize=64)
-def _psi_pairs(alpha: float, beta: float) -> tuple[tuple[float, float], ...]:
-    """The two rows of _psi_rows as (row 0, row 1) float pairs, highest power first: f_one's Horner order."""
-    num, psi1_alpha = _psi_rows(alpha, beta)
+    num.append(0.0)
     return tuple(zip(reversed(num), reversed(psi1_alpha)))
 
 
@@ -197,12 +192,12 @@ def _psi_form(eps: np.ndarray, log_gamma: np.ndarray, alpha: float, beta: float)
     """
     import numpy as np
 
-    rows = np.array(_psi_rows(alpha, beta))
-    factors = np.repeat(eps[None, :], rows.shape[1], axis=0)
+    rows = np.array(_psi_rows(alpha, beta)[::-1])  # (power, row), lowest power first
+    factors = np.repeat(eps[None, :], len(rows), axis=0)
     factors[0] = 1.0
     powers = np.multiply.accumulate(factors, axis=0).view(np.float64)
     # (power, row, real and imaginary part of each entry) summed over the powers
-    sums = np.add.reduce(powers[:, None, :] * rows.T[:, :, None], axis=0).view(np.complex128)
+    sums = np.add.reduce(powers[:, None, :] * rows[:, :, None], axis=0).view(np.complex128)
     return sums[0] / sums[1] / np.exp(beta * log_gamma)
 
 
@@ -361,9 +356,11 @@ def ml_quad_values(z: ArrayLike, alpha: float, beta: float, rule: QuadratureRule
     Within EPS_SWITCH of a split pole the psi form takes over: _psi_form
     sums it for all of the chunk's near (node, point) pairs at once, with
     no Python call per pair.  Where beta > 1 and |gamma| < _SPLIT_GAMMA_MIN
-    the poles stay in the plain column instead.  z = 0 has no pole
-    (w**alpha = 0 has no root on the contour): its plain column sums
-    w**-beta, so its value approximates 1/Gamma(beta) with the error
+    the poles stay in the plain column instead, as where a non-real z has a
+    pole gamma that overflows with Re gamma < 0 (its residue vanishes); with
+    Re gamma > 0 the value is complex(inf, inf), as in ml_asymptotic.  z = 0
+    has no pole (w**alpha = 0 has no root on the contour): its plain column
+    sums w**-beta, so its value approximates 1/Gamma(beta) with the error
     origin_accuracy.  A real z gets a real value: for alpha <= 1 and z >= 0
     through the conjugate node blocks, whose sums are exact conjugates.  A
     NaN or infinite entry, one whose modulus overflows, or a beta that is
@@ -381,8 +378,9 @@ def ml_quad_values(z: ArrayLike, alpha: float, beta: float, rule: QuadratureRule
     # complex product left to fuse, so a column's bits do not depend on the
     # batch
     with np.errstate(all="ignore"):
+        modulus = np.abs(flat)
         # |z| is inf for an infinite part or a modulus that overflows, NaN for a NaN part
-        if not np.isfinite(np.abs(flat)).all():
+        if not np.isfinite(modulus).all():
             raise DomainError("z has an entry with a NaN or infinite part or an overflowing modulus")
         block, _ = _node_factors(rule, alpha, beta)
         real = flat.imag == 0.0
@@ -394,9 +392,17 @@ def ml_quad_values(z: ArrayLike, alpha: float, beta: float, rule: QuadratureRule
         if beta > 1.0:
             # a pole this near the origin lies inside the contour, where the
             # plain column sums it; split off, gamma**(1-beta) swamps the value
-            split &= np.abs(flat) >= _SPLIT_GAMMA_MIN**alpha
-        plain = ~(axis | split)
+            split &= modulus >= _SPLIT_GAMMA_MIN**alpha
         out = np.empty_like(flat)
+        plain = ~(axis | split)
+        if alpha < 1.0:
+            # a non-real z whose pole gamma = |z|**(1/alpha) e**(i*Arg(z)/alpha)
+            # overflows (a real z keeps its column, (inf, 0) for z > 0)
+            far = (split & ~real & (modulus > sys.float_info.max**alpha)).nonzero()[0]
+            grows = np.cos(np.angle(flat[far]) / alpha) > 0.0
+            out[far[grows]] = complex(math.inf, math.inf)
+            split[far] = False
+            plain[far[~grows]] = True
         if axis.any():
             out[axis] = [_neg_axis_row(-zr, alpha, beta, block) for zr in flat[axis].real.tolist()]
         # one kind per chunk: the split points, 8x the cost of plain ones, come full
@@ -442,14 +448,15 @@ def _edge_row(x: float, beta: float, block: tuple) -> float:
     quotients share w + x: the row is Re P * e**-x plus twice the sum of
     Re[(c_wab - Re P * c)/(w + x)], the real part in Smith form (|w + x|**2
     overflows from x ~ 1e154 on).  Within EPS_SWITCH*x of gamma the term
-    is f_one plus i*Im P/(w + x).
+    is f_one plus i*Im P/(w + x).  Where |P| would overflow, the pole stays
+    in the integrand: the value is _plain_row's.
     """
-    # P = x**(1-beta) * e**(i*ang); |P| and |P|*e**-x are inf where they
-    # overflow (P alone may overflow where P*e**-x does not)
+    # P = x**(1-beta) * e**(i*ang)
     log_mag = (1.0 - beta) * math.log(x)
+    if log_mag >= 709.0:
+        return _plain_row(x, block)
     ang = (1.0 - beta) * math.pi
-    mag = math.exp(log_mag) if log_mag < 709.0 else math.inf
-    res = math.exp(log_mag - x) if log_mag - x < 709.0 else math.inf
+    mag = math.exp(log_mag)
     pr = mag * math.cos(ang)
     near = _EPS_SWITCH_SQ * x * x
     s = 0.0
@@ -470,7 +477,7 @@ def _edge_row(x: float, beta: float, block: tuple) -> float:
         else:
             rat = br / wi
             s += (ar * rat + ai) / (wi + br * rat)
-    return res * math.cos(ang) + 2.0 * s
+    return math.exp(log_mag - x) * math.cos(ang) + 2.0 * s
 
 
 def _neg_axis_row(x: float, alpha: float, beta: float, block: tuple) -> float:

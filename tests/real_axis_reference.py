@@ -1,11 +1,14 @@
 """Reference copies of the real-axis float loops as they stood before their
 per-(alpha, beta) float tables: the expansion with its three-column
-coefficient blocks, f_one reading _psi_rows through .tolist() on every call,
-and _two_pole_sum computing its trigonometric constants on every call.  The
-code below is kept verbatim, renamed only, but for the real part of the
-poles +-i*sqrt(x) at alpha = 2, which both loops now take as exactly 0.0
-(cos(pi/2) rounds to 6e-17); the tests assert that the table versions in
-the package give the same bits.
+coefficient blocks, f_one summing the two rows of _psi_rows one after the
+other, and _two_pole_sum computing its trigonometric constants on every
+call.  The code below is kept verbatim, renamed only, but for the real part
+of the poles +-i*sqrt(x) at alpha = 2, which both loops now take as exactly
+0.0 (cos(pi/2) rounds to 6e-17), and for f_one splitting the rows out of
+the pairs that _psi_rows now caches; the tests assert that the table
+versions in the package give the same bits.  ref_expansion_sum adds the
+overflowing parts of both kinds, algebraic and exponential, and gives NaN
+where an infinite one of each kind meet; the package keeps the larger.
 
 ml_quad_neg_axis_wide_alpha, the engine's column at z = -x for 1 < alpha < 2,
 is the reference the two-pole row is checked against.  It left the package,
@@ -153,7 +156,7 @@ def ref_f_one(w: complex, z: complex, alpha: float, beta: float, gamma: complex)
     """
     eps = (w - gamma) / gamma
     if abs(eps) < EPS_SWITCH:
-        num_row, psi1_row = _psi_rows(alpha, beta)
+        num_row, psi1_row = zip(*reversed(_psi_rows(alpha, beta)))
         num = psi1_alpha = 0j
         for coeff in reversed(num_row):
             num = num * eps + coeff

@@ -72,12 +72,37 @@ class TestOverflow:
         res = ml_asymptotic(complex(-5000.0), 1.0, -300.0, 1e-14)
         assert res.value == 0.0 and res.converged
 
-    def test_nan_value_is_not_converged(self) -> None:
-        # the algebraic part overflows to -inf, the exponential part to +inf
-        res = ml_asymptotic(complex(3.0), 0.01, -175.0, 1e-14)
-        assert cmath.isnan(res.value) and not res.converged
-        routed = ml_auto(3.0, 0.01, -175.0)
-        assert routed.method is Method.QUAD_HYPERBOLIC and routed.value == complex(math.inf)
+    # an infinite term meets an infinite pole part, and the larger is the
+    # value: the reference's sign, where inf - inf gave NaN
+    @pytest.mark.parametrize(
+        "z,alpha,beta,terms",
+        [(5000.0, 1.0, -300.5, 12000), (3.0, 0.5, -400.5, 1200)],
+    )
+    def test_overflow_collision_has_the_series_sign(self, z: float, alpha: float, beta: float, terms: int) -> None:
+        # the Maclaurin series in mpmath: -3.99e869 at 3, 5.15e3286 at 5000
+        with mp.workdps(40):
+            want = mp.fsum(mp.power(z, k) * mp.rgamma(alpha * k + beta) for k in range(terms))
+        assert abs(want) > sys.float_info.max
+        res = ml_asymptotic(complex(z), alpha, beta, 1e-14)
+        assert res.value == complex(math.copysign(math.inf, want))
+
+    @pytest.mark.parametrize("z,alpha,beta", [(10000.0, 0.5, -2000.5), (3.0, 0.01, -175.0)])
+    def test_overflow_collision_takes_the_pole_part(self, z: float, alpha: float, beta: float) -> None:
+        # too far out for the series: the pole part z**((1-beta)/alpha) *
+        # e**(z**(1/alpha)) / alpha > 0 outgrows the expansion's every term
+        # (|sigma_n| <= 1) by more than the 1000 terms the sum may add
+        with mp.workdps(30):
+            log_pole = (1 - beta) / alpha * mp.log(z) + mp.power(z, 1 / alpha) - mp.log(alpha)
+            log_terms = max(mp.loggamma(1 + n * alpha - beta) - mp.log(mp.pi) - n * mp.log(z) for n in range(1, 1001))
+        assert log_pole - log_terms > 10.0 and log_terms > 709.0
+        res = ml_asymptotic(complex(z), alpha, beta, 1e-14)
+        assert res.value == complex(math.inf)
+
+    def test_collision_routes_to_the_expansion(self) -> None:
+        # both took quadrature (inf) or raised DomainError while the expansion was NaN
+        for z, alpha, beta in [(5000.0, 1.0, -300.5), (3.0, 0.01, -175.0)]:
+            routed = ml_auto(z, alpha, beta)
+            assert routed.method is Method.ASYMPTOTIC and routed.value == complex(math.inf) and routed.converged
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 7, 100, 1234, 10**6, 10**12])
@@ -267,14 +292,14 @@ class TestCoefficientTable:
         rule = dispatch.quad_rule(Method.QUAD_HYPERBOLIC, 14)
         block = quadrature._node_factors(rule, 1.3, 1.0)[0]
         quadrature._two_pole_constants.cache_clear()
-        quadrature._psi_pairs.cache_clear()
+        quadrature._psi_rows.cache_clear()
         cold = quadrature._two_pole_sum(140.0, 1.3, 1.0, block)
-        assert quadrature._psi_pairs.cache_info().currsize == 1
+        assert quadrature._psi_rows.cache_info().currsize == 1
         assert cold.hex() == quadrature._two_pole_sum(140.0, 1.3, 1.0, block).hex()
         assert quadrature._two_pole_constants.cache_info().hits == 1
         constants = quadrature._two_pole_constants(1.3, 1.0)
         assert type(constants) is tuple and all(type(v) is float for v in constants)
-        self.assert_immutable_rows(quadrature._psi_pairs(1.3, 1.0))
+        self.assert_immutable_rows(quadrature._psi_rows(1.3, 1.0))
 
     def test_call_order_does_not_matter(self) -> None:
         asymptotic._sigma_tau_block.cache_clear()

@@ -170,8 +170,8 @@ class TestConverged:
 
     @pytest.mark.parametrize("method", [Method.QUAD_PARABOLIC, Method.QUAD_HYPERBOLIC])
     def test_forced_quadrature_with_a_nan_value_is_not_converged(self, method: Method) -> None:
-        # E[1,-1](-1e300) comes back NaN, so quadrature must not claim convergence
-        res = run_method(method, complex(-1e300), 1.0, -1.0, DEFAULT_TOL)
+        # E[1.5,-1](-1e300) comes back NaN, so quadrature must not claim convergence
+        res = run_method(method, complex(-1e300), 1.5, -1.0, DEFAULT_TOL)
         assert res.method is method
         assert math.isnan(res.value.real) and res.converged is False
 

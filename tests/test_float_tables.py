@@ -35,7 +35,16 @@ def _fields(res: EvalResult) -> tuple:
 
 def _same_as_reference(z: complex, alpha: float, beta: float, tol: float) -> EvalResult:
     got = _expansion_sum(complex(z), alpha, beta, tol)
-    assert _fields(got) == _fields(ref_expansion_sum(complex(z), alpha, beta, tol)), (z, alpha, beta, tol)
+    want = ref_expansion_sum(complex(z), alpha, beta, tol)
+    if cmath.isnan(want.value) and not cmath.isnan(got.value):
+        # an infinite term met an infinite pole part, inf - inf in the
+        # reference: the sum keeps the larger part, a signed infinity, and
+        # the stopping rule's fields stay
+        assert max(_log_terms(z, alpha, beta, got.nodes_or_terms)) >= 709.0, (z, alpha, beta, tol)
+        assert cmath.isinf(got.value), (z, alpha, beta, tol)
+        assert _fields(got)[2:5] == _fields(want)[2:5], (z, alpha, beta, tol)
+    else:
+        assert _fields(got) == _fields(want), (z, alpha, beta, tol)
     return got
 
 

@@ -55,7 +55,7 @@ import mittleff
 from mittleff import cli, quadrature
 before = "numpy" in sys.modules
 values = [mittleff.ml_auto(z, a, b) for z, a, b in {[r[:3] for r in SCALAR_ROUTES]!r}]
-near = quadrature._psi_pairs.cache_info().currsize
+near = quadrature._psi_rows.cache_info().currsize
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(["eval", "--alpha", "0.7", "--beta", "1", "--z", "-2"]), cli.main(["table-asymp"])]
 print(json.dumps({{

