@@ -9,17 +9,18 @@ Routing order, the same for every alpha > 0:
    (asymptotic.log_r_floor): there it could only fail, so it is not run.
 3. Otherwise, or where step 1 or 2 misses its stopping rule: hyperbolic
    contour quadrature with N picked from tol and every pole split off at z
-   itself.  A real z < 0 takes one float row: the plain or edge row for
-   alpha <= 1, and for 1 < alpha <= 2 the row of E(z) with both poles
-   split off (quadrature._two_pole_sum), the paper's real-line method.
+   itself, but those inside the split gate (quadrature._node_factors).  A
+   real z < 0 takes one float row: the plain or edge row for alpha <= 1,
+   and for 1 < alpha <= 2 the row of E(z) with both poles split off
+   (quadrature._two_pole_sum), the paper's real-line method.
 
 ml_auto checks its arguments once.  The router then calls the unchecked
 sums behind ml_series, ml_asymptotic and ml_quad, so a method forced
 through run_method, as in the CLI, gives the same bits wherever the route
 picks that method.  Each route reads only its own cached tables: the
 series' coefficients, the expansion's coefficients and floor
-(asymptotic.log_r_floor), or the quadrature block (_quad_block).  A real
-z gets an exactly real value on every route.
+(asymptotic.log_r_floor), or the quadrature block (_quad_block: the rule
+and its entry).  A real z gets an exactly real value on every route.
 """
 
 from __future__ import annotations
@@ -88,14 +89,13 @@ def run_method(
 
 
 @functools.lru_cache(maxsize=128)
-def _quad_block(alpha: float, beta: float, tol: float) -> tuple[QuadratureRule, tuple, float]:
-    """The hyperbolic rule of N = quadrature_n_for_tol(tol), the first block
-    of its node factors at (alpha, beta) and its origin_accuracy, for checked
-    arguments.  Read on the quadrature route alone: the node factors
-    overflow for beta far from 0, where the series or the expansion may
-    still serve."""
+def _quad_block(alpha: float, beta: float, tol: float) -> tuple[QuadratureRule, tuple]:
+    """The hyperbolic rule of N = quadrature_n_for_tol(tol) and its entry at
+    (alpha, beta) (quadrature._node_factors), for checked arguments.  Read
+    on the quadrature route alone: the node factors overflow for beta far
+    from 0, where the series or the expansion may still serve."""
     rule = quad_rule(_QUAD_HYPERBOLIC, quadrature_n_for_tol(tol))
-    return (rule, *_node_factors(rule, alpha, beta))
+    return rule, _node_factors(rule, alpha, beta)
 
 
 def _ml_auto_low(z: complex, alpha: float, beta: float, tol: float) -> EvalResult:
@@ -118,8 +118,8 @@ def _ml_auto_low(z: complex, alpha: float, beta: float, tol: float) -> EvalResul
             res = _expansion_sum(z, alpha, beta, tol)
             if res.converged:
                 return res
-    rule, block, err = _quad_block(alpha, beta, tol)
-    return _quad_result(z, alpha, beta, rule, _QUAD_HYPERBOLIC, block, err)
+    rule, entry = _quad_block(alpha, beta, tol)
+    return _quad_result(z, alpha, beta, rule, _QUAD_HYPERBOLIC, entry)
 
 
 def ml_auto(z: complex, alpha: float, beta: float, tol: float = DEFAULT_TOL) -> EvalResult:

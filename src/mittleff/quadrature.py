@@ -13,20 +13,21 @@ power-series coefficients in the offset eps = (w - gamma)/gamma, cached
 per (alpha, beta) as one table of float pairs (_psi_rows).  The engine
 sums them for every near (node, point) pair of a chunk in one numpy pass
 (_psi_form); f_one sums them by Horner in floats for the real-axis rows.
-The node factors of the integrand do not depend on z: one pure-Python
-table per (rule, alpha, beta) holds them (_node_factors), and the engine,
-ml_quad_values, reads it as numpy columns (_engine_factors) to sum chunks
-of z at once.  numpy is imported on the engine's first call, not with the
-module.
+The node factors of the integrand do not depend on z: one cached entry
+per (rule, alpha, beta) holds them as floats, with every other
+z-independent constant (_node_factors), and the engine, ml_quad_values,
+reads them as numpy columns (_engine_factors) to sum chunks of z at once.
+numpy is imported on the engine's first call, not with the module.
 
 A real z < 0 with alpha <= 2 has a conjugate-symmetric summand, and
-_neg_axis_row sums one block of the factors as floats: the plain row for
-alpha < 1, the edge row at alpha = 1, where the pole gamma = z lies on the
-branch cut, and for 1 < alpha <= 2 the two-pole row, with the conjugate
-pair gamma = (-z)**(1/alpha) e**(+-i*pi/alpha) split off (_two_pole_sum,
-with its trigonometric constants cached per (alpha, beta)).  ml_quad and
-ml_quad_values both call it; ml_quad passes any other z to the engine as
-a batch of one.  A real z gets an exactly real value.
+_neg_axis_row sums the entry's block as floats: the plain row for
+alpha < 1 or where the entry's split gate keeps the poles in the
+integrand, as in the engine; else the edge row at alpha = 1, where the
+pole gamma = z lies on the branch cut, and for 1 < alpha <= 2 the
+two-pole row, with the pair (-z)**(1/alpha) e**(+-i*pi/alpha) split off
+(_two_pole_sum).
+ml_quad and ml_quad_values both call it; ml_quad passes any other z to
+the engine as a batch of one.  A real z gets an exactly real value.
 """
 
 from __future__ import annotations
@@ -212,19 +213,28 @@ def origin_accuracy(rule: QuadratureRule, beta: float) -> float:
 
 
 @functools.lru_cache(maxsize=64)
-def _node_factors(rule: QuadratureRule, alpha: float, beta: float) -> tuple[tuple, float]:
-    """The z-independent factors w_n, A*C_n, A*C_n*w_n**(alpha-beta), w_n**alpha
-    of the nodes n = 0..N, and the rule's origin_accuracy at beta.
+def _node_factors(rule: QuadratureRule, alpha: float, beta: float) -> tuple[tuple, float, float, tuple]:
+    """The entry of (rule, alpha, beta), (block, err, x_min, pair): every
+    constant of the quadrature route that does not depend on z.
 
-    The block holds one tuple of floats per node, (re, im) of each factor;
-    the float rows read it, and the engine reads it with its conjugates
+    block: the factors w_n, A*C_n, A*C_n*w_n**(alpha-beta), w_n**alpha of
+    the nodes n = 0..N, one tuple of floats per node, (re, im) of each; the
+    float rows read it, and the engine reads it with its conjugates
     (_engine_factors).  w_0 and C_0 are real, and node 0 has half its
     weight: the block's sum is then half the sum over n = -N..N of a
     conjugate-symmetric integrand.  Powers are principal-branch
     exp(a*log w), as in cpow_principal, except w_n**1 = w_n: exp(log w)
-    rounds.  The product C_n*w_n**(alpha-beta) is written out in real
-    arithmetic, so no CPU fuses it (FMA).  A factor that overflows, or an
-    origin_accuracy that overflows (beta far from 0), raises DomainError.
+    rounds.  C_n*w_n**(alpha-beta) is written out in real arithmetic, so
+    no CPU fuses it (FMA).  err: the rule's origin_accuracy at beta.
+    x_min: the split gate, _SPLIT_GAMMA_MIN**alpha for beta > 1, else 0.0;
+    the poles of a z with |z| < x_min stay in the integrand, on the rows as
+    in the engine.  pair, for alpha >= 1 (pi/alpha overflows as alpha -> 0):
+    1/alpha, (1-beta)/alpha, cos and sin of pi/alpha, the phase
+    (1-beta)*pi/alpha and its cos and sin, NaN where the phase overflows.
+    At alpha = 2 the cosine is 0.0, not cos(pi/2) = 6e-17: the poles
+    +-i*sqrt(x) lie on the imaginary axis, where e**Re(gamma) is 1 for
+    every x.  A factor or an origin_accuracy that overflows (beta far from
+    0) raises DomainError.
     """
     overflow = DomainError(f"beta={beta!r}: the node factors of this rule overflow")
     block = []
@@ -242,7 +252,16 @@ def _node_factors(rule: QuadratureRule, alpha: float, beta: float) -> tuple[tupl
         err = origin_accuracy(rule, beta)
     except OverflowError:  # cmath.exp, or origin_accuracy's powers
         raise overflow from None
-    return tuple(block), err
+    x_min = _SPLIT_GAMMA_MIN**alpha if beta > 1.0 else 0.0
+    pair = ()
+    if alpha >= 1.0:
+        ang = math.pi / alpha
+        phase = (1.0 - beta) * ang
+        if math.isinf(phase):  # |beta| near the float limit: the rows give NaN
+            phase = math.nan
+        cos_a = 0.0 if alpha == 2.0 else math.cos(ang)
+        pair = (1.0 / alpha, (1.0 - beta) / alpha, cos_a, math.sin(ang), phase, math.cos(phase), math.sin(phase))
+    return tuple(block), err, x_min, pair
 
 
 @functools.lru_cache(maxsize=64)
@@ -382,17 +401,15 @@ def ml_quad_values(z: ArrayLike, alpha: float, beta: float, rule: QuadratureRule
         # |z| is inf for an infinite part or a modulus that overflows, NaN for a NaN part
         if not np.isfinite(modulus).all():
             raise DomainError("z has an entry with a NaN or infinite part or an overflowing modulus")
-        block, _ = _node_factors(rule, alpha, beta)
+        entry = _node_factors(rule, alpha, beta)
         real = flat.imag == 0.0
         axis = real & (flat.real < 0.0) & (alpha <= 2.0)
         # gamma_0 is on the sheet (for alpha > 1 always; at alpha = 1 the
         # negative axis too); z = 0 has no pole
         sector = np.abs(np.arctan2(flat.imag, flat.real)) <= alpha * math.pi
-        split = sector & ~axis & (flat != 0.0)
-        if beta > 1.0:
-            # a pole this near the origin lies inside the contour, where the
-            # plain column sums it; split off, gamma**(1-beta) swamps the value
-            split &= modulus >= _SPLIT_GAMMA_MIN**alpha
+        # a pole nearer the origin than the gate x_min lies inside the contour,
+        # where the plain column sums it; split off, gamma**(1-beta) swamps the value
+        split = sector & ~axis & (flat != 0.0) & (modulus >= entry[2])
         out = np.empty_like(flat)
         plain = ~(axis | split)
         if alpha < 1.0:
@@ -404,7 +421,7 @@ def ml_quad_values(z: ArrayLike, alpha: float, beta: float, rule: QuadratureRule
             split[far] = False
             plain[far[~grows]] = True
         if axis.any():
-            out[axis] = [_neg_axis_row(-zr, alpha, beta, block) for zr in flat[axis].real.tolist()]
+            out[axis] = [_neg_axis_row(-zr, alpha, beta, entry) for zr in flat[axis].real.tolist()]
         # one kind per chunk: the split points, 8x the cost of plain ones, come full
         for kind, values in ((split, _pole_split_values), (plain, _plain_values)):
             at = kind.nonzero()[0]
@@ -419,12 +436,11 @@ def ml_quad_values(z: ArrayLike, alpha: float, beta: float, rule: QuadratureRule
 
 
 def _plain_row(x: float, block: tuple) -> float:
-    """E[alpha, beta](-x) for x > 0 from the first block of node factors.
-
-    alpha < 1, or alpha = 1 with the pole gamma = -x left in the integrand.
-    The summand is conjugate-symmetric, so the row is twice the sum of
-    Re[c_wab/(wa + x)], node after node from +0.0.  The real part is taken
-    in Smith form: |wa + x|**2 overflows from x ~ 1e154 on.
+    """E[alpha, beta](-x) for x > 0 from the first block of node factors,
+    with every pole left in the integrand: alpha < 1, or |z| below the split
+    gate x_min.  The summand is conjugate-symmetric, so the row is twice the
+    sum of Re[c_wab/(wa + x)], node after node from +0.0.  The real part is
+    taken in Smith form: |wa + x|**2 overflows from x ~ 1e154 on.
     """
     s = 0.0
     for _, _, _, _, ar, ai, br, bi in block:
@@ -438,8 +454,8 @@ def _plain_row(x: float, block: tuple) -> float:
     return 2.0 * s
 
 
-def _edge_row(x: float, beta: float, block: tuple) -> float:
-    """E[1, beta](-x) for x > 0 from the first block of node factors at alpha = 1.
+def _edge_row(x: float, beta: float, entry: tuple) -> float:
+    """E[1, beta](-x) for x > 0 from the entry of the node factors at alpha = 1.
 
     The pole gamma = -x lies on the branch cut, where its weight P =
     gamma**(1-beta) is read from above.  For any constant Q, Q*e**gamma +
@@ -451,13 +467,13 @@ def _edge_row(x: float, beta: float, block: tuple) -> float:
     is f_one plus i*Im P/(w + x).  Where |P| would overflow, the pole stays
     in the integrand: the value is _plain_row's.
     """
-    # P = x**(1-beta) * e**(i*ang)
+    # P = x**(1-beta) * e**(i*(1-beta)*pi): the phase's cos and sin are cached
+    block, _, _, (_, _, _, _, _, cos_p, sin_p) = entry
     log_mag = (1.0 - beta) * math.log(x)
     if log_mag >= 709.0:
         return _plain_row(x, block)
-    ang = (1.0 - beta) * math.pi
     mag = math.exp(log_mag)
-    pr = mag * math.cos(ang)
+    pr = mag * cos_p
     near = _EPS_SWITCH_SQ * x * x
     s = 0.0
     for wr, wi, cr, ci, ar, ai, _, _ in block:
@@ -466,7 +482,7 @@ def _edge_row(x: float, beta: float, block: tuple) -> float:
             w = complex(wr, wi)
             # f_one subtracts P/(w - gamma): add back i*Im P/(w + x)
             f = f_one(w, complex(-x), 1.0, beta, complex(-x))
-            f += complex(0.0, mag * math.sin(ang)) / (w + x)
+            f += complex(0.0, mag * sin_p) / (w + x)
             s += cr * f.real - ci * f.imag
             continue
         ar -= pr * cr
@@ -477,18 +493,18 @@ def _edge_row(x: float, beta: float, block: tuple) -> float:
         else:
             rat = br / wi
             s += (ar * rat + ai) / (wi + br * rat)
-    return math.exp(log_mag - x) * math.cos(ang) + 2.0 * s
+    return math.exp(log_mag - x) * cos_p + 2.0 * s
 
 
-def _neg_axis_row(x: float, alpha: float, beta: float, block: tuple) -> float:
+def _neg_axis_row(x: float, alpha: float, beta: float, entry: tuple) -> float:
     # E[alpha, beta](-x), x > 0, alpha <= 2: the one sum of each regime of the
-    # negative axis; at alpha = 1 a pole gamma = -x that the engine would keep
-    # in the integrand (beta > 1, |gamma| < _SPLIT_GAMMA_MIN) stays in it here too
-    if alpha > 1.0:
-        return _two_pole_sum(x, alpha, beta, block)
-    if alpha == 1.0 and (beta <= 1.0 or x >= _SPLIT_GAMMA_MIN):
-        return _edge_row(x, beta, block)
-    return _plain_row(x, block)
+    # negative axis, behind one split gate for every alpha: a pole the engine
+    # keeps in the integrand (|z| < x_min) stays in it here too
+    if alpha < 1.0 or x < entry[2]:
+        return _plain_row(x, entry[0])
+    if alpha == 1.0:
+        return _edge_row(x, beta, entry)
+    return _two_pole_sum(x, alpha, beta, entry)
 
 
 def ml_quad(z: complex, alpha: float, beta: float, rule: QuadratureRule) -> EvalResult:
@@ -504,48 +520,31 @@ def ml_quad(z: complex, alpha: float, beta: float, rule: QuadratureRule) -> Eval
     """
     z = finite_complex(z)
     check_alpha_beta(alpha, beta)
-    block, err = _node_factors(rule, alpha, beta)
-    return _quad_result(z, alpha, beta, rule, _method_for(rule), block, err)
+    return _quad_result(z, alpha, beta, rule, _method_for(rule), _node_factors(rule, alpha, beta))
 
 
-def _quad_result(
-    z: complex, alpha: float, beta: float, rule: QuadratureRule, method: Method, block: tuple, err: float
-) -> EvalResult:
-    # ml_quad for checked arguments, given the first block of the rule's node
-    # factors at (alpha, beta) and its origin_accuracy
+def _quad_result(z: complex, alpha: float, beta: float, rule: QuadratureRule, method: Method, entry: tuple) -> EvalResult:
+    # ml_quad for checked arguments, given the rule's entry at (alpha, beta)
     if z.imag == 0.0 and z.real < 0.0 and alpha <= 2.0:
-        value = complex(_neg_axis_row(-z.real, alpha, beta, block))
+        value = complex(_neg_axis_row(-z.real, alpha, beta, entry))
     else:
         value = complex(ml_quad_values(z, alpha, beta, rule))
-    return tuple.__new__(EvalResult, (value, method, 2 * rule.N + 1, err, not cmath.isnan(value)))
+    return tuple.__new__(EvalResult, (value, method, 2 * rule.N + 1, entry[1], not cmath.isnan(value)))
 
 
-@functools.lru_cache(maxsize=64)
-def _two_pole_constants(alpha: float, beta: float) -> tuple[float, ...]:
-    """_two_pole_sum's constants of (alpha, beta): 1/alpha, (1-beta)/alpha,
-    cos and sin of pi/alpha, (1-beta)*pi/alpha and its cos and sin.  At
-    alpha = 2 the cosine is 0.0, not cos(pi/2) = 6e-17: the poles +-i*sqrt(x)
-    lie on the imaginary axis, where e**Re(gamma) is exactly 1 for every x."""
-    ang = math.pi / alpha
-    phase = (1.0 - beta) * ang
-    cos_a = 0.0 if alpha == 2.0 else math.cos(ang)
-    return 1.0 / alpha, (1.0 - beta) / alpha, cos_a, math.sin(ang), phase, math.cos(phase), math.sin(phase)
-
-
-def _two_pole_sum(x: float, alpha: float, beta: float, block: tuple) -> float:
+def _two_pole_sum(x: float, alpha: float, beta: float, entry: tuple) -> float:
     """E[alpha, beta](-x) for x > 0 and 1 < alpha <= 2, as a loop over floats.
 
-    block is the first block of the node factors at (alpha, beta), which
-    holds node 0 at half weight, so the value is the residue pair plus
-    twice the real part of the block's sum of C_n f_2(w_n), f_2 the
-    integrand less both pole terms.  Off the poles the term is
-    Re[c_wab/(wa + x)] minus the real part of c*(P/(w - gamma_+) +
-    conj(P)/(w - gamma_-)), P = gamma_+**(1-beta)/alpha; within
-    EPS_SWITCH*|gamma| of a pole f_one's psi form takes over.  The
-    trigonometric constants of (alpha, beta) are cached
-    (_two_pole_constants); a call computes only what depends on x.
+    The entry's block (_node_factors) holds node 0 at half weight, so the
+    value is the residue pair plus twice the real part of the block's sum
+    of C_n f_2(w_n), f_2 the integrand less both pole terms.  Off the poles
+    the term is Re[c_wab/(wa + x)] minus the real part of
+    c*(P/(w - gamma_+) + conj(P)/(w - gamma_-)), P = gamma_+**(1-beta)/alpha;
+    within EPS_SWITCH*|gamma| of a pole f_one's psi form takes over.  The
+    trigonometric constants are the entry's pair: a call computes only what
+    depends on x.
     """
-    inv_alpha, expo, cos_a, sin_a, phase, cos_p, sin_p = _two_pole_constants(alpha, beta)
+    block, _, _, (inv_alpha, expo, cos_a, sin_a, phase, cos_p, sin_p) = entry
     rho = x**inv_alpha
     gr, gi = rho * cos_a, rho * sin_a
     try:

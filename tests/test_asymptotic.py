@@ -287,18 +287,20 @@ class TestCoefficientTable:
         assert self.bits(cold) == self.bits(self.evaluate(0.3, 1.0, 1e-14))
         for block in range(max(r.nodes_or_terms for r in cold) // TABLE_BLOCK + 1):
             self.assert_immutable_rows(asymptotic._sigma_tau_block(0.3, 1.0, block))
-        # the two-pole row's constants and f_one's coefficient pairs: at alpha
-        # 1.3, x = 140 a node of the N = 14 rule lies within EPS_SWITCH of a pole
+        # the two-pole row's entry and f_one's coefficient pairs: at alpha 1.3,
+        # x = 140 a node of the N = 14 rule lies within EPS_SWITCH of a pole.
+        # The entry, with the pair's constants, is built once per (rule, alpha, beta)
         rule = dispatch.quad_rule(Method.QUAD_HYPERBOLIC, 14)
-        block = quadrature._node_factors(rule, 1.3, 1.0)[0]
-        quadrature._two_pole_constants.cache_clear()
+        quadrature._node_factors.cache_clear()
         quadrature._psi_rows.cache_clear()
-        cold = quadrature._two_pole_sum(140.0, 1.3, 1.0, block)
+        cold = quadrature.ml_quad(-140.0, 1.3, 1.0, rule).value
         assert quadrature._psi_rows.cache_info().currsize == 1
-        assert cold.hex() == quadrature._two_pole_sum(140.0, 1.3, 1.0, block).hex()
-        assert quadrature._two_pole_constants.cache_info().hits == 1
-        constants = quadrature._two_pole_constants(1.3, 1.0)
-        assert type(constants) is tuple and all(type(v) is float for v in constants)
+        assert cold == quadrature.ml_quad(-140.0, 1.3, 1.0, rule).value and cold.imag == 0.0
+        entry = quadrature._node_factors(rule, 1.3, 1.0)
+        assert quadrature._node_factors.cache_info().misses == 1
+        assert cold.real.hex() == quadrature._two_pole_sum(140.0, 1.3, 1.0, entry).hex()
+        pair = entry[3]
+        assert type(pair) is tuple and len(pair) == 7 and all(type(v) is float for v in pair)
         self.assert_immutable_rows(quadrature._psi_rows(1.3, 1.0))
 
     def test_call_order_does_not_matter(self) -> None:

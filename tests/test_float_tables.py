@@ -1,8 +1,8 @@
 """The float loops read per-(alpha, beta) tables: the expansion's
 coefficient rows with their signed column, f_one's cached coefficient
-pairs and _two_pole_sum's trigonometric constants.  Each must give the bits
-of the loop it replaced, kept verbatim in real_axis_reference.py: the
-expansion at a real z and at a complex one."""
+pairs and _two_pole_sum's constants in the node-factor entry.  Each must
+give the bits of the loop it replaced, kept verbatim in
+real_axis_reference.py: the expansion at a real z and at a complex one."""
 
 import cmath
 import math
@@ -186,8 +186,8 @@ def _near_nodes(x: float, alpha: float, block: tuple) -> int:
 @given(case=_two_pole_row())
 def test_two_pole_row_keeps_its_bits(case: tuple) -> None:
     rule, x, alpha, beta = case
-    block = _node_factors(rule, alpha, beta)[0]
-    assert _two_pole_sum(x, alpha, beta, block).hex() == ref_two_pole_sum(x, alpha, beta, block).hex()
+    entry = _node_factors(rule, alpha, beta)
+    assert _two_pole_sum(x, alpha, beta, entry).hex() == ref_two_pole_sum(x, alpha, beta, entry[0]).hex()
 
 
 def test_two_pole_rows_with_near_nodes() -> None:
@@ -199,7 +199,7 @@ def test_two_pole_rows_with_near_nodes() -> None:
             gamma = w * (1.0 + 0.01j)
             alpha, beta = math.pi / cmath.phase(gamma), 0.8
             x = abs(gamma) ** alpha
-            block = _node_factors(rule, alpha, beta)[0]
-            seen += _near_nodes(x, alpha, block) > 0
-            assert _two_pole_sum(x, alpha, beta, block).hex() == ref_two_pole_sum(x, alpha, beta, block).hex()
+            entry = _node_factors(rule, alpha, beta)
+            seen += _near_nodes(x, alpha, entry[0]) > 0
+            assert _two_pole_sum(x, alpha, beta, entry).hex() == ref_two_pole_sum(x, alpha, beta, entry[0]).hex()
     assert seen >= 3

@@ -438,11 +438,13 @@ class TestEngine:
         quadrature._node_factors.cache_clear()
         quadrature._engine_factors.cache_clear()
         cold = values()
-        block, err = quadrature._node_factors(HYP14, alpha, beta)
+        block, err, x_min, pair = quadrature._node_factors(HYP14, alpha, beta)
         assert quadrature._node_factors.cache_info().currsize == 1
         assert values() == cold
         assert quadrature._node_factors.cache_info().misses == 1
         assert type(block) is tuple and len(block) == HYP14.N + 1 and type(err) is float
+        assert x_min == (0.03**alpha if beta > 1.0 else 0.0)
+        assert type(pair) is tuple and len(pair) == (7 if alpha >= 1.0 else 0) and all(type(v) is float for v in pair)
         for row in block:
             assert type(row) is tuple and len(row) == 8 and all(type(v) is float for v in row)
         columns = quadrature._engine_factors(HYP14, alpha, beta)
@@ -752,6 +754,14 @@ class TestTwoPole:
         assert ref.imag == 0.0 and got.imag == 0.0
         assert abs(got.real - ref.real) <= 1e-13 * max(1.0, abs(ref))
 
+    @pytest.mark.parametrize("alpha", [1.0, 1.5])
+    def test_phase_that_overflows(self, alpha: float) -> None:
+        # (1-beta)*pi/alpha overflows: the entry holds NaN for the phase, so
+        # the engine still serves a z off the axis and the rows return NaN
+        assert ml_quad(3 + 4j, alpha, 1e308, HYP14).value == 0.0
+        res = ml_quad(-5.0, alpha, 1e308, HYP14)
+        assert math.isnan(res.value.real) and not res.converged
+
     @pytest.mark.parametrize("x", [1.0, 2.0, 17.3, 250.0, 1e3])
     def test_float_row_at_alpha_two_is_cos_sqrt(self, x: float) -> None:
         assert abs(ml_quad(complex(-x), 2.0, 1.0, HYP14).value.real - math.cos(math.sqrt(x))) <= 1e-13
@@ -843,6 +853,59 @@ def test_result_type() -> None:
     assert hash(res) == hash(ml_quad(complex(-1.0), 0.5, 1.0, PAR14))
     with pytest.raises(AttributeError):
         res.value = 0j  # type: ignore[misc]
+
+
+_PAR10 = build_parabolic_rule(10)
+
+
+class TestSplitGate:
+    """One split gate for every alpha: where beta > 1, a real z < 0 with
+    |z| < 0.03**alpha keeps its poles in the integrand, on the float rows
+    as in the engine.  Forced quadrature: ml_auto sends |z| <= 1 to the
+    series."""
+
+    def test_gated_pair_row(self) -> None:
+        # split off, the poles at |gamma| = 1e-8**(1/1.3) would swamp the value (-122880)
+        got = ml_quad(-1e-8, 1.3, 4.0, HYP14)
+        assert abs(got.value.real - 1.0 / 6.0) <= 1e-8 / 6.0 and got.value.imag == 0.0
+
+    @pytest.mark.parametrize(
+        "rule,bound",
+        [(HYP14, 1e-9), (build_hyperbolic_rule(8), 1e-4), (_PAR10, 1e-5)],
+        ids=["hyp14", "hyp8", "par10"],
+    )
+    @pytest.mark.parametrize("alpha", [1.5, 2.0])
+    def test_small_x_against_the_series(self, rule, bound: float, alpha: float) -> None:
+        # split off, the pair would give relative errors of 6e-6 and 1e-7 on
+        # HYP14, and of up to 2.5 on the coarser rules
+        want = _mp_series(complex(-1e-6), alpha, 3.0).real
+        got = ml_quad(-1e-6, alpha, 3.0, rule).value
+        assert abs(got.real - want) <= bound * abs(want) and got.imag == 0.0
+
+    @settings(
+        derandomize=True,
+        max_examples=300,
+        database=None,
+        deadline=None,
+        phases=[Phase.explicit, Phase.generate, Phase.shrink],
+    )
+    @given(
+        rule=st.sampled_from([HYP14, _PAR10]),
+        alpha=st.floats(1.0, 2.0, exclude_min=True),
+        beta=st.floats(1.0, 4.0, exclude_min=True),
+        s=st.sampled_from([0.5, 0.999, 1.001, 2.0, 10.0]),
+    )
+    def test_row_meets_the_engine_across_the_gate(self, rule, alpha: float, beta: float, s: float) -> None:
+        # the row at -x against the engine's column just above the axis, on
+        # either side of the gate (a pair row that split below it missed by 1e-3).
+        # Within 1e-12 of alpha = 1 the partner pole of the point above the
+        # axis lies just off the sheet: the engine splits one pole where the
+        # row splits two, and the two differ by the rule's own error (2.8e-5
+        # on PAR10 at beta = 3.6, where each is 1e-5 from the series)
+        x = 0.03**alpha * s
+        row = ml_quad(-x, alpha, beta, rule).value
+        off = ml_quad(complex(-x, 1e-13 * x), alpha, beta, rule).value
+        assert abs(row - off) <= (1e-8 if alpha - 1.0 > 1e-12 else 1e-4) * abs(off)
 
 
 def _mp_series(z: complex, alpha: float, beta: float) -> complex:
