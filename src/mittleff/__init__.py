@@ -8,10 +8,13 @@ E[alpha, beta](-x) on the nonnegative real axis.
 
 Neither importing the package nor the series, the expansion or
 quadrature at a real z < 0 with alpha <= 2 loads numpy or dataclasses
-(QuadratureRule and EvalResult are NamedTuples).  numpy is loaded
-on first use of the array engine (ml_quad_values, and quadrature at any
-other z) or of the Pade names, which come from mittleff.pade on first
-access (PEP 562).
+(QuadratureRule and EvalResult are NamedTuples), nor compiles or loads
+the array engine (mittleff.engine): where bytecode is not cached, most of
+their set-up is compiling the package's source, and with cached bytecode
+that split gains little.  numpy is loaded on first use of the engine
+(ml_quad_values, and quadrature at any other z) or of the Pade names;
+ml_quad_values and the Pade names come from their modules on first access
+(PEP 562).
 
 >>> from mittleff import mittag_leffler
 >>> mittag_leffler(1.0, 1.0, 1.0)  # e
@@ -29,7 +32,7 @@ from .exceptions import (
     PoleError,
     SingularSystemError,
 )
-from .quadrature import EvalResult, Method, ml_quad, ml_quad_values
+from .quadrature import EvalResult, Method, ml_quad
 from .series import ml_series
 
 __version__ = "0.1.0"
@@ -69,9 +72,14 @@ _PADE_NAMES = frozenset(
 
 
 def __getattr__(name: str):
-    # the Pade names import pade, and with it numpy, on first access
+    # the Pade names import pade, and ml_quad_values the engine, and with
+    # either numpy, on first access
     if name in _PADE_NAMES:
         from . import pade
 
         return getattr(pade, name)
+    if name == "ml_quad_values":
+        from .engine import ml_quad_values
+
+        return ml_quad_values
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

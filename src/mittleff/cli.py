@@ -16,7 +16,7 @@ from .asymptotic import asymptotic_sigma_tau
 from .contours import build_hyperbolic_rule, build_parabolic_rule  # noqa: F401  rebound by bench/tracing.py
 from .dispatch import DEFAULT_TOL, ml_auto, quad_rule, quadrature_n_for_tol, run_method, validate_params
 from .exceptions import DomainError, MittleffError
-from .quadrature import EvalResult, Method, ml_quad, ml_quad_values  # noqa: F401  ml_quad: as above
+from .quadrature import EvalResult, Method, ml_quad  # noqa: F401  ml_quad: as above
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -151,6 +151,8 @@ def cmd_grid(args: argparse.Namespace) -> int:
     if not all(math.isfinite(v) for v in (*re_axis, *im_axis)):
         raise DomainError("grid bounds must be finite, and so must the points between them")
     import numpy as np
+
+    from .engine import ml_quad_values
 
     # outer loop over re, inner over im, each part copied exactly
     n = args.steps

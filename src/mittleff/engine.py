@@ -1,0 +1,237 @@
+"""The array engine of contour quadrature: E[alpha, beta] at every entry
+of an array of z (ml_quad_values).
+
+It serves ml_quad at every z off the negative-axis rows, the grid command
+and callers with many points.  Chunks of z are summed at once as (nodes x
+points) numpy arrays: the node factors of quadrature._node_factors read as
+numpy columns (_engine_factors), every pole on the principal sheet split
+off and its residue added back, and within EPS_SWITCH of a pole the psi
+form of quadrature._psi_rows, summed for every near (node, point) pair of
+a chunk in one numpy pass (_psi_form).  A real z < 0 with alpha <= 2 takes
+quadrature's float rows, as in ml_quad.
+
+numpy is imported with this module, and the module only where the engine
+is used: by quadrature on ml_quad's first call off the rows, by the
+package on first access to mittleff.ml_quad_values (PEP 562) and by the
+grid command.  Importing mittleff and a scalar call on the rows neither
+compile nor load it: where bytecode is not cached, compiling source is
+most of their set-up.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+import sys
+from typing import TYPE_CHECKING
+
+import numpy as np
+
+from .contours import QuadratureRule
+from .exceptions import DomainError
+from .kernels import check_alpha_beta, on_sheet, pole_turns
+from .quadrature import _EPS_SWITCH_SQ, _neg_axis_row, _node_factors, _psi_rows
+
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
+
+# points per engine pass: bounds its (nodes x points) work arrays
+ENGINE_CHUNK = 256
+# e**x overflows above _LOG_MAX and falls below the least subnormal below _LOG_TINY
+_LOG_MAX = math.log(sys.float_info.max)
+_LOG_TINY = math.log(math.ulp(0.0))
+
+
+def _psi_form(eps: np.ndarray, log_gamma: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+    """f_one's psi form at every entry of eps, given log gamma at each.
+
+    The powers 1, eps, eps**2, ... are a cumulative product down axis 0,
+    which numpy runs entry by entry.  Their products with the coefficients
+    are real, and numpy sums them down axis 0 power after power, for every
+    (row, part, entry) column at once: there are at least four columns,
+    never the lone one it would sum pairwise (see _sum_rows).  The rest is
+    quotients, so an entry's bits do not depend on the batch.
+    """
+    rows = np.array(_psi_rows(alpha, beta)[::-1])  # (power, row), lowest power first
+    factors = np.repeat(eps[None, :], len(rows), axis=0)
+    factors[0] = 1.0
+    powers = np.multiply.accumulate(factors, axis=0).view(np.float64)
+    # (power, row, real and imaginary part of each entry) summed over the powers
+    sums = np.add.reduce(powers[:, None, :] * rows[:, :, None], axis=0).view(np.complex128)
+    return sums[0] / sums[1] / np.exp(beta * log_gamma)
+
+
+
+@functools.lru_cache(maxsize=64)
+def _engine_factors(rule: QuadratureRule, alpha: float, beta: float) -> tuple[np.ndarray, ...]:
+    """_node_factors' block as the engine's columns w, A*C, A*C*w**(alpha-beta),
+    w**alpha, each of 2N+2 rows: the block's nodes, then their reflections,
+    whose factors are its exact conjugates.  Read-only: every caller shares them."""
+    first = np.array(_node_factors(rule, alpha, beta)[0]).view(np.complex128)
+    columns = np.concatenate([first, first.conj()]).T[:, :, None].copy()
+    columns.flags.writeable = False
+    return tuple(columns)
+
+
+def _sum_rows(terms: np.ndarray, n: int) -> np.ndarray:
+    """Each column of terms (nodes, points) summed over both blocks of n + 1 nodes.
+
+    numpy reduces a non-innermost axis node after node from +0.0.  A lone
+    column would be summed pairwise, so it is accumulated instead (+ 0.0 gives
+    it the zero sign of a start at +0.0): a point's bits do not depend on the
+    batch.  For real z > 0 the second block's sum is the exact conjugate of
+    the first's, so the column is real, with imaginary part +0.0.
+    """
+    blocks = terms.reshape(2, n + 1, -1)
+    if blocks.shape[2] > 1:
+        sums = blocks.sum(axis=1)
+    else:
+        sums = np.add.accumulate(blocks, axis=1)[:, -1] + 0.0
+    return sums[0] + sums[1]
+
+
+def _plain_values(z: np.ndarray, alpha: float, beta: float, rule: QuadratureRule) -> np.ndarray:
+    # no pole split off: z = 0, outside the sector, or a pole too near the origin
+    _, _, c_wab, wa = _engine_factors(rule, alpha, beta)
+    return _sum_rows(c_wab / (wa - z), rule.N)
+
+
+def _pole_split_values(z: np.ndarray, alpha: float, beta: float, rule: QuadratureRule) -> np.ndarray:
+    # every z has gamma_0 on the principal sheet; for alpha > 1 the other
+    # poles gamma_k are split off where on_sheet holds, and get P = 0 elsewhere
+    w, c, c_wab, wa = _engine_factors(rule, alpha, beta)
+    log_z = np.log(z)
+    terms = c_wab / (wa - z)
+    poles = []  # (gamma, log gamma, P, where it is on the sheet: None for everywhere, near)
+    residue = largest = log_largest = None
+    for k in (0, *pole_turns(alpha)):
+        on = None if k == 0 else on_sheet(log_z.imag / math.pi, k, alpha)
+        if on is not None and not on.any():
+            continue
+        log_gamma = (log_z if k == 0 else log_z + 2j * math.pi * k) / alpha
+        gamma = np.exp(log_gamma)
+        log_pole = (1.0 - beta) * log_gamma - math.log(alpha)  # log(gamma**(1-beta)/alpha)
+        if on is not None:
+            log_pole[~on] = -np.inf  # P = 0: no split term and no residue
+        pole = np.exp(log_pole)
+        dw = w - gamma
+        q = pole / dw
+        log_res = log_pole + gamma
+        res = np.exp(log_res)
+        # near the pole the difference cancels: the psi form takes over
+        near = dw.real * dw.real + dw.imag * dw.imag < _EPS_SWITCH_SQ * (
+            gamma.real * gamma.real + gamma.imag * gamma.imag
+        )
+        if on is None:
+            residue, largest, log_largest = res, res, log_res.real
+        else:
+            near &= on
+            residue = residue + res
+            top = log_res.real > log_largest
+            largest = np.where(top, res, largest)
+            log_largest = np.where(top, log_res.real, log_largest)
+        # c * (pole/dw) in real arithmetic: whether numpy fuses its complex
+        # product (FMA) depends on the CPU and the loop it picks; written out,
+        # the bits do not
+        terms.real -= c.real * q.real - c.imag * q.imag
+        terms.imag -= c.real * q.imag + c.imag * q.real
+        poles.append((gamma, log_gamma, pole, on, near))
+    for gamma, log_gamma, _, _, near in poles:
+        if not np.count_nonzero(near):
+            continue
+        j, i = np.divmod(np.flatnonzero(near), near.shape[1])  # 2-d np.nonzero is slower
+        wj, gi = w[j, 0], gamma[i]
+        f = _psi_form((wj - gi) / gi, log_gamma[i], alpha, beta)
+        # less the plain terms of the other poles on the sheet at z
+        for g, _, p, on, _ in poles:
+            if g is not gamma:
+                q = p[i] / (wj - g[i])
+                f -= q if on is None else np.where(on[i], q, 0.0)
+        cj = c[j, 0]
+        terms.real[j, i] = cj.real * f.real - cj.imag * f.imag
+        terms.imag[j, i] = cj.real * f.imag + cj.imag * f.real
+    # an overflowing residue is the value, the largest where several
+    # overflow: the node sum could only add inf - inf
+    return np.where(np.isinf(largest), largest, residue + _sum_rows(terms, rule.N))
+
+
+def ml_quad_values(z: ArrayLike, alpha: float, beta: float, rule: QuadratureRule) -> np.ndarray:
+    """E[alpha, beta] at every entry of the array z by contour quadrature.
+
+    alpha > 0, z of any size.  Returns a complex array of z's shape, equal
+    to ml_quad's values bit for bit.  A real z < 0 with alpha <= 2 takes
+    _neg_axis_row; the other points are summed in chunks of at most
+    ENGINE_CHUNK points of one kind, split or plain, and every column of a
+    chunk's (nodes x points) integrand on its own, with the poles on the
+    principal sheet split off, so a value does not depend on the batch.
+    Within EPS_SWITCH of a split pole the psi form takes over: _psi_form
+    sums it for all of the chunk's near (node, point) pairs at once, with
+    no Python call per pair.  Where beta > 1 and |gamma| < _SPLIT_GAMMA_MIN
+    the poles stay in the plain column instead, as where, for alpha <= 1, a
+    non-real z has a pole gamma or a weight P = gamma**(1-beta)/alpha that
+    overflows while the residue P e**gamma underflows to 0 (split off, P
+    gave nan+nanj); where gamma overflows with Re gamma > 0 the value is
+    complex(inf, inf), as in ml_asymptotic.  z = 0
+    has no pole (w**alpha = 0 has no root on the contour): its plain column
+    sums w**-beta, so its value approximates 1/Gamma(beta) with the error
+    origin_accuracy.  A real z gets a real value: for alpha <= 1 and z >= 0
+    through the conjugate node blocks, whose sums are exact conjugates.  A
+    NaN or infinite entry, one whose modulus overflows, or a beta that is
+    not finite or whose node factors overflow, raises DomainError; an
+    overflowing value gives inf parts and no warning.
+    """
+    check_alpha_beta(alpha, beta)
+    # + 0.0 copies z and turns a -0.0 imaginary part into +0.0: the negative
+    # real axis is read from above, as in principal_arg
+    z = np.asarray(z, dtype=np.complex128) + 0.0
+    flat = z.reshape(-1)
+    # every product and quotient in the helpers is elementwise and has no
+    # complex product left to fuse, so a column's bits do not depend on the
+    # batch
+    with np.errstate(all="ignore"):
+        modulus = np.abs(flat)
+        # |z| is inf for an infinite part or a modulus that overflows, NaN for a NaN part
+        if not np.isfinite(modulus).all():
+            raise DomainError("z has an entry with a NaN or infinite part or an overflowing modulus")
+        entry = _node_factors(rule, alpha, beta)
+        real = flat.imag == 0.0
+        axis = real & (flat.real < 0.0) & (alpha <= 2.0)
+        # gamma_0 is on the sheet (for alpha > 1 always; at alpha = 1 the
+        # negative axis too); z = 0 has no pole
+        sector = np.abs(np.arctan2(flat.imag, flat.real)) <= alpha * math.pi
+        # a pole nearer the origin than the gate x_min lies inside the contour,
+        # where the plain column sums it; split off, gamma**(1-beta) swamps the value
+        split = sector & ~axis & (flat != 0.0) & (modulus >= entry[2])
+        out = np.empty_like(flat)
+        plain = ~(axis | split)
+        if alpha <= 1.0:
+            # a non-real z whose pole gamma = |z|**(1/alpha) e**(i*Arg(z)/alpha)
+            # overflows, or for beta < 1 its weight P = gamma**(1-beta)/alpha
+            # (a real z keeps its column, (inf, 0) for z > 0)
+            top = sys.float_info.max**alpha
+            if beta < 1.0:
+                top = min(top, math.exp(min(alpha * (_LOG_MAX + math.log(alpha)) / (1.0 - beta), _LOG_MAX)))
+            big = (split & ~real & (modulus > top)).nonzero()[0]
+            if big.size:
+                mod, turn = modulus[big], np.cos(np.angle(flat[big]) / alpha)
+                grows = (mod > sys.float_info.max**alpha) & (turn > 0.0)
+                out[big[grows]] = complex(math.inf, math.inf)
+                # log |P e**gamma|, -inf where gamma overflows with Re gamma < 0:
+                # where the residue underflows to 0 the plain column is the value
+                log_res = (1.0 - beta) / alpha * np.log(mod) - math.log(alpha) + mod ** (1.0 / alpha) * turn
+                vanishes = log_res < _LOG_TINY
+                split[big[grows | vanishes]] = False
+                plain[big[vanishes]] = True
+        if axis.any():
+            out[axis] = [_neg_axis_row(-zr, alpha, beta, entry) for zr in flat[axis].real.tolist()]
+        # one kind per chunk: the split points, 8x the cost of plain ones, come full
+        for kind, values in ((split, _pole_split_values), (plain, _plain_values)):
+            at = kind.nonzero()[0]
+            for i in range(0, at.size, ENGINE_CHUNK):
+                chunk = at[i : i + ENGINE_CHUNK]
+                out[chunk] = values(flat[chunk], alpha, beta, rule)
+        if alpha > 1.0:
+            # poles off the real axis make the summand of a real z asymmetric;
+            # the imaginary part is rounding
+            out.imag[real] = 0.0
+    return out.reshape(z.shape)

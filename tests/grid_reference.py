@@ -14,7 +14,8 @@ import math
 from mittleff.cli import EXIT_OK, _abs_diff, _check_n_is_read, _evaluate, _linspace, _QUAD_METHODS, _write_text
 from mittleff.dispatch import quad_rule, quadrature_n_for_tol, validate_params
 from mittleff.exceptions import DomainError
-from mittleff.quadrature import Method, ml_quad_values
+from mittleff.engine import ml_quad_values
+from mittleff.quadrature import Method
 
 # grid points per quadrature call; bounds the (points x nodes) work arrays
 GRID_BLOCK = 256

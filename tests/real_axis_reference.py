@@ -26,6 +26,7 @@ import numpy as np
 from mittleff.asymptotic import INF, MAX_TERMS, TABLE_BLOCK, _last_term, asymptotic_sigma_tau
 from mittleff.kernels import cexp, cpow_principal as _cpow, on_sheet, pole_turns, principal_arg
 from mittleff.contours import QuadratureRule
+from mittleff.engine import _pole_split_values
 from mittleff.exceptions import DomainError
 from mittleff.quadrature import (
     _EPS_SWITCH_SQ,
@@ -34,7 +35,6 @@ from mittleff.quadrature import (
     Method,
     _method_for,
     _node_factors,
-    _pole_split_values,
     _psi_rows,
     f_plain,
 )

@@ -7,7 +7,7 @@ import pytest
 import grid_reference
 from mittleff import cli
 from mittleff.cli import _abs_diff, _merge_negative_values, main
-from mittleff.quadrature import ENGINE_CHUNK
+from mittleff.engine import ENGINE_CHUNK
 
 # a rectangle through z = 0, with the negative real axis on its grid rows
 _RECT = ("--alpha", "0.5", "--beta", "1", "--re-min=-5", "--re-max", "3", "--im-min=-4", "--im-max", "4")

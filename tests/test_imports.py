@@ -1,9 +1,9 @@
 """numpy stays out of the scalar path: importing mittleff, every scalar
-real-axis route and the eval and table-asymp commands run without it, and
-the array engine, the Pade pipeline and the grid command load it on first
-use.  Nor do importing mittleff and a scalar call load dataclasses or
-inspect.  Each check runs in a fresh interpreter, whose sys.modules starts
-without numpy."""
+real-axis route and the eval and table-asymp commands run without it or
+the array engine (mittleff.engine), and the engine, the Pade pipeline and
+the grid command load numpy on first use.  Nor do importing mittleff and a
+scalar call load dataclasses or inspect.  Each check runs in a fresh
+interpreter, whose sys.modules starts without numpy."""
 
 import cmath
 import json
@@ -20,7 +20,8 @@ from mittleff import cli
 from mittleff.contours import build_hyperbolic_rule
 from mittleff.dispatch import ml_auto
 from mittleff.pade import build_pade, pade_eval
-from mittleff.quadrature import Method, ml_quad_values
+from mittleff.engine import ml_quad_values
+from mittleff.quadrature import Method
 
 SRC = str(Path(mittleff.__file__).resolve().parent.parent)
 
@@ -53,21 +54,21 @@ def test_scalar_routes_and_commands_run_without_numpy() -> None:
 import contextlib, io, json, sys
 import mittleff
 from mittleff import cli, quadrature
-before = "numpy" in sys.modules
+before = {{"numpy", "mittleff.engine"}} & set(sys.modules)
 values = [mittleff.ml_auto(z, a, b) for z, a, b in {[r[:3] for r in SCALAR_ROUTES]!r}]
 near = quadrature._psi_rows.cache_info().currsize
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(["eval", "--alpha", "0.7", "--beta", "1", "--z", "-2"]), cli.main(["table-asymp"])]
 print(json.dumps({{
-    "before": before,
-    "after": "numpy" in sys.modules,
+    "before": sorted(before),
+    "after": sorted({{"numpy", "mittleff.engine"}} & set(sys.modules)),
     "values": [(v.value.real.hex(), v.value.imag.hex(), v.method.value) for v in values],
     "near": near,
     "codes": codes,
 }}))
 """
     )
-    assert not got["before"] and not got["after"]
+    assert got["before"] == got["after"] == []
     assert got["codes"] == [0, 0]
     assert got["near"] > 0  # the last route ran f_one's psi form
     want = []
@@ -91,7 +92,7 @@ print(json.dumps(sorted(set(sys.modules) - before)))
 """
     )
     assert "mittleff.contours" in got
-    assert not {"dataclasses", "inspect", "numpy"} & set(got)
+    assert not {"dataclasses", "inspect", "numpy", "mittleff.engine"} & set(got)
 
 
 def _e_half(z: complex) -> complex:
@@ -112,17 +113,20 @@ def _series_reference(z: complex, alpha: float) -> complex:
             n, zn = n + 1, zn * mp.mpc(z)
 
 
-def _loads_numpy(code: str):
+def _loads_numpy(code: str, engine: bool = True):
     """Run code in a fresh interpreter after `import mittleff` and the cli;
-    assert that numpy was absent before and loaded after, and return the
+    assert that numpy was absent before and loaded after, and the engine
+    likewise if engine, else that the engine stays unloaded; return the
     value the code leaves in `out`."""
     got = _run(
         "import json, sys\nimport mittleff\nfrom mittleff import cli\n"
-        'before = "numpy" in sys.modules\n'
+        'loaded = lambda: sorted({"numpy", "mittleff.engine"} & set(sys.modules))\n'
+        "before = loaded()\n"
         f"{code}\n"
-        'print(json.dumps({"before": before, "after": "numpy" in sys.modules, "out": out}))'
+        'print(json.dumps({"before": before, "after": loaded(), "out": out}))'
     )
-    assert not got["before"] and got["after"]
+    assert got["before"] == []
+    assert got["after"] == (["mittleff.engine", "numpy"] if engine else ["numpy"])
     return got["out"]
 
 
@@ -149,7 +153,7 @@ def test_ml_auto_off_the_axis_loads_numpy() -> None:
 
 
 def test_build_pade_loads_numpy() -> None:
-    got = float.fromhex(_loads_numpy("out = mittleff.pade_eval(mittleff.build_pade(0.5, 1.0, 6, 5), 2.0).hex()"))
+    got = float.fromhex(_loads_numpy("out = mittleff.pade_eval(mittleff.build_pade(0.5, 1.0, 6, 5), 2.0).hex()", engine=False))
     assert got == pade_eval(build_pade(0.5, 1.0, 6, 5), 2.0)
     assert abs(got - _e_half(-2.0).real) < 1e-3
 

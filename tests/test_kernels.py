@@ -20,7 +20,8 @@ from mittleff.kernels import (
     psi2,
     reciprocal_gamma,
 )
-from mittleff.quadrature import EPS_SWITCH, _node_factors, _psi_form, _psi_rows, f_one
+from mittleff.engine import _psi_form
+from mittleff.quadrature import EPS_SWITCH, _node_factors, _psi_rows, f_one
 
 
 class TestGammaReal:

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from mittleff import quadrature
+from mittleff import engine, quadrature
+from mittleff.asymptotic import ml_asymptotic
 from mittleff.contours import build_hyperbolic_rule, build_parabolic_rule
 from mittleff.dispatch import ml_auto
+from mittleff.engine import ml_quad_values
 from mittleff.exceptions import DomainError
 from mittleff.kernels import cpow_principal, on_sheet, pole_turns, reciprocal_gamma
 from real_axis_reference import ml_quad_neg_axis_wide_alpha
@@ -22,7 +24,6 @@ from mittleff.quadrature import (
     f_one,
     f_plain,
     ml_quad,
-    ml_quad_values,
     origin_accuracy,
     q_sum,
 )
@@ -403,9 +404,9 @@ class TestEngine:
             return chunk
 
         for name in ("_pole_split_values", "_plain_values"):
-            monkeypatch.setattr(quadrature, name, counted(getattr(quadrature, name)))
+            monkeypatch.setattr(engine, name, counted(getattr(engine, name)))
         batch = ml_quad_values(z, alpha, beta, HYP14)
-        assert len(sizes) >= 3 and max(sizes) == quadrature.ENGINE_CHUNK
+        assert len(sizes) >= 3 and max(sizes) == engine.ENGINE_CHUNK
         for zk, got in zip(z, batch.tolist()):
             assert _same_bits(got, ml_quad(zk, alpha, beta, HYP14).value), zk
 
@@ -436,7 +437,7 @@ class TestEngine:
             return scalar + [_bits(v) for v in ml_quad_values(z, alpha, beta, HYP14).tolist()]
 
         quadrature._node_factors.cache_clear()
-        quadrature._engine_factors.cache_clear()
+        engine._engine_factors.cache_clear()
         cold = values()
         block, err, x_min, pair = quadrature._node_factors(HYP14, alpha, beta)
         assert quadrature._node_factors.cache_info().currsize == 1
@@ -447,7 +448,7 @@ class TestEngine:
         assert type(pair) is tuple and len(pair) == (7 if alpha >= 1.0 else 0) and all(type(v) is float for v in pair)
         for row in block:
             assert type(row) is tuple and len(row) == 8 and all(type(v) is float for v in row)
-        columns = quadrature._engine_factors(HYP14, alpha, beta)
+        columns = engine._engine_factors(HYP14, alpha, beta)
         assert len(columns) == 4
         for k, col in enumerate(columns):
             assert col.shape == (2 * HYP14.N + 2, 1) and not col.flags.writeable
@@ -588,13 +589,25 @@ class TestPoleSplitEnds:
         assert _same_bits(complex(ml_quad_values([z], 0.5, 1.0, rule)[0]), complex(math.inf, math.inf))
         assert _same_bits(ml_quad(1e200, 0.5, 1.0, rule).value, complex(math.inf, 0.0))
 
+    @pytest.mark.parametrize("z, beta", [(1e150j, -1.0), (1e100j, -2.0)])
+    def test_overflowing_pole_weight_with_vanishing_residue(self, z: complex, beta: float) -> None:
+        # gamma = z**2 = -|z|**2 is finite, but P = gamma**(1-beta)/alpha
+        # overflows while P e**gamma is 0: the split column gave nan+nanj, the
+        # plain one meets the expansion
+        want = ml_asymptotic(z, 0.5, beta, 1e-15)
+        assert want.converged
+        got = ml_quad(z, 0.5, beta, HYP14)
+        assert cmath.isfinite(got.value) and got.converged
+        assert abs(got.value - want.value) <= 1e-8 * abs(want.value)
+        assert _same_bits(complex(ml_quad_values([2.0, z], 0.5, beta, HYP14)[1]), got.value)
+
 
 def test_negative_axis_never_runs_the_engine(monkeypatch) -> None:
     # the scalar traffic is real z < 0: it stays on the float loops
     def engine(*args):
         raise RuntimeError("ml_quad_values called")
 
-    monkeypatch.setattr(quadrature, "ml_quad_values", engine)
+    monkeypatch.setattr("mittleff.engine.ml_quad_values", engine)
     assert ml_quad(-3.0, 0.5, 1.0, HYP14).value.imag == 0.0
     assert ml_quad(-3.0, 1.0, 0.6, HYP14).value.imag == 0.0
     from mittleff.dispatch import ml_auto
