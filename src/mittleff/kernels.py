@@ -104,12 +104,13 @@ def principal_arg(z: complex) -> float:
     """Argument of z in (-pi, pi].
 
     A zero imaginary part is treated as +0.0, so the negative real axis
-    maps to +pi regardless of the sign of the incoming zero.
+    maps to +pi regardless of the sign of the incoming zero.  math.atan2
+    is the libm atan2 that cmath.phase calls, but it returns an argument
+    that underflows (|Im z| tiny against |Re z|) where cmath.phase raises
+    OverflowError.
     """
     z = complex(z)
-    if z.imag == 0.0:
-        z = complex(z.real, 0.0)
-    return cmath.phase(z)
+    return math.atan2(z.imag or 0.0, z.real)
 
 
 def cpow_principal(w: complex, a: float) -> complex:

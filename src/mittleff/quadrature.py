@@ -17,7 +17,7 @@ holds them as floats, with every other z-independent constant
 (_node_factors).
 
 A real z < 0 with alpha <= 2 has a conjugate-symmetric summand, and
-_neg_axis_row sums the entry's block as floats: the plain row for
+_neg_axis_row sums the entry's nodes as floats: the plain row for
 alpha < 1 or where the entry's split gate keeps the poles in the
 integrand, as in the engine; else the edge row at alpha = 1, where the
 pole gamma = z lies on the branch cut, and for 1 < alpha <= 2 the
@@ -187,9 +187,9 @@ def origin_accuracy(rule: QuadratureRule, beta: float) -> float:
 
 
 @functools.lru_cache(maxsize=64)
-def _node_factors(rule: QuadratureRule, alpha: float, beta: float) -> tuple[tuple, float, float, tuple]:
-    """The entry of (rule, alpha, beta), (block, err, x_min, pair): every
-    constant of the quadrature route that does not depend on z.
+def _node_factors(rule: QuadratureRule, alpha: float, beta: float) -> tuple[tuple, float, float, tuple, tuple]:
+    """The entry of (rule, alpha, beta), (block, err, x_min, pair, plain):
+    every constant of the quadrature route that does not depend on z.
 
     block: the factors w_n, A*C_n, A*C_n*w_n**(alpha-beta), w_n**alpha of
     the nodes n = 0..N, one tuple of floats per node, (re, im) of each; the
@@ -207,11 +207,14 @@ def _node_factors(rule: QuadratureRule, alpha: float, beta: float) -> tuple[tupl
     (1-beta)*pi/alpha and its cos and sin, NaN where the phase overflows.
     At alpha = 2 the cosine is 0.0, not cos(pi/2) = 6e-17: the poles
     +-i*sqrt(x) lie on the imaginary axis, where e**Re(gamma) is 1 for
-    every x.  A factor or an origin_accuracy that overflows (beta far from
-    0) raises DomainError.
+    every x.  plain: _plain_row's nodes, (re, im) of A*C_n*w_n**(alpha-beta)
+    and of w_n**alpha, both conjugated where Im w_n**alpha < 0 (only for
+    alpha > 1): the real part of their quotient keeps its bits, and every
+    node has Im w**alpha >= 0.  A factor or an origin_accuracy that
+    overflows (beta far from 0) raises DomainError.
     """
     overflow = DomainError(f"beta={beta!r}: the node factors of this rule overflow")
-    block = []
+    block, plain = [], []
     try:
         for n, (w, c) in enumerate(zip(rule.nodes, rule.weights)):
             half = 0.5 if n == 0 else 1.0
@@ -223,6 +226,9 @@ def _node_factors(rule: QuadratureRule, alpha: float, beta: float) -> tuple[tupl
             if not cmath.isfinite(c_wab):
                 raise overflow
             block.append((w.real, w.imag, cr, ci, c_wab.real, c_wab.imag, wa.real, wa.imag))
+            if wa.imag < 0.0:
+                c_wab, wa = c_wab.conjugate(), wa.conjugate()
+            plain.append((c_wab.real, c_wab.imag, wa.real, wa.imag))
         err = origin_accuracy(rule, beta)
     except OverflowError:  # cmath.exp, or origin_accuracy's powers
         raise overflow from None
@@ -235,20 +241,22 @@ def _node_factors(rule: QuadratureRule, alpha: float, beta: float) -> tuple[tupl
             phase = math.nan
         cos_a = 0.0 if alpha == 2.0 else math.cos(ang)
         pair = (1.0 / alpha, (1.0 - beta) / alpha, cos_a, math.sin(ang), phase, math.cos(phase), math.sin(phase))
-    return tuple(block), err, x_min, pair
+    return tuple(block), err, x_min, pair, tuple(plain)
 
 
-def _plain_row(x: float, block: tuple) -> float:
-    """E[alpha, beta](-x) for x > 0 from the first block of node factors,
+def _plain_row(x: float, plain: tuple) -> float:
+    """E[alpha, beta](-x) for x > 0 from the entry's plain nodes (_node_factors),
     with every pole left in the integrand: alpha < 1, or |z| below the split
     gate x_min.  The summand is conjugate-symmetric, so the row is twice the
     sum of Re[c_wab/(wa + x)], node after node from +0.0.  The real part is
-    taken in Smith form: |wa + x|**2 overflows from x ~ 1e154 on.
+    taken in Smith form: |wa + x|**2 overflows from x ~ 1e154 on.  Every
+    plain node has Im wa >= 0, so Smith's test |Re| >= |Im| is taken with
+    comparisons whose sign is known, without abs.
     """
     s = 0.0
-    for _, _, _, _, ar, ai, br, bi in block:
+    for ar, ai, br, bi in plain:
         br += x
-        if abs(br) >= abs(bi):
+        if br >= bi or -br >= bi:
             rat = bi / br
             s += (ar + ai * rat) * (1.0 / (br + bi * rat))
         else:
@@ -268,13 +276,14 @@ def _edge_row(x: float, beta: float, entry: tuple) -> float:
     Re[(c_wab - Re P * c)/(w + x)], the real part in Smith form (|w + x|**2
     overflows from x ~ 1e154 on).  Within EPS_SWITCH*x of gamma the term
     is f_one plus i*Im P/(w + x).  Where |P| would overflow, the pole stays
-    in the integrand: the value is _plain_row's.
+    in the integrand: the value is _plain_row's.  Every node has Im w >= 0,
+    so Smith's test is taken without abs, as in _plain_row.
     """
     # P = x**(1-beta) * e**(i*(1-beta)*pi): the phase's cos and sin are cached
-    block, _, _, (_, _, _, _, _, cos_p, sin_p) = entry
+    block, _, _, (_, _, _, _, _, cos_p, sin_p), plain = entry
     log_mag = (1.0 - beta) * math.log(x)
     if log_mag >= 709.0:
-        return _plain_row(x, block)
+        return _plain_row(x, plain)
     mag = math.exp(log_mag)
     pr = mag * cos_p
     near = _EPS_SWITCH_SQ * x * x
@@ -290,7 +299,7 @@ def _edge_row(x: float, beta: float, entry: tuple) -> float:
             continue
         ar -= pr * cr
         ai -= pr * ci
-        if abs(br) >= abs(wi):
+        if br >= wi or -br >= wi:
             rat = wi / br
             s += (ar + ai * rat) / (br + wi * rat)
         else:
@@ -304,7 +313,7 @@ def _neg_axis_row(x: float, alpha: float, beta: float, entry: tuple) -> float:
     # negative axis, behind one split gate for every alpha: a pole the engine
     # keeps in the integrand (|z| < x_min) stays in it here too
     if alpha < 1.0 or x < entry[2]:
-        return _plain_row(x, entry[0])
+        return _plain_row(x, entry[4])
     if alpha == 1.0:
         return _edge_row(x, beta, entry)
     return _two_pole_sum(x, alpha, beta, entry)
@@ -349,7 +358,7 @@ def _two_pole_sum(x: float, alpha: float, beta: float, entry: tuple) -> float:
     trigonometric constants are the entry's pair: a call computes only what
     depends on x.
     """
-    block, _, _, (inv_alpha, expo, cos_a, sin_a, phase, cos_p, sin_p) = entry
+    block, _, _, (inv_alpha, expo, cos_a, sin_a, phase, cos_p, sin_p), _ = entry
     rho = x**inv_alpha
     gr, gi = rho * cos_a, rho * sin_a
     try:

@@ -8,7 +8,6 @@ quadrature evaluators.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 
 from .exceptions import DomainError
@@ -48,7 +47,8 @@ def ml_series(
     1/Gamma(x) = sin(pi*x)*Gamma(1-x)/pi vanishes at the poles of Gamma
     while the next one need not, so the test and the estimate size it by
     the envelope Gamma(1-x)/pi instead; the sum itself adds 1/Gamma(x).
-    If max_terms is exhausted first, converged is False.  The
+    If max_terms is exhausted first, converged is False, and so it is for
+    a NaN value (an infinite term meets an infinite |sum|).  The
     coefficients 1/Gamma(beta + n*alpha) come from a table cached per
     (alpha, beta).
     """
@@ -74,18 +74,24 @@ def _series_sum(z: complex, alpha: float, beta: float, tol: float, max_terms: in
     acc = 0.0
     zp = 1.0  # z**n
     n = 0
-    for block in itertools.count():
+    block = 0
+    while True:
         for rg in _rgamma_block(alpha, beta, block):
             term = zp * rg
-            if n >= 1:
-                if n >= n_reflect:
-                    size = abs(term)
-                else:
-                    size = abs(zp) * gamma_real(1.0 - (beta + n * alpha)) / math.pi
-                if size <= tol * abs(acc):
-                    return tuple.__new__(EvalResult, (complex(acc), _SERIES, n, size, True))
-                if n >= max_terms:
-                    return tuple.__new__(EvalResult, (complex(acc), _SERIES, n, size, False))
+            # n_reflect >= 1: past the envelope one index test comes before the stopping test
+            if n >= n_reflect:
+                size = abs(term)
+            elif n:
+                size = abs(zp) * gamma_real(1.0 - (beta + n * alpha)) / math.pi
+            else:
+                size = math.inf  # term 0 is always added
+            if size <= tol * abs(acc):
+                # a NaN sum (an infinite term, inf <= inf) is never converged;
+                # acc == acc is False for a NaN in either part
+                return tuple.__new__(EvalResult, (complex(acc), _SERIES, n, size, acc == acc))
+            if n >= max_terms:
+                return tuple.__new__(EvalResult, (complex(acc), _SERIES, n, size, False))
             acc += term
             zp *= z
             n += 1
+        block += 1

@@ -13,18 +13,26 @@ where an infinite one of each kind meet; the package keeps the larger.
 ml_quad_neg_axis_wide_alpha, the engine's column at z = -x for 1 < alpha < 2,
 is the reference the two-pole row is checked against.  It left the package,
 whose code never called it, unchanged but for the index of origin_accuracy in
-_node_factors' record."""
+_node_factors' record.
+
+ref_series_sum, ref_plain_row and ref_edge_row are the series loop and the
+alpha <= 1 negative-axis rows as they stood before each term past the
+envelope took one index test and the rows took Smith's test without abs:
+verbatim, renamed only.  ref_edge_row reads the first four fields of
+_node_factors' entry, the whole entry when it was written, and both rows
+read the 8-float block."""
 
 from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 
 import numpy as np
 
 from mittleff.asymptotic import INF, MAX_TERMS, TABLE_BLOCK, _last_term, asymptotic_sigma_tau
-from mittleff.kernels import cexp, cpow_principal as _cpow, on_sheet, pole_turns, principal_arg
+from mittleff.kernels import cexp, cpow_principal as _cpow, gamma_real, on_sheet, pole_turns, principal_arg
 from mittleff.contours import QuadratureRule
 from mittleff.engine import _pole_split_values
 from mittleff.exceptions import DomainError
@@ -36,8 +44,10 @@ from mittleff.quadrature import (
     _method_for,
     _node_factors,
     _psi_rows,
+    f_one,
     f_plain,
 )
+from mittleff.series import _SERIES, _rgamma_block
 
 
 @functools.lru_cache(maxsize=256)
@@ -229,3 +239,95 @@ def ml_quad_neg_axis_wide_alpha(
     with np.errstate(all="ignore"):
         value = _pole_split_values(np.array([complex(-x)]), alpha, beta, rule)[0]
     return EvalResult(complex(value.real), _method_for(rule), 2 * rule.N + 1, err, True)
+
+
+def ref_series_sum(z: complex, alpha: float, beta: float, tol: float, max_terms: int) -> EvalResult:
+    """ml_series for checked arguments."""
+    # the terms before the first n >= 1 with beta + n*alpha >= 1/2 are sized
+    # by the envelope
+    n_reflect = 1
+    while n_reflect <= max_terms and beta + n_reflect * alpha < 0.5:
+        n_reflect += 1
+    # summed in floats for real z: the complex loop's real part bit for bit,
+    # and an imaginary part of exactly 0
+    if z.imag == 0.0:
+        z = z.real
+    acc = 0.0
+    zp = 1.0  # z**n
+    n = 0
+    for block in itertools.count():
+        for rg in _rgamma_block(alpha, beta, block):
+            term = zp * rg
+            if n >= 1:
+                if n >= n_reflect:
+                    size = abs(term)
+                else:
+                    size = abs(zp) * gamma_real(1.0 - (beta + n * alpha)) / math.pi
+                if size <= tol * abs(acc):
+                    return tuple.__new__(EvalResult, (complex(acc), _SERIES, n, size, True))
+                if n >= max_terms:
+                    return tuple.__new__(EvalResult, (complex(acc), _SERIES, n, size, False))
+            acc += term
+            zp *= z
+            n += 1
+
+
+def ref_plain_row(x: float, block: tuple) -> float:
+    """E[alpha, beta](-x) for x > 0 from the first block of node factors,
+    with every pole left in the integrand: alpha < 1, or |z| below the split
+    gate x_min.  The summand is conjugate-symmetric, so the row is twice the
+    sum of Re[c_wab/(wa + x)], node after node from +0.0.  The real part is
+    taken in Smith form: |wa + x|**2 overflows from x ~ 1e154 on.
+    """
+    s = 0.0
+    for _, _, _, _, ar, ai, br, bi in block:
+        br += x
+        if abs(br) >= abs(bi):
+            rat = bi / br
+            s += (ar + ai * rat) * (1.0 / (br + bi * rat))
+        else:
+            rat = br / bi
+            s += (ar * rat + ai) * (1.0 / (bi + br * rat))
+    return 2.0 * s
+
+
+def ref_edge_row(x: float, beta: float, entry: tuple) -> float:
+    """E[1, beta](-x) for x > 0 from the entry of the node factors at alpha = 1.
+
+    The pole gamma = -x lies on the branch cut, where its weight P =
+    gamma**(1-beta) is read from above.  For any constant Q, Q*e**gamma +
+    sum C_n (f(w_n) - Q/(w_n - gamma)) approximates the same integral, and
+    Q = Re P makes the summand conjugate-symmetric.  With w**1 = w both
+    quotients share w + x: the row is Re P * e**-x plus twice the sum of
+    Re[(c_wab - Re P * c)/(w + x)], the real part in Smith form (|w + x|**2
+    overflows from x ~ 1e154 on).  Within EPS_SWITCH*x of gamma the term
+    is f_one plus i*Im P/(w + x).  Where |P| would overflow, the pole stays
+    in the integrand: the value is _plain_row's.
+    """
+    # P = x**(1-beta) * e**(i*(1-beta)*pi): the phase's cos and sin are cached
+    block, _, _, (_, _, _, _, _, cos_p, sin_p) = entry
+    log_mag = (1.0 - beta) * math.log(x)
+    if log_mag >= 709.0:
+        return ref_plain_row(x, block)
+    mag = math.exp(log_mag)
+    pr = mag * cos_p
+    near = _EPS_SWITCH_SQ * x * x
+    s = 0.0
+    for wr, wi, cr, ci, ar, ai, _, _ in block:
+        br = wr + x
+        if br * br + wi * wi < near:
+            w = complex(wr, wi)
+            # f_one subtracts P/(w - gamma): add back i*Im P/(w + x)
+            f = f_one(w, complex(-x), 1.0, beta, complex(-x))
+            f += complex(0.0, mag * sin_p) / (w + x)
+            s += cr * f.real - ci * f.imag
+            continue
+        ar -= pr * cr
+        ai -= pr * ci
+        if abs(br) >= abs(wi):
+            rat = wi / br
+            s += (ar + ai * rat) / (br + wi * rat)
+        else:
+            rat = br / wi
+            s += (ar * rat + ai) / (wi + br * rat)
+    return math.exp(log_mag - x) * cos_p + 2.0 * s

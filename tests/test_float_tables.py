@@ -2,7 +2,9 @@
 coefficient rows with their signed column, f_one's cached coefficient
 pairs and _two_pole_sum's constants in the node-factor entry.  Each must
 give the bits of the loop it replaced, kept verbatim in
-real_axis_reference.py: the expansion at a real z and at a complex one."""
+real_axis_reference.py: the expansion at a real z and at a complex one.
+So must the series loop, with one index test per term past the envelope,
+and the plain and edge rows, which take Smith's test without abs."""
 
 import cmath
 import math
@@ -10,12 +12,31 @@ import math
 import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
-from real_axis_reference import ref_expansion_sum, ref_f_one, ref_sigma_tau_block, ref_two_pole_sum
+from real_axis_reference import (
+    ref_edge_row,
+    ref_expansion_sum,
+    ref_f_one,
+    ref_plain_row,
+    ref_series_sum,
+    ref_sigma_tau_block,
+    ref_two_pole_sum,
+)
 
 from mittleff import asymptotic
 from mittleff.asymptotic import MAX_TERMS, TABLE_BLOCK, _expansion_sum
 from mittleff.contours import build_hyperbolic_rule, build_parabolic_rule
-from mittleff.quadrature import EPS_SWITCH, EvalResult, _node_factors, _two_pole_sum, f_one
+from mittleff.quadrature import (
+    EPS_SWITCH,
+    EvalResult,
+    _edge_row,
+    _method_for,
+    _node_factors,
+    _plain_row,
+    _two_pole_sum,
+    f_one,
+    ml_quad,
+)
+from mittleff.series import DEFAULT_MAX_TERMS, _series_sum
 
 RULES = [build_hyperbolic_rule(8), build_hyperbolic_rule(14), build_parabolic_rule(10)]
 
@@ -203,3 +224,134 @@ def test_two_pole_rows_with_near_nodes() -> None:
             seen += _near_nodes(x, alpha, entry[0]) > 0
             assert _two_pole_sum(x, alpha, beta, entry).hex() == ref_two_pole_sum(x, alpha, beta, entry[0]).hex()
     assert seen >= 3
+
+
+@st.composite
+def _series_case(draw) -> tuple:
+    alpha = draw(st.sampled_from([1.0, 0.5, 0.3, 2.0]) | st.floats(0.05, 3.0))
+    # beta below 1/2 - alpha: the first terms are sized by the envelope
+    beta = draw(st.sampled_from([1.0, alpha, 0.0, -1.0, -4.5]) | st.floats(-5.0, 5.0))
+    tol = draw(st.sampled_from([1e-15, 1e-14, 1e-6]) | st.floats(1e-15, 1e-2))
+    # a few terms: the sum runs out of them
+    max_terms = draw(st.sampled_from([DEFAULT_MAX_TERMS]) | st.integers(1, 40))
+    r = draw(st.sampled_from([0.0, 1.0, 1.5]) | st.floats(0.0, 1.5))
+    direction = draw(st.sampled_from([1.0, -1.0]) | st.floats(-math.pi, math.pi).map(lambda phi: cmath.rect(1.0, phi)))
+    return complex(direction * r), alpha, beta, tol, max_terms
+
+
+SERIES_EXAMPLES = [
+    (complex(-0.5), 0.3, 1.0, 1e-14, DEFAULT_MAX_TERMS),
+    (complex(1.5), 0.5, 1.0, 1e-15, 8),  # runs out of terms
+    (complex(-1.2), 0.3, -4.5, 1e-14, DEFAULT_MAX_TERMS),  # 16 envelope terms
+    (complex(-1.2), 0.3, -4.5, 1e-14, 5),  # runs out inside the envelope
+    (cmath.rect(1.4, 2.0), 0.7, 1.3, 1e-14, DEFAULT_MAX_TERMS),
+    (complex(0.0), 0.7, 1.3, 1e-15, 1),
+    (complex(1e-20), 0.3, -4.5, 1e-14, DEFAULT_MAX_TERMS),  # stops inside the envelope
+]
+
+
+def _same_series_as_reference(case: tuple) -> EvalResult:
+    got, want = _series_sum(*case), ref_series_sum(*case)
+    if cmath.isnan(want.value):
+        # an infinite term meets an infinite |sum|: the reference called it converged
+        assert _fields(got)[:5] == _fields(want)[:5] and not got.converged, case
+    else:
+        assert _fields(got) == _fields(want), case
+    return got
+
+
+@BITS
+@given(case=_series_case())
+@example(case=SERIES_EXAMPLES[0])
+@example(case=SERIES_EXAMPLES[1])
+@example(case=SERIES_EXAMPLES[2])
+@example(case=SERIES_EXAMPLES[3])
+@example(case=SERIES_EXAMPLES[4])
+@example(case=SERIES_EXAMPLES[5])
+@example(case=SERIES_EXAMPLES[6])
+def test_series_sum_keeps_its_bits(case: tuple) -> None:
+    _same_series_as_reference(case)
+
+
+def test_series_examples_reach_every_exit() -> None:
+    # the examples above stop on the relative rule past and inside the
+    # envelope, and run out of terms past and inside it
+    got = [_same_series_as_reference(case) for case in SERIES_EXAMPLES]
+    assert got[0].converged and not got[1].converged and got[1].nodes_or_terms == 8
+    _, alpha, beta = SERIES_EXAMPLES[2][:3]
+    assert beta + 16 * alpha < 0.5 <= beta + 17 * alpha
+    assert got[2].converged and got[2].nodes_or_terms > 17
+    assert not got[3].converged and got[3].nodes_or_terms == 5
+    assert got[5].converged and got[5].nodes_or_terms == 1
+    assert got[6].converged and 1 <= got[6].nodes_or_terms <= 16
+
+
+@st.composite
+def _row_case(draw) -> tuple:
+    # the plain row (alpha < 1), the edge row (alpha = 1, and beta far below
+    # 1, where |P| overflows and the plain row takes over), and the plain row
+    # behind the split gate at 1 < alpha <= 2, whose nodes may have Im w**alpha < 0
+    rule = draw(st.sampled_from(RULES))
+    kind = draw(st.sampled_from(["plain", "edge", "gated"]))
+    if kind == "plain":
+        alpha = draw(st.sampled_from([0.5, 0.9]) | st.floats(0.05, 1.0, exclude_max=True))
+        beta = draw(st.sampled_from([1.0, alpha]) | st.floats(-5.0, 5.0))
+    elif kind == "edge":
+        alpha = 1.0
+        beta = draw(st.sampled_from([1.0, 0.6, 2.0, -150.0]) | st.floats(-5.0, 5.0))
+    else:
+        alpha = draw(st.sampled_from([2.0, 1.7]) | st.floats(1.0, 2.0, exclude_min=True))
+        beta = draw(st.sampled_from([2.0, alpha]) | st.floats(1.0, 5.0, exclude_min=True))
+    entry = _node_factors(rule, alpha, beta)
+    # x = -Re w_n**alpha of a left node: Re(w**alpha + x) is 0.0
+    left = [-row[6] for row in entry[0] if row[6] < 0.0]
+    if kind == "gated":
+        x = entry[2] * draw(st.floats(1e-6, 1.0, exclude_max=True))
+    elif left and draw(st.booleans()):
+        x = draw(st.sampled_from(left))
+    else:
+        x = 10.0 ** draw(st.floats(-3.0, 4.0) | st.sampled_from([200.0, 300.0]))
+    return rule, x, alpha, beta
+
+
+def _same_row_as_reference(case: tuple) -> float:
+    # the row and ml_quad's whole record at z = -x, against the reference rows
+    rule, x, alpha, beta = case
+    entry = _node_factors(rule, alpha, beta)
+    if alpha < 1.0 or x < entry[2]:
+        got, want = _plain_row(x, entry[4]), ref_plain_row(x, entry[0])
+        # node by node too: a far node's share can round away in the sum
+        for node, row in zip(entry[4], entry[0]):
+            assert _plain_row(x, (node,)).hex() == ref_plain_row(x, (row,)).hex(), case
+    else:
+        got, want = _edge_row(x, beta, entry), ref_edge_row(x, beta, entry[:4])
+    assert got.hex() == want.hex(), case
+    res = ml_quad(-x, alpha, beta, rule)
+    ref = EvalResult(complex(want), _method_for(rule), 2 * rule.N + 1, entry[1], not math.isnan(want))
+    assert _fields(res) == _fields(ref), case
+    return got
+
+
+@BITS
+@given(case=_row_case())
+@example(case=(RULES[1], 3.0, 0.5, 1.0))
+@example(case=(RULES[1], 5.0, 1.0, 1.0))
+@example(case=(RULES[1], 1e4, 1.0, -150.0))
+@example(case=(RULES[1], 1e-4, 1.7, 2.0))
+@example(case=(RULES[2], 1e300, 0.5, 1.0))
+def test_plain_and_edge_rows_keep_their_bits(case: tuple) -> None:
+    _same_row_as_reference(case)
+
+
+def test_gated_rows_reach_negative_imaginary_parts() -> None:
+    # behind the split gate at alpha = 1.7 some nodes have Im w**alpha < 0:
+    # the entry's plain nodes hold them conjugated, with the same row bits
+    rule, alpha, beta = RULES[1], 1.7, 2.0
+    entry = _node_factors(rule, alpha, beta)
+    assert any(row[7] < 0.0 for row in entry[0])
+    assert all(row[3] >= 0.0 for row in entry[4])
+    assert math.isfinite(_same_row_as_reference((rule, 1e-4, alpha, beta)))
+    # at alpha = 1 with beta = -150, |P| overflows: the edge row is the plain row
+    assert (1.0 + 150.0) * math.log(1e4) >= 709.0
+    edge = _node_factors(rule, 1.0, -150.0)
+    assert _edge_row(1e4, -150.0, edge).hex() == ref_plain_row(1e4, edge[0]).hex()

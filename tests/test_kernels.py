@@ -7,6 +7,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from mittleff import ml_asymptotic, ml_auto
 from mittleff.contours import build_parabolic_rule
 from mittleff.exceptions import DomainError
 from mittleff.kernels import (
@@ -136,6 +137,30 @@ class TestPrincipalArg:
         assert principal_arg(-1.0j) == pytest.approx(-math.pi / 2)
         assert principal_arg(complex(-1.0, 0.0)) == math.pi
         assert principal_arg(complex(-1.0, -0.0)) == math.pi
+
+    def test_underflowing_argument_is_zero(self) -> None:
+        # |Im z| tiny against |Re z|: atan2 underflows, where cmath.phase
+        # raised OverflowError
+        for z in (1e153 + 2.4e-273j, 1.7e308 - 5e-324j, 2 + 5e-324j):
+            with pytest.raises(OverflowError):
+                cmath.phase(z)
+        assert principal_arg(1e153 + 2.4e-273j).hex() == (0.0).hex()
+        assert principal_arg(1.7e308 - 5e-324j).hex() == (-0.0).hex()
+        assert principal_arg(-1.7e308 - 5e-324j) == -math.pi
+
+    @pytest.mark.parametrize("z", [3 + 4j, -3 + 4j, -3 - 4j, 1e-300 - 1e300j, 1e-310j, -1e300 + 1e-10j])
+    def test_same_bits_as_phase(self, z: complex) -> None:
+        assert principal_arg(z).hex() == cmath.phase(z).hex()
+
+    def test_underflowing_argument_does_not_raise(self) -> None:
+        # each input raised a bare OverflowError from principal_arg
+        for z, alpha, beta in [(1e153 + 2.4e-273j, 0.0057, -0.94), (1.7e308 - 5e-324j, 0.001, 0.0)]:
+            res = ml_auto(z, alpha, beta)
+            assert cmath.isinf(res.value) and not cmath.isnan(res.value)
+        got = ml_asymptotic(2 + 5e-324j, 1.5, 2.0, 1e-14)
+        real = ml_asymptotic(2.0, 1.5, 2.0, 1e-14)
+        assert abs(got.value - real.value) <= 1e-15 * abs(real.value)
+        assert (got.nodes_or_terms, got.converged) == (real.nodes_or_terms, real.converged)
 
 
 class TestPsiKernels:

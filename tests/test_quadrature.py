@@ -439,7 +439,7 @@ class TestEngine:
         quadrature._node_factors.cache_clear()
         engine._engine_factors.cache_clear()
         cold = values()
-        block, err, x_min, pair = quadrature._node_factors(HYP14, alpha, beta)
+        block, err, x_min, pair, plain = quadrature._node_factors(HYP14, alpha, beta)
         assert quadrature._node_factors.cache_info().currsize == 1
         assert values() == cold
         assert quadrature._node_factors.cache_info().misses == 1
@@ -448,6 +448,11 @@ class TestEngine:
         assert type(pair) is tuple and len(pair) == (7 if alpha >= 1.0 else 0) and all(type(v) is float for v in pair)
         for row in block:
             assert type(row) is tuple and len(row) == 8 and all(type(v) is float for v in row)
+        # the plain row's nodes: c_wab and w**alpha, conjugated where Im w**alpha < 0
+        assert len(plain) == len(block)
+        for row, (_, _, _, _, ar, ai, br, bi) in zip(plain, block):
+            assert type(row) is tuple and all(type(v) is float for v in row)
+            assert row == ((ar, ai, br, bi) if bi >= 0.0 else (ar, -ai, br, -bi)) and row[3] >= 0.0
         columns = engine._engine_factors(HYP14, alpha, beta)
         assert len(columns) == 4
         for k, col in enumerate(columns):

@@ -102,6 +102,20 @@ class TestProperties:
         assert res.nodes_or_terms == 10
         assert res.err_estimate >= 1e-15
 
+    @pytest.mark.parametrize("z, alpha, beta", [(-1j, 0.3, -200.0), (-1e-8 + 1.7e308j, 0.05, 0.0)])
+    def test_nan_value_is_not_converged(self, z: complex, alpha: float, beta: float) -> None:
+        # an infinite term met an infinite |sum|, inf <= tol*inf: the NaN
+        # value was reported converged
+        res = ml_series(z, alpha, beta)
+        assert cmath.isnan(res.value)
+        assert not res.converged
+
+    def test_nan_series_falls_through_to_quadrature(self) -> None:
+        # 1/Gamma(-199.7) is inf: ml_auto returned nan-infj from the series;
+        # quadrature's node factors overflow at beta = -200 and say so
+        with pytest.raises(DomainError, match="overflow"):
+            ml_auto(-1j, 0.3, -200.0)
+
     def test_result_is_frozen(self) -> None:
         res = ml_series(0.5, 0.5, 1.0)
         assert isinstance(res, EvalResult)
