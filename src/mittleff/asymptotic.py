@@ -27,7 +27,7 @@ import math
 
 from .exceptions import DomainError
 from .kernels import cexp, check_alpha_beta, finite_complex, on_sheet, pole_turns, principal_arg
-from .quadrature import EvalResult, Method
+from .quadrature import DEFAULT_TOL, EvalResult, Method
 
 INF = math.inf
 TABLE_BLOCK = 32
@@ -107,7 +107,7 @@ def log_r_floor(alpha: float, beta: float, tol: float) -> float:
     return floor
 
 
-def ml_asymptotic(z: complex, alpha: float, beta: float, tol: float) -> EvalResult:
+def ml_asymptotic(z: complex, alpha: float, beta: float, tol: float = DEFAULT_TOL) -> EvalResult:
     """Asymptotic value of E[alpha, beta](z) for large |z|, alpha > 0; real for real z.
 
     A sum that overflows comes back as the signed infinity of its largest

@@ -9,7 +9,7 @@ Routing order, the same for every alpha > 0:
    (asymptotic.log_r_floor): there it could only fail, so it is not run.
 3. Otherwise, or where step 1 or 2 misses its stopping rule: hyperbolic
    contour quadrature with N picked from tol and every pole split off at z
-   itself, but those inside the split gate (quadrature._node_factors).  A
+   itself, but those inside the split gate or whose residue underflows.  A
    real z < 0 takes one float row: the plain or edge row for alpha <= 1,
    and for 1 < alpha <= 2 the row of E(z) with both poles split off
    (quadrature._two_pole_sum), the paper's real-line method.
@@ -33,10 +33,9 @@ from .asymptotic import _expansion_sum, log_r_floor, ml_asymptotic
 from .contours import HYPERBOLIC_RATE, QuadratureRule, build_hyperbolic_rule, build_parabolic_rule
 from .exceptions import DomainError
 from .kernels import check_alpha_beta, cpow_principal, finite_complex  # noqa: F401  cpow_principal: bench/tracing.py rebinds it here
-from .quadrature import EvalResult, Method, _node_factors, _quad_result, ml_quad
+from .quadrature import DEFAULT_TOL, EvalResult, Method, _node_factors, _quad_result, ml_quad
 from .series import DEFAULT_MAX_TERMS, _series_sum, ml_series
 
-DEFAULT_TOL = 1e-14
 R_SERIES = 1.0
 ASYMP_GATE = 40.0
 TOL_MIN = 1e-15

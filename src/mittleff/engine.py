@@ -30,16 +30,14 @@ import numpy as np
 from .contours import QuadratureRule
 from .exceptions import DomainError
 from .kernels import check_alpha_beta, on_sheet, pole_turns
-from .quadrature import _EPS_SWITCH_SQ, _neg_axis_row, _node_factors, _psi_rows
+from .quadrature import _EPS_SWITCH_SQ, _LOG_TINY, _neg_axis_row, _node_factors, _psi_rows
 
 if TYPE_CHECKING:
     from numpy.typing import ArrayLike
 
 # points per engine pass: bounds its (nodes x points) work arrays
 ENGINE_CHUNK = 256
-# e**x overflows above _LOG_MAX and falls below the least subnormal below _LOG_TINY
-_LOG_MAX = math.log(sys.float_info.max)
-_LOG_TINY = math.log(math.ulp(0.0))
+_LOG_MAX = math.log(sys.float_info.max)  # e**x overflows above it
 
 
 def _psi_form(eps: np.ndarray, log_gamma: np.ndarray, alpha: float, beta: float) -> np.ndarray:
@@ -97,56 +95,67 @@ def _plain_values(z: np.ndarray, alpha: float, beta: float, rule: QuadratureRule
 
 
 def _pole_split_values(z: np.ndarray, alpha: float, beta: float, rule: QuadratureRule) -> np.ndarray:
-    # every z has gamma_0 on the principal sheet; for alpha > 1 the other
-    # poles gamma_k are split off where on_sheet holds, and get P = 0 elsewhere
+    """The chunk's columns with every pole gamma_k on the principal sheet split
+    off (gamma_0 at every z, for alpha > 1 the others where on_sheet holds)
+    and its residue P_k e**gamma_k added back.  A pole whose residue
+    underflows, log|P| + Re gamma < _LOG_TINY, stays in the integrand as P = 0
+    at gamma = 0: split off, P/(w - gamma) would add only its quadrature
+    error.  At alpha = 1 only where P overflows too: at beta = 1 the split
+    term cancels the integrand exactly, so E[1, 1](z) = e**z keeps its bits.
+    A non-real z whose gamma overflows with Re gamma > 0 gets inf+infj."""
     w, c, c_wab, wa = _engine_factors(rule, alpha, beta)
     log_z = np.log(z)
     terms = c_wab / (wa - z)
-    poles = []  # (gamma, log gamma, P, where it is on the sheet: None for everywhere, near)
-    residue = largest = log_largest = None
+    poles = []  # (gamma, log gamma, P, near)
+    residue = largest = 0j
+    log_largest = -math.inf
     for k in (0, *pole_turns(alpha)):
-        on = None if k == 0 else on_sheet(log_z.imag / math.pi, k, alpha)
-        if on is not None and not on.any():
+        on = on_sheet(log_z.imag / math.pi, k, alpha) if k else True
+        if not np.any(on):
             continue
         log_gamma = (log_z if k == 0 else log_z + 2j * math.pi * k) / alpha
         gamma = np.exp(log_gamma)
         log_pole = (1.0 - beta) * log_gamma - math.log(alpha)  # log(gamma**(1-beta)/alpha)
-        if on is not None:
-            log_pole[~on] = -np.inf  # P = 0: no split term and no residue
+        log_res = log_pole + gamma
+        split = log_res.real >= _LOG_TINY
+        if alpha == 1.0:
+            split |= log_pole.real <= _LOG_MAX
+        split &= on
+        if not split.any():
+            continue
+        drop = ~split
+        log_pole[drop] = log_res[drop] = -np.inf
+        gamma[drop] = 0.0  # P/(w - gamma) is then 0 at every node, also where gamma overflows
         pole = np.exp(log_pole)
+        res = np.exp(log_res)
+        if alpha < 1.0:  # the one alpha where gamma can overflow
+            res[(log_gamma.real > _LOG_MAX) & (gamma.real > 0.0) & (z.imag != 0.0)] = complex(math.inf, math.inf)
         dw = w - gamma
         q = pole / dw
-        log_res = log_pole + gamma
-        res = np.exp(log_res)
         # near the pole the difference cancels: the psi form takes over
         near = dw.real * dw.real + dw.imag * dw.imag < _EPS_SWITCH_SQ * (
             gamma.real * gamma.real + gamma.imag * gamma.imag
         )
-        if on is None:
-            residue, largest, log_largest = res, res, log_res.real
-        else:
-            near &= on
-            residue = residue + res
-            top = log_res.real > log_largest
-            largest = np.where(top, res, largest)
-            log_largest = np.where(top, log_res.real, log_largest)
+        residue = residue + res
+        top = log_res.real > log_largest
+        largest = np.where(top, res, largest)
+        log_largest = np.where(top, log_res.real, log_largest)
         # c * (pole/dw) in real arithmetic: whether numpy fuses its complex
         # product (FMA) depends on the CPU and the loop it picks; written out,
         # the bits do not
         terms.real -= c.real * q.real - c.imag * q.imag
         terms.imag -= c.real * q.imag + c.imag * q.real
-        poles.append((gamma, log_gamma, pole, on, near))
-    for gamma, log_gamma, _, _, near in poles:
+        poles.append((gamma, log_gamma, pole, near))
+    for gamma, log_gamma, _, near in poles:
         if not np.count_nonzero(near):
             continue
         j, i = np.divmod(np.flatnonzero(near), near.shape[1])  # 2-d np.nonzero is slower
         wj, gi = w[j, 0], gamma[i]
         f = _psi_form((wj - gi) / gi, log_gamma[i], alpha, beta)
-        # less the plain terms of the other poles on the sheet at z
-        for g, _, p, on, _ in poles:
+        # less the plain terms of the other poles split off at z
+        for g, _, p, _ in poles:
             if g is not gamma:
-                q = p[i] / (wj - g[i])
-                f -= q if on is None else np.where(on[i], q, 0.0)
+                f -= p[i] / (wj - g[i])
         cj = c[j, 0]
         terms.real[j, i] = cj.real * f.real - cj.imag * f.imag
         terms.imag[j, i] = cj.real * f.imag + cj.imag * f.real
@@ -165,20 +174,19 @@ def ml_quad_values(z: ArrayLike, alpha: float, beta: float, rule: QuadratureRule
     chunk's (nodes x points) integrand on its own, with the poles on the
     principal sheet split off, so a value does not depend on the batch.
     Within EPS_SWITCH of a split pole the psi form takes over: _psi_form
-    sums it for all of the chunk's near (node, point) pairs at once, with
-    no Python call per pair.  Where beta > 1 and |gamma| < _SPLIT_GAMMA_MIN
-    the poles stay in the plain column instead, as where, for alpha <= 1, a
-    non-real z has a pole gamma or a weight P = gamma**(1-beta)/alpha that
-    overflows while the residue P e**gamma underflows to 0 (split off, P
-    gave nan+nanj); where gamma overflows with Re gamma > 0 the value is
-    complex(inf, inf), as in ml_asymptotic.  z = 0
-    has no pole (w**alpha = 0 has no root on the contour): its plain column
-    sums w**-beta, so its value approximates 1/Gamma(beta) with the error
-    origin_accuracy.  A real z gets a real value: for alpha <= 1 and z >= 0
-    through the conjugate node blocks, whose sums are exact conjugates.  A
-    NaN or infinite entry, one whose modulus overflows, or a beta that is
-    not finite or whose node factors overflow, raises DomainError; an
-    overflowing value gives inf parts and no warning.
+    sums it for all of the chunk's near (node, point) pairs at once, with no
+    Python call per pair.  Where beta > 1 and |gamma| < _SPLIT_GAMMA_MIN the
+    poles stay in the plain column instead, and for alpha != 1 so does a
+    pole whose residue underflows (_pole_split_values); where gamma
+    overflows with Re gamma > 0 the value is complex(inf, inf), as in
+    ml_asymptotic.  z = 0 has no pole (no root of w**alpha = 0 lies on the
+    contour): its plain column sums w**-beta, so its value approximates
+    1/Gamma(beta) with the error origin_accuracy.  A real z gets a real
+    value: for alpha <= 1 and z >= 0 through the conjugate node blocks,
+    whose sums are exact conjugates.  A NaN or infinite entry, one whose
+    modulus overflows, or a beta that is not finite or whose node factors
+    overflow, raises DomainError; an overflowing value gives inf parts and
+    no warning.
     """
     check_alpha_beta(alpha, beta)
     # + 0.0 copies z and turns a -0.0 imaginary part into +0.0: the negative
@@ -204,24 +212,6 @@ def ml_quad_values(z: ArrayLike, alpha: float, beta: float, rule: QuadratureRule
         split = sector & ~axis & (flat != 0.0) & (modulus >= entry[2])
         out = np.empty_like(flat)
         plain = ~(axis | split)
-        if alpha <= 1.0:
-            # a non-real z whose pole gamma = |z|**(1/alpha) e**(i*Arg(z)/alpha)
-            # overflows, or for beta < 1 its weight P = gamma**(1-beta)/alpha
-            # (a real z keeps its column, (inf, 0) for z > 0)
-            top = sys.float_info.max**alpha
-            if beta < 1.0:
-                top = min(top, math.exp(min(alpha * (_LOG_MAX + math.log(alpha)) / (1.0 - beta), _LOG_MAX)))
-            big = (split & ~real & (modulus > top)).nonzero()[0]
-            if big.size:
-                mod, turn = modulus[big], np.cos(np.angle(flat[big]) / alpha)
-                grows = (mod > sys.float_info.max**alpha) & (turn > 0.0)
-                out[big[grows]] = complex(math.inf, math.inf)
-                # log |P e**gamma|, -inf where gamma overflows with Re gamma < 0:
-                # where the residue underflows to 0 the plain column is the value
-                log_res = (1.0 - beta) / alpha * np.log(mod) - math.log(alpha) + mod ** (1.0 / alpha) * turn
-                vanishes = log_res < _LOG_TINY
-                split[big[grows | vanishes]] = False
-                plain[big[vanishes]] = True
         if axis.any():
             out[axis] = [_neg_axis_row(-zr, alpha, beta, entry) for zr in flat[axis].real.tolist()]
         # one kind per chunk: the split points, 8x the cost of plain ones, come full

@@ -7,14 +7,15 @@ the principal sheet, |Arg gamma_k| <= pi: gamma_0 = z**(1/alpha) where
 |Arg z| <= alpha*pi, and for alpha > 1 up to ceil(alpha) in all
 (kernels.pole_turns).  Each one is split off: P_k/(w - gamma_k) is taken
 from the integrand, with P_k = gamma_k**(1-beta)/alpha, and its residue
-P_k e**gamma_k is added back in closed form.  Near a pole the difference
-would cancel, so the psi-kernel form takes over for that pole: two rows of
-power-series coefficients in the offset eps = (w - gamma)/gamma, cached
-per (alpha, beta) as one table of float pairs (_psi_rows).  f_one sums
-them by Horner in floats for the real-axis rows.  The node factors of the
-integrand do not depend on z: one cached entry per (rule, alpha, beta)
-holds them as floats, with every other z-independent constant
-(_node_factors).
+P_k e**gamma_k is added back in closed form; where that residue underflows
+to 0 the pole stays in the integrand (at alpha = 1 only where P overflows
+too).  Near a pole the difference would cancel, so the psi-kernel form
+takes over for that pole: two rows of power-series coefficients in the
+offset eps = (w - gamma)/gamma, cached per (alpha, beta) as one table of
+float pairs (_psi_rows).  f_one sums them by Horner in floats for the
+real-axis rows.  The node factors of the integrand do not depend on z: one
+cached entry per (rule, alpha, beta) holds them as floats, with every
+other z-independent constant (_node_factors).
 
 A real z < 0 with alpha <= 2 has a conjugate-symmetric summand, and
 _neg_axis_row sums the entry's nodes as floats: the plain row for
@@ -64,6 +65,8 @@ _ROW_TOL = 2.0**-60
 # the integrand: on the hyperbolic and parabolic rules with N = 8..14 the split
 # column loses to the plain one below |gamma| ~ 0.01-0.06 for beta in [1.5, 3]
 _SPLIT_GAMMA_MIN = 0.03
+# a residue P e**gamma below e**_LOG_TINY is 0: for alpha != 1 its pole stays in the integrand
+_LOG_TINY = math.log(math.ulp(0.0))
 
 
 class Method(str, Enum):
@@ -71,6 +74,10 @@ class Method(str, Enum):
     ASYMPTOTIC = "asymp"
     QUAD_PARABOLIC = "quad-par"
     QUAD_HYPERBOLIC = "quad-hyp"
+
+
+# the tol of ml_series, ml_asymptotic and ml_auto where the caller gives none
+DEFAULT_TOL = 1e-14
 
 
 class EvalResult(NamedTuple):
@@ -354,13 +361,17 @@ def _two_pole_sum(x: float, alpha: float, beta: float, entry: tuple) -> float:
     of C_n f_2(w_n), f_2 the integrand less both pole terms.  Off the poles
     the term is Re[c_wab/(wa + x)] minus the real part of
     c*(P/(w - gamma_+) + conj(P)/(w - gamma_-)), P = gamma_+**(1-beta)/alpha;
-    within EPS_SWITCH*|gamma| of a pole f_one's psi form takes over.  The
-    trigonometric constants are the entry's pair: a call computes only what
-    depends on x.
+    within EPS_SWITCH*|gamma| of a pole f_one's psi form takes over.  Where
+    the residues underflow, log|P| + Re gamma < _LOG_TINY, the pair stays in
+    the integrand, as in the engine: the value is _plain_row's.  A weight
+    that overflows while they do not (alpha = 2: |e**gamma| = 1) gives NaN.
+    The trigonometric constants are the entry's pair.
     """
-    block, _, _, (inv_alpha, expo, cos_a, sin_a, phase, cos_p, sin_p), _ = entry
+    block, _, _, (inv_alpha, expo, cos_a, sin_a, phase, cos_p, sin_p), plain = entry
     rho = x**inv_alpha
     gr, gi = rho * cos_a, rho * sin_a
+    if expo * math.log(x) - math.log(alpha) + gr < _LOG_TINY:  # log|P e**gamma_+|
+        return _plain_row(x, plain)
     try:
         # x**((1-beta)/alpha) = |gamma**(1-beta)| overflows for beta < 1 and
         # x large; Re gamma <= 0, so exp(gr) does not

@@ -12,7 +12,7 @@ import math
 
 from .exceptions import DomainError
 from .kernels import check_alpha_beta, finite_complex, gamma_real, reciprocal_gamma
-from .quadrature import EvalResult, Method
+from .quadrature import DEFAULT_TOL, EvalResult, Method
 
 DEFAULT_MAX_TERMS = 250
 TABLE_BLOCK = 32
@@ -35,7 +35,7 @@ def ml_series(
     z: complex,
     alpha: float,
     beta: float,
-    tol: float = 1e-15,
+    tol: float = DEFAULT_TOL,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> EvalResult:
     """Partial sum with a relative stopping rule.

@@ -209,11 +209,52 @@ class TestExitCodes:
         assert abs(float(out.split()[0]) - 1.0) <= 1e-13
 
     def test_nan_value_is_numerical_failure(self, capsys) -> None:
-        # at alpha = 1.5 x**((1-beta)/alpha) overflowed in the two-pole row:
-        # a traceback and exit 1
-        code, out, err = run(capsys, "eval", "--alpha", "1.5", "--beta=-1", "--z=-1e300", "--method", "quad-hyp")
+        # the two-pole row's weight x**((1-beta)/alpha) overflows while its
+        # residues do not vanish (|e**gamma| = 1 at alpha = 2): the value is
+        # NaN and exit 3; an overflow in that row was once a traceback and exit 1
+        code, out, err = run(capsys, "eval", "--alpha", "2", "--beta=-3", "--z=-1e160", "--method", "quad-hyp")
         assert code == 3
         assert out.split()[0] == "nan" and "NaN" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("eval", "--alpha", "0.5", "--beta", "1", "--z", "abc"), "argument --z: bad complex value 'abc'"),
+            (("table-asymp", "--x", "1,abc"), "argument --x: bad number list '1,abc'"),
+            (("table-asymp", "--x", ","), "argument --x: empty number list"),
+        ],
+        ids=["complex", "float-list", "empty-list"],
+    )
+    def test_unparsable_value_is_usage_error(self, capsys, argv: tuple, message: str) -> None:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert message in err
+
+    def test_no_grid_steps_is_usage_error(self, capsys) -> None:
+        code, _, err = run(
+            capsys, "grid", "--alpha", "0.5", "--beta", "1", "--re-min", "0", "--re-max", "1",
+            "--im-min", "0", "--im-max", "1", "--steps", "0", "--out", "-",
+        )
+        assert code == 2
+        assert err == "error: steps=0 must be >= 1\n"
+
+    def test_failed_fit_is_numerical_failure(self, capsys) -> None:
+        # a MittleffError that is not a DomainError: the SVD solver's null
+        # space at r = 11 and alpha = 0.2 is not one-dimensional
+        code, out, err = run(
+            capsys, "pade", "--alpha", "0.2", "--beta", "1", "--m", "12", "--n", "11", "--solver", "svd", "--emit", "pf",
+        )
+        assert code == 3 and out == ""
+        assert err == "error: null space is not one-dimensional at working precision\n"
+
+    def test_unwritable_output_is_exit_one(self, capsys, tmp_path: Path) -> None:
+        dest = tmp_path / "missing" / "x.csv"
+        code, _, err = run(
+            capsys, "grid", "--alpha", "0.5", "--beta", "1", "--re-min", "0", "--re-max", "1",
+            "--im-min", "0", "--im-max", "1", "--steps", "2", "--out", str(dest),
+        )
+        assert code == 1
+        assert err.startswith("error: [Errno 2] No such file or directory") and not dest.parent.exists()
 
 
 class TestGrid:
@@ -257,31 +298,33 @@ class TestGrid:
             assert tail == "-inf" or float(tail) <= -12.0
 
     def test_nan_difference_is_not_agreement(self, capsys) -> None:
-        # both quadratures give NaN at E[1.5,-1](-1e300) (the two-pole row's
+        # both quadratures give NaN at E[2,-3](-1e160) (the two-pole row's
         # overflow, which exited 1), and finite values at z = 0; a NaN
         # difference used to read -inf
         code, out, _ = run(
-            capsys, "grid", "--alpha", "1.5", "--beta=-1",
-            "--re-min=-1e300", "--re-max", "0", "--im-min", "0", "--im-max", "0",
+            capsys, "grid", "--alpha", "2", "--beta=-3",
+            "--re-min=-1e160", "--re-max", "0", "--im-min", "0", "--im-max", "0",
             "--steps", "2", "--out", "-", "--compare-method", "quad-par,quad-hyp",
         )
         assert code == 0
         rows = out.splitlines()[1:]
-        assert rows[:2] == ["-1e+300,0.0,nan,0.0,nan"] * 2
+        assert rows[:2] == ["-1e+160,0.0,nan,0.0,nan"] * 2
         assert all(math.isfinite(float(row.split(",")[-1])) for row in rows[2:])
 
     def test_nan_difference_after_overflow_is_written(self, capsys) -> None:
-        # at -1e300 + 1j a caught overflow leaves ERANGE in errno, and the
-        # complex abs of the next NaN difference raised OverflowError
+        # the two-pole row's caught OverflowError (x**2 at x = 1e159, 1e160)
+        # leaves ERANGE in errno, every point lies on the axis, so nothing
+        # clears it, and the complex abs of the next NaN difference raised
+        # OverflowError
         code, out, _ = run(
-            capsys, "grid", "--alpha", "1.5", "--beta=-1",
-            "--re-min=-1e300", "--re-max", "1", "--im-min", "0", "--im-max", "1",
+            capsys, "grid", "--alpha", "2", "--beta=-3",
+            "--re-min=-1e160", "--re-max=-1e159", "--im-min", "0", "--im-max", "0",
             "--steps", "2", "--out", "-", "--compare-method", "quad-par,quad-hyp",
         )
         assert code == 0
         rows = out.splitlines()[1:]
         assert len(rows) == 4
-        assert rows[0].split(",")[-1] == "nan"
+        assert all(row.split(",")[-1] == "nan" for row in rows)
 
     def test_abs_diff_ignores_stale_errno(self) -> None:
         with pytest.raises(OverflowError):

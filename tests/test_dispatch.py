@@ -170,8 +170,8 @@ class TestConverged:
 
     @pytest.mark.parametrize("method", [Method.QUAD_PARABOLIC, Method.QUAD_HYPERBOLIC])
     def test_forced_quadrature_with_a_nan_value_is_not_converged(self, method: Method) -> None:
-        # E[1.5,-1](-1e300) comes back NaN, so quadrature must not claim convergence
-        res = run_method(method, complex(-1e300), 1.5, -1.0, DEFAULT_TOL)
+        # E[2,-1](-1e300) comes back NaN, so quadrature must not claim convergence
+        res = run_method(method, complex(-1e300), 2.0, -1.0, DEFAULT_TOL)
         assert res.method is method
         assert math.isnan(res.value.real) and res.converged is False
 
@@ -403,6 +403,34 @@ class TestInterface:
 
     def test_default_tol(self) -> None:
         assert DEFAULT_TOL == 1e-14
+
+    @pytest.mark.parametrize(
+        "z, alpha, beta, method",
+        [
+            (0.5, 0.5, 1.0, Method.SERIES),
+            (0.9 + 0.3j, 0.7, 1.3, Method.SERIES),
+            (-0.8, 1.5, 2.0, Method.SERIES),
+            (-5000.0, 0.7, 1.0, Method.ASYMPTOTIC),
+            (3000 + 4000j, 0.7, 1.0, Method.ASYMPTOTIC),
+            (-1339.1455862477644, 1.7, 1.7, Method.ASYMPTOTIC),
+            (-3.0, 0.5, 1.0, Method.QUAD_HYPERBOLIC),
+            (2 + 3j, 0.8, 1.0, Method.QUAD_HYPERBOLIC),
+            (-30.0, 1.7, 1.0, Method.QUAD_HYPERBOLIC),
+        ],
+    )
+    def test_forced_default_record_is_ml_autos(self, z: complex, alpha: float, beta: float, method: Method) -> None:
+        # every evaluator's tol defaults to DEFAULT_TOL: where the route picks a
+        # method, that method forced with its defaults gives ml_auto's record
+        # (ml_series' default was 1e-15: 23 terms at E[0.5,1](0.5) where ml_auto summed 22)
+        want = ml_auto(z, alpha, beta)
+        assert want.method is method
+        if method is Method.SERIES:
+            got = ml_series(z, alpha, beta)
+        elif method is Method.ASYMPTOTIC:
+            got = ml_asymptotic(z, alpha, beta)
+        else:
+            got = ml_quad(z, alpha, beta, quad_rule(method, quadrature_n_for_tol(DEFAULT_TOL)))
+        assert _fields(got) == _fields(want)
 
 
 def _fields(res) -> tuple:

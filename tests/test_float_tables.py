@@ -205,10 +205,18 @@ def _near_nodes(x: float, alpha: float, block: tuple) -> int:
 
 @BITS
 @given(case=_two_pole_row())
+@example(case=(RULES[1], 1e9, 1.5, 1.0))
+@example(case=(RULES[2], 1e300, 1.5, -1.0))
 def test_two_pole_row_keeps_its_bits(case: tuple) -> None:
     rule, x, alpha, beta = case
     entry = _node_factors(rule, alpha, beta)
-    assert _two_pole_sum(x, alpha, beta, entry).hex() == ref_two_pole_sum(x, alpha, beta, entry[0]).hex()
+    inv_alpha, expo, cos_a = entry[3][:3]
+    if expo * math.log(x) - math.log(alpha) + x**inv_alpha * cos_a < math.log(math.ulp(0.0)):
+        # the residues P e**gamma underflow: the pair stays in the integrand
+        want = ref_plain_row(x, entry[0])
+    else:
+        want = ref_two_pole_sum(x, alpha, beta, entry[0])
+    assert _two_pole_sum(x, alpha, beta, entry).hex() == want.hex()
 
 
 def test_two_pole_rows_with_near_nodes() -> None:
