@@ -2,6 +2,7 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath as mp
 import pytest
 
 
@@ -28,3 +29,14 @@ def in_threads():
             sys.setswitchinterval(old)
 
     return run
+
+
+@pytest.fixture(autouse=True)
+def _mpmath_precision_kept():
+    """Fail a test that leaves mpmath's global precision changed (and restore
+    it), so that no later test's unguarded mpmath call depends on test order."""
+    prec = mp.mp.prec
+    yield
+    left = mp.mp.prec
+    mp.mp.prec = prec
+    assert left == prec, f"the test left mpmath's precision at {left} bits, not {prec}"

@@ -5,6 +5,8 @@ import sys
 import mpmath as mp
 import pytest
 
+from mp_reference import ml_reference
+
 from mittleff import asymptotic, dispatch, quadrature
 from mittleff.asymptotic import TABLE_BLOCK, asymptotic_sigma_tau, ml_asymptotic
 from mittleff.dispatch import ml_auto
@@ -38,7 +40,7 @@ class TestExactZeroCoefficients:
         # = 4.06e-21 against e**-100 = 3.72e-44, with converged True.  The
         # bound is e**-x's own conditioning: x * eps from the rounding of the
         # exponent
-        want = mp.power(-x, 1 - int(beta)) * mp.exp(-x)
+        want = ml_reference(-x, 1.0, beta)
         res = ml_auto(-x, 1.0, beta)
         assert res.method is Method.ASYMPTOTIC and res.converged
         assert res.value.imag == 0.0
@@ -68,7 +70,7 @@ class TestOverflow:
         # alpha = 1, integer beta: every sigma_n is 0, so E[1, -300](-5000) is
         # the exponential part (-5000)**301 e**-5000 = -e**-2436, which
         # underflows; 0 * inf made it NaN
-        assert mp.power(-5000, 301) * mp.exp(-5000) > -1e-320
+        assert ml_reference(-5000.0, 1.0, -300.0) > -1e-320
         res = ml_asymptotic(complex(-5000.0), 1.0, -300.0, 1e-14)
         assert res.value == 0.0 and res.converged
 
@@ -201,13 +203,9 @@ class TestWideAlpha:
         assert abs(res.value - want) <= 1e-13 * abs(want)
 
     def test_three_poles_against_series(self) -> None:
-        # alpha = 3, z < 0: a conjugate pair and a pole on the cut, 40-digit
-        # series reference
+        # alpha = 3, z < 0: a conjugate pair and a pole on the cut
         z, alpha, beta = -2e6, 3.0, 1.3
-        rho = abs(z) ** (1.0 / alpha)
-        with mp.workdps(40 + int(rho / 1.15)):
-            terms = (mp.mpf(z) ** n * mp.rgamma(beta + n * mp.mpf(alpha)) for n in range(int(2 * rho) + 60))
-            want = float(mp.fsum(terms))
+        want = ml_reference(z, alpha, beta)
         res = ml_asymptotic(complex(z), alpha, beta, 1e-14)
         assert res.converged and res.value.imag == 0.0
         assert abs(res.value.real - want) <= 1e-13 * abs(want)

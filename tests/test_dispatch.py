@@ -4,9 +4,9 @@ import time
 import warnings
 from itertools import combinations
 
-import mpmath as mp
 import pytest
 
+from mp_reference import ml_reference
 from real_axis_reference import ml_quad_neg_axis_wide_alpha
 
 from mittleff.asymptotic import log_r_floor, ml_asymptotic
@@ -66,8 +66,7 @@ class TestRouting:
         # alpha = 0.01 at |z| = 0.99: the series hits its 250-term cap with
         # relative error 1.2e-2, so quadrature must take over
         assert not run_method(Method.SERIES, 0.99 + 0j, 0.01, 1.0, DEFAULT_TOL).converged
-        with mp.workdps(30):
-            want = float(mp.fsum(mp.mpf(0.99) ** n * mp.rgamma(1 + n * mp.mpf(0.01)) for n in range(2000)))
+        want = ml_reference(0.99, 0.01, 1.0)
         res = ml_auto(0.99, 0.01, 1.0)
         assert res.method is Method.QUAD_HYPERBOLIC
         assert res.converged
@@ -325,8 +324,7 @@ class TestOverflow:
     def test_tiny_value_keeps_relative_accuracy(self) -> None:
         # E[1/2, 150](1/2) = 2.7e-261: every series term is below tol, so a
         # stopping rule with an absolute floor keeps only the first, 4% low
-        with mp.workdps(30):
-            want = float(mp.fsum(mp.mpf(0.5) ** n * mp.rgamma(150 + mp.mpf(n) / 2) for n in range(40)))
+        want = ml_reference(0.5, 0.5, 150.0)
         got = ml_auto(0.5, 0.5, 150.0).value
         assert got.imag == 0.0
         assert abs(got.real - want) <= 1e-14 * want
@@ -355,10 +353,7 @@ class TestWideAlphaNegativeAxis:
 
     @pytest.mark.parametrize("x, alpha", [(112.0, 1.3), (1000.0, 1.7), (300.0, 1.3)])
     def test_against_series(self, x: float, alpha: float) -> None:
-        rho = x ** (1.0 / alpha)
-        with mp.workdps(40 + int(rho / 1.15)):
-            a = mp.mpf(alpha)
-            want = float(mp.fsum((-mp.mpf(x)) ** n * mp.rgamma(a + n * a) for n in range(int(4 * rho) + 60)))
+        want = ml_reference(-x, alpha, alpha)
         res = ml_auto(-x, alpha, alpha)
         assert res.converged and res.value.imag == 0.0
         assert abs(res.value.real - want) <= 1e-10 * abs(want)
@@ -534,3 +529,24 @@ class TestPlan:
         assert calls == []
         ml_auto(-100.0, 0.7, 1.0)
         assert calls == [(0.7, 1.0, DEFAULT_TOL)]
+
+
+# Known silent wrong answers: the hyperbolic rule returns each of these with
+# converged=True, off by the relative error in the comment.  Each turns XPASS
+# once its route meets the reference or says that it did not converge.
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="quadrature says converged where it is wrong")
+@pytest.mark.parametrize(
+    "z, alpha, beta",
+    [
+        (-2.0, 0.5, -20.0),  # 9.4e2
+        (-2.0, 0.5, -150.0),  # 1.0
+        (-30.0, 1.0, 0.0),  # 0.12
+        (-20.0, 1.0, -1.0),  # 4.4e-6
+        (-5.0, 1.5, 100.0),  # 1.7e100
+        (-20.0, 0.9, -4.1),  # 8.3e-6
+    ],
+)
+def test_no_silent_wrong_answer(z: float, alpha: float, beta: float) -> None:
+    res = ml_auto(z, alpha, beta)
+    want = ml_reference(z, alpha, beta)
+    assert not res.converged or abs(res.value - want) <= 1e-10 * abs(want)

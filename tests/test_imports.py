@@ -12,8 +12,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-import mpmath as mp
 import pytest
+
+from mp_reference import ml_reference
 
 import mittleff
 from mittleff import cli
@@ -95,24 +96,6 @@ print(json.dumps(sorted(set(sys.modules) - before)))
     assert not {"dataclasses", "inspect", "numpy", "mittleff.engine"} & set(got)
 
 
-def _e_half(z: complex) -> complex:
-    # E[1/2, 1](z) = exp(z**2) erfc(-z)
-    with mp.workdps(40):
-        return complex(mp.exp(mp.mpc(z) ** 2) * mp.erfc(-mp.mpc(z)))
-
-
-def _series_reference(z: complex, alpha: float) -> complex:
-    # E[alpha, 1](z) by its power series at 60 digits: |z| <= 10 loses at most 20
-    with mp.workdps(60):
-        total, n, zn = mp.mpc(0), 0, mp.mpc(1)
-        while True:
-            term = zn * mp.rgamma(1 + n * mp.mpf(alpha))
-            total += term
-            if n > 10 and abs(term) < mp.mpf(10) ** -45:
-                return complex(total)
-            n, zn = n + 1, zn * mp.mpc(z)
-
-
 def _loads_numpy(code: str, engine: bool = True):
     """Run code in a fresh interpreter after `import mittleff` and the cli;
     assert that numpy was absent before and loaded after, and the engine
@@ -140,7 +123,8 @@ def test_ml_quad_values_loads_numpy() -> None:
     values = ml_quad_values(zs, 0.5, 1.0, build_hyperbolic_rule(14)).tolist()
     assert got == [[v.real.hex(), v.imag.hex()] for v in values]
     for z, v in zip(zs, values):
-        assert abs(v - _e_half(z)) <= 1e-13 * max(1.0, abs(_e_half(z)))
+        ref = ml_reference(z, 0.5, 1.0)
+        assert abs(v - ref) <= 1e-13 * max(1.0, abs(ref))
 
 
 def test_ml_auto_off_the_axis_loads_numpy() -> None:
@@ -148,14 +132,14 @@ def test_ml_auto_off_the_axis_loads_numpy() -> None:
     res = ml_auto(5 + 5j, 0.7, 1.0)
     assert res.method is Method.QUAD_HYPERBOLIC
     assert got == [res.value.real.hex(), res.value.imag.hex()]
-    ref = _series_reference(5 + 5j, 0.7)
+    ref = ml_reference(5 + 5j, 0.7, 1.0)
     assert abs(res.value - ref) <= 1e-13 * max(1.0, abs(ref))
 
 
 def test_build_pade_loads_numpy() -> None:
     got = float.fromhex(_loads_numpy("out = mittleff.pade_eval(mittleff.build_pade(0.5, 1.0, 6, 5), 2.0).hex()", engine=False))
     assert got == pade_eval(build_pade(0.5, 1.0, 6, 5), 2.0)
-    assert abs(got - _e_half(-2.0).real) < 1e-3
+    assert abs(got - ml_reference(-2.0, 0.5, 1.0)) < 1e-3
 
 
 def test_grid_loads_numpy(capsys) -> None:
@@ -174,7 +158,7 @@ def test_grid_loads_numpy(capsys) -> None:
     rows = [line.split(",") for line in text.splitlines()[1:]]
     assert len(rows) == 9
     for re_text, im_text, v_re, v_im, _ in rows:
-        ref = _e_half(complex(float(re_text), float(im_text)))
+        ref = ml_reference(complex(float(re_text), float(im_text)), 0.5, 1.0)
         assert abs(complex(float(v_re), float(v_im)) - ref) <= 1e-9 * max(1.0, abs(ref))
 
 

@@ -2,7 +2,6 @@ import cmath
 import math
 import warnings
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import Phase, assume, example, given, settings
@@ -15,6 +14,7 @@ from mittleff.dispatch import ml_auto
 from mittleff.engine import ml_quad_values
 from mittleff.exceptions import DomainError
 from mittleff.kernels import cpow_principal, on_sheet, pole_turns, reciprocal_gamma
+from mp_reference import ml_reference
 from real_axis_reference import ml_quad_neg_axis_wide_alpha
 
 from mittleff.quadrature import (
@@ -522,11 +522,6 @@ def test_positive_axis_is_exactly_real(rule, alpha: float, beta: float, x: float
 class TestPoleSplitEnds:
     """The split column at both ends of |gamma| = |z|**(1/alpha)."""
 
-    @staticmethod
-    def _series(z: float, alpha: float, beta: float) -> float:
-        with mp.workdps(40):
-            return float(mp.nsum(lambda k: mp.mpf(z) ** k * mp.rgamma(beta + alpha * k), [0, mp.inf]))
-
     @pytest.mark.parametrize("rule, bound", [(HYP14, 1e-10), (PAR14, 1e-8)], ids=["hyp", "par"])
     @pytest.mark.parametrize("z, alpha, beta", [(1e-8, 0.5, 2.5), (1e-300, 0.05, 2.5), (1e-3, 0.5, 1.5)])
     def test_small_gamma_keeps_the_pole_in_the_integrand(self, rule, bound, z, alpha, beta) -> None:
@@ -534,7 +529,7 @@ class TestPoleSplitEnds:
         # value (-9.4e10 against 0.7523 at z = 1e-8 on the hyperbolic rule, NaN
         # at z = 1e-300); the pole lies inside the contour, where the plain
         # column sums it
-        want = self._series(z, alpha, beta)
+        want = ml_reference(z, alpha, beta)
         res = ml_quad(z, alpha, beta, rule)
         assert abs(res.value - want) <= bound * abs(want)
         assert res.value.imag == 0.0
@@ -544,7 +539,7 @@ class TestPoleSplitEnds:
     def test_small_gamma_on_the_cut_stays_in_the_integrand(self, rule, bound, x, beta) -> None:
         # alpha = 1, z = -x: the edge row's split weight Re x**(1-beta) swamped
         # the value too (9.28 against 0.7523 at x = 1e-20, NaN at 1e-300)
-        want = self._series(-x, 1.0, beta)
+        want = ml_reference(-x, 1.0, beta)
         for value in (ml_quad(-x, 1.0, beta, rule).value, complex(ml_quad_values(-x, 1.0, beta, rule))):
             assert abs(value - want) <= bound * abs(want)
             assert value.imag == 0.0
@@ -553,7 +548,7 @@ class TestPoleSplitEnds:
     def test_beta_up_to_one_still_splits(self, rule) -> None:
         # gamma**(1-beta) is small for beta <= 1: the split column serves there;
         # z = 0 has no pole and takes the plain column for any beta
-        want = self._series(1e-8, 0.5, 1.0)
+        want = ml_reference(1e-8, 0.5, 1.0)
         assert abs(ml_quad(1e-8, 0.5, 1.0, rule).value - want) <= 1e-12 * want
         at_zero = ml_quad(0.0, 0.5, 2.5, rule)
         assert abs(at_zero.value - reciprocal_gamma(2.5)) <= 2.0 * at_zero.err_estimate and at_zero.converged
@@ -703,21 +698,13 @@ class TestEdgeRow:
         [(0.5, 5e-13), (0.6, 5e-13), (1.5, 1e-12), (2.0, 2e-11), (3.0, 1e-9)],
     )
     def test_closed_forms(self, beta: float, bound: float) -> None:
-        # E[1,2] = (1 - e**-x)/x, E[1,3] = (e**-x - 1 + x)/x**2, else
-        # 1F1(1; beta; -x)/Gamma(beta); bounds of max(1, |E|) that the
-        # two-block sum met too
-        with mp.workdps(40):
-            for x in np.logspace(-2, 2, 41):
-                t = mp.mpf(float(x))
-                if beta == 2.0:
-                    ref = (1 - mp.exp(-t)) / t
-                elif beta == 3.0:
-                    ref = (mp.exp(-t) - 1 + t) / t**2
-                else:
-                    ref = mp.hyp1f1(1, beta, -t) / mp.gamma(beta)
-                got = ml_quad(-x, 1.0, beta, HYP14).value
-                assert got.imag == 0.0
-                assert abs(got.real - float(ref)) <= bound * max(1.0, abs(float(ref))), x
+        # E[1, beta](-x) = 1F1(1; beta; -x)/Gamma(beta); bounds of max(1, |E|)
+        # that the two-block sum met too
+        for x in np.logspace(-2, 2, 41):
+            ref = float(ml_reference(-x, 1.0, beta))
+            got = ml_quad(-x, 1.0, beta, HYP14).value
+            assert got.imag == 0.0
+            assert abs(got.real - ref) <= bound * max(1.0, abs(ref)), x
 
     def test_huge_x(self) -> None:
         # E[1,2](-x) = 1/x here; |w + x|**2 overflows, so the real parts are
@@ -985,7 +972,7 @@ class TestSplitGate:
     def test_small_x_against_the_series(self, rule, bound: float, alpha: float) -> None:
         # split off, the pair would give relative errors of 6e-6 and 1e-7 on
         # HYP14, and of up to 2.5 on the coarser rules
-        want = _mp_series(complex(-1e-6), alpha, 3.0).real
+        want = ml_reference(-1e-6, alpha, 3.0)
         got = ml_quad(-1e-6, alpha, 3.0, rule).value
         assert abs(got.real - want) <= bound * abs(want) and got.imag == 0.0
 
@@ -1015,20 +1002,6 @@ class TestSplitGate:
         assert abs(row - off) <= (1e-8 if alpha - 1.0 > 1e-12 else 1e-4) * abs(off)
 
 
-def _mp_series(z: complex, alpha: float, beta: float) -> complex:
-    # sum z**n / Gamma(beta + n*alpha) with digits for its largest term,
-    # about e**(|z|**(1/alpha)), and 30 more
-    rho = abs(z) ** (1.0 / alpha)
-    with mp.workdps(30 + int(rho / 2.3)):
-        zz, acc, n = mp.mpc(z), mp.mpc(0), 0
-        while True:
-            term = zz**n * mp.rgamma(beta + n * mp.mpf(alpha))
-            acc += term
-            n += 1
-            if n * alpha > 2.0 * rho + 20.0 and abs(term) < mp.mpf(10) ** (-mp.mp.dps):
-                return complex(acc)
-
-
 class TestWideAlpha:
     """alpha > 1: every pole on the principal sheet is split off at z itself."""
 
@@ -1054,7 +1027,7 @@ class TestWideAlpha:
     )
     @pytest.mark.parametrize("rule", [HYP14, PAR14], ids=["hyp", "par"])
     def test_against_series(self, rule, z: complex, alpha: float, beta: float) -> None:
-        want = _mp_series(complex(z), alpha, beta)
+        want = ml_reference(z, alpha, beta)
         got = ml_quad(z, alpha, beta, rule).value
         assert abs(got - want) <= 5e-14 * max(1.0, abs(want))
         if isinstance(z, float):
