@@ -7,6 +7,7 @@ failure (non-convergence, poles, singular systems, NaN results).
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import sys
@@ -152,33 +153,46 @@ def cmd_grid(args: argparse.Namespace) -> int:
         raise DomainError("grid bounds must be finite, and so must the points between them")
     import numpy as np
 
-    from .engine import ml_quad_values
+    from .engine import _rule_values
 
     # outer loop over re, inner over im, each part copied exactly
     n = args.steps
     z = np.empty(n * n, dtype=complex)
     z.real = np.repeat(re_axis, n)
     z.imag = np.tile(im_axis, n)
-    grids = []  # each method's values: one engine call for a quadrature method
-    for method in filter(None, (first, second)):
+    # each distinct method once, in the order given; the quadrature methods
+    # together, in one engine pass that builds each point's poles once
+    methods = dict.fromkeys(filter(None, (first, second)))
+    grids = {}
+    for method in methods:
+        if method in grids:
+            continue
         if method in _QUAD_METHODS:
-            rule = quad_rule(Method(method), quadrature_n_for_tol(args.tol) if args.N is None else args.N)
-            v = ml_quad_values(z, args.alpha, args.beta, rule)
+            quad = [m for m in methods if m in _QUAD_METHODS]
+            n_nodes = quadrature_n_for_tol(args.tol) if args.N is None else args.N
+            rules = [quad_rule(Method(m), n_nodes) for m in quad]
+            grids.update(zip(quad, _rule_values(z, args.alpha, args.beta, rules)))
         else:
-            v = np.array([_evaluate(method, p, args).value for p in z.tolist()], dtype=complex)
-        grids.append(v.reshape(n, n))
-    values, others = grids[0], grids[-1]
-    # written by column, one grid row at a time; each axis value is formatted once
-    im_texts = list(map(repr, im_axis))
-    lines = ["re,im,value_re,value_im" + (",log10_abs_err" if second else "")]
-    for re_text, row, other in zip(map(repr, re_axis), values, others):
-        columns = [itertools.repeat(re_text), im_texts, map(repr, row.real.tolist()), map(repr, row.imag.tolist())]
-        if second:
-            # Python's complex abs, not np.abs, which differs in the last bit;
-            # NaN where either value is NaN: log10 keeps it
-            diffs = map(_abs_diff, row.tolist(), other.tolist())
-            columns.append([repr(math.log10(d) if d != 0.0 else -math.inf) for d in diffs])
-        lines += map(",".join, zip(*columns))
+            grids[method] = np.array([_evaluate(method, p, args).value for p in z.tolist()], dtype=complex)
+    values = grids[first]
+    # written by column over the whole grid; each axis value is formatted once
+    re_texts = itertools.chain.from_iterable(itertools.repeat(t, n) for t in map(repr, re_axis))
+    columns = [re_texts, list(map(repr, im_axis)) * n, map(repr, values.real.tolist()), map(repr, values.imag.tolist())]
+    if second:
+        # |value - other| by libm's hypot, which Python's complex abs calls
+        # too (_abs_diff), with its inf and NaN; np.abs differs in the last bit
+        with np.errstate(all="ignore"):
+            d = values - grids[second]
+            diffs = np.hypot(d.real, d.imag)
+        # math.log10, not np.log10, which differs in the last bit too; -inf
+        # where the two values agree
+        agree = np.flatnonzero(diffs == 0.0).tolist()
+        diffs[agree] = 1.0
+        logs = list(map(math.log10, diffs.tolist()))
+        for i in agree:
+            logs[i] = -math.inf
+        columns.append(map(repr, logs))
+    lines = ["re,im,value_re,value_im" + (",log10_abs_err" if second else ""), *map(",".join, zip(*columns))]
     _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -234,7 +248,9 @@ def cmd_table_asymp(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args does not change it
     parser = argparse.ArgumentParser(prog="mittleff", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -245,7 +261,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--method", choices=_METHODS, default="auto")
     p_eval.add_argument("--N", type=int, default=None, help="contour node parameter of a quadrature method")
     p_eval.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p_eval.set_defaults(func=cmd_eval)
 
     p_grid = sub.add_parser("grid", help="CSV over a rectangle of the plane")
     p_grid.add_argument("--alpha", type=float, required=True)
@@ -259,7 +274,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_grid.add_argument("--compare-method", type=_parse_method_pair, default=None, metavar="M1,M2")
     p_grid.add_argument("--N", type=int, default=None)
     p_grid.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p_grid.set_defaults(func=cmd_grid)
 
     p_pade = sub.add_parser("pade", help="two-point rational approximation CSV")
     p_pade.add_argument("--alpha", type=float, required=True)
@@ -269,26 +283,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pade.add_argument("--solver", choices=("fixed", "svd", "lu"), default="fixed")
     p_pade.add_argument("--emit", choices=("coeffs", "pf", "errgrid"), default="coeffs")
     p_pade.add_argument("--out", default="-", help="output file, - for stdout")
-    p_pade.set_defaults(func=cmd_pade)
 
     p_tab = sub.add_parser("table-asymp", help="expansion failure/decay table")
     p_tab.add_argument("--alpha", type=float, default=0.7)
     p_tab.add_argument("--beta", type=float, default=1.0)
     p_tab.add_argument("--tol", type=float, default=1e-12)
     p_tab.add_argument("--x", type=_parse_float_list, default=(5.0, 15.0, 25.0, 35.0, 45.0, 55.0))
-    p_tab.set_defaults(func=cmd_table_asymp)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(_merge_negative_values(argv))
+        args = _build_parser().parse_args(_merge_negative_values(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
-    func: Callable[[argparse.Namespace], int] = args.func
+    # cmd_eval, cmd_grid, ..., looked up at each call, so a rebound one runs
+    func: Callable[[argparse.Namespace], int] = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return func(args)
     except DomainError as exc:

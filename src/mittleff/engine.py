@@ -8,7 +8,10 @@ numpy columns (_engine_factors), every pole on the principal sheet split
 off and its residue added back, and within EPS_SWITCH of a pole the psi
 form of quadrature._psi_rows, summed for every near (node, point) pair of
 a chunk in one numpy pass (_psi_form).  A real z < 0 with alpha <= 2 takes
-quadrature's float rows, as in ml_quad.
+quadrature's float rows, as in ml_quad.  The poles and residues depend on
+the points alone (_chunk_poles), the node sums on the rule (_split_sum):
+_rule_values sums several rules over the same points in one pass, as the
+grid command's --compare-method does with two contours.
 
 numpy is imported with this module, and the module only where the engine
 is used: by quadrature on ml_quad's first call off the rows, by the
@@ -33,6 +36,8 @@ from .kernels import check_alpha_beta, on_sheet, pole_turns
 from .quadrature import _EPS_SWITCH_SQ, _LOG_TINY, _neg_axis_row, _node_factors, _psi_rows
 
 if TYPE_CHECKING:
+    from collections.abc import Sequence
+
     from numpy.typing import ArrayLike
 
 # points per engine pass: bounds its (nodes x points) work arrays
@@ -88,25 +93,29 @@ def _sum_rows(terms: np.ndarray, n: int) -> np.ndarray:
     return sums[0] + sums[1]
 
 
-def _plain_values(z: np.ndarray, alpha: float, beta: float, rule: QuadratureRule) -> np.ndarray:
+def _plain_values(z: np.ndarray, alpha: float, beta: float, rules: Sequence[QuadratureRule]) -> list[np.ndarray]:
     # no pole split off: z = 0, outside the sector, or a pole too near the origin
-    _, _, c_wab, wa = _engine_factors(rule, alpha, beta)
-    return _sum_rows(c_wab / (wa - z), rule.N)
+    out = []
+    for rule in rules:
+        _, _, c_wab, wa = _engine_factors(rule, alpha, beta)
+        out.append(_sum_rows(c_wab / (wa - z), rule.N))
+    return out
 
 
-def _pole_split_values(z: np.ndarray, alpha: float, beta: float, rule: QuadratureRule) -> np.ndarray:
-    """The chunk's columns with every pole gamma_k on the principal sheet split
-    off (gamma_0 at every z, for alpha > 1 the others where on_sheet holds)
-    and its residue P_k e**gamma_k added back.  A pole whose residue
-    underflows, log|P| + Re gamma < _LOG_TINY, stays in the integrand as P = 0
-    at gamma = 0: split off, P/(w - gamma) would add only its quadrature
-    error.  At alpha = 1 only where P overflows too: at beta = 1 the split
-    term cancels the integrand exactly, so E[1, 1](z) = e**z keeps its bits.
-    A non-real z whose gamma overflows with Re gamma > 0 gets inf+infj."""
-    w, c, c_wab, wa = _engine_factors(rule, alpha, beta)
+def _chunk_poles(z: np.ndarray, alpha: float, beta: float) -> tuple:
+    """The part of a split chunk that does not depend on the rule: every pole
+    gamma_k on the principal sheet (gamma_0 at every z, for alpha > 1 the
+    others where on_sheet holds) as (gamma, log gamma, P) columns, the sum of
+    the residues P_k e**gamma_k, and the largest residue.
+
+    A pole whose residue underflows, log|P| + Re gamma < _LOG_TINY, stays in
+    the integrand as P = 0 at gamma = 0: split off, P/(w - gamma) would add
+    only its quadrature error.  At alpha = 1 only where P overflows too: at
+    beta = 1 the split term cancels the integrand exactly, so E[1, 1](z) = e**z
+    keeps its bits.  A non-real z whose gamma overflows with Re gamma > 0 gets
+    the residue inf+infj."""
     log_z = np.log(z)
-    terms = c_wab / (wa - z)
-    poles = []  # (gamma, log gamma, P, near)
+    poles = []  # (gamma, log gamma, P)
     residue = largest = 0j
     log_largest = -math.inf
     for k in (0, *pole_turns(alpha)):
@@ -130,30 +139,42 @@ def _pole_split_values(z: np.ndarray, alpha: float, beta: float, rule: Quadratur
         res = np.exp(log_res)
         if alpha < 1.0:  # the one alpha where gamma can overflow
             res[(log_gamma.real > _LOG_MAX) & (gamma.real > 0.0) & (z.imag != 0.0)] = complex(math.inf, math.inf)
+        residue = residue + res
+        top = log_res.real > log_largest
+        largest = np.where(top, res, largest)
+        log_largest = np.where(top, log_res.real, log_largest)
+        poles.append((gamma, log_gamma, pole))
+    return poles, residue, largest
+
+
+def _split_sum(z: np.ndarray, shared: tuple, alpha: float, beta: float, rule: QuadratureRule) -> np.ndarray:
+    """One rule's columns of a split chunk: its node sum with _chunk_poles'
+    poles split off, plus their residues."""
+    poles, residue, largest = shared
+    w, c, c_wab, wa = _engine_factors(rule, alpha, beta)
+    terms = c_wab / (wa - z)
+    nears = []
+    for gamma, _, pole in poles:
         dw = w - gamma
         q = pole / dw
         # near the pole the difference cancels: the psi form takes over
         near = dw.real * dw.real + dw.imag * dw.imag < _EPS_SWITCH_SQ * (
             gamma.real * gamma.real + gamma.imag * gamma.imag
         )
-        residue = residue + res
-        top = log_res.real > log_largest
-        largest = np.where(top, res, largest)
-        log_largest = np.where(top, log_res.real, log_largest)
         # c * (pole/dw) in real arithmetic: whether numpy fuses its complex
         # product (FMA) depends on the CPU and the loop it picks; written out,
         # the bits do not
         terms.real -= c.real * q.real - c.imag * q.imag
         terms.imag -= c.real * q.imag + c.imag * q.real
-        poles.append((gamma, log_gamma, pole, near))
-    for gamma, log_gamma, _, near in poles:
+        nears.append(near)
+    for (gamma, log_gamma, _), near in zip(poles, nears):
         if not np.count_nonzero(near):
             continue
         j, i = np.divmod(np.flatnonzero(near), near.shape[1])  # 2-d np.nonzero is slower
         wj, gi = w[j, 0], gamma[i]
         f = _psi_form((wj - gi) / gi, log_gamma[i], alpha, beta)
         # less the plain terms of the other poles split off at z
-        for g, _, p, _ in poles:
+        for g, _, p in poles:
             if g is not gamma:
                 f -= p[i] / (wj - g[i])
         cj = c[j, 0]
@@ -162,6 +183,61 @@ def _pole_split_values(z: np.ndarray, alpha: float, beta: float, rule: Quadratur
     # an overflowing residue is the value, the largest where several
     # overflow: the node sum could only add inf - inf
     return np.where(np.isinf(largest), largest, residue + _sum_rows(terms, rule.N))
+
+
+def _pole_split_values(z: np.ndarray, alpha: float, beta: float, rules: Sequence[QuadratureRule]) -> list[np.ndarray]:
+    """Each rule's columns of a chunk of split points: the poles once
+    (_chunk_poles), then one node sum per rule (_split_sum)."""
+    shared = _chunk_poles(z, alpha, beta)
+    return [_split_sum(z, shared, alpha, beta, rule) for rule in rules]
+
+
+def _rule_values(z: ArrayLike, alpha: float, beta: float, rules: Sequence[QuadratureRule]) -> list[np.ndarray]:
+    """ml_quad_values at the same z for each of rules, in one pass: the masks,
+    the chunks and each chunk's poles are built once, and only the node sums
+    once per rule.  Each array has the bits of that rule's own call."""
+    check_alpha_beta(alpha, beta)
+    # + 0.0 copies z and turns a -0.0 imaginary part into +0.0: the negative
+    # real axis is read from above, as in principal_arg
+    z = np.asarray(z, dtype=np.complex128) + 0.0
+    flat = z.reshape(-1)
+    # every product and quotient in the helpers is elementwise and has no
+    # complex product left to fuse, so a column's bits do not depend on the
+    # batch
+    with np.errstate(all="ignore"):
+        modulus = np.abs(flat)
+        # |z| is inf for an infinite part or a modulus that overflows, NaN for a NaN part
+        if not np.isfinite(modulus).all():
+            raise DomainError("z has an entry with a NaN or infinite part or an overflowing modulus")
+        entries = [_node_factors(rule, alpha, beta) for rule in rules]
+        real = flat.imag == 0.0
+        axis = real & (flat.real < 0.0) & (alpha <= 2.0)
+        # gamma_0 is on the sheet (for alpha > 1 always; at alpha = 1 the
+        # negative axis too); z = 0 has no pole
+        sector = np.abs(np.arctan2(flat.imag, flat.real)) <= alpha * math.pi
+        # a pole nearer the origin than the gate x_min (which depends on alpha
+        # and beta only) lies inside the contour, where the plain column sums
+        # it; split off, gamma**(1-beta) swamps the value
+        split = sector & ~axis & (flat != 0.0) & (modulus >= entries[0][2])
+        outs = [np.empty_like(flat) for _ in rules]
+        plain = ~(axis | split)
+        if axis.any():
+            xs = (-flat[axis].real).tolist()
+            for out, entry in zip(outs, entries):
+                out[axis] = [_neg_axis_row(x, alpha, beta, entry) for x in xs]
+        # one kind per chunk: the split points, 8x the cost of plain ones, come full
+        for kind, values in ((split, _pole_split_values), (plain, _plain_values)):
+            at = kind.nonzero()[0]
+            for i in range(0, at.size, ENGINE_CHUNK):
+                chunk = at[i : i + ENGINE_CHUNK]
+                for out, v in zip(outs, values(flat[chunk], alpha, beta, rules)):
+                    out[chunk] = v
+        if alpha > 1.0:
+            # poles off the real axis make the summand of a real z asymmetric;
+            # the imaginary part is rounding
+            for out in outs:
+                out.imag[real] = 0.0
+    return [out.reshape(z.shape) for out in outs]
 
 
 def ml_quad_values(z: ArrayLike, alpha: float, beta: float, rule: QuadratureRule) -> np.ndarray:
@@ -177,7 +253,7 @@ def ml_quad_values(z: ArrayLike, alpha: float, beta: float, rule: QuadratureRule
     sums it for all of the chunk's near (node, point) pairs at once, with no
     Python call per pair.  Where beta > 1 and |gamma| < _SPLIT_GAMMA_MIN the
     poles stay in the plain column instead, and for alpha != 1 so does a
-    pole whose residue underflows (_pole_split_values); where gamma
+    pole whose residue underflows (_chunk_poles); where gamma
     overflows with Re gamma > 0 the value is complex(inf, inf), as in
     ml_asymptotic.  z = 0 has no pole (no root of w**alpha = 0 lies on the
     contour): its plain column sums w**-beta, so its value approximates
@@ -186,42 +262,7 @@ def ml_quad_values(z: ArrayLike, alpha: float, beta: float, rule: QuadratureRule
     whose sums are exact conjugates.  A NaN or infinite entry, one whose
     modulus overflows, or a beta that is not finite or whose node factors
     overflow, raises DomainError; an overflowing value gives inf parts and
-    no warning.
+    no warning.  It is the one-rule case of _rule_values, which sums several
+    rules over the same z and builds each chunk's poles once.
     """
-    check_alpha_beta(alpha, beta)
-    # + 0.0 copies z and turns a -0.0 imaginary part into +0.0: the negative
-    # real axis is read from above, as in principal_arg
-    z = np.asarray(z, dtype=np.complex128) + 0.0
-    flat = z.reshape(-1)
-    # every product and quotient in the helpers is elementwise and has no
-    # complex product left to fuse, so a column's bits do not depend on the
-    # batch
-    with np.errstate(all="ignore"):
-        modulus = np.abs(flat)
-        # |z| is inf for an infinite part or a modulus that overflows, NaN for a NaN part
-        if not np.isfinite(modulus).all():
-            raise DomainError("z has an entry with a NaN or infinite part or an overflowing modulus")
-        entry = _node_factors(rule, alpha, beta)
-        real = flat.imag == 0.0
-        axis = real & (flat.real < 0.0) & (alpha <= 2.0)
-        # gamma_0 is on the sheet (for alpha > 1 always; at alpha = 1 the
-        # negative axis too); z = 0 has no pole
-        sector = np.abs(np.arctan2(flat.imag, flat.real)) <= alpha * math.pi
-        # a pole nearer the origin than the gate x_min lies inside the contour,
-        # where the plain column sums it; split off, gamma**(1-beta) swamps the value
-        split = sector & ~axis & (flat != 0.0) & (modulus >= entry[2])
-        out = np.empty_like(flat)
-        plain = ~(axis | split)
-        if axis.any():
-            out[axis] = [_neg_axis_row(-zr, alpha, beta, entry) for zr in flat[axis].real.tolist()]
-        # one kind per chunk: the split points, 8x the cost of plain ones, come full
-        for kind, values in ((split, _pole_split_values), (plain, _plain_values)):
-            at = kind.nonzero()[0]
-            for i in range(0, at.size, ENGINE_CHUNK):
-                chunk = at[i : i + ENGINE_CHUNK]
-                out[chunk] = values(flat[chunk], alpha, beta, rule)
-        if alpha > 1.0:
-            # poles off the real axis make the summand of a real z asymmetric;
-            # the imaginary part is rounding
-            out.imag[real] = 0.0
-    return out.reshape(z.shape)
+    return _rule_values(z, alpha, beta, (rule,))[0]

@@ -237,7 +237,7 @@ def ml_quad_neg_axis_wide_alpha(
         raise DomainError(f"x={x!r} must be positive")
     err = _node_factors(rule, alpha, beta)[1]
     with np.errstate(all="ignore"):
-        value = _pole_split_values(np.array([complex(-x)]), alpha, beta, rule)[0]
+        value = _pole_split_values(np.array([complex(-x)]), alpha, beta, (rule,))[0][0]
     return EvalResult(complex(value.real), _method_for(rule), 2 * rule.N + 1, err, True)
 
 

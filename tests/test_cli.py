@@ -1,7 +1,9 @@
 import math
 import re
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import grid_reference
@@ -334,6 +336,73 @@ class TestGrid:
         assert _abs_diff(complex(math.inf, 0.0), complex(0.0, 1.0)) == math.inf
         assert _abs_diff(3 + 4j, 0j) == 5.0
 
+    def test_hypot_column_matches_abs_diff(self) -> None:
+        # the grid's comparison column is np.hypot of the whole-grid
+        # difference, table-asymp's _abs_diff a Python complex abs: both are
+        # libm's hypot, so they agree bit for bit, with inf, NaN, overflowing,
+        # subnormal and signed-zero parts, and with a stale ERANGE in errno
+        rng = np.random.default_rng(5)
+        n = 4000
+        special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2e-308, 1e308, -sys.float_info.max]
+        with np.errstate(all="ignore"):
+            wide = rng.standard_normal(n) * 10.0 ** rng.integers(-330, 309, n)
+            tiny = 1e-310 * rng.standard_normal(n)  # subnormal
+            pool = np.concatenate([wide, tiny, rng.standard_normal(n), np.repeat(special, 150)])
+        a, b = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
+        for v in (a, b):
+            v.real, v.imag = rng.choice(pool, n), rng.choice(pool, n)
+        b[::5] = a[::5]
+        # NaN first, so the first calls meet the stale errno
+        a[:2], b[:2] = complex(math.nan, 0.0), complex(1.0, math.nan)
+        with pytest.raises(OverflowError):
+            math.exp(1000.0)  # leaves ERANGE in errno
+        want = list(map(_abs_diff, a.tolist(), b.tolist()))
+        with np.errstate(all="ignore"):
+            d = a - b
+            got = np.hypot(d.real, d.imag).tolist()
+
+        def bits(x: float) -> tuple | str:
+            return "nan" if math.isnan(x) else (x, math.copysign(1.0, x))
+
+        assert list(map(bits, got)) == list(map(bits, want))
+        # every kind of difference is there
+        assert {math.inf, 0.0} <= set(want) and any(map(math.isnan, want))
+        assert any(0.0 < x < sys.float_info.min for x in want)
+        assert any(math.isinf(x) and math.isfinite(y.real) and math.isfinite(y.imag) for x, y in zip(want, d.tolist()))
+
+    def test_each_distinct_method_runs_once(self, capsys, monkeypatch) -> None:
+        # quad-par and quad-hyp share one engine pass; a method named twice
+        # is evaluated once, its comparison column -inf where it is finite
+        from mittleff import engine
+
+        passes, points = [], []
+        rule_values, evaluate = engine._rule_values, cli._evaluate
+
+        def counted_pass(z, alpha, beta, rules):
+            if np.size(z) > 1:  # not ml_auto's quadrature at one point
+                passes.append(len(rules))
+            return rule_values(z, alpha, beta, rules)
+
+        def counted_point(method, z, args):
+            points.append(method)
+            return evaluate(method, z, args)
+
+        monkeypatch.setattr(engine, "_rule_values", counted_pass)
+        monkeypatch.setattr(cli, "_evaluate", counted_point)
+        grid = ("grid", *_RECT, "--steps", "5", "--out", "-", "--compare-method")
+        for pair, want_passes, want_points in [
+            ("quad-par,quad-hyp", [2], []),
+            ("quad-hyp,quad-hyp", [1], []),
+            ("auto,auto", [], ["auto"] * 25),
+            ("auto,quad-par", [1], ["auto"] * 25),
+        ]:
+            passes.clear()
+            points.clear()
+            code, out, _ = run(capsys, *grid, pair)
+            assert (code, passes, points) == (0, want_passes, want_points), pair
+            if pair in ("quad-hyp,quad-hyp", "auto,auto"):
+                assert {row.split(",")[-1] for row in out.splitlines()[1:]} == {"-inf"}
+
     @pytest.mark.parametrize(
         "bounds",
         [
@@ -395,6 +464,9 @@ class TestGrid:
                 "--alpha", "1", "--beta=-1", "--re-min=-1e300", "--re-max", "1",
                 "--im-min", "0", "--im-max", "1", "--steps", "2", "--compare-method", "quad-par,quad-hyp",
             ),
+            # a method named twice, evaluated once
+            (*_RECT, "--steps", "17", "--compare-method", "quad-hyp,quad-hyp"),
+            (*_RECT, "--steps", "9", "--compare-method", "auto,auto"),
         ],
     )
     def test_bytes_match_row_writer(self, capsys, monkeypatch, tmp_path: Path, case: tuple[str, ...]) -> None:

@@ -494,6 +494,52 @@ class TestEngine:
         assert math.isinf(cplx.real) and math.isinf(cplx.imag)
 
 
+def _shared_pass_batch(alpha: float, seed: int) -> np.ndarray:
+    # more than ENGINE_CHUNK split points (|z| >= 1 lies past every split
+    # gate), points with a pole near a node of each rule, both real
+    # half-axes, z = 0 and, for alpha < 1, points whose gamma overflows
+    rng = np.random.default_rng(seed)
+    n_split = engine.ENGINE_CHUNK + 60
+    phi = min(alpha, 1.0) * math.pi * rng.uniform(-0.95, 0.95, n_split)
+    z = list(10.0 ** rng.uniform(0.0, 1.0, n_split) * np.exp(1j * phi))
+    for rule in _SHARED_RULES[:3]:
+        for w in rng.choice(rule.nodes, 4).tolist():
+            eps = complex(*rng.uniform(-0.07, 0.07, 2))
+            z.append(cpow_principal((w.conjugate() if rng.random() < 0.5 else w) * (1.0 + eps), alpha))
+    x = 10.0 ** rng.uniform(-3.0, 3.0, 20)
+    z += [complex(v, zero) for v in np.concatenate([x, -x]).tolist() for zero in (0.0, -0.0)]
+    z += [0j, complex(0.0, -0.0), complex(-0.0, 0.0)]
+    if alpha < 1.0:
+        # |gamma| = |z|**(1/alpha) overflows, with Re gamma > 0 off the real axis
+        log_r = rng.uniform(engine._LOG_MAX * alpha, min(engine._LOG_MAX * alpha + 30.0, 709.0), 8)
+        z += [cmath.rect(math.exp(r), t) for r, t in zip(log_r, rng.uniform(-0.2, 0.2, 8) * alpha * math.pi)]
+    rng.shuffle(z)
+    return np.array(z)
+
+
+_SHARED_RULES = (build_parabolic_rule(10), PAR14, HYP14, HYP14)
+
+
+@settings(derandomize=True, max_examples=80, database=None, deadline=None)
+@given(
+    alpha=st.sampled_from([0.5, 1.0, 2.0, 3.0, 4.0]) | st.floats(0.05, 4.0) | st.floats(0.0, 4.0, exclude_min=True),
+    beta=st.sampled_from([-3.0, 0.5, 1.0, 2.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_shared_pass_gives_each_rules_bits(alpha: float, beta: float, seed: int) -> None:
+    # the grid's one engine pass over several rules (one to four poles per
+    # point, built once) against each rule's own call, a rule given twice
+    # included: no rule's node sum may touch the poles the next one reads
+    z = _shared_pass_batch(alpha, seed)
+    assert np.count_nonzero(np.abs(np.angle(z)) <= alpha * math.pi) > engine.ENGINE_CHUNK
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        shared = engine._rule_values(z, alpha, beta, _SHARED_RULES)
+        own = [ml_quad_values(z, alpha, beta, rule) for rule in _SHARED_RULES]
+    for got, want in zip(shared, own):
+        assert [_bits(v) for v in got.tolist()] == [_bits(v) for v in want.tolist()]
+
+
 @settings(derandomize=True, max_examples=300, database=None, deadline=None)
 @given(
     rule=st.sampled_from(_RULES),
