@@ -28,7 +28,8 @@ _QUAD_METHODS = (Method.QUAD_PARABOLIC, Method.QUAD_HYPERBOLIC)
 
 
 def _merge_negative_values(argv: Sequence[str]) -> list[str]:
-    # argparse treats "-15" after "--z" as an option; fold it into "--z=-15"
+    # argparse takes "--z -15" or "-.5", but reads "-1e-3" or "-1.5,2" as an
+    # option ("expected one argument"): fold such a value into "--z=-1e-3"
     out: list[str] = []
     i = 0
     while i < len(argv):

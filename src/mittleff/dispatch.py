@@ -34,7 +34,7 @@ from .contours import HYPERBOLIC_RATE, QuadratureRule, build_hyperbolic_rule, bu
 from .exceptions import DomainError
 from .kernels import check_alpha_beta, cpow_principal, finite_complex  # noqa: F401  cpow_principal: bench/tracing.py rebinds it here
 from .quadrature import DEFAULT_TOL, EvalResult, Method, _node_factors, _quad_result, ml_quad
-from .series import DEFAULT_MAX_TERMS, _series_sum, ml_series
+from .series import _series_sum, ml_series
 
 R_SERIES = 1.0
 ASYMP_GATE = 40.0
@@ -105,7 +105,7 @@ def _ml_auto_low(z: complex, alpha: float, beta: float, tol: float) -> EvalResul
     except OverflowError:
         raise DomainError(f"z={z!r}: |z| overflows") from None
     if r <= R_SERIES:
-        res = _series_sum(z, alpha, beta, tol, DEFAULT_MAX_TERMS)
+        res = _series_sum(z, alpha, beta, tol)
         if res.converged:
             return res
     else:

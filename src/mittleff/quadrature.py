@@ -12,10 +12,11 @@ to 0 the pole stays in the integrand (at alpha = 1 only where P overflows
 too).  Near a pole the difference would cancel, so the psi-kernel form
 takes over for that pole: two rows of power-series coefficients in the
 offset eps = (w - gamma)/gamma, cached per (alpha, beta) as one table of
-float pairs (_psi_rows).  f_one sums them by Horner in floats for the
-real-axis rows.  The node factors of the integrand do not depend on z: one
-cached entry per (rule, alpha, beta) holds them as floats, with every
-other z-independent constant (_node_factors).
+float pairs (_psi_rows).  Each caller decides which nodes lie near a pole:
+f_one sums the rows by Horner in floats at the near nodes of the real-axis
+rows, the engine in numpy at its own.  The node factors of the integrand
+do not depend on z: one cached entry per (rule, alpha, beta) holds them as
+floats, with every other z-independent constant (_node_factors).
 
 A real z < 0 with alpha <= 2 has a conjugate-symmetric summand, and
 _neg_axis_row sums the entry's nodes as floats: the plain row for
@@ -126,26 +127,17 @@ def q_sum(
     return rule.A * acc_c
 
 
-def f_plain(w: complex, z: complex, alpha: float, beta: float) -> complex:
-    """Integrand w**(alpha-beta) / (w**alpha - z) on the cut plane."""
-    return _cpow(w, alpha - beta) / (_cpow(w, alpha) - z)
-
-
-def f_one(w: complex, z: complex, alpha: float, beta: float, gamma: complex) -> complex:
-    """f_plain with the simple pole at gamma = z**(1/alpha) removed.
-
-    Near the pole (relative offset eps below EPS_SWITCH) the difference
-    would cancel, so an equivalent psi-kernel form is used instead: the
-    two rows of _psi_rows, summed by one Horner loop in floats.
-    """
+def f_one(w: complex, alpha: float, beta: float, gamma: complex) -> complex:
+    """The integrand less its simple pole at gamma = z**(1/alpha), in the psi
+    form: the two rows of _psi_rows, summed by one Horner loop in floats.
+    The rows are cut for a relative offset eps below EPS_SWITCH: the caller
+    decides that w lies that near gamma, f_one does not test it."""
     eps = (w - gamma) / gamma
-    if abs(eps) < EPS_SWITCH:
-        num = psi1_alpha = 0j
-        for a, b in _psi_rows(alpha, beta):
-            num = num * eps + a
-            psi1_alpha = psi1_alpha * eps + b
-        return num / (_cpow(gamma, beta) * psi1_alpha)
-    return f_plain(w, z, alpha, beta) - _cpow(gamma, 1.0 - beta) / (alpha * (w - gamma))
+    num = psi1_alpha = 0j
+    for a, b in _psi_rows(alpha, beta):
+        num = num * eps + a
+        psi1_alpha = psi1_alpha * eps + b
+    return num / (_cpow(gamma, beta) * psi1_alpha)
 
 
 @functools.lru_cache(maxsize=64)
@@ -300,7 +292,7 @@ def _edge_row(x: float, beta: float, entry: tuple) -> float:
         if br * br + wi * wi < near:
             w = complex(wr, wi)
             # f_one subtracts P/(w - gamma): add back i*Im P/(w + x)
-            f = f_one(w, complex(-x), 1.0, beta, complex(-x))
+            f = f_one(w, 1.0, beta, complex(-x))
             f += complex(0.0, mag * sin_p) / (w + x)
             s += cr * f.real - ci * f.imag
             continue
@@ -396,9 +388,9 @@ def _two_pole_sum(x: float, alpha: float, beta: float, entry: tuple) -> float:
             w = complex(wr, wi)
             gp, gm, p = complex(gr, gi), complex(gr, -gi), complex(pr, pi)
             if d2 < near:
-                f = f_one(w, complex(-x), alpha, beta, gp) - p.conjugate() / (w - gm)
+                f = f_one(w, alpha, beta, gp) - p.conjugate() / (w - gm)
             else:
-                f = f_one(w, complex(-x), alpha, beta, gm) - p / (w - gp)
+                f = f_one(w, alpha, beta, gm) - p / (w - gp)
             s += cr * f.real - ci * f.imag
             continue
         br += x

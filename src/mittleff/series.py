@@ -31,13 +31,7 @@ def _rgamma_block(alpha: float, beta: float, block: int) -> tuple[float, ...]:
     return tuple(reciprocal_gamma(beta + n * alpha) for n in range(start, start + TABLE_BLOCK))
 
 
-def ml_series(
-    z: complex,
-    alpha: float,
-    beta: float,
-    tol: float = DEFAULT_TOL,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> EvalResult:
+def ml_series(z: complex, alpha: float, beta: float, tol: float = DEFAULT_TOL) -> EvalResult:
     """Partial sum with a relative stopping rule.
 
     Terms are added until the next one satisfies |term| <= tol*|sum|,
@@ -47,21 +41,20 @@ def ml_series(
     1/Gamma(x) = sin(pi*x)*Gamma(1-x)/pi vanishes at the poles of Gamma
     while the next one need not, so the test and the estimate size it by
     the envelope Gamma(1-x)/pi instead; the sum itself adds 1/Gamma(x).
-    If max_terms is exhausted first, converged is False, and so it is for
-    a NaN value (an infinite term meets an infinite |sum|).  The
-    coefficients 1/Gamma(beta + n*alpha) come from a table cached per
-    (alpha, beta).
+    If the fixed cap of DEFAULT_MAX_TERMS = 250 terms is reached first,
+    converged is False, and so it is for a NaN value (an infinite term
+    meets an infinite |sum|).  The coefficients 1/Gamma(beta + n*alpha)
+    come from a table cached per (alpha, beta).
     """
     check_alpha_beta(alpha, beta)
     if not tol > 0.0:
         raise DomainError(f"tol={tol!r} must be positive")
-    if max_terms < 1:
-        raise DomainError(f"max_terms={max_terms!r} must be >= 1")
-    return _series_sum(finite_complex(z), alpha, beta, tol, max_terms)
+    return _series_sum(finite_complex(z), alpha, beta, tol)
 
 
-def _series_sum(z: complex, alpha: float, beta: float, tol: float, max_terms: int) -> EvalResult:
+def _series_sum(z: complex, alpha: float, beta: float, tol: float) -> EvalResult:
     """ml_series for checked arguments."""
+    max_terms = DEFAULT_MAX_TERMS  # a local: read at every term
     # the terms before the first n >= 1 with beta + n*alpha >= 1/2 are sized
     # by the envelope
     n_reflect = 1

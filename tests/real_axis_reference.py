@@ -20,7 +20,14 @@ alpha <= 1 negative-axis rows as they stood before each term past the
 envelope took one index test and the rows took Smith's test without abs:
 verbatim, renamed only.  ref_edge_row reads the first four fields of
 _node_factors' entry, the whole entry when it was written, and both rows
-read the 8-float block."""
+read the 8-float block.
+
+f_plain, the integrand, and f_split, the integrand less its simple pole,
+are the direct forms that the package's f_one fell back on off the switch
+disk, verbatim.  f_one is now the psi form alone, its callers deciding
+which nodes lie near a pole, and ref_f_one, like it, has lost its z and
+its own nearness test (so have the calls of the rows above): the tests
+read the direct forms from here."""
 
 from __future__ import annotations
 
@@ -38,14 +45,12 @@ from mittleff.engine import _pole_split_values
 from mittleff.exceptions import DomainError
 from mittleff.quadrature import (
     _EPS_SWITCH_SQ,
-    EPS_SWITCH,
     EvalResult,
     Method,
     _method_for,
     _node_factors,
     _psi_rows,
     f_one,
-    f_plain,
 )
 from mittleff.series import _SERIES, _rgamma_block
 
@@ -157,23 +162,29 @@ def ref_expansion_sum(z: complex, alpha: float, beta: float, tol: float) -> Eval
     return EvalResult(value, Method.ASYMPTOTIC, m, t_last, converged and not cmath.isnan(value))
 
 
-def ref_f_one(w: complex, z: complex, alpha: float, beta: float, gamma: complex) -> complex:
-    """f_plain with the simple pole at gamma = z**(1/alpha) removed.
+def f_plain(w: complex, z: complex, alpha: float, beta: float) -> complex:
+    """Integrand w**(alpha-beta) / (w**alpha - z) on the cut plane."""
+    return _cpow(w, alpha - beta) / (_cpow(w, alpha) - z)
 
-    Near the pole (relative offset eps below EPS_SWITCH) the difference
-    would cancel, so an equivalent psi-kernel form is used instead: the
-    rows of _psi_rows, summed by Horner in floats.
+
+def f_split(w: complex, z: complex, alpha: float, beta: float, gamma: complex) -> complex:
+    """f_plain with the simple pole at gamma = z**(1/alpha) removed, as the
+    direct difference: it cancels near the pole, where f_one takes over."""
+    return f_plain(w, z, alpha, beta) - _cpow(gamma, 1.0 - beta) / (alpha * (w - gamma))
+
+
+def ref_f_one(w: complex, alpha: float, beta: float, gamma: complex) -> complex:
+    """f_one: the integrand less its simple pole at gamma, near it, in the
+    psi form: the rows of _psi_rows, summed by Horner in floats.
     """
     eps = (w - gamma) / gamma
-    if abs(eps) < EPS_SWITCH:
-        num_row, psi1_row = zip(*reversed(_psi_rows(alpha, beta)))
-        num = psi1_alpha = 0j
-        for coeff in reversed(num_row):
-            num = num * eps + coeff
-        for coeff in reversed(psi1_row):
-            psi1_alpha = psi1_alpha * eps + coeff
-        return num / (_cpow(gamma, beta) * psi1_alpha)
-    return f_plain(w, z, alpha, beta) - _cpow(gamma, 1.0 - beta) / (alpha * (w - gamma))
+    num_row, psi1_row = zip(*reversed(_psi_rows(alpha, beta)))
+    num = psi1_alpha = 0j
+    for coeff in reversed(num_row):
+        num = num * eps + coeff
+    for coeff in reversed(psi1_row):
+        psi1_alpha = psi1_alpha * eps + coeff
+    return num / (_cpow(gamma, beta) * psi1_alpha)
 
 
 def ref_two_pole_sum(x: float, alpha: float, beta: float, block: tuple) -> float:
@@ -209,9 +220,9 @@ def ref_two_pole_sum(x: float, alpha: float, beta: float, block: tuple) -> float
             w = complex(wr, wi)
             gp, gm, p = complex(gr, gi), complex(gr, -gi), complex(pr, pi)
             if d2 < near:
-                f = ref_f_one(w, complex(-x), alpha, beta, gp) - p.conjugate() / (w - gm)
+                f = ref_f_one(w, alpha, beta, gp) - p.conjugate() / (w - gm)
             else:
-                f = ref_f_one(w, complex(-x), alpha, beta, gm) - p / (w - gp)
+                f = ref_f_one(w, alpha, beta, gm) - p / (w - gp)
             s += cr * f.real - ci * f.imag
             continue
         br += x
@@ -318,7 +329,7 @@ def ref_edge_row(x: float, beta: float, entry: tuple) -> float:
         if br * br + wi * wi < near:
             w = complex(wr, wi)
             # f_one subtracts P/(w - gamma): add back i*Im P/(w + x)
-            f = f_one(w, complex(-x), 1.0, beta, complex(-x))
+            f = f_one(w, 1.0, beta, complex(-x))
             f += complex(0.0, mag * sin_p) / (w + x)
             s += cr * f.real - ci * f.imag
             continue

@@ -1,3 +1,4 @@
+import cmath
 import math
 import re
 import sys
@@ -35,6 +36,22 @@ class TestArgvPreprocessing:
     def test_mixed_stream(self) -> None:
         got = _merge_negative_values(["eval", "--re-min", "-5", "--steps", "3"])
         assert got == ["eval", "--re-min=-5", "--steps", "3"]
+
+    @pytest.mark.parametrize("z, want", [("-1e-3", -1e-3), ("-1.5,2", complex(-1.5, 2.0))])
+    def test_exponent_and_complex_values_reach_main(self, capsys, z: str, want: complex) -> None:
+        # argparse alone rejects "--z -1e-3" and "--z -1.5,2": expected one argument
+        code, out, _ = run(capsys, "eval", "--alpha", "1", "--beta", "1", "--z", z)
+        assert code == 0
+        re_part, im_part = out.splitlines()[0].split()
+        assert complex(float(re_part), float(im_part)) == pytest.approx(cmath.exp(want), rel=1e-13)
+
+    def test_exponent_bounds_reach_the_grid(self, capsys) -> None:
+        code, out, _ = run(
+            capsys, "grid", "--alpha", "1", "--beta", "1", "--re-min", "-5e-1", "--re-max", "0",
+            "--im-min", "-2.5e-1", "--im-max", "0", "--steps", "2", "--out", "-",
+        )
+        assert code == 0
+        assert out.splitlines()[1].startswith("-0.5,-0.25,")
 
 
 class TestEval:

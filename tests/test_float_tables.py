@@ -163,13 +163,14 @@ def _near_pole(draw) -> tuple:
     gamma = cmath.exp(cmath.log(complex(-x)) / alpha)
     if draw(st.booleans()):
         gamma = gamma.conjugate()
-    eps = cmath.rect(draw(st.floats(0.0, 1.5 * EPS_SWITCH)), draw(st.floats(-math.pi, math.pi)))
-    return gamma * (1.0 + eps), complex(-x), alpha, beta, gamma
+    # f_one is the psi form alone: its callers hand it the switch disk only
+    eps = cmath.rect(draw(st.floats(0.0, EPS_SWITCH, exclude_max=True)), draw(st.floats(-math.pi, math.pi)))
+    return gamma * (1.0 + eps), alpha, beta, gamma
 
 
 @BITS
 @given(case=_near_pole())
-@example(case=(complex(1.0 + 1e-7), complex(1.0), 0.5, 1.0, complex(1.0)))
+@example(case=(complex(1.0 + 1e-7), 0.5, 1.0, complex(1.0)))
 def test_f_one_keeps_its_bits(case: tuple) -> None:
     got, want = f_one(*case), ref_f_one(*case)
     assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
@@ -240,26 +241,25 @@ def _series_case(draw) -> tuple:
     # beta below 1/2 - alpha: the first terms are sized by the envelope
     beta = draw(st.sampled_from([1.0, alpha, 0.0, -1.0, -4.5]) | st.floats(-5.0, 5.0))
     tol = draw(st.sampled_from([1e-15, 1e-14, 1e-6]) | st.floats(1e-15, 1e-2))
-    # a few terms: the sum runs out of them
-    max_terms = draw(st.sampled_from([DEFAULT_MAX_TERMS]) | st.integers(1, 40))
     r = draw(st.sampled_from([0.0, 1.0, 1.5]) | st.floats(0.0, 1.5))
     direction = draw(st.sampled_from([1.0, -1.0]) | st.floats(-math.pi, math.pi).map(lambda phi: cmath.rect(1.0, phi)))
-    return complex(direction * r), alpha, beta, tol, max_terms
+    return complex(direction * r), alpha, beta, tol
 
 
 SERIES_EXAMPLES = [
-    (complex(-0.5), 0.3, 1.0, 1e-14, DEFAULT_MAX_TERMS),
-    (complex(1.5), 0.5, 1.0, 1e-15, 8),  # runs out of terms
-    (complex(-1.2), 0.3, -4.5, 1e-14, DEFAULT_MAX_TERMS),  # 16 envelope terms
-    (complex(-1.2), 0.3, -4.5, 1e-14, 5),  # runs out inside the envelope
-    (cmath.rect(1.4, 2.0), 0.7, 1.3, 1e-14, DEFAULT_MAX_TERMS),
-    (complex(0.0), 0.7, 1.3, 1e-15, 1),
-    (complex(1e-20), 0.3, -4.5, 1e-14, DEFAULT_MAX_TERMS),  # stops inside the envelope
+    (complex(-0.5), 0.3, 1.0, 1e-14),
+    (complex(0.99), 0.01, 1.0, 1e-15),  # runs out of terms
+    (complex(-1.2), 0.3, -4.5, 1e-14),  # 16 envelope terms
+    (complex(0.99), 0.01, -4.5, 1e-14),  # runs out inside the envelope
+    (cmath.rect(1.4, 2.0), 0.7, 1.3, 1e-14),
+    (complex(0.0), 0.7, 1.3, 1e-15),
+    (complex(1e-20), 0.3, -4.5, 1e-14),  # stops inside the envelope
 ]
 
 
 def _same_series_as_reference(case: tuple) -> EvalResult:
-    got, want = _series_sum(*case), ref_series_sum(*case)
+    # the reference takes the cap as an argument; the package has it fixed
+    got, want = _series_sum(*case), ref_series_sum(*case, DEFAULT_MAX_TERMS)
     if cmath.isnan(want.value):
         # an infinite term meets an infinite |sum|: the reference called it converged
         assert _fields(got)[:5] == _fields(want)[:5] and not got.converged, case
@@ -285,11 +285,13 @@ def test_series_examples_reach_every_exit() -> None:
     # the examples above stop on the relative rule past and inside the
     # envelope, and run out of terms past and inside it
     got = [_same_series_as_reference(case) for case in SERIES_EXAMPLES]
-    assert got[0].converged and not got[1].converged and got[1].nodes_or_terms == 8
+    assert got[0].converged and not got[1].converged and got[1].nodes_or_terms == DEFAULT_MAX_TERMS
     _, alpha, beta = SERIES_EXAMPLES[2][:3]
     assert beta + 16 * alpha < 0.5 <= beta + 17 * alpha
     assert got[2].converged and got[2].nodes_or_terms > 17
-    assert not got[3].converged and got[3].nodes_or_terms == 5
+    _, alpha, beta = SERIES_EXAMPLES[3][:3]
+    assert beta + DEFAULT_MAX_TERMS * alpha < 0.5
+    assert not got[3].converged and got[3].nodes_or_terms == DEFAULT_MAX_TERMS
     assert got[5].converged and got[5].nodes_or_terms == 1
     assert got[6].converged and 1 <= got[6].nodes_or_terms <= 16
 

@@ -115,9 +115,9 @@ def _write() -> None:
     near = Counter()
     f_one = quadrature.f_one
 
-    def counted(w, z, alpha, beta, gamma):
+    def counted(w, alpha, beta, gamma):
         near[alpha] += 1
-        return f_one(w, z, alpha, beta, gamma)
+        return f_one(w, alpha, beta, gamma)
 
     quadrature.f_one = counted
     try:

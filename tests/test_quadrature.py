@@ -15,14 +15,13 @@ from mittleff.engine import ml_quad_values
 from mittleff.exceptions import DomainError
 from mittleff.kernels import cpow_principal, on_sheet, pole_turns, reciprocal_gamma
 from mp_reference import ml_reference
-from real_axis_reference import ml_quad_neg_axis_wide_alpha
+from real_axis_reference import f_plain, f_split, ml_quad_neg_axis_wide_alpha
 
 from mittleff.quadrature import (
     EPS_SWITCH,
     EvalResult,
     Method,
     f_one,
-    f_plain,
     ml_quad,
     origin_accuracy,
     q_sum,
@@ -66,7 +65,7 @@ class TestIntegrands:
         alpha, beta = 0.5, 1.0
         z = complex(1.0)
         gamma = cpow_principal(z, 1.0 / alpha)
-        got = f_one(gamma, z, alpha, beta, gamma)
+        got = f_one(gamma, alpha, beta, gamma)
         want = (1.0 + alpha - 2.0 * beta) / (2.0 * alpha * gamma**beta)
         assert abs(got - want) <= 1e-13 * abs(want)
 
@@ -75,12 +74,12 @@ class TestIntegrands:
         beta = (1.0 + alpha) / 2.0
         z = complex(0.8, 0.3)
         gamma = cpow_principal(z, 1.0 / alpha)
-        assert abs(f_one(gamma, z, alpha, beta, gamma)) <= 1e-12
+        assert abs(f_one(gamma, alpha, beta, gamma)) <= 1e-12
 
     def test_near_pole_frozen_value(self) -> None:
         # 60-digit evaluation of w**-0.5/(w**0.5 - 1) - 2/(w - 1) at w = 1 + 1e-7
         want = -0.499999962500003125
-        got = f_one(complex(1.0 + 1e-7), complex(1.0), 0.5, 1.0, complex(1.0))
+        got = f_one(complex(1.0 + 1e-7), 0.5, 1.0, complex(1.0))
         assert abs(got - want) <= 1e-9 * abs(want)
 
     def test_series_and_direct_forms_meet_at_switch(self) -> None:
@@ -91,10 +90,8 @@ class TestIntegrands:
         gamma = cpow_principal(z, 1.0 / alpha)
         for eps in (EPS_SWITCH * (1.0 - 1e-7), 0.09, 0.05, -EPS_SWITCH * (1.0 - 1e-7)):
             w = gamma * (1.0 + eps)
-            series_form = f_one(w, z, alpha, beta, gamma)
-            direct = f_plain(w, z, alpha, beta) - cpow_principal(gamma, 1.0 - beta) / (
-                alpha * (w - gamma)
-            )
+            series_form = f_one(w, alpha, beta, gamma)
+            direct = f_split(w, z, alpha, beta, gamma)
             assert abs(series_form - direct) <= 1e-12 * abs(direct)
 
 
@@ -204,7 +201,7 @@ class TestMlQuad:
         alpha, beta = 0.6, 1.1
         gamma = cpow_principal(z, 1.0 / alpha)
         residue = cpow_principal(gamma, 1.0 - beta) * cmath.exp(gamma) / alpha
-        remainder = q_sum(HYP14, lambda w: f_one(w, z, alpha, beta, gamma), False)
+        remainder = q_sum(HYP14, lambda w: f_split(w, z, alpha, beta, gamma), False)
         got = ml_quad(z, alpha, beta, HYP14).value
         assert abs(got - (residue + remainder)) <= 1e-15 * abs(got)
 
@@ -217,7 +214,7 @@ class TestMlQuad:
             plain = q_sum(HYP14, lambda w: f_plain(w, z, alpha, beta), False)
             gamma = cpow_principal(z, 1.0 / alpha)
             split = cpow_principal(gamma, 1.0 - beta) * cmath.exp(gamma) / alpha + q_sum(
-                HYP14, lambda w: f_one(w, z, alpha, beta, gamma), False
+                HYP14, lambda w: f_split(w, z, alpha, beta, gamma), False
             )
             assert abs(plain - split) <= 1e-8 * abs(plain)
 
@@ -836,7 +833,7 @@ class TestTwoPole:
         # the near-pole term of _two_pole_sum and the engine: f_one for the
         # near pole, less the plain term of the other
         w = gp * (1.0 + 1e-12)
-        got = f_one(w, complex(-x), alpha, beta, gp) - cpow_principal(gm, 1.0 - beta) / (alpha * (w - gm))
+        got = f_one(w, alpha, beta, gp) - cpow_principal(gm, 1.0 - beta) / (alpha * (w - gm))
         assert abs(got - want) <= 1e-10 * abs(want)
 
     @settings(
@@ -1093,3 +1090,80 @@ class TestWideAlpha:
         # two poles of alpha = 3.4 have Re gamma > 709: the larger residue is the value
         value = ml_quad(z, 3.4, 1.0, HYP14).value
         assert cmath.isinf(value) and not cmath.isnan(value)
+
+
+def _moved(rule, k: int, w: complex):
+    # the rule with node k moved to w, its weight kept
+    return rule._replace(nodes=tuple(w if i == k else v for i, v in enumerate(rule.nodes)))
+
+
+class TestFOneContract:
+    """f_one is the psi form alone and does not test nearness: each caller
+    hands it a node within EPS_SWITCH of the pole, relative to the pole's
+    modulus, and nothing else.  A caller that skips its own test fails here."""
+
+    # each node's offset e = (w - gamma)/gamma: inside the disk, on its rim
+    # either side, and just outside it
+    OFFSETS = (
+        1e-6,
+        0.05j,
+        -0.09,
+        cmath.rect(EPS_SWITCH * (1.0 - 1e-15), 2.0),
+        EPS_SWITCH * (1.0 + 1e-15),
+        cmath.rect(EPS_SWITCH * (1.0 + 1e-12), 1.0),
+        -1.01 * EPS_SWITCH,
+        1.2j * EPS_SWITCH,
+    )
+
+    @classmethod
+    def rows(cls) -> list:
+        """(rule, x, alpha) of negative-axis rows with a node near a pole."""
+        rows = []
+        for rule in (HYP14, _PAR10):
+            k = rule.N - 2
+            for e in cls.OFFSETS:
+                # alpha = 1: the built rules keep their nodes outside
+                # EPS_SWITCH*x of the cut, so node k moves next to gamma = -x,
+                # in the upper half-plane, as every node of a built rule lies
+                for x in (0.5, 20.0, 1e3):
+                    w = -x * (1.0 + e)
+                    rows.append((_moved(rule, k, complex(w.real, abs(w.imag))), x, 1.0))
+                # alpha = 2: node k moves next to gamma_+ = 3i
+                rows.append((_moved(rule, k, 3j * (1.0 + e)), 9.0, 2.0))
+                # 1 < alpha < 2: gamma_+ placed by a node of the upper left
+                # quadrant, and the rule with that node stored as its
+                # reflection, next to gamma_-
+                for j, w in enumerate(rule.nodes):
+                    gp = w / (1.0 + e)
+                    if not math.pi / 2 < cmath.phase(gp) < math.pi:
+                        continue
+                    alpha = math.pi / cmath.phase(gp)
+                    flip = lambda seq: tuple(v.conjugate() if i == j else v for i, v in enumerate(seq))  # noqa: E731
+                    mirrored = rule._replace(nodes=flip(rule.nodes), weights=flip(rule.weights))
+                    rows += [(rule, abs(gp) ** alpha, alpha), (mirrored, abs(gp) ** alpha, alpha)]
+        return rows
+
+    def test_every_call_lies_near_its_pole(self, monkeypatch) -> None:
+        calls = []
+
+        def recorded(w: complex, alpha: float, beta: float, gamma: complex) -> complex:
+            calls.append((w, alpha, beta, gamma))
+            return f_one(w, alpha, beta, gamma)
+
+        monkeypatch.setattr(quadrature, "f_one", recorded)
+        reached = set()
+        for rule, x, alpha in self.rows():
+            for beta in (0.6, 1.3):
+                start = len(calls)
+                ml_quad(-x, alpha, beta, rule)
+                for w, a, b, gamma in calls[start:]:
+                    assert (a, b) == (alpha, beta)
+                    # the callers test squared distances: at the rim the two
+                    # tests may part by rounding
+                    assert abs(w - gamma) <= EPS_SWITCH * abs(gamma) * (1.0 + 1e-14), (rule.kind, x, alpha, w, gamma)
+                if len(calls) > start:
+                    reached.add((rule.kind, rule.N, alpha if alpha in (1.0, 2.0) else 1.5))
+        # both rules reach f_one on the edge row, the two-pole row and alpha = 2
+        assert reached == {(r.kind, r.N, a) for r in (HYP14, _PAR10) for a in (1.0, 1.5, 2.0)}
+        # and the rim offsets reach it too
+        assert any(abs(w - g) >= EPS_SWITCH * abs(g) * (1.0 - 1e-14) for w, _, _, g in calls)

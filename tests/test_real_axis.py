@@ -1,9 +1,16 @@
 """Real arguments: exactly real values on every route, the float loops of the
 series and the expansion, the expansion that routing skips where it could
-only fail, and ml_auto giving the public evaluators' bits."""
+only fail, and ml_auto giving the public evaluators' bits.
+
+To rewrite the outputs in real_axis_bits.json from the code on the path,
+run ``PYTHONPATH=src python tests/test_real_axis.py --write``: it
+recomputes them at the 200 stored inputs, which it never redraws, and
+prints how many records each method has."""
 
 import json
 import math
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -17,7 +24,14 @@ from mittleff.dispatch import ml_auto, run_method
 from mittleff.quadrature import EvalResult, Method
 from mittleff.series import ml_series
 
-BITS = json.loads((Path(__file__).parent / "real_axis_bits.json").read_text())["cases"]
+SNAPSHOT = Path(__file__).parent / "real_axis_bits.json"
+BITS = json.loads(SNAPSHOT.read_text())["cases"]
+
+
+def _evaluate(method: str, z_hex: str, alpha: float, beta: float, tol: float) -> EvalResult:
+    # one stored input, by the evaluator its record names
+    evaluator = ml_series if method == "series" else ml_asymptotic
+    return evaluator(complex(float.fromhex(z_hex)), alpha, beta, tol)
 
 
 def test_series_and_expansion_keep_their_real_part_bits() -> None:
@@ -30,12 +44,8 @@ def test_series_and_expansion_keep_their_real_part_bits() -> None:
     assert not all(c[7] for c in BITS)
     for method, z_hex, alpha, beta, tol, want, count, converged in BITS:
         z = complex(float.fromhex(z_hex))
-        if method == "series":
-            res = ml_series(z, alpha, beta, tol)
-            got = (res.value, res.nodes_or_terms, res.converged)
-        else:
-            res = ml_asymptotic(z, alpha, beta, tol)
-            got = (res.value, res.nodes_or_terms, res.converged)
+        res = _evaluate(method, z_hex, alpha, beta, tol)
+        got = (res.value, res.nodes_or_terms, res.converged)
         assert (got[0].real.hex(), got[1], got[2]) == (want, count, converged), (method, z, alpha, beta, tol)
         # every value is exactly real, the expansion's on the cut (alpha = 1,
         # z < 0) included, whose exponential part rounds to a complex value;
@@ -176,3 +186,28 @@ def test_auto_gives_the_bits_of_the_public_evaluators(case: tuple) -> None:
     alpha, beta, tol, z = case
     res = ml_auto(z, alpha, beta, tol)
     assert _fields(res) == _fields(run_method(res.method, complex(z), alpha, beta, tol))
+
+
+def _snapshot_text() -> str:
+    # real_axis_bits.json as the code on the path writes it
+    snapshot = json.loads(SNAPSHOT.read_text())
+    rows = []
+    for method, z_hex, alpha, beta, tol, *_ in snapshot["cases"]:
+        res = _evaluate(method, z_hex, alpha, beta, tol)
+        rows.append([method, z_hex, alpha, beta, tol, res.value.real.hex(), res.nodes_or_terms, res.converged])
+    lines = ",\n".join(json.dumps(r) for r in rows)
+    return f'{{\n"about": {json.dumps(snapshot["about"])},\n"cases": [\n{lines}\n]\n}}\n'
+
+
+def test_writer_reproduces_the_snapshot() -> None:
+    assert _snapshot_text() == SNAPSHOT.read_text()
+
+
+def _write() -> None:
+    SNAPSHOT.write_text(_snapshot_text())
+    for method, count in sorted(Counter(case[0] for case in BITS).items()):
+        print(method, count)
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
+    _write()

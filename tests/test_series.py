@@ -10,7 +10,7 @@ from mittleff.dispatch import ml_auto
 from mittleff.exceptions import DomainError
 from mittleff.kernels import reciprocal_gamma
 from mittleff.quadrature import EvalResult, Method
-from mittleff.series import TABLE_BLOCK, ml_series
+from mittleff.series import DEFAULT_MAX_TERMS, TABLE_BLOCK, ml_series
 
 
 class TestKnownValues:
@@ -58,11 +58,14 @@ class TestNearGammaPole:
             assert res.err_estimate <= 1e-13
 
     def test_envelope_sizes_the_estimate(self) -> None:
-        # capped at the term next to the pole: the estimate is |z|*Gamma(2)/pi,
-        # not the 2e-16 of the coefficient itself
-        res = ml_series(0.9, 0.5, self.BETA, max_terms=1)
-        assert not res.converged
-        assert res.err_estimate == pytest.approx(0.9 / math.pi, rel=1e-12)
+        # alpha = 0.01 at z = 0.99 needs more than the 250 terms of the cap, and
+        # term 250 sits next to the pole at -1, where 1/Gamma is -4e-16: the
+        # estimate is |z|**250 * Gamma(2)/pi, not that coefficient's size
+        beta = math.nextafter(-3.5, 0.0)
+        assert abs(reciprocal_gamma(beta + DEFAULT_MAX_TERMS * 0.01)) < 1e-15
+        res = ml_series(0.99, 0.01, beta)
+        assert not res.converged and res.nodes_or_terms == DEFAULT_MAX_TERMS
+        assert res.err_estimate == pytest.approx(0.99**DEFAULT_MAX_TERMS / math.pi, rel=1e-12)
 
 
 class TestProperties:
@@ -82,20 +85,22 @@ class TestProperties:
         ).value.conjugate()
 
     @pytest.mark.parametrize("alpha,beta", [(0.3, 0.8), (0.7, 1.5), (0.5, 1.0)])
-    def test_error_estimate_decays_while_unconverged(self, alpha: float, beta: float) -> None:
-        # strict decay needs |z| bounded away from 1
+    def test_error_estimate_decays_while_unconverged(self, monkeypatch, alpha: float, beta: float) -> None:
+        # strict decay needs |z| bounded away from 1; the cap is read at each call
         z = 0.9
         prev = math.inf
         for cap in range(1, 13):
-            res = ml_series(z, alpha, beta, tol=1e-200, max_terms=cap)
+            monkeypatch.setattr(series, "DEFAULT_MAX_TERMS", cap)
+            res = ml_series(z, alpha, beta, tol=1e-200)
             assert not res.converged
             assert res.err_estimate < prev
             prev = res.err_estimate
 
     def test_unconverged_flag(self) -> None:
-        res = ml_series(5.0, 0.2, 1.0, tol=1e-15, max_terms=10)
+        # alpha = 0.01 at z = 0.99 needs more terms than the cap
+        res = ml_series(0.99, 0.01, 1.0, tol=1e-15)
         assert not res.converged
-        assert res.nodes_or_terms == 10
+        assert res.nodes_or_terms == DEFAULT_MAX_TERMS
         assert res.err_estimate >= 1e-15
 
     @pytest.mark.parametrize("z, alpha, beta", [(-1j, 0.3, -200.0), (-1e-8 + 1.7e308j, 0.05, 0.0)])
@@ -141,7 +146,7 @@ class TestCoefficientTable:
         assert cold == self.evaluate(0.3, 1.1, tol=1e-15)
 
     def test_call_order_does_not_matter(self) -> None:
-        loose = {"tol": 1e-6, "max_terms": 5}
+        loose = {"tol": 1e-6}
         series._rgamma_block.cache_clear()
         first = self.evaluate(0.3, 1.1, tol=1e-15), self.evaluate(0.3, 1.1, **loose)
         series._rgamma_block.cache_clear()
@@ -183,7 +188,3 @@ class TestValidation:
     def test_nonfinite_z(self, z: complex) -> None:
         with pytest.raises(DomainError):
             ml_series(z, 0.5, 1.0)
-
-    def test_bad_max_terms(self) -> None:
-        with pytest.raises(DomainError):
-            ml_series(1.0, 1.0, 1.0, max_terms=0)
