@@ -24,6 +24,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from bisect import bisect_right
 
 from .exceptions import DomainError
 from .kernels import cexp, check_alpha_beta, finite_complex, on_sheet, pole_turns, principal_arg
@@ -36,6 +37,8 @@ FLOOR_TERMS = 8 * TABLE_BLOCK  # log_r_floor scans at most eight coefficient blo
 # converged m seen, 111 on the acceptance grids, 101 on the relaxation curves
 # of the benchmark, 690 for E[1, -300](-5000), whose coefficients all vanish
 MAX_TERMS = 1000
+# log n, n = 1..MAX_TERMS: the floats of the divergence bound and log_r_floor
+_LOG_N = tuple(map(math.log, range(1, MAX_TERMS + 1)))
 _ASYMPTOTIC = Method.ASYMPTOTIC
 
 
@@ -97,9 +100,9 @@ def log_r_floor(alpha: float, beta: float, tol: float) -> float:
     """
     log_alpha = math.log(alpha)
     log_tol = math.log(tol)
-    floor = alpha * (math.log(FLOOR_TERMS) + log_alpha)
+    floor = alpha * (_LOG_N[FLOOR_TERMS - 1] + log_alpha)
     for n in range(1, FLOOR_TERMS):
-        reach = alpha * (math.log(n) + log_alpha)
+        reach = alpha * (_LOG_N[n - 1] + log_alpha)
         if reach >= floor:
             break
         log_size = _sigma_tau_block(alpha, beta, n // TABLE_BLOCK)[n % TABLE_BLOCK][2]
@@ -114,30 +117,12 @@ def ml_asymptotic(z: complex, alpha: float, beta: float, tol: float = DEFAULT_TO
     term, and a NaN value is never converged.
     """
     check_alpha_beta(alpha, beta)
-    if not tol > 0.0:
-        raise DomainError(f"tol={tol!r} must be positive")
+    if not 0.0 < tol < INF:
+        raise DomainError(f"tol={tol!r} must be positive and finite")
     z = finite_complex(z)
     if z == 0:
         raise DomainError("z = 0 is not in the asymptotic regime")
     return _expansion_sum(z, alpha, beta, tol)
-
-
-def _last_term(log_n_max: float) -> float:
-    """The largest n >= 0 with n = 0 or math.log(n) <= log_n_max.
-
-    The divergence test log(n) > log_n_max is then n > this bound, with the
-    same first n: log is increasing on the integers, and up to e**30 the
-    logs of two neighbours are further apart than their rounding.  Past
-    that the bound is inf; no sum runs 1e13 terms.
-    """
-    if log_n_max > 30.0:
-        return INF
-    n = int(math.exp(log_n_max))
-    while n >= 1 and math.log(n) > log_n_max:
-        n -= 1
-    while math.log(n + 1) <= log_n_max:
-        n += 1
-    return n
 
 
 def _expansion_sum(z: complex, alpha: float, beta: float, tol: float) -> EvalResult:
@@ -156,8 +141,8 @@ def _expansion_sum(z: complex, alpha: float, beta: float, tol: float) -> EvalRes
     # principal_arg's value: atan2(+0.0, x) is 0 or pi
     theta = (0.0 if z.real > 0.0 else math.pi) if real else principal_arg(z)
     ln_r = math.log(r)
-    # divergence bound n > |z|**(1/alpha)/alpha, kept in logs
-    n_last = min(_last_term(ln_r / alpha - math.log(alpha)), MAX_TERMS)
+    # divergence bound: the last term n has log n <= log(|z|**(1/alpha)/alpha)
+    n_last = bisect_right(_LOG_N, ln_r / alpha - math.log(alpha))
     log_tol = math.log(tol)
 
     exp = math.exp

@@ -1,7 +1,8 @@
 """Optimized integration contours for Hankel-type quadrature.
 
 Two families of left-wrapping contours, each sampled at equally spaced
-parameter values u = n*h:
+parameter values u = n*h by one loop (_sample), which gives node
+w(nh) the weight C_n = e**w(nh) * d(nh), d proportional to w'(u):
 
 * a parabola w(u) = mu*(1 + i*u)**2,
 * a hyperbola w(u) = mu*(1 + sin(i*u - phi)).
@@ -18,7 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from enum import Enum
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .exceptions import DomainError
 
@@ -68,28 +69,23 @@ def _check_node_count(n: int) -> None:
         raise DomainError(f"N={n} out of range (max {_N_MAX}: weights would overflow)")
 
 
+def _sample(N: int, h: float, point: Callable) -> tuple[tuple, tuple]:
+    """Nodes w(nh) and weights e**w(nh) * d(nh) for n = 0..N, point(u) = (w(u), d(u))."""
+    points = [point(n * h) for n in range(N + 1)]
+    return tuple(w for w, _ in points), tuple(cmath.exp(w) * d for w, d in points)
+
+
 def build_parabolic_rule(N: int) -> QuadratureRule:
     """Rule on the parabola w(u) = mu*(1 + i*u)**2 with h = 3/N, mu = pi*N/12."""
     _check_node_count(N)
     h = 3.0 / N
     mu = math.pi * N / 12.0
-    nodes: list[complex] = []
-    weights: list[complex] = []
-    for n in range(N + 1):
-        u = n * h
-        w = complex(mu * (1.0 - u * u), 2.0 * mu * u)
-        nodes.append(w)
-        weights.append(cmath.exp(w) * complex(1.0, u))
-    return QuadratureRule(
-        kind=ContourKind.PARABOLIC,
-        N=N,
-        nodes=tuple(nodes),
-        weights=tuple(weights),
-        A=0.25,
-        h=h,
-        mu=mu,
-        predicted_rate=8.12,
-    )
+
+    def point(u: float) -> tuple[complex, complex]:
+        return complex(mu * (1.0 - u * u), 2.0 * mu * u), complex(1.0, u)
+
+    nodes, weights = _sample(N, h, point)
+    return QuadratureRule(ContourKind.PARABOLIC, N, nodes, weights, A=0.25, h=h, mu=mu, predicted_rate=8.12)
 
 
 def _check_phi(phi: float) -> None:
@@ -122,22 +118,11 @@ def build_hyperbolic_rule(N: int) -> QuadratureRule:
     h = a / N
     sin_phi = math.sin(phi)
     cos_phi = math.cos(phi)
-    nodes: list[complex] = []
-    weights: list[complex] = []
-    for n in range(N + 1):
-        u = n * h
+
+    def point(u: float) -> tuple[complex, complex]:
         w = complex(mu * (1.0 - sin_phi * math.cosh(u)), mu * cos_phi * math.sinh(u))
-        c = cmath.exp(w) * complex(cos_phi * math.cosh(u), sin_phi * math.sinh(u))
-        nodes.append(w)
-        weights.append(c)
-    return QuadratureRule(
-        kind=ContourKind.HYPERBOLIC,
-        N=N,
-        nodes=tuple(nodes),
-        weights=tuple(weights),
-        A=2.0 * phi - math.pi / 2.0,
-        h=h,
-        mu=mu,
-        predicted_rate=HYPERBOLIC_RATE,
-        phi=phi,
-    )
+        return w, complex(cos_phi * math.cosh(u), sin_phi * math.sinh(u))
+
+    nodes, weights = _sample(N, h, point)
+    A = 2.0 * phi - math.pi / 2.0
+    return QuadratureRule(ContourKind.HYPERBOLIC, N, nodes, weights, A=A, h=h, mu=mu, predicted_rate=HYPERBOLIC_RATE, phi=phi)

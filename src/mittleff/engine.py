@@ -9,9 +9,9 @@ off and its residue added back, and within EPS_SWITCH of a pole the psi
 form of quadrature._psi_rows, summed for every near (node, point) pair of
 a chunk in one numpy pass (_psi_form).  A real z < 0 with alpha <= 2 takes
 quadrature's float rows, as in ml_quad.  The poles and residues depend on
-the points alone (_chunk_poles), the node sums on the rule (_split_sum):
-_rule_values sums several rules over the same points in one pass, as the
-grid command's --compare-method does with two contours.
+the points alone (_chunk_poles; none for a plain chunk, _NO_POLES), the
+node sums on the rule (_split_sum): _rule_values sums several rules over
+the same points in one pass, as the grid command's --compare-method does.
 
 numpy is imported with this module, and the module only where the engine
 is used: by quadrature on ml_quad's first call off the rows, by the
@@ -43,6 +43,9 @@ if TYPE_CHECKING:
 # points per engine pass: bounds its (nodes x points) work arrays
 ENGINE_CHUNK = 256
 _LOG_MAX = math.log(sys.float_info.max)  # e**x overflows above it
+# a plain chunk's poles: none, and the residue -0-0j, the exact additive
+# identity (+0j would turn a -0.0 part of the node sum into +0.0)
+_NO_POLES = ((), complex(-0.0, -0.0), 0j)
 
 
 def _psi_form(eps: np.ndarray, log_gamma: np.ndarray, alpha: float, beta: float) -> np.ndarray:
@@ -93,15 +96,6 @@ def _sum_rows(terms: np.ndarray, n: int) -> np.ndarray:
     return sums[0] + sums[1]
 
 
-def _plain_values(z: np.ndarray, alpha: float, beta: float, rules: Sequence[QuadratureRule]) -> list[np.ndarray]:
-    # no pole split off: z = 0, outside the sector, or a pole too near the origin
-    out = []
-    for rule in rules:
-        _, _, c_wab, wa = _engine_factors(rule, alpha, beta)
-        out.append(_sum_rows(c_wab / (wa - z), rule.N))
-    return out
-
-
 def _chunk_poles(z: np.ndarray, alpha: float, beta: float) -> tuple:
     """The part of a split chunk that does not depend on the rule: every pole
     gamma_k on the principal sheet (gamma_0 at every z, for alpha > 1 the
@@ -148,8 +142,8 @@ def _chunk_poles(z: np.ndarray, alpha: float, beta: float) -> tuple:
 
 
 def _split_sum(z: np.ndarray, shared: tuple, alpha: float, beta: float, rule: QuadratureRule) -> np.ndarray:
-    """One rule's columns of a split chunk: its node sum with _chunk_poles'
-    poles split off, plus their residues."""
+    """One rule's columns of a chunk: its node sum with the shared poles
+    (_chunk_poles', or _NO_POLES for a plain chunk) split off, plus their residues."""
     poles, residue, largest = shared
     w, c, c_wab, wa = _engine_factors(rule, alpha, beta)
     terms = c_wab / (wa - z)
@@ -183,13 +177,6 @@ def _split_sum(z: np.ndarray, shared: tuple, alpha: float, beta: float, rule: Qu
     # an overflowing residue is the value, the largest where several
     # overflow: the node sum could only add inf - inf
     return np.where(np.isinf(largest), largest, residue + _sum_rows(terms, rule.N))
-
-
-def _pole_split_values(z: np.ndarray, alpha: float, beta: float, rules: Sequence[QuadratureRule]) -> list[np.ndarray]:
-    """Each rule's columns of a chunk of split points: the poles once
-    (_chunk_poles), then one node sum per rule (_split_sum)."""
-    shared = _chunk_poles(z, alpha, beta)
-    return [_split_sum(z, shared, alpha, beta, rule) for rule in rules]
 
 
 def _rule_values(z: ArrayLike, alpha: float, beta: float, rules: Sequence[QuadratureRule]) -> list[np.ndarray]:
@@ -226,12 +213,14 @@ def _rule_values(z: ArrayLike, alpha: float, beta: float, rules: Sequence[Quadra
             for out, entry in zip(outs, entries):
                 out[axis] = [_neg_axis_row(x, alpha, beta, entry) for x in xs]
         # one kind per chunk: the split points, 8x the cost of plain ones, come full
-        for kind, values in ((split, _pole_split_values), (plain, _plain_values)):
+        for kind in (split, plain):
             at = kind.nonzero()[0]
             for i in range(0, at.size, ENGINE_CHUNK):
                 chunk = at[i : i + ENGINE_CHUNK]
-                for out, v in zip(outs, values(flat[chunk], alpha, beta, rules)):
-                    out[chunk] = v
+                zc = flat[chunk]
+                shared = _chunk_poles(zc, alpha, beta) if kind is split else _NO_POLES
+                for out, rule in zip(outs, rules):
+                    out[chunk] = _split_sum(zc, shared, alpha, beta, rule)
         if alpha > 1.0:
             # poles off the real axis make the summand of a real z asymmetric;
             # the imaginary part is rounding
@@ -260,9 +249,10 @@ def ml_quad_values(z: ArrayLike, alpha: float, beta: float, rule: QuadratureRule
     1/Gamma(beta) with the error origin_accuracy.  A real z gets a real
     value: for alpha <= 1 and z >= 0 through the conjugate node blocks,
     whose sums are exact conjugates.  A NaN or infinite entry, one whose
-    modulus overflows, or a beta that is not finite or whose node factors
-    overflow, raises DomainError; an overflowing value gives inf parts and
-    no warning.  It is the one-rule case of _rule_values, which sums several
-    rules over the same z and builds each chunk's poles once.
+    modulus overflows, a beta that is not finite or whose node factors
+    overflow, or a malformed rule (_node_factors) raises DomainError; an
+    overflowing value gives inf parts and no warning.  It is the one-rule
+    case of _rule_values, which sums several rules over the same z and
+    builds each chunk's poles once.
     """
     return _rule_values(z, alpha, beta, (rule,))[0]

@@ -210,12 +210,19 @@ def _node_factors(rule: QuadratureRule, alpha: float, beta: float) -> tuple[tupl
     and of w_n**alpha, both conjugated where Im w_n**alpha < 0 (only for
     alpha > 1): the real part of their quotient keeps its bits, and every
     node has Im w**alpha >= 0.  A factor or an origin_accuracy that
-    overflows (beta far from 0) raises DomainError.
+    overflows (alpha or beta far from 0) raises DomainError.  A hand-built
+    rule needs N + 1 nodes and weights, w_0 and C_0 real (else DomainError);
+    a node with Im w < 0 counts as its reflection, its weight conjugated too:
+    the sum over n = -N..N is the same, and every block node has Im w >= 0.
     """
-    overflow = DomainError(f"beta={beta!r}: the node factors of this rule overflow")
+    if not (len(rule.nodes) == len(rule.weights) == rule.N + 1 > 0 and rule.nodes[0].imag == rule.weights[0].imag == 0.0):
+        raise DomainError(f"a rule with N={rule.N!r} needs N + 1 nodes and weights, with w_0 and C_0 real")
+    overflow = DomainError(f"alpha={alpha!r}, beta={beta!r}: the node factors of this rule overflow")
     block, plain = [], []
     try:
         for n, (w, c) in enumerate(zip(rule.nodes, rule.weights)):
+            if w.imag < 0.0:
+                w, c = w.conjugate(), c.conjugate()
             half = 0.5 if n == 0 else 1.0
             cr, ci = half * (rule.A * c.real), half * (rule.A * c.imag)
             log_w = cmath.log(w)
@@ -353,11 +360,12 @@ def _two_pole_sum(x: float, alpha: float, beta: float, entry: tuple) -> float:
     of C_n f_2(w_n), f_2 the integrand less both pole terms.  Off the poles
     the term is Re[c_wab/(wa + x)] minus the real part of
     c*(P/(w - gamma_+) + conj(P)/(w - gamma_-)), P = gamma_+**(1-beta)/alpha;
-    within EPS_SWITCH*|gamma| of a pole f_one's psi form takes over.  Where
-    the residues underflow, log|P| + Re gamma < _LOG_TINY, the pair stays in
-    the integrand, as in the engine: the value is _plain_row's.  A weight
-    that overflows while they do not (alpha = 2: |e**gamma| = 1) gives NaN.
-    The trigonometric constants are the entry's pair.
+    within EPS_SWITCH*|gamma| of gamma_+ f_one's psi form takes over (a
+    block node, Im w >= 0, is never nearer gamma_-).  Where the residues
+    underflow, log|P| + Re gamma < _LOG_TINY, the pair stays in the
+    integrand, as in the engine: the value is _plain_row's.  A weight that
+    overflows while they do not (alpha = 2: |e**gamma| = 1) gives NaN.  The
+    trigonometric constants are the entry's pair.
     """
     block, _, _, (inv_alpha, expo, cos_a, sin_a, phase, cos_p, sin_p), plain = entry
     rho = x**inv_alpha
@@ -383,14 +391,11 @@ def _two_pole_sum(x: float, alpha: float, beta: float, entry: tuple) -> float:
         dr2 = dr * dr
         d2 = dr2 + di * di
         e2 = dr2 + ei * ei
-        if d2 < near or e2 < near:
-            # f_one for the near pole, less the other's plain term, as in the engine
+        # Im w >= 0 and Im gamma_+ > 0, so e2 >= d2: no node is nearer gamma_-
+        if d2 < near:
+            # f_one at gamma_+, less gamma_-'s plain term, as in the engine
             w = complex(wr, wi)
-            gp, gm, p = complex(gr, gi), complex(gr, -gi), complex(pr, pi)
-            if d2 < near:
-                f = f_one(w, alpha, beta, gp) - p.conjugate() / (w - gm)
-            else:
-                f = f_one(w, alpha, beta, gm) - p / (w - gp)
+            f = f_one(w, alpha, beta, complex(gr, gi)) - complex(pr, -pi) / (w - complex(gr, -gi))
             s += cr * f.real - ci * f.imag
             continue
         br += x

@@ -47,8 +47,8 @@ def ml_series(z: complex, alpha: float, beta: float, tol: float = DEFAULT_TOL) -
     come from a table cached per (alpha, beta).
     """
     check_alpha_beta(alpha, beta)
-    if not tol > 0.0:
-        raise DomainError(f"tol={tol!r} must be positive")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol={tol!r} must be positive and finite")
     return _series_sum(finite_complex(z), alpha, beta, tol)
 
 

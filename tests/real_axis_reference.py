@@ -9,6 +9,8 @@ the pairs that _psi_rows now caches; the tests assert that the table
 versions in the package give the same bits.  ref_expansion_sum adds the
 overflowing parts of both kinds, algebraic and exponential, and gives NaN
 where an infinite one of each kind meet; the package keeps the larger.
+Its divergence bound is _last_term's search, which the package replaced
+with a bisection of a table of log n: verbatim, as it stood in the package.
 
 ml_quad_neg_axis_wide_alpha, the engine's column at z = -x for 1 < alpha < 2,
 is the reference the two-pole row is checked against.  It left the package,
@@ -38,10 +40,10 @@ import math
 
 import numpy as np
 
-from mittleff.asymptotic import INF, MAX_TERMS, TABLE_BLOCK, _last_term, asymptotic_sigma_tau
+from mittleff.asymptotic import INF, MAX_TERMS, TABLE_BLOCK, asymptotic_sigma_tau
 from mittleff.kernels import cexp, cpow_principal as _cpow, gamma_real, on_sheet, pole_turns, principal_arg
 from mittleff.contours import QuadratureRule
-from mittleff.engine import _pole_split_values
+from mittleff.engine import _chunk_poles, _split_sum
 from mittleff.exceptions import DomainError
 from mittleff.quadrature import (
     _EPS_SWITCH_SQ,
@@ -74,6 +76,24 @@ def ref_sigma_tau_block(alpha: float, beta: float, block: int) -> tuple[tuple[fl
         log_size = math.lgamma(1.0 - x) - math.log(math.pi) if 0.0 < x < 0.5 else log_tau
         rows.append((sigma, log_tau, log_size))
     return tuple(rows)
+
+
+def _last_term(log_n_max: float) -> float:
+    """The largest n >= 0 with n = 0 or math.log(n) <= log_n_max.
+
+    The divergence test log(n) > log_n_max is then n > this bound, with the
+    same first n: log is increasing on the integers, and up to e**30 the
+    logs of two neighbours are further apart than their rounding.  Past
+    that the bound is inf; no sum runs 1e13 terms.
+    """
+    if log_n_max > 30.0:
+        return INF
+    n = int(math.exp(log_n_max))
+    while n >= 1 and math.log(n) > log_n_max:
+        n -= 1
+    while math.log(n + 1) <= log_n_max:
+        n += 1
+    return n
 
 
 def ref_expansion_sum(z: complex, alpha: float, beta: float, tol: float) -> EvalResult:
@@ -248,7 +268,8 @@ def ml_quad_neg_axis_wide_alpha(
         raise DomainError(f"x={x!r} must be positive")
     err = _node_factors(rule, alpha, beta)[1]
     with np.errstate(all="ignore"):
-        value = _pole_split_values(np.array([complex(-x)]), alpha, beta, (rule,))[0][0]
+        z = np.array([complex(-x)])
+        value = _split_sum(z, _chunk_poles(z, alpha, beta), alpha, beta, rule)[0]
     return EvalResult(complex(value.real), _method_for(rule), 2 * rule.N + 1, err, True)
 
 

@@ -1,6 +1,7 @@
 import cmath
 import math
 import sys
+from bisect import bisect_right
 
 import mpmath as mp
 import pytest
@@ -109,12 +110,12 @@ class TestOverflow:
 
 @pytest.mark.parametrize("k", [1, 2, 3, 7, 100, 1234, 10**6, 10**12])
 def test_integer_bound_stops_where_the_log_test_does(k: int) -> None:
-    # the largest n with n = 0 or log(n) <= L, at L on and next to log(k)
+    # the largest n <= MAX_TERMS with n = 0 or log(n) <= L, at L on and next to log(k)
     for log_n_max in (math.log(k), math.nextafter(math.log(k), -math.inf), math.nextafter(math.log(k), math.inf), -0.5):
-        n = asymptotic._last_term(log_n_max)
+        n = bisect_right(asymptotic._LOG_N, log_n_max)
         assert n == 0 or math.log(n) <= log_n_max
-        assert math.log(n + 1) > log_n_max
-    assert asymptotic._last_term(30.5) == math.inf
+        assert n == asymptotic.MAX_TERMS or math.log(n + 1) > log_n_max
+    assert bisect_right(asymptotic._LOG_N, 30.5) == asymptotic.MAX_TERMS
 
 
 class TestNegativeAxisTable:
@@ -339,6 +340,11 @@ class TestValidation:
         # a NaN tol passed the old tol <= 0 test, and the sum at -1e6 never stopped
         with pytest.raises(DomainError):
             ml_asymptotic(complex(-1e6), 0.7, 1.0, math.nan)
+
+    def test_infinite_tol(self) -> None:
+        # an infinite tol passed the old tol > 0 test, and the first term stopped the sum
+        with pytest.raises(DomainError, match="finite"):
+            ml_asymptotic(complex(-30.0), 0.7, 1.0, math.inf)
 
     @pytest.mark.parametrize(
         "z",

@@ -2,6 +2,7 @@ import cmath
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import Phase, assume, example, given, settings
@@ -400,8 +401,7 @@ class TestEngine:
 
             return chunk
 
-        for name in ("_pole_split_values", "_plain_values"):
-            monkeypatch.setattr(engine, name, counted(getattr(engine, name)))
+        monkeypatch.setattr(engine, "_split_sum", counted(engine._split_sum))
         batch = ml_quad_values(z, alpha, beta, HYP14)
         assert len(sizes) >= 3 and max(sizes) == engine.ENGINE_CHUNK
         for zk, got in zip(z, batch.tolist()):
@@ -884,13 +884,41 @@ class TestTwoPole:
         ref = ml_quad_neg_axis_wide_alpha(x, alpha, 1.3, HYP14).value.real
         got = ml_quad(complex(-x), alpha, 1.3, HYP14).value.real
         assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref))
-        # the same rule with node k stored as its reflection conj(w_k): the
-        # node now sits next to gamma_-, and the symmetric sum is unchanged
+        # the same rule with node k stored as its reflection conj(w_k), its
+        # weight conjugated: _node_factors folds it back, and the value keeps
+        # its bits
         def flip(seq: tuple) -> tuple:
             return tuple(v.conjugate() if i == k else v for i, v in enumerate(seq))
 
         mirrored = HYP14._replace(nodes=flip(HYP14.nodes), weights=flip(HYP14.weights))
-        assert abs(ml_quad(complex(-x), alpha, 1.3, mirrored).value.real - got) <= 1e-13 * max(1.0, abs(got))
+        assert _same_bits(ml_quad(complex(-x), alpha, 1.3, mirrored).value, complex(got))
+
+    @pytest.mark.parametrize("rho", [2.0, 10.0, 30.0])
+    def test_float_row_node_near_both_poles(self, rho: float) -> None:
+        # alpha just above 1: gamma_pm = rho*e**(+-i(pi - 0.05)) lie 0.1*rho
+        # apart, and node 1 moved to -rho*cos(0.05) + 0.01j*rho lies within
+        # EPS_SWITCH*rho of both.  A node with Im w >= 0 is never nearer
+        # gamma_- than gamma_+, so the row takes the psi form at gamma_+.  The
+        # value is the moved rule's own sum, residue pair plus
+        # sum over n = -N..N of C_n f_2(w_n), in mpmath
+        alpha, beta = math.pi / (math.pi - 0.05), 1.3
+        x = rho**alpha
+        rule = _moved(HYP14, 1, complex(-rho * math.cos(0.05), 0.01 * rho))
+        gp = cmath.rect(rho, math.pi / alpha)
+        assert max(abs(rule.nodes[1] - gp), abs(rule.nodes[1] - gp.conjugate())) < EPS_SWITCH * rho
+        with mpmath.workdps(40):
+            a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+            poles = [mpmath.mpf(rho) * mpmath.expjpi(s / a) for s in (1, -1)]
+
+            def f_2(w: complex) -> mpmath.mpc:
+                w = mpmath.mpc(w)
+                return w ** (a - b) / (w**a + x) - sum(g ** (1 - b) / a / (w - g) for g in poles)
+
+            terms = [rule.A * mpmath.mpc(c) * f_2(w) for w, c in zip(rule.nodes, rule.weights)]
+            want = sum(g ** (1 - b) / a * mpmath.exp(g) for g in poles) + terms[0] + 2 * sum(t.real for t in terms[1:])
+            want = float(want.real)
+        got = ml_quad(complex(-x), alpha, beta, rule).value.real
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
     def test_partner_pole_term_vanishes_at_beta_one(self) -> None:
         alpha, x = 1.5, 2.0
@@ -1132,7 +1160,7 @@ class TestFOneContract:
                 rows.append((_moved(rule, k, 3j * (1.0 + e)), 9.0, 2.0))
                 # 1 < alpha < 2: gamma_+ placed by a node of the upper left
                 # quadrant, and the rule with that node stored as its
-                # reflection, next to gamma_-
+                # reflection, which _node_factors folds back: the same calls
                 for j, w in enumerate(rule.nodes):
                     gp = w / (1.0 + e)
                     if not math.pi / 2 < cmath.phase(gp) < math.pi:
@@ -1141,6 +1169,11 @@ class TestFOneContract:
                     flip = lambda seq: tuple(v.conjugate() if i == j else v for i, v in enumerate(seq))  # noqa: E731
                     mirrored = rule._replace(nodes=flip(rule.nodes), weights=flip(rule.weights))
                     rows += [(rule, abs(gp) ** alpha, alpha), (mirrored, abs(gp) ** alpha, alpha)]
+            # alpha just above 1: gamma_pm = rho*e**(+-i(pi - 0.05)), and node k
+            # within EPS_SWITCH*rho of both (TestTwoPole::test_float_row_node_near_both_poles)
+            alpha = math.pi / (math.pi - 0.05)
+            for rho in (2.0, 30.0):
+                rows.append((_moved(rule, k, complex(-rho * math.cos(0.05), 0.01 * rho)), rho**alpha, alpha))
         return rows
 
     def test_every_call_lies_near_its_pole(self, monkeypatch) -> None:
@@ -1151,7 +1184,7 @@ class TestFOneContract:
             return f_one(w, alpha, beta, gamma)
 
         monkeypatch.setattr(quadrature, "f_one", recorded)
-        reached = set()
+        reached, near_minus = set(), 0
         for rule, x, alpha in self.rows():
             for beta in (0.6, 1.3):
                 start = len(calls)
@@ -1161,9 +1194,46 @@ class TestFOneContract:
                     # the callers test squared distances: at the rim the two
                     # tests may part by rounding
                     assert abs(w - gamma) <= EPS_SWITCH * abs(gamma) * (1.0 + 1e-14), (rule.kind, x, alpha, w, gamma)
+                    # every node has Im w >= 0: the two-pole row's pole is gamma_+,
+                    # also for a node within EPS_SWITCH*|gamma| of gamma_-
+                    assert alpha in (1.0, 2.0) or gamma.imag > 0.0
+                    near_minus += 1 < alpha < 2 and abs(w - gamma.conjugate()) < EPS_SWITCH * abs(gamma)
                 if len(calls) > start:
                     reached.add((rule.kind, rule.N, alpha if alpha in (1.0, 2.0) else 1.5))
         # both rules reach f_one on the edge row, the two-pole row and alpha = 2
         assert reached == {(r.kind, r.N, a) for r in (HYP14, _PAR10) for a in (1.0, 1.5, 2.0)}
         # and the rim offsets reach it too
         assert any(abs(w - g) >= EPS_SWITCH * abs(g) * (1.0 - 1e-14) for w, _, _, g in calls)
+        assert near_minus >= 4
+
+
+class TestHandBuiltRule:
+    """QuadratureRule is public.  _node_factors, which every quadrature route
+    reads, takes a node below the real axis as its reflection and rejects a
+    rule whose length or node 0 the sum over n = -N..N cannot use."""
+
+    def test_node_below_the_axis_counts_as_its_reflection(self) -> None:
+        # node 12 moved to -20 - 2.4j: the alpha = 1 row took Smith's test
+        # without abs and divided by zero (ZeroDivisionError)
+        below = _moved(HYP14, 12, -20 - 2.4j)
+        above = _moved(HYP14, 12, -20 + 2.4j)._replace(
+            weights=tuple(c.conjugate() if i == 12 else c for i, c in enumerate(HYP14.weights))
+        )
+        for z, alpha in [(-20.0, 1.0), (-20.0, 0.6), (-5.0, 1.5), (complex(-20.0, 1.0), 1.0), (3 + 2j, 0.8)]:
+            got = ml_quad(z, alpha, 0.6, below).value
+            assert cmath.isfinite(got) and _same_bits(got, ml_quad(z, alpha, 0.6, above).value), z
+
+    @pytest.mark.parametrize("short", ["nodes", "weights"])
+    def test_rule_one_node_short(self, short: str) -> None:
+        # a missing node raised IndexError
+        rule = HYP14._replace(**{short: getattr(HYP14, short)[:-1]})
+        for z in (-3.0, 2 + 1j):
+            with pytest.raises(DomainError, match="N \\+ 1 nodes and weights"):
+                ml_quad(z, 0.5, 1.0, rule)
+
+    def test_node_zero_off_the_real_axis(self) -> None:
+        # w_0 + 0.5j returned 0.15777 where the built rule gives 0.17900
+        off = HYP14.weights[0] + 0.5j
+        for rule in (_moved(HYP14, 0, HYP14.nodes[0] + 0.5j), HYP14._replace(weights=(off,) + HYP14.weights[1:])):
+            with pytest.raises(DomainError, match="w_0 and C_0 real"):
+                ml_quad(-3.0, 0.5, 1.0, rule)

@@ -180,6 +180,12 @@ class TestValidation:
         with pytest.raises(DomainError):
             ml_series(1.0, 1.0, 1.0, tol=math.nan)
 
+    def test_infinite_tol(self) -> None:
+        # passed the old tol > 0 test: ml_series(0.5, 0.5, 1, tol=inf) returned 1.0
+        # after one term, converged, where E[1/2, 1](0.5) = 1.952
+        with pytest.raises(DomainError, match="finite"):
+            ml_series(0.5, 0.5, 1.0, tol=math.inf)
+
     @pytest.mark.parametrize(
         "z",
         # the last is finite, but |z| overflows: abs(z) raised a bare OverflowError
