@@ -28,7 +28,7 @@ from bisect import bisect_right
 
 from .exceptions import DomainError
 from .kernels import cexp, check_alpha_beta, finite_complex, on_sheet, pole_turns, principal_arg
-from .quadrature import DEFAULT_TOL, EvalResult, Method
+from .quadrature import _LOG_MAX, DEFAULT_TOL, EvalResult, Method
 
 INF = math.inf
 TABLE_BLOCK = 32
@@ -132,9 +132,10 @@ def _expansion_sum(z: complex, alpha: float, beta: float, tol: float) -> EvalRes
     tau_n - n*ln|z|), over the rows of _sigma_tau_block.  A real z adds
     floats: e**(-i*n*theta) is (+-1)**n, so the term is column 0 of the row
     (z > 0) or column 3 (z < 0) times t_n, and (-sigma)*t == -(sigma*t).
-    A part that overflows is not added, as inf - inf is NaN: a term with
-    log t_n >= 709, a pole's exponential term, or a pole gamma that
-    overflows with Re gamma > 0.  The largest of those, if any, is the value.
+    A part that overflows is not added, as inf - inf is NaN: a term whose
+    log t_n passes _LOG_MAX = log(max float), a pole's exponential term, or
+    a pole gamma that overflows with Re gamma > 0.  The largest of those,
+    if any, is the value.
     """
     r = abs(z)
     real = z.imag == 0.0
@@ -145,7 +146,7 @@ def _expansion_sum(z: complex, alpha: float, beta: float, tol: float) -> EvalRes
     n_last = bisect_right(_LOG_N, ln_r / alpha - math.log(alpha))
     log_tol = math.log(tol)
 
-    exp = math.exp
+    exp, log_max = math.exp, _LOG_MAX
     col = 3 if theta else 0
     acc = 0.0 if real else 0.0j
     # the largest of the parts that overflow, and its log magnitude
@@ -158,7 +159,7 @@ def _expansion_sum(z: complex, alpha: float, beta: float, tol: float) -> EvalRes
         for row in _sigma_tau_block(alpha, beta, block)[not block : n_last + 1 - block * TABLE_BLOCK]:
             n_ln_r = n * ln_r
             log_t = row[1] - n_ln_r
-            if log_t < 709.0:
+            if log_t <= log_max:
                 acc += row[col] * exp(log_t) if real else row[0] * exp(log_t) * cmath.rect(1.0, -n * theta)
             elif row[0] != 0.0 and log_t + math.log(abs(row[0])) > log_big:
                 # an infinite term: -(the product above), inf for e**log_t
@@ -174,7 +175,7 @@ def _expansion_sum(z: complex, alpha: float, beta: float, tol: float) -> EvalRes
     converged = log_s < log_tol
     # n is the first term not summed, or the term that met the stopping rule
     m = int(n) + converged
-    t_last = exp(log_s) if log_s < 709.0 else INF
+    t_last = exp(log_s) if log_s <= log_max else INF
 
     value = complex(-acc)
     if abs(theta) <= alpha * math.pi:

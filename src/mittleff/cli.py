@@ -31,23 +31,12 @@ def _merge_negative_values(argv: Sequence[str]) -> list[str]:
     # argparse takes "--z -15" or "-.5", but reads "-1e-3" or "-1.5,2" as an
     # option ("expected one argument"): fold such a value into "--z=-1e-3"
     out: list[str] = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if (
-            tok.startswith("--")
-            and "=" not in tok
-            and nxt is not None
-            and len(nxt) >= 2
-            and nxt[0] == "-"
-            and (nxt[1].isdigit() or nxt[1] == ".")
-        ):
-            out.append(tok + "=" + nxt)
-            i += 2
+    for tok in argv:
+        last = out[-1] if out else ""
+        if last.startswith("--") and "=" not in last and tok[:1] == "-" and (tok[1:2].isdigit() or tok[1:2] == "."):
+            out[-1] = f"{last}={tok}"
         else:
             out.append(tok)
-            i += 1
     return out
 
 

@@ -88,14 +88,10 @@ def build_parabolic_rule(N: int) -> QuadratureRule:
     return QuadratureRule(ContourKind.PARABOLIC, N, nodes, weights, A=0.25, h=h, mu=mu, predicted_rate=8.12)
 
 
-def _check_phi(phi: float) -> None:
-    if not math.pi / 4.0 < phi < math.pi / 2.0:
-        raise DomainError(f"phi={phi!r} outside (pi/4, pi/2)")
-
-
 def hyperbolic_a(phi: float) -> float:
     """Strip half-width parameter a(phi); diverges as phi -> pi/4."""
-    _check_phi(phi)
+    if not math.pi / 4.0 < phi < math.pi / 2.0:
+        raise DomainError(f"phi={phi!r} outside (pi/4, pi/2)")
     return math.acosh(2.0 * phi / ((4.0 * phi - math.pi) * math.sin(phi)))
 
 

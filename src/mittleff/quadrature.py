@@ -31,9 +31,8 @@ exactly real value.
 
 The engine, which sums chunks of z at once with numpy, is its own module
 (mittleff.engine), imported on ml_quad's first call off those rows: a
-call on the rows neither compiles nor loads it, nor numpy.  Where bytecode
-is not cached, compiling the package's source is most of the set-up of
-such a call; with cached bytecode the split saves little.
+call on the rows neither compiles nor loads it, nor numpy, for the
+reason the package docstring gives.
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from enum import Enum
 from typing import Callable, NamedTuple
 
@@ -68,6 +68,7 @@ _ROW_TOL = 2.0**-60
 _SPLIT_GAMMA_MIN = 0.03
 # a residue P e**gamma below e**_LOG_TINY is 0: for alpha != 1 its pole stays in the integrand
 _LOG_TINY = math.log(math.ulp(0.0))
+_LOG_MAX = math.log(sys.float_info.max)  # e**x overflows above it
 
 
 class Method(str, Enum):
@@ -81,13 +82,13 @@ class Method(str, Enum):
 DEFAULT_TOL = 1e-14
 
 
+# the evaluators build it with tuple.__new__, skipping the generated __new__'s Python frame
 class EvalResult(NamedTuple):
     """The record every evaluator returns.  nodes_or_terms: the series' terms
     summed, the expansion's m (it summed n = 1..m-1), quadrature's 2N+1 nodes.
     err_estimate: the series' first omitted term, enveloped left of
     beta + n*alpha = 1/2; the expansion's size proxy of term m-1; quadrature's
-    origin_accuracy.  The evaluators build it with tuple.__new__, which skips
-    the Python frame of the generated __new__."""
+    origin_accuracy."""
 
     value: complex
     method: Method
@@ -288,6 +289,8 @@ def _edge_row(x: float, beta: float, entry: tuple) -> float:
     # P = x**(1-beta) * e**(i*(1-beta)*pi): the phase's cos and sin are cached
     block, _, _, (_, _, _, _, _, cos_p, sin_p), plain = entry
     log_mag = (1.0 - beta) * math.log(x)
+    # 709, not _LOG_MAX: with log|P| between them the split row gives NaN, the
+    # plain row a finite value (for beta this far below -1 neither is accurate)
     if log_mag >= 709.0:
         return _plain_row(x, plain)
     mag = math.exp(log_mag)

@@ -5,11 +5,15 @@ It evaluates the grid in blocks of GRID_BLOCK points, one engine call per
 block and quadrature method, and formats one row at a time with an
 f-string.  The engine's values do not depend on the batch, so both writers
 read the same values; only the way they are written differs.
+
+It also keeps cli's _merge_negative_values as it was, looking ahead by
+index: the reference its one-pass form is compared with.
 """
 
 import argparse
 import itertools
 import math
+from typing import Sequence
 
 from mittleff.cli import EXIT_OK, _abs_diff, _check_n_is_read, _evaluate, _linspace, _QUAD_METHODS, _write_text
 from mittleff.dispatch import quad_rule, quadrature_n_for_tol, validate_params
@@ -56,3 +60,27 @@ def cmd_grid(args: argparse.Namespace) -> int:
             lines.append(row)
     _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
+
+
+def _merge_negative_values(argv: Sequence[str]) -> list[str]:
+    # argparse takes "--z -15" or "-.5", but reads "-1e-3" or "-1.5,2" as an
+    # option ("expected one argument"): fold such a value into "--z=-1e-3"
+    out: list[str] = []
+    i = 0
+    while i < len(argv):
+        tok = argv[i]
+        nxt = argv[i + 1] if i + 1 < len(argv) else None
+        if (
+            tok.startswith("--")
+            and "=" not in tok
+            and nxt is not None
+            and len(nxt) >= 2
+            and nxt[0] == "-"
+            and (nxt[1].isdigit() or nxt[1] == ".")
+        ):
+            out.append(tok + "=" + nxt)
+            i += 2
+        else:
+            out.append(tok)
+            i += 1
+    return out

@@ -63,6 +63,27 @@ class TestOverflow:
         routed = ml_auto(-x, 0.5, beta)
         assert routed.method is Method.ASYMPTOTIC and routed.value == complex(-math.inf)
 
+    @pytest.mark.parametrize(
+        "evaluate, x, beta",
+        [(ml_auto, 268910.2644835836, -172.7), (ml_asymptotic, 118.2299932081627, -171.2)],
+    )
+    def test_a_term_below_the_float_limit_is_summed(self, evaluate, x: float, beta: float) -> None:
+        # the largest term's log lies between 709 and log(max float): counted
+        # as infinite from 709 on, it made the value inf.  A z < 0 with
+        # alpha < 1 has no pole on the sheet, so E is the algebraic sum alone
+        with mp.workdps(50):
+            want, n = mp.mpf(0), 1
+            while True:
+                term = -mp.power(-x, -n) * mp.rgamma(beta - n * 0.5)
+                want += term
+                if n > 10 and abs(term) < mp.mpf(10) ** -40 * abs(want):
+                    break
+                n += 1
+        assert mp.mpf("7e307") < abs(want) < sys.float_info.max
+        res = evaluate(-x, 0.5, beta)
+        assert res.method is Method.ASYMPTOTIC and res.converged
+        assert res.value.imag == 0.0 and abs(res.value.real - want) <= 1e-12 * abs(want)
+
     def test_complex_overflow_has_no_nan_part(self) -> None:
         res = ml_asymptotic(-500j, 0.5, -300.0, 1e-14)
         assert cmath.isinf(res.value) and not cmath.isnan(res.value)

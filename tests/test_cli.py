@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 import grid_reference
 from mittleff import cli
@@ -36,6 +38,12 @@ class TestArgvPreprocessing:
     def test_mixed_stream(self) -> None:
         got = _merge_negative_values(["eval", "--re-min", "-5", "--steps", "3"])
         assert got == ["eval", "--re-min=-5", "--steps", "3"]
+
+    # no explain phase: it writes patch files and imports modules that warn
+    @settings(derandomize=True, max_examples=500, database=None, deadline=None, phases=[Phase.generate, Phase.shrink])
+    @given(st.lists(st.sampled_from(["--z", "-1", "-1e-3", "-.5,2", "-x", "--", "-", "--z=-1", "-²", ""]), max_size=12))
+    def test_one_pass_matches_the_lookahead(self, argv: list[str]) -> None:
+        assert _merge_negative_values(argv) == grid_reference._merge_negative_values(argv)
 
     @pytest.mark.parametrize("z, want", [("-1e-3", -1e-3), ("-1.5,2", complex(-1.5, 2.0))])
     def test_exponent_and_complex_values_reach_main(self, capsys, z: str, want: complex) -> None:

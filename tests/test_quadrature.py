@@ -548,9 +548,8 @@ def test_shared_pass_gives_each_rules_bits(alpha: float, beta: float, seed: int)
 @example(rule=HYP14, alpha=0.5, beta=1.0, x=3.0, zero=-0.0)
 @example(rule=PAR14, alpha=1.0, beta=2.5, x=1e3, zero=0.0)
 def test_positive_axis_is_exactly_real(rule, alpha: float, beta: float, x: float, zero: float) -> None:
-    # z > 0 has a conjugate-symmetric integrand: the engine sums both node
-    # blocks, and the second block's sum is the exact conjugate of the first,
-    # so the imaginary part cancels to +0.0 with no symmetric-row special case
+    # the contract: a real z gets a real value, its imaginary part +0.0, from
+    # the engine (ml_quad_values) and from ml_quad alike
     z = complex(x, zero)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -919,6 +918,18 @@ class TestTwoPole:
             want = float(want.real)
         got = ml_quad(complex(-x), alpha, beta, rule).value.real
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_engine_gives_a_node_near_both_poles_to_the_nearer(self) -> None:
+        # as above at rho = 10: node 1 lies within EPS_SWITCH*rho of both
+        # poles, nearer gamma_+, and its reflection nearer gamma_-.  Just above
+        # the negative axis the engine takes each pair's psi form at its nearer
+        # pole, as the row does; at the pole it took last it read 24.09+70.07j
+        alpha = math.pi / (math.pi - 0.05)
+        x = 10.0**alpha
+        rule = _moved(HYP14, 1, complex(-10.0 * math.cos(0.05), 0.1))
+        row = ml_quad(complex(-x), alpha, 1.0, rule).value.real
+        got = complex(ml_quad_values(cmath.rect(x, math.pi - 1e-9), alpha, 1.0, rule))
+        assert abs(got.real - row) <= 1e-12 * abs(row) and abs(got.imag) < 1e-5
 
     def test_partner_pole_term_vanishes_at_beta_one(self) -> None:
         alpha, x = 1.5, 2.0
