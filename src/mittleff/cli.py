@@ -7,11 +7,12 @@ failure (non-convergence, poles, singular systems, NaN results).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import math
 import sys
-from typing import Callable, Sequence
+from typing import Callable, ContextManager, Sequence, TextIO
 
 from .asymptotic import asymptotic_sigma_tau
 from .contours import build_hyperbolic_rule, build_parabolic_rule  # noqa: F401  rebound by bench/tracing.py
@@ -25,6 +26,9 @@ EXIT_NUMERICAL = 3
 
 _METHODS = ("auto", *(m.value for m in Method))
 _QUAD_METHODS = (Method.QUAD_PARABOLIC, Method.QUAD_HYPERBOLIC)
+# grid rows formatted and written at a time: bounds the CSV text held at
+# once, whatever the grid's size
+GRID_BLOCK_ROWS = 2048
 
 
 def _merge_negative_values(argv: Sequence[str]) -> list[str]:
@@ -103,11 +107,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _write_text(path: str, text: str) -> None:
+def _open_out(path: str) -> ContextManager[TextIO]:
+    """The output file opened for writing, or sys.stdout (left open) for -."""
     if path == "-":
-        sys.stdout.write(text)
-        return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="")
+
+
+def _write_text(path: str, text: str) -> None:
+    with _open_out(path) as fh:
         fh.write(text)
 
 
@@ -151,7 +159,9 @@ def cmd_grid(args: argparse.Namespace) -> int:
     z.real = np.repeat(re_axis, n)
     z.imag = np.tile(im_axis, n)
     # each distinct method once, in the order given; the quadrature methods
-    # together, in one engine pass that builds each point's poles once
+    # together, in one engine pass that builds each point's poles once.
+    # Every value is computed before the output is opened, so a point that
+    # fails leaves no partial CSV
     methods = dict.fromkeys(filter(None, (first, second)))
     grids = {}
     for method in methods:
@@ -165,25 +175,37 @@ def cmd_grid(args: argparse.Namespace) -> int:
         else:
             grids[method] = np.array([_evaluate(method, p, args).value for p in z.tolist()], dtype=complex)
     values = grids[first]
-    # written by column over the whole grid; each axis value is formatted once
+    # written by column, a block of rows at a time; each axis value is
+    # formatted once
     re_texts = itertools.chain.from_iterable(itertools.repeat(t, n) for t in map(repr, re_axis))
-    columns = [re_texts, list(map(repr, im_axis)) * n, map(repr, values.real.tolist()), map(repr, values.imag.tolist())]
-    if second:
-        # |value - other| by libm's hypot, which Python's complex abs calls
-        # too (_abs_diff), with its inf and NaN; np.abs differs in the last bit
-        with np.errstate(all="ignore"):
-            d = values - grids[second]
-            diffs = np.hypot(d.real, d.imag)
-        # math.log10, not np.log10, which differs in the last bit too; -inf
-        # where the two values agree
-        agree = np.flatnonzero(diffs == 0.0).tolist()
-        diffs[agree] = 1.0
-        logs = list(map(math.log10, diffs.tolist()))
-        for i in agree:
-            logs[i] = -math.inf
-        columns.append(map(repr, logs))
-    lines = ["re,im,value_re,value_im" + (",log10_abs_err" if second else ""), *map(",".join, zip(*columns))]
-    _write_text(args.out, "\n".join(lines) + "\n")
+    im_texts = itertools.cycle(map(repr, im_axis))
+    with _open_out(args.out) as fh:
+        fh.write("re,im,value_re,value_im" + (",log10_abs_err\n" if second else "\n"))
+        for lo in range(0, n * n, GRID_BLOCK_ROWS):
+            block = values[lo : lo + GRID_BLOCK_ROWS]
+            rows = len(block)
+            columns = [
+                itertools.islice(re_texts, rows),
+                itertools.islice(im_texts, rows),
+                map(repr, block.real.tolist()),
+                map(repr, block.imag.tolist()),
+            ]
+            if second:
+                # |value - other| by libm's hypot, which Python's complex abs
+                # calls too (_abs_diff), with its inf and NaN; np.abs differs
+                # in the last bit
+                with np.errstate(all="ignore"):
+                    d = block - grids[second][lo : lo + rows]
+                    diffs = np.hypot(d.real, d.imag)
+                # math.log10, not np.log10, which differs in the last bit too;
+                # -inf where the two values agree
+                agree = np.flatnonzero(diffs == 0.0).tolist()
+                diffs[agree] = 1.0
+                logs = list(map(math.log10, diffs.tolist()))
+                for i in agree:
+                    logs[i] = -math.inf
+                columns.append(map(repr, logs))
+            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
     return EXIT_OK
 
 

@@ -7,6 +7,7 @@ quadrature evaluators.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 
@@ -43,8 +44,9 @@ def ml_series(z: complex, alpha: float, beta: float, tol: float = DEFAULT_TOL) -
     the envelope Gamma(1-x)/pi instead; the sum itself adds 1/Gamma(x).
     If the fixed cap of DEFAULT_MAX_TERMS = 250 terms is reached first,
     converged is False, and so it is for a NaN value (an infinite term
-    meets an infinite |sum|).  The coefficients 1/Gamma(beta + n*alpha)
-    come from a table cached per (alpha, beta).
+    meets an infinite |sum|) and for a stop after z**n overflowed, such as
+    ml_series(-1e8, 3.9, 1) = -inf where E is 3.19e33.  The coefficients
+    1/Gamma(beta + n*alpha) come from a table cached per (alpha, beta).
     """
     check_alpha_beta(alpha, beta)
     if not 0.0 < tol < math.inf:
@@ -79,9 +81,11 @@ def _series_sum(z: complex, alpha: float, beta: float, tol: float) -> EvalResult
             else:
                 size = math.inf  # term 0 is always added
             if size <= tol * abs(acc):
-                # a NaN sum (an infinite term, inf <= inf) is never converged;
-                # acc == acc is False for a NaN in either part
-                return tuple.__new__(EvalResult, (complex(acc), _SERIES, n, size, acc == acc))
+                # a NaN sum (an infinite term, inf <= inf) is never converged,
+                # nor is a stop after z**n overflowed: its infinite term met an
+                # infinite |sum| while 1/Gamma underflowed.  acc == acc is False
+                # for a NaN in either part
+                return tuple.__new__(EvalResult, (complex(acc), _SERIES, n, size, acc == acc and cmath.isfinite(zp)))
             if n >= max_terms:
                 return tuple.__new__(EvalResult, (complex(acc), _SERIES, n, size, False))
             acc += term

@@ -2,6 +2,7 @@ import cmath
 import math
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +103,14 @@ class TestEval:
         code, out, err = run(capsys, "eval", *common, "--method", "series")
         assert code == 3
         assert "method: series" in out
+        assert "not converged" in err
+
+    def test_forced_series_whose_power_overflows_fails(self, capsys) -> None:
+        # z**n overflows at n = 40: the series printed -inf and exited 0,
+        # where E[3.9, 1](-1e8) is 3.19e33
+        code, out, err = run(capsys, "eval", "--alpha", "3.9", "--beta", "1", "--z=-1e8", "--method", "series")
+        assert code == 3
+        assert out.split()[0] == "-inf" and "method: series" in out
         assert "not converged" in err
 
     def test_node_override(self, capsys) -> None:
@@ -362,7 +371,7 @@ class TestGrid:
         assert _abs_diff(3 + 4j, 0j) == 5.0
 
     def test_hypot_column_matches_abs_diff(self) -> None:
-        # the grid's comparison column is np.hypot of the whole-grid
+        # the grid's comparison column is np.hypot of each block's
         # difference, table-asymp's _abs_diff a Python complex abs: both are
         # libm's hypot, so they agree bit for bit, with inf, NaN, overflowing,
         # subnormal and signed-zero parts, and with a stale ERANGE in errno
@@ -492,6 +501,9 @@ class TestGrid:
             # a method named twice, evaluated once
             (*_RECT, "--steps", "17", "--compare-method", "quad-hyp,quad-hyp"),
             (*_RECT, "--steps", "9", "--compare-method", "auto,auto"),
+            # more than one block of GRID_BLOCK_ROWS rows, the last one short
+            (*_RECT, "--steps", "50", "--compare-method", "quad-par,quad-hyp"),
+            (*_RECT, "--steps", "47", "--compare-method", "auto,quad-par"),
         ],
     )
     def test_bytes_match_row_writer(self, capsys, monkeypatch, tmp_path: Path, case: tuple[str, ...]) -> None:
@@ -513,6 +525,45 @@ class TestGrid:
             assert new.read_bytes() == ref.read_bytes()
         else:
             assert not new.exists() and not ref.exists()
+
+    def test_overflow_after_the_first_block_writes_nothing(self, capsys, tmp_path: Path) -> None:
+        # every value is computed before the output is opened: a point whose
+        # modulus overflows in a later block leaves no file and no stdout
+        bounds = ("--re-min", "1.24e308", "--re-max", "1.275e308", "--im-min", "1.26e308", "--im-max", "1.27e308")
+        steps = 50
+        re_axis = cli._linspace(1.24e308, 1.275e308, steps)
+        im_axis = cli._linspace(1.26e308, 1.27e308, steps)
+        finite = [math.isfinite(math.hypot(re, im)) for re in re_axis for im in im_axis]
+        assert all(finite[: cli.GRID_BLOCK_ROWS]) and not all(finite)
+        dest = tmp_path / "g.csv"
+        grid = ("grid", "--alpha", "0.5", "--beta", "1", *bounds, "--steps", str(steps))
+        for pair in ((), ("--compare-method", "quad-par,quad-hyp")):
+            for out in ("-", str(dest)):
+                code, stdout, err = run(capsys, *grid, *pair, "--out", out)
+                assert (code, stdout) == (2, "") and err.startswith("error:") and "overflow" in err
+                assert not dest.exists()
+
+    def test_stdout_matches_file_over_several_blocks(self, capsys, tmp_path: Path) -> None:
+        dest = tmp_path / "g.csv"
+        grid = ("grid", *_RECT, "--steps", "50", "--compare-method", "quad-par,quad-hyp")
+        assert 50 * 50 > cli.GRID_BLOCK_ROWS
+        code, out, _ = run(capsys, *grid, "--out", "-")
+        assert code == 0 and run(capsys, *grid, "--out", str(dest))[0] == 0
+        assert dest.read_bytes() == out.encode() and out.count("\n") == 50 * 50 + 1
+
+    def test_peak_memory_per_point(self, tmp_path: Path) -> None:
+        # the CSV is written a block of rows at a time: the peak is the
+        # engine's pass over the grid, not the text, which took 529 bytes a
+        # point when the whole CSV was held
+        grid = ["grid", *_RECT, "--compare-method", "quad-par,quad-hyp", "--out", str(tmp_path / "g.csv")]
+        assert main([*grid, "--steps", "2"]) == 0
+        tracemalloc.start()
+        try:
+            assert main([*grid, "--steps", "300"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 100 * 300 * 300
 
     def test_bad_compare_pair(self, capsys) -> None:
         code, _, _ = run(

@@ -111,6 +111,18 @@ class TestProperties:
         assert cmath.isnan(res.value)
         assert not res.converged
 
+    @pytest.mark.parametrize(
+        "z, alpha, terms",
+        [(-1e8, 3.9, 40), (1e8, 3.9, 40), (-2e7, 3.5, 44), (30.0, 0.5, 210), (800.0, 1.0, 108)],
+    )
+    def test_overflowing_power_is_not_converged(self, z: float, alpha: float, terms: int) -> None:
+        # z**n overflowed while 1/Gamma underflowed: the infinite term met an
+        # infinite |sum|, inf <= tol*inf, and the infinite value was reported
+        # converged (E[3.9, 1](-1e8) is 3.19e33)
+        res = ml_series(z, alpha, 1.0)
+        assert cmath.isinf(res.value) and not res.converged
+        assert res.nodes_or_terms == terms
+
     def test_nan_series_falls_through_to_quadrature(self) -> None:
         # 1/Gamma(-199.7) is inf: ml_auto returned nan-infj from the series;
         # quadrature's node factors overflow at beta = -200 and say so
