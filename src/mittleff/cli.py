@@ -136,7 +136,13 @@ def _abs_diff(a: complex, b: complex) -> float:
 def _linspace(lo: float, hi: float, steps: int) -> list[float]:
     if steps == 1:
         return [lo]
-    return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
+    n = steps - 1
+    # where (hi - lo) * i overflows (or hi - lo does, and 0 * inf is NaN) the
+    # bounds are weighed instead: the points between finite bounds stay finite
+    return [
+        lo + step / n if math.isfinite(step := (hi - lo) * i) else lo * (1.0 - i / n) + hi * (i / n)
+        for i in range(steps)
+    ]
 
 
 def cmd_grid(args: argparse.Namespace) -> int:

@@ -37,8 +37,11 @@ if TYPE_CHECKING:
 
     from numpy.typing import ArrayLike
 
-# points per engine pass: bounds its (nodes x points) work arrays
-ENGINE_CHUNK = 256
+# points per engine chunk: bounds the pass's (nodes x points) work arrays
+# (_work_view), 32 + 17 bytes a pole per node and point, 1.5 MB at 30 nodes
+# and one pole.  Of 256 to 2048, 1024 gives cli_grid the most points a
+# second and keeps the grid command under 100 bytes a point; 2048 does not
+ENGINE_CHUNK = 1024
 # a plain chunk's poles: none, and the residue -0-0j, the exact additive
 # identity (+0j would turn a -0.0 part of the node sum into +0.0)
 _NO_POLES = ((), complex(-0.0, -0.0), 0j)
@@ -135,33 +138,56 @@ def _chunk_poles(z: np.ndarray, alpha: float, beta: float) -> tuple:
     return poles, residue, largest
 
 
-def _split_sum(z: np.ndarray, shared: tuple, alpha: float, beta: float, rule: QuadratureRule) -> np.ndarray:
+def _work_view(work: dict, name: str, shape: tuple, dtype: type = complex) -> np.ndarray:
+    """A C-contiguous view of shape on the pass's work array name, which grows
+    to the largest shape asked of it.  A view is laid out as a fresh array of
+    its shape, so numpy reduces it in the same order (_sum_rows)."""
+    size = math.prod(shape)
+    array = work.get(name)
+    if array is None or array.size < size:
+        array = work[name] = np.empty(size, dtype)
+    return array[:size].reshape(shape)
+
+
+def _split_sum(z: np.ndarray, shared: tuple, alpha: float, beta: float, rule: QuadratureRule, work: dict) -> np.ndarray:
     """One rule's columns of a chunk: its node sum with the shared poles
-    (_chunk_poles', or _NO_POLES for a plain chunk) split off, plus their residues."""
+    (_chunk_poles', or _NO_POLES for a plain chunk) split off, plus their
+    residues.  The (nodes x points) arrays are views of work, the pass's work
+    arrays; the columns returned are not."""
     poles, residue, largest = shared
     w, c, c_wab, wa = _engine_factors(rule, alpha, beta)
-    terms = c_wab / (wa - z)
-    # each pole's P/(w - gamma), |w - gamma|**2 and near mask, in one (pole, node,
-    # point) array each: an array per pole was ~9% slower on the alpha = 3.5 grid
-    quotients = np.empty((len(poles), *terms.shape), dtype=complex)
-    dist2, nears = np.empty(quotients.shape), np.empty(quotients.shape, dtype=bool)
-    for (gamma, _, pole), q, d2, near in zip(poles, quotients, dist2, nears):
+    shape = (len(w), len(z))
+    # the node terms and each pole's P/(w - gamma) in one complex array, each
+    # pole's near mask in one bool array: the near pairs below read every pole's
+    columns = _work_view(work, "columns", (1 + len(poles), *shape))
+    terms, quotients = columns[0], columns[1:]
+    nears = _work_view(work, "nears", (len(poles), *shape), bool)
+    np.subtract(wa, z, out=terms)
+    np.divide(c_wab, terms, out=terms)
+    for (gamma, _, pole), q, near in zip(poles, quotients, nears):
+        t1, t2 = _work_view(work, "products", (2, *shape), float)
         np.subtract(w, gamma, out=q)  # w - gamma, then P/(w - gamma) in place
-        np.add(q.real * q.real, q.imag * q.imag, out=d2)
+        np.multiply(q.real, q.real, out=t1)
+        np.add(t1, np.multiply(q.imag, q.imag, out=t2), out=t1)  # |w - gamma|**2
         # near the pole the difference cancels: the psi form takes over
-        np.less(d2, _EPS_SWITCH_SQ * (gamma.real * gamma.real + gamma.imag * gamma.imag), out=near)
+        np.less(t1, _EPS_SWITCH_SQ * (gamma.real * gamma.real + gamma.imag * gamma.imag), out=near)
         np.divide(pole, q, out=q)
         # c * q in real arithmetic: whether numpy fuses its complex
         # product (FMA) depends on the CPU and the loop it picks; written out,
         # the bits do not
-        terms.real -= c.real * q.real - c.imag * q.imag
-        terms.imag -= c.real * q.imag + c.imag * q.real
-    quotients, dist2, nears = (a.reshape(len(poles), terms.size) for a in (quotients, dist2, nears))
+        np.subtract(np.multiply(c.real, q.real, out=t1), np.multiply(c.imag, q.imag, out=t2), out=t1)
+        np.subtract(terms.real, t1, out=terms.real)
+        np.add(np.multiply(c.real, q.imag, out=t1), np.multiply(c.imag, q.real, out=t2), out=t1)
+        np.subtract(terms.imag, t1, out=terms.imag)
+    quotients, nears = (a.reshape(len(poles), terms.size) for a in (quotients, nears))
     for k, (gamma, log_gamma, _) in enumerate(poles):
         at = np.flatnonzero(nears[k])  # then divmod: 2-d np.nonzero is slower
         if len(poles) > 1 and at.size:
-            # a pair near several poles goes to the nearest, the first of them on a tie
-            at = at[np.where(nears[:, at], dist2[:, at], np.inf).argmin(axis=0) == k]
+            # a pair near several poles goes to the nearest, the first of them
+            # on a tie: each pole's |w - gamma|**2 there, as in the loop above
+            j, i = np.divmod(at, len(z))
+            d = w[j, 0] - np.array([other[i] for other, _, _ in poles])
+            at = at[np.where(nears[:, at], d.real * d.real + d.imag * d.imag, np.inf).argmin(axis=0) == k]
         if not at.size:
             continue
         j, i = np.divmod(at, len(z))
@@ -181,12 +207,11 @@ def _split_sum(z: np.ndarray, shared: tuple, alpha: float, beta: float, rule: Qu
 
 def _rule_values(z: ArrayLike, alpha: float, beta: float, rules: Sequence[QuadratureRule]) -> list[np.ndarray]:
     """ml_quad_values at the same z for each of rules, in one pass: the masks,
-    the chunks and each chunk's poles are built once, and only the node sums
-    once per rule.  Each array has the bits of that rule's own call."""
+    the chunks, each chunk's poles and the work arrays are built once, and
+    only the node sums once per rule.  Each array has the bits of that rule's
+    own call."""
     check_alpha_beta(alpha, beta)
-    # + 0.0 copies z and turns a -0.0 imaginary part into +0.0: the negative
-    # real axis is read from above, as in principal_arg
-    z = np.asarray(z, dtype=np.complex128) + 0.0
+    z = np.asarray(z, dtype=np.complex128)
     flat = z.reshape(-1)
     # every product and quotient in the helpers is elementwise and has no
     # complex product left to fuse, so a column's bits do not depend on the
@@ -206,21 +231,29 @@ def _rule_values(z: ArrayLike, alpha: float, beta: float, rules: Sequence[Quadra
         # and beta only) lies inside the contour, where the plain column sums
         # it; split off, gamma**(1-beta) swamps the value
         split = sector & ~axis & (flat != 0.0) & (modulus >= entries[0][2])
-        outs = [np.empty_like(flat) for _ in rules]
+        # freed before the outputs and the work arrays are made: the peak
+        # memory of a large batch is theirs
+        del modulus, sector
         plain = ~(axis | split)
+        outs = [np.empty_like(flat) for _ in rules]
         if axis.any():
             xs = (-flat[axis].real).tolist()
             for out, entry in zip(outs, entries):
                 out[axis] = [_neg_axis_row(x, alpha, beta, entry) for x in xs]
+        # one set of work arrays for the pass, each the size of its largest
+        # chunk, so that no chunk allocates its own and faults its pages in
+        work = {}
         # one kind per chunk: the split points, 8x the cost of plain ones, come full
         for kind in (split, plain):
             at = kind.nonzero()[0]
             for i in range(0, at.size, ENGINE_CHUNK):
                 chunk = at[i : i + ENGINE_CHUNK]
-                zc = flat[chunk]
+                # + 0.0 turns a -0.0 imaginary part into +0.0: the negative
+                # real axis is read from above, as in principal_arg
+                zc = flat[chunk] + 0.0
                 shared = _chunk_poles(zc, alpha, beta) if kind is split else _NO_POLES
                 for out, rule in zip(outs, rules):
-                    out[chunk] = _split_sum(zc, shared, alpha, beta, rule)
+                    out[chunk] = _split_sum(zc, shared, alpha, beta, rule, work)
         # a real z has a real value: the imaginary part of its column is rounding
         for out in outs:
             out.imag[real] = 0.0

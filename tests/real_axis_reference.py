@@ -269,7 +269,7 @@ def ml_quad_neg_axis_wide_alpha(
     err = _node_factors(rule, alpha, beta)[1]
     with np.errstate(all="ignore"):
         z = np.array([complex(-x)])
-        value = _split_sum(z, _chunk_poles(z, alpha, beta), alpha, beta, rule)[0]
+        value = _split_sum(z, _chunk_poles(z, alpha, beta), alpha, beta, rule, {})[0]
     return EvalResult(complex(value.real), _method_for(rule), 2 * rule.N + 1, err, True)
 
 

@@ -11,7 +11,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import grid_reference
-from mittleff import cli
+from mittleff import cli, engine
 from mittleff.cli import _abs_diff, _merge_negative_values, main
 from mittleff.engine import ENGINE_CHUNK
 
@@ -442,11 +442,9 @@ class TestGrid:
         [
             ("--re-min", "nan", "--re-max", "1"),
             ("--re-min", "0", "--re-max", "inf"),
-            ("--re-min=-1e308", "--re-max", "1e308"),
         ],
     )
     def test_nonfinite_bounds_rejected(self, capsys, bounds: tuple[str, ...]) -> None:
-        # the last pair is finite, but the points between them overflow
         code, out, _ = run(
             capsys, "grid", "--alpha", "0.5", "--beta", "1", *bounds,
             "--im-min", "0", "--im-max", "1", "--steps", "3", "--out", "-",
@@ -455,16 +453,50 @@ class TestGrid:
         assert code == 2
         assert out == ""
 
-    def test_quadrature_rows_match_eval_bitwise(self, capsys) -> None:
-        # more points than one engine chunk, and not a multiple of it
-        steps = 17
-        assert steps * steps > ENGINE_CHUNK and (steps * steps) % ENGINE_CHUNK
+    @pytest.mark.parametrize(
+        "bounds,re_axis,im_axis",
+        [
+            (("--re-min", "0", "--re-max", "1e308", "--im-min", "0", "--im-max", "0"), [0.0, 5e307, 1e308], [0.0] * 3),
+            (
+                ("--re-min=-1e308", "--re-max", "1e308", "--im-min", "0", "--im-max", "1",
+                 "--compare-method", "quad-par,quad-hyp"),
+                [-1e308, 0.0, 1e308],
+                [0.0, 0.5, 1.0],
+            ),
+        ],
+    )
+    def test_wide_finite_bounds_give_finite_points(
+        self, capsys, bounds: tuple[str, ...], re_axis: list[float], im_axis: list[float]
+    ) -> None:
+        # (hi - lo) * i overflows, and in the second span hi - lo too: the
+        # command exited 2, though every point lies between finite bounds
+        code, out, _ = run(capsys, "grid", "--alpha", "0.5", "--beta", "1", *bounds, "--steps", "3", "--out", "-")
+        assert code == 0
+        rows = [row.split(",") for row in out.splitlines()[1:]]
+        assert [(float(row[0]), float(row[1])) for row in rows] == [(x, y) for x in re_axis for y in im_axis]
+        # where the product is finite, the points keep the bits of the form
+        # lo + (hi - lo) * i / (steps - 1)
+        rng = np.random.default_rng(5)
+        for lo, hi, steps in zip(rng.uniform(-1e3, 1e3, 50), rng.uniform(-1e3, 1e3, 50), rng.integers(2, 400, 50)):
+            lo, hi, steps = float(lo), float(hi), int(steps)
+            assert cli._linspace(lo, hi, steps) == [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
+
+    def test_quadrature_rows_match_eval_bitwise(self, capsys, monkeypatch) -> None:
+        # more points of one kind (split or plain) than one engine chunk, and
+        # not a multiple of it
+        steps = math.isqrt(2 * ENGINE_CHUNK) + 1
+        assert (steps * steps) % ENGINE_CHUNK
+        sizes = []
+        split_sum = engine._split_sum
+        monkeypatch.setattr(engine, "_split_sum", lambda zs, *args: sizes.append(zs.size) or split_sum(zs, *args))
         code, out, _ = run(
             capsys, "grid", "--alpha", "0.5", "--beta", "1",
             "--re-min", "-5", "--re-max", "3", "--im-min", "-4", "--im-max", "0",
             "--steps", str(steps), "--out", "-", "--compare-method", "quad-par,quad-hyp",
         )
         assert code == 0
+        # two kinds, two contours: a kind in two chunks, one of them full
+        assert len(sizes) > 4 and max(sizes) == ENGINE_CHUNK
         rows = out.splitlines()[1:]
         assert len(rows) == steps * steps
         for row in rows:

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import warnings
 
@@ -388,24 +389,48 @@ class TestEngine:
         # the origin than _SPLIT_GAMMA_MIN at beta > 1), z = 0, and -0.0
         # imaginary parts on both halves of the real axis
         rng = np.random.default_rng(23)
-        z = list(rng.uniform(-5.0, 3.0, 700) + 1j * rng.uniform(-4.0, 4.0, 700))
+        n = 3 * engine.ENGINE_CHUNK - 68
+        z = list(rng.uniform(-5.0, 3.0, n) + 1j * rng.uniform(-4.0, 4.0, n))
         z += list(-(10.0 ** rng.uniform(-2.0, 2.0, 40))) + list(1e-4 * (rng.uniform(-1.0, 1.0, 40) + 1j))
         z += [0j, complex(0.0, -0.0), complex(-3.0, -0.0), complex(2.0, -0.0)] * 5
         rng.shuffle(z)
         sizes = []
 
         def counted(values):
-            def chunk(zs, *args):
-                sizes.append(zs.size)
-                return values(zs, *args)
+            def chunk(zs, shared, *args):
+                sizes.append((zs.size, len(shared[0])))
+                return values(zs, shared, *args)
 
             return chunk
 
         monkeypatch.setattr(engine, "_split_sum", counted(engine._split_sum))
         batch = ml_quad_values(z, alpha, beta, HYP14)
-        assert len(sizes) >= 3 and max(sizes) == engine.ENGINE_CHUNK
+        assert len(sizes) >= 3 and max(size for size, _ in sizes) == engine.ENGINE_CHUNK
+        if alpha == 3.5:
+            # consecutive chunks with different pole counts share the pass's work arrays
+            assert any(a[1] != b[1] for a, b in zip(sizes, sizes[1:]))
         for zk, got in zip(z, batch.tolist()):
             assert _same_bits(got, ml_quad(zk, alpha, beta, HYP14).value), zk
+
+    def test_concurrent_calls_keep_their_bits(self, in_threads) -> None:
+        # each call owns its work arrays: four threads summing different
+        # (alpha, beta) over the same points at once each get the bits of a
+        # call made alone
+        rng = np.random.default_rng(31)
+        n = 2 * engine.ENGINE_CHUNK + 100
+        z = rng.uniform(-5.0, 3.0, n) + 1j * rng.uniform(-4.0, 4.0, n)
+        cases = [(0.5, 1.0), (1.5, 2.5), (3.5, 1.0), (0.8, -0.5)]
+        want = [[_bits(v) for v in ml_quad_values(z, *case, HYP14).tolist()] for case in cases]
+        turns = itertools.count()
+
+        def task() -> tuple:
+            k = next(turns)
+            return k, [[_bits(v) for v in ml_quad_values(z, *cases[k], HYP14).tolist()] for _ in range(3)]
+
+        got = dict(in_threads(task, workers=len(cases)))
+        assert sorted(got) == list(range(len(cases)))
+        for k, case in enumerate(cases):
+            assert all(bits == want[k] for bits in got[k]), case
 
     @pytest.mark.parametrize("alpha", [0.5, 2.5])
     def test_near_pairs_make_no_per_pair_call(self, monkeypatch, alpha: float) -> None:
