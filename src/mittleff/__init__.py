@@ -18,7 +18,7 @@ ml_quad_values and the Pade names come from their modules on first access
 
 >>> from mittleff import mittag_leffler
 >>> mittag_leffler(1.0, 1.0, 1.0)  # e
-(2.718281828459043+0j)
+(2.718281828459045+0j)
 """
 
 from .asymptotic import ml_asymptotic

@@ -12,6 +12,13 @@ integrand on the principal sheet, P_k = gamma_k**(1-beta)/alpha: for
 alpha <= 1 the one pole z**(1/alpha) where |Arg z| <= alpha*pi, for
 alpha > 1 up to ceil(alpha) of them (kernels.pole_turns).
 
+At alpha 1 or 2 with an integer beta <= alpha every coefficient
+1/Gamma(beta - n*alpha) is 0, and E on the real line is the exponential
+part alone: x**(1-beta) e**x, or a power of sqrt|x| times cos, sin, cosh
+or sinh (Gorenflo, Kilbas, Mainardi & Rogosin, Mittag-Leffler Functions,
+2014).  A real z there takes that closed form (_closed_form), with no
+row and no term.
+
 The coefficients are cached per (alpha, beta) in blocks of TABLE_BLOCK
 rows (_sigma_tau_block).  A row also holds the signed coefficient
 (-1)**n sigma_n of a real z < 0, so one loop over the rows serves every
@@ -40,6 +47,15 @@ MAX_TERMS = 1000
 # log n, n = 1..MAX_TERMS: the floats of the divergence bound and log_r_floor
 _LOG_N = tuple(map(math.log, range(1, MAX_TERMS + 1)))
 _ASYMPTOTIC = Method.ASYMPTOTIC
+_EPS = 2.0**-52
+# the relative rounding of a closed form: each libm factor within an ulp, and their products
+_ROUNDING = 4.0 * _EPS
+# sqrt|x| = s + r misses by at most t*_PHASE, t = sqrt|x|
+_PHASE = 2.0**-104
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into two halves of 26 bits
+# beyond it the products of Dekker's split of s*s underflow or overflow; r,
+# at most half an ulp of s, is dropped
+_DEKKER_RANGE = 2.0**900
 
 
 def asymptotic_sigma_tau(n: int, alpha: float, beta: float) -> tuple[float, float]:
@@ -110,11 +126,99 @@ def log_r_floor(alpha: float, beta: float, tol: float) -> float:
     return floor
 
 
+def elementary(alpha: float, beta: float) -> bool:
+    """Whether E[alpha, beta] is elementary on the real line: alpha 1 or 2 and
+    beta an integer <= alpha, where every coefficient 1/Gamma(beta - n*alpha),
+    n >= 1, of the expansion is 0."""
+    return (alpha == 1.0 or alpha == 2.0) and beta <= alpha and beta % 1.0 == 0.0
+
+
+def _by_logs(log_amp: float, log_f: float, negative: bool) -> tuple[float, float]:
+    # e**(log_amp + log_f), negated or not, where a factor is out of range, and
+    # the relative error that the rounding of the exponent may put in it
+    log_v = log_amp + log_f
+    v = math.exp(log_v) if log_v <= _LOG_MAX else INF
+    return (-v if negative else v), _EPS * (abs(log_amp) + abs(log_f))
+
+
+def _closed_form(x: float, alpha: float, beta: float, tol: float) -> EvalResult:
+    """E[alpha, beta](x) for real x != 0 where elementary(alpha, beta), m = 1 - beta.
+
+    alpha = 1: x**m e**x.  alpha = 2: the amplitude t**m = |x|**(m/2), t =
+    sqrt|x|, times cos t or sin t with the sign of i**m (x < 0), or cosh t or
+    sinh t (x > 0), as m is even or odd.  t is held as s + r: s =
+    math.sqrt(|x|), and r = (|x| - s*s)/(2s), with s*s split exactly by
+    Dekker's two-product (Numer. Math. 18, 1971).  The trigonometric factor
+    takes r through the addition formulas, the hyperbolic one to first order;
+    what s + r misses of t, at most t*2**-104, is the phase drift.  Where
+    the power overflows (but for x > 0 at alpha = 2, where the value does
+    too), or e**x does, or falls below the normal floats while a power
+    multiplies it, the value is taken in logs, and the rounding of their sum
+    adds to the drift.
+
+    err_estimate is |value| times _ROUNDING plus the amplitude (|value| but
+    for the trigonometric factor) times the drift; converged says the drift
+    is within tol or the value underflowed to 0 or overflowed.
+    nodes_or_terms is 0.
+    """
+    m = 1.0 - beta
+    odd = beta % 2.0 == 0.0  # m is odd; read from beta, as 1 - beta rounds past 2**53
+    ax = abs(x)
+    log_amp = m / alpha * math.log(ax)
+    drift = 0.0
+    if alpha == 1.0:
+        sign = -1.0 if x < 0.0 and odd else 1.0
+        if log_amp < 709.0 and (x > -708.0 or not m):
+            v = sign * math.pow(ax, m) * math.exp(x) if x <= _LOG_MAX else INF
+        else:
+            v, drift = _by_logs(log_amp, x, sign < 0.0)
+        amp = abs(v)
+    else:
+        s = math.sqrt(ax)
+        r = 0.0
+        if 1.0 / _DEKKER_RANGE < ax < _DEKKER_RANGE:
+            p = s * s
+            c = _SPLIT * s
+            hi = c - (c - s)
+            lo = s - hi
+            r = ((ax - p) - (((hi * hi - p) + 2.0 * hi * lo) + lo * lo)) / (s + s)
+        if x < 0.0:
+            cs, sn, cr, sr = math.cos(s), math.sin(s), math.cos(r), math.sin(r)
+            f = sn * cr + cs * sr if odd else cs * cr - sn * sr
+            if beta % 4.0 in (0.0, 3.0):  # the sign of i**(m + odd): m % 4 is 1 or 2
+                f = -f
+            if log_amp < 709.0:
+                amp = math.pow(ax, 0.5 * m)
+                v = amp * f
+            else:
+                v, drift = _by_logs(log_amp, math.log(abs(f)), f < 0.0)
+                amp = abs(v / f)
+        else:
+            try:
+                amp = math.pow(ax, 0.5 * m)
+            except OverflowError:  # and so does the value: t > 1, where sinh t and cosh t pass 1
+                amp = INF
+            if s <= 709.0:
+                ch, sh = math.cosh(s), math.sinh(s)
+                v = amp * (sh + r * ch if odd else ch + r * sh)
+            else:
+                # cosh t = sinh t = e**t/2 to rounding: e**(s/2) twice, as e**s overflows first
+                h = math.exp(0.5 * s) if s <= 2.0 * _LOG_MAX else INF
+                v = amp * h * (0.5 * h * (1.0 + r))
+            amp = v
+        drift += s * _PHASE
+    converged = drift <= tol or not 0.0 < abs(v) < INF
+    err = abs(v) * _ROUNDING + (amp * drift if drift else 0.0)  # inf * 0 is NaN
+    return tuple.__new__(EvalResult, (complex(v), _ASYMPTOTIC, 0, err, converged))
+
+
 def ml_asymptotic(z: complex, alpha: float, beta: float, tol: float = DEFAULT_TOL) -> EvalResult:
     """Asymptotic value of E[alpha, beta](z) for large |z|, alpha > 0; real for real z.
 
-    A sum that overflows comes back as the signed infinity of its largest
-    term, and a NaN value is never converged.
+    At alpha 1 or 2 with an integer beta <= alpha it is exact to rounding
+    for every real z != 0: E is elementary there (_closed_form).  A sum
+    that overflows comes back as the signed infinity of its largest term,
+    and a NaN value is never converged.
     """
     check_alpha_beta(alpha, beta)
     if not 0.0 < tol < INF:
@@ -122,11 +226,14 @@ def ml_asymptotic(z: complex, alpha: float, beta: float, tol: float = DEFAULT_TO
     z = finite_complex(z)
     if z == 0:
         raise DomainError("z = 0 is not in the asymptotic regime")
+    if z.imag == 0.0 and elementary(alpha, beta):
+        return _closed_form(z.real, alpha, beta, tol)
     return _expansion_sum(z, alpha, beta, tol)
 
 
 def _expansion_sum(z: complex, alpha: float, beta: float, tol: float) -> EvalResult:
-    """ml_asymptotic for checked arguments, z != 0.
+    """ml_asymptotic for checked arguments, z != 0, but for a real z where E
+    is elementary, which takes _closed_form.
 
     One loop sums the terms sigma_n*t_n*e**(-i*n*theta), t_n = e**(log
     tau_n - n*ln|z|), over the rows of _sigma_tau_block.  A real z adds

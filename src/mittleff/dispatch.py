@@ -2,6 +2,9 @@
 
 Routing order, the same for every alpha > 0:
 
+0. A real z != 0 where E[alpha, beta] is elementary (alpha 1 or 2, beta an
+   integer <= alpha; asymptotic.elementary): ml_asymptotic's closed form,
+   exact to rounding, converged or not, before any step below.
 1. |z| <= 1: power series.
 2. |z|**(1/alpha)/alpha > 40: asymptotic expansion, with the exponential
    term of every pole on the principal sheet, unless log|z| lies below the
@@ -29,7 +32,7 @@ import cmath
 import functools
 import math
 
-from .asymptotic import _expansion_sum, log_r_floor, ml_asymptotic
+from .asymptotic import _closed_form, _expansion_sum, elementary, log_r_floor, ml_asymptotic
 from .contours import HYPERBOLIC_RATE, QuadratureRule, build_hyperbolic_rule, build_parabolic_rule
 from .exceptions import DomainError
 from .kernels import check_alpha_beta, cpow_principal, finite_complex  # noqa: F401  cpow_principal: bench/tracing.py rebinds it here
@@ -98,8 +101,10 @@ def _quad_block(alpha: float, beta: float, tol: float) -> tuple[QuadratureRule, 
 
 
 def _ml_auto_low(z: complex, alpha: float, beta: float, tol: float) -> EvalResult:
-    # ml_auto for checked arguments: steps 1-2 where one is picked and meets
-    # its stopping rule, else step 3
+    # ml_auto for checked arguments: step 0, or steps 1-2 where one is picked
+    # and meets its stopping rule, else step 3
+    if z.imag == 0.0 and z and elementary(alpha, beta):
+        return _closed_form(z.real, alpha, beta, tol)
     try:
         r = abs(z)
     except OverflowError:

@@ -85,9 +85,10 @@ DEFAULT_TOL = 1e-14
 # the evaluators build it with tuple.__new__, skipping the generated __new__'s Python frame
 class EvalResult(NamedTuple):
     """The record every evaluator returns.  nodes_or_terms: the series' terms
-    summed, the expansion's m (it summed n = 1..m-1), quadrature's 2N+1 nodes.
-    err_estimate: the series' first omitted term, enveloped left of
-    beta + n*alpha = 1/2; the expansion's size proxy of term m-1; quadrature's
+    summed, the expansion's m (it summed n = 1..m-1; 0 for a closed form),
+    quadrature's 2N+1 nodes.  err_estimate: the series' first omitted term,
+    enveloped left of beta + n*alpha = 1/2; the expansion's size proxy of
+    term m-1, or a closed form's rounding and drift; quadrature's
     origin_accuracy."""
 
     value: complex

@@ -71,7 +71,8 @@ class TestEval:
         assert VALUE_LINE.match(lines[0])
         val = float(lines[0].split()[0])
         assert val == pytest.approx(math.e, rel=1e-13)
-        assert lines[1] == "method: series"
+        # E[1, 1](1) = e, the closed form before the series
+        assert lines[1] == "method: asymp"
         assert lines[2].startswith("terms: ")
         assert lines[3].startswith("err_estimate: ")
 

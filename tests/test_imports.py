@@ -43,7 +43,8 @@ SCALAR_ROUTES = [
     (-0.5, 0.7, 1.0, Method.SERIES),  # series
     (-100.0, 0.7, 1.0, Method.ASYMPTOTIC),  # real expansion
     (-3.0, 0.5, 1.0, Method.QUAD_HYPERBOLIC),  # plain row
-    (-5.0, 1.0, 1.0, Method.QUAD_HYPERBOLIC),  # edge row
+    (-5.0, 1.0, 1.0, Method.ASYMPTOTIC),  # closed form
+    (-5.0, 1.0, 0.5, Method.QUAD_HYPERBOLIC),  # edge row
     (-9.0, 1.3, 1.0, Method.QUAD_HYPERBOLIC),  # two-pole row
     (-140.0, 1.3, 1.0, Method.QUAD_HYPERBOLIC),  # two-pole row with a node near a pole: f_one
 ]

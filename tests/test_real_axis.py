@@ -18,7 +18,7 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from mittleff import dispatch
-from mittleff.asymptotic import _expansion_sum, log_r_floor, ml_asymptotic
+from mittleff.asymptotic import _expansion_sum, elementary, log_r_floor, ml_asymptotic
 from mittleff.cli import main
 from mittleff.dispatch import ml_auto, run_method
 from mittleff.quadrature import EvalResult, Method
@@ -64,10 +64,15 @@ ROUTES = [
     (-45.0, 1.0, 1.5, 1e-14, Method.ASYMPTOTIC, "expansion on the cut"),
     (3.0, 0.5, 1.0, 1e-14, Method.QUAD_HYPERBOLIC, "quadrature, pole split"),
     (-3.0, 0.5, 1.0, 1e-14, Method.QUAD_HYPERBOLIC, "quadrature, plain"),
-    (-5.0, 1.0, 1.0, 1e-14, Method.QUAD_HYPERBOLIC, "quadrature on the cut"),
+    # beta = 2 > alpha = 1 and beta = 0.5 at alpha = 2, as an integer beta <= alpha
+    # at alpha 1 or 2 takes the closed form
+    (-5.0, 1.0, 2.0, 1e-14, Method.QUAD_HYPERBOLIC, "quadrature on the cut"),
     (-5.0, 1.0, 0.6, 1e-14, Method.QUAD_HYPERBOLIC, "quadrature on the cut, beta 0.6"),
     (-4.2, 1.5, 1.0, 1e-14, Method.QUAD_HYPERBOLIC, "two-pole row"),
-    (-3000.0, 2.0, 1.0, 1e-14, Method.QUAD_HYPERBOLIC, "two-pole row, alpha 2"),
+    (-3000.0, 2.0, 0.5, 1e-14, Method.QUAD_HYPERBOLIC, "two-pole row, alpha 2"),
+    (-5.0, 1.0, 1.0, 1e-14, Method.ASYMPTOTIC, "closed form, alpha 1"),
+    (-3000.0, 2.0, 1.0, 1e-14, Method.ASYMPTOTIC, "closed form, alpha 2"),
+    (37.5, 2.0, -1.0, 1e-14, Method.ASYMPTOTIC, "closed form, z > 0"),
     (-1e4, 2.0, 1.0, 1e-14, Method.ASYMPTOTIC, "pair by expansion"),
     (-1e4, 1.3, 1.3, 1e-14, Method.ASYMPTOTIC, "pair by expansion, beta = alpha"),
     # the names of the last two are those of the reduction's sub-points; the
@@ -144,10 +149,13 @@ def _around_the_floor(draw) -> tuple:
 @example(case=(1.0, 1.0, 1e-14, -30.3))
 def test_floor_skips_only_expansions_that_fail(case: tuple) -> None:
     # routing skips the expansion below the bound minus 1e-9: it must have
-    # missed its stopping rule there
+    # missed its stopping rule
+    # there, except at a real z where E is elementary: routing takes the
+    # closed form there first and never reads the bound
     alpha, beta, tol, z = case
     if math.log(abs(z)) < log_r_floor(alpha, beta, tol) - 1e-9:
-        assert not ml_asymptotic(z, alpha, beta, tol).converged
+        res = ml_asymptotic(z, alpha, beta, tol)
+        assert not res.converged or (complex(z).imag == 0.0 and elementary(alpha, beta))
 
 
 def _fields(res: EvalResult) -> tuple:
