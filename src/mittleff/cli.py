@@ -205,12 +205,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
                     diffs = np.hypot(d.real, d.imag)
                 # math.log10, not np.log10, which differs in the last bit too;
                 # -inf where the two values agree
-                agree = np.flatnonzero(diffs == 0.0).tolist()
-                diffs[agree] = 1.0
-                logs = list(map(math.log10, diffs.tolist()))
-                for i in agree:
-                    logs[i] = -math.inf
-                columns.append(map(repr, logs))
+                columns.append(repr(-math.inf if d == 0.0 else math.log10(d)) for d in diffs.tolist())
             fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
     return EXIT_OK
 

@@ -37,10 +37,10 @@ if TYPE_CHECKING:
 
     from numpy.typing import ArrayLike
 
-# points per engine chunk: bounds the pass's (nodes x points) work arrays
-# (_work_view), 32 + 17 bytes a pole per node and point, 1.5 MB at 30 nodes
-# and one pole.  Of 256 to 2048, 1024 gives cli_grid the most points a
-# second and keeps the grid command under 100 bytes a point; 2048 does not
+# points per engine chunk: bounds a chunk's (nodes x points) arrays, 32 + 17
+# bytes a pole per node and point, 1.5 MB at 30 nodes and one pole.  Of 256
+# to 2048, 1024 gives cli_grid the most points a second and keeps a one-pole
+# grid under 100 bytes a point; 2048 does not
 ENGINE_CHUNK = 1024
 # a plain chunk's poles: none, and the residue -0-0j, the exact additive
 # identity (+0j would turn a -0.0 part of the node sum into +0.0)
@@ -138,34 +138,22 @@ def _chunk_poles(z: np.ndarray, alpha: float, beta: float) -> tuple:
     return poles, residue, largest
 
 
-def _work_view(work: dict, name: str, shape: tuple, dtype: type = complex) -> np.ndarray:
-    """A C-contiguous view of shape on the pass's work array name, which grows
-    to the largest shape asked of it.  A view is laid out as a fresh array of
-    its shape, so numpy reduces it in the same order (_sum_rows)."""
-    size = math.prod(shape)
-    array = work.get(name)
-    if array is None or array.size < size:
-        array = work[name] = np.empty(size, dtype)
-    return array[:size].reshape(shape)
-
-
-def _split_sum(z: np.ndarray, shared: tuple, alpha: float, beta: float, rule: QuadratureRule, work: dict) -> np.ndarray:
+def _split_sum(z: np.ndarray, shared: tuple, alpha: float, beta: float, rule: QuadratureRule) -> np.ndarray:
     """One rule's columns of a chunk: its node sum with the shared poles
     (_chunk_poles', or _NO_POLES for a plain chunk) split off, plus their
-    residues.  The (nodes x points) arrays are views of work, the pass's work
-    arrays; the columns returned are not."""
+    residues."""
     poles, residue, largest = shared
     w, c, c_wab, wa = _engine_factors(rule, alpha, beta)
     shape = (len(w), len(z))
     # the node terms and each pole's P/(w - gamma) in one complex array, each
     # pole's near mask in one bool array: the near pairs below read every pole's
-    columns = _work_view(work, "columns", (1 + len(poles), *shape))
+    columns = np.empty((1 + len(poles), *shape), complex)
     terms, quotients = columns[0], columns[1:]
-    nears = _work_view(work, "nears", (len(poles), *shape), bool)
+    nears = np.empty((len(poles), *shape), bool)
     np.subtract(wa, z, out=terms)
     np.divide(c_wab, terms, out=terms)
     for (gamma, _, pole), q, near in zip(poles, quotients, nears):
-        t1, t2 = _work_view(work, "products", (2, *shape), float)
+        t1, t2 = np.empty((2, *shape))
         np.subtract(w, gamma, out=q)  # w - gamma, then P/(w - gamma) in place
         np.multiply(q.real, q.real, out=t1)
         np.add(t1, np.multiply(q.imag, q.imag, out=t2), out=t1)  # |w - gamma|**2
@@ -207,9 +195,8 @@ def _split_sum(z: np.ndarray, shared: tuple, alpha: float, beta: float, rule: Qu
 
 def _rule_values(z: ArrayLike, alpha: float, beta: float, rules: Sequence[QuadratureRule]) -> list[np.ndarray]:
     """ml_quad_values at the same z for each of rules, in one pass: the masks,
-    the chunks, each chunk's poles and the work arrays are built once, and
-    only the node sums once per rule.  Each array has the bits of that rule's
-    own call."""
+    the chunks and each chunk's poles are built once, and only the node sums
+    once per rule.  Each array has the bits of that rule's own call."""
     check_alpha_beta(alpha, beta)
     z = np.asarray(z, dtype=np.complex128)
     flat = z.reshape(-1)
@@ -231,8 +218,8 @@ def _rule_values(z: ArrayLike, alpha: float, beta: float, rules: Sequence[Quadra
         # and beta only) lies inside the contour, where the plain column sums
         # it; split off, gamma**(1-beta) swamps the value
         split = sector & ~axis & (flat != 0.0) & (modulus >= entries[0][2])
-        # freed before the outputs and the work arrays are made: the peak
-        # memory of a large batch is theirs
+        # freed before the outputs are made: the peak memory of a large batch
+        # is theirs
         del modulus, sector
         plain = ~(axis | split)
         outs = [np.empty_like(flat) for _ in rules]
@@ -240,9 +227,6 @@ def _rule_values(z: ArrayLike, alpha: float, beta: float, rules: Sequence[Quadra
             xs = (-flat[axis].real).tolist()
             for out, entry in zip(outs, entries):
                 out[axis] = [_neg_axis_row(x, alpha, beta, entry) for x in xs]
-        # one set of work arrays for the pass, each the size of its largest
-        # chunk, so that no chunk allocates its own and faults its pages in
-        work = {}
         # one kind per chunk: the split points, 8x the cost of plain ones, come full
         for kind in (split, plain):
             at = kind.nonzero()[0]
@@ -253,7 +237,7 @@ def _rule_values(z: ArrayLike, alpha: float, beta: float, rules: Sequence[Quadra
                 zc = flat[chunk] + 0.0
                 shared = _chunk_poles(zc, alpha, beta) if kind is split else _NO_POLES
                 for out, rule in zip(outs, rules):
-                    out[chunk] = _split_sum(zc, shared, alpha, beta, rule, work)
+                    out[chunk] = _split_sum(zc, shared, alpha, beta, rule)
         # a real z has a real value: the imaginary part of its column is rounding
         for out in outs:
             out.imag[real] = 0.0

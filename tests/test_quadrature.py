@@ -407,15 +407,15 @@ class TestEngine:
         batch = ml_quad_values(z, alpha, beta, HYP14)
         assert len(sizes) >= 3 and max(size for size, _ in sizes) == engine.ENGINE_CHUNK
         if alpha == 3.5:
-            # consecutive chunks with different pole counts share the pass's work arrays
+            # consecutive chunks with different pole counts, whose arrays differ in shape
             assert any(a[1] != b[1] for a, b in zip(sizes, sizes[1:]))
         for zk, got in zip(z, batch.tolist()):
             assert _same_bits(got, ml_quad(zk, alpha, beta, HYP14).value), zk
 
     def test_concurrent_calls_keep_their_bits(self, in_threads) -> None:
-        # each call owns its work arrays: four threads summing different
-        # (alpha, beta) over the same points at once each get the bits of a
-        # call made alone
+        # the engine shares no mutable state between calls: four threads
+        # summing different (alpha, beta) over the same points at once each
+        # get the bits of a call made alone
         rng = np.random.default_rng(31)
         n = 2 * engine.ENGINE_CHUNK + 100
         z = rng.uniform(-5.0, 3.0, n) + 1j * rng.uniform(-4.0, 4.0, n)
